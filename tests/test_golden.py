@@ -1,0 +1,177 @@
+"""Golden outputs: sha256 of `cbopt run` stdout and ensemble.csv for one
+small config per variant, integrator, batch mode and way a run ends, and
+of `cbopt bench` summary.csv and runs.jsonl at one and at two workers.
+
+The hashes pin results bit for bit. Generator streams are not guaranteed
+stable across numpy releases, so the tests skip when the running numpy is
+not the one the hashes were recorded with. To record them again after a
+deliberate change of results, run ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from cbopt.cli import main
+
+HASHES = Path(__file__).resolve().parent / "golden" / "hashes.json"
+
+_RUN = """\
+objective: {{name: {objective}, dimension: {dimension}}}
+variant: {{kind: {kind}, heaviside: {heaviside}, integrator: {integrator}}}
+params: {{lambda: 1.0, sigma: {sigma}, alpha: {alpha}, dt: {dt}, beta: 10.0}}
+harness:
+  n_particles: {n}
+  init: {init}
+  max_steps: {max_steps}
+  seed: 7{harness_extra}
+output: {{record_every: 10}}
+"""
+
+_BOX = "{kind: box, low: -2.0, high: 2.0}"
+
+
+def _yaml(batching="", harness_extra="", **overrides):
+    fields = dict(
+        objective="ackley", dimension=3, kind="anisotropic", heaviside="off",
+        integrator="euler", sigma=0.7, alpha=30.0, dt=0.01, n=12, init=_BOX, max_steps=60,
+        harness_extra=harness_extra,
+    )
+    fields.update(overrides)
+    return _RUN.format(**fields) + batching
+
+
+# case name -> (config YAML, terminated_by, exit code)
+RUN_CASES = {
+    "original_exact": (_yaml(kind="original", heaviside="exact", sigma=0.3), "max_steps", 0),
+    "anisotropic": (_yaml(), "max_steps", 0),
+    "common_noise": (_yaml(kind="common_noise"), "max_steps", 0),
+    "personal_best": (_yaml(kind="personal_best"), "max_steps", 0),
+    "sphere": (_yaml(kind="sphere", init="{kind: sphere}", sigma=0.5), "max_steps", 0),
+    "anisotropic_split": (_yaml(integrator="split"), "max_steps", 0),
+    "anisotropic_frozen": (_yaml(integrator="frozen"), "max_steps", 0),
+    "batch_partial": (
+        _yaml(alpha=2.0, batching="batching: {batch_size: 4, update_mode: partial,"
+              " gamma: 0.05, stop_eps: 1.0e-300, max_epochs: 100}\n"),
+        "max_steps", 0,
+    ),
+    "batch_full": (
+        _yaml(alpha=2.0, batching="batching: {batch_size: 4, update_mode: full,"
+              " gamma: 0.05, stop_eps: 1.0e-300, max_epochs: 100}\n"),
+        "max_steps", 0,
+    ),
+    "plain_stop_eps": (
+        _yaml(alpha=2.0, max_steps=2000, harness_extra="\n  stop_eps: 1.0e-6"),
+        "stop_criterion", 0,
+    ),
+    "batch_stop_eps": (
+        _yaml(alpha=2.0, max_steps=2000, batching="batching: {batch_size: 4, gamma: 0.05,"
+              " stop_eps: 1.0e-6, max_epochs: 1000}\n"),
+        "stop_criterion", 0,
+    ),
+    "max_steps": (_yaml(kind="common_noise", max_steps=37), "max_steps", 0),
+    "divergence": (
+        _yaml(objective="zakharov", dimension=2, sigma=40.0, dt=10.0, max_steps=5000,
+              init="{kind: box, low: -5.0, high: 10.0}"),
+        "divergence", 2,
+    ),
+}
+
+BENCH = """\
+objective: {name: rastrigin, dimension: 3}
+variant: {kind: anisotropic}
+params: {lambda: 1.0, sigma: 0.8, alpha: 30.0, dt: 0.01, beta: 10.0}
+harness:
+  n_particles: 10
+  init: {kind: box, low: -2.0, high: 2.0}
+  max_steps: 80
+  seed: 11
+  stop_eps: 1.0e-12
+  campaign: {runs: 4, tolerance: 0.25, norm: infinity, variants: [personal_best, anisotropic]}
+output: {record_every: 1000}
+"""
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _main(argv):
+    """Exit code and stdout of one in-process `cbopt` invocation."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), np.errstate(over="ignore", invalid="ignore"):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+def run_case(name, tmp_path):
+    """Hashes of one `cbopt run` case, checking how the run ended."""
+    text, terminated_by, expected_code = RUN_CASES[name]
+    config = tmp_path / f"{name}.yaml"
+    config.write_text(text)
+    out = tmp_path / name
+    code, stdout = _main(["run", "--config", str(config), "--out", str(out)])
+    assert code == expected_code
+    assert json.loads(stdout.splitlines()[-1])["summary"]["terminated_by"] == terminated_by
+    return {
+        "stdout": _sha(stdout.encode()),
+        "ensemble.csv": _sha((out / "ensemble.csv").read_bytes()),
+    }
+
+
+def bench_case(threads, tmp_path):
+    """Hashes of the `cbopt bench` files at a given worker cap."""
+    config = tmp_path / "bench.yaml"
+    config.write_text(BENCH)
+    out = tmp_path / f"bench{threads}"
+    with mock.patch.dict(os.environ, {"CBO_THREADS": str(threads)}):
+        code, _ = _main(["bench", "--config", str(config), "--out", str(out)])
+    assert code == 0
+    return {name: _sha((out / name).read_bytes()) for name in ("summary.csv", "runs.jsonl")}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    recorded = json.loads(HASHES.read_text())
+    if recorded["numpy"] != np.__version__:
+        pytest.skip(
+            f"golden hashes were recorded with numpy {recorded['numpy']}, "
+            f"running numpy {np.__version__}"
+        )
+    return recorded
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_run_output_matches_golden(name, golden, tmp_path):
+    assert run_case(name, tmp_path) == golden["run"][name]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bench_output_matches_golden(threads, golden, tmp_path):
+    assert bench_case(threads, tmp_path) == golden["bench"]
+
+
+def _record():
+    """Run every case and rewrite hashes.json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {name: run_case(name, Path(tmp)) for name in sorted(RUN_CASES)}
+        bench = [bench_case(threads, Path(tmp)) for threads in (1, 2)]
+    if bench[0] != bench[1]:
+        raise SystemExit("bench output differs between one and two workers")
+    HASHES.parent.mkdir(exist_ok=True)
+    HASHES.write_text(
+        json.dumps({"numpy": np.__version__, "run": runs, "bench": bench[0]}, indent=2) + "\n"
+    )
+    print(f"wrote {HASHES}")
+
+
+if __name__ == "__main__":
+    _record()
