@@ -28,11 +28,6 @@ from .dynamics import (
     heaviside,
     sphere_norm_drift,
     step,
-    step_anisotropic,
-    step_common_noise,
-    step_original,
-    step_personal_best,
-    step_sphere,
 )
 from .ensemble import (
     Ensemble,

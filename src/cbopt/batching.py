@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .consensus import ConsensusPoint, consensus_from_values
-from .dynamics import DivergenceError, anisotropic_kick
+from .dynamics import advance, anisotropic_kick
 from .ensemble import Ensemble, RngPlan, STREAM_DIFFUSION, STREAM_PERMUTATION
 from .objectives import ObjectiveFunction
 
@@ -148,9 +148,7 @@ def batch_update(
     z = rng.normal_block(STREAM_DIFFUSION, e.step_count, (scope.size, e.dimension))
     new = e.positions.copy()
     new[scope] = anisotropic_kick(e.positions[scope], v.v, lam, sigma, gamma, z)
-    if not np.isfinite(new).all():
-        raise DivergenceError(e.step_count)
-    return Ensemble(new, e.time + gamma, e.step_count + 1)
+    return advance(e, new, gamma)
 
 
 def stop_check(v_prev, v_curr, d: int, eps: float) -> bool:

@@ -407,10 +407,13 @@ def cmd_bench(args) -> int:
         norm=campaign.norm,
     )
     workers = _workers()
+    try:  # every variant's config is checked before any campaign runs
+        configs = [replace(config, params=replace(config.params, variant=v)) for v in variants]
+    except ValueError as err:
+        raise ConfigError(f"harness.campaign.variants: {err}") from None
     run_lines = []
     rows = []
-    for variant in variants:
-        vconfig = replace(config, params=replace(config.params, variant=variant))
+    for variant, vconfig in zip(variants, configs):
         results = run_campaign(vconfig, campaign.runs, workers=workers)
         for index, res in enumerate(results):
             run_lines.append(
@@ -576,7 +579,7 @@ config defaults (YAML):
   params.beta           1.0
   batching              absent        (batch_size required inside; update_mode partial,
                                        gamma 0.01, sigma = params.sigma, stop_eps 1e-8,
-                                       max_epochs 1000)
+                                       max_epochs 1000; needs anisotropic + euler)
   harness.n_particles   100
   harness.init          {kind: box, low: -3.0, high: 3.0}
   harness.max_steps     10000

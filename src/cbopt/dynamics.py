@@ -1,15 +1,22 @@
-"""One-step transition kernels for the five consensus-dynamics variants.
+"""One step kernel for the five consensus-dynamics variants.
 
-Every stepper computes the consensus point once from the pre-step positions
-(synchronous update), draws its noise from the ensemble's step counter, and
-returns a new ensemble advanced by dt. Per-particle work is independent
-within a step; the consensus reduction is the only synchronization point.
+`step` advances every variant the same way: it computes the consensus
+point once from the pre-step positions (synchronous update), makes one
+normal draw keyed by the ensemble's step counter, forms the Euler-Maruyama
+update (X - drift) + noise, and checks it once for finiteness. A variant
+supplies only its drift and noise terms: a Heaviside gate on the drift and
+isotropic noise (original), per-coordinate noise (anisotropic), one draw
+per coordinate shared by all particles (common_noise), a second gated pull
+toward a per-particle memory (personal_best), or tangential projections
+with an Ito correction and a renormalization onto the unit sphere
+(sphere). Per-particle work is independent within a step; the consensus
+reduction is the only synchronization point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -125,151 +132,90 @@ def consensus_condition(p: VariantParams, d: int) -> bool:
     return 2.0 * p.lam > p.sigma**2
 
 
-def _require_finite(positions: np.ndarray, step: int) -> None:
-    if not np.isfinite(positions).all():
-        raise DivergenceError(step)
-
-
-def _consensus(e, f, p, cp):
-    return cp if cp is not None else weighted_mean(e, f, p.alpha)
-
-
 def anisotropic_kick(positions, v, lam, sigma, dt, z) -> np.ndarray:
-    """Shared component-wise Euler-Maruyama update used by the anisotropic,
-    common-noise, and batch dynamics (the noise shape decides which)."""
+    """Component-wise Euler-Maruyama update toward a given consensus point
+    v, for random-batch updates and the replica sweep of the pairwise
+    diagnostic."""
     diff = positions - v
     return positions - lam * dt * diff + sigma * np.sqrt(dt) * diff * z
 
 
-def step_original(e, f, p, rng: RngPlan, cp: Optional[ConsensusPoint] = None) -> Ensemble:
-    """Isotropic dynamic: drift toward the consensus point gated by the
-    configured Heaviside mode, diffusion sqrt(2)*sigma*|X - v| per particle."""
-    cp = _consensus(e, f, p, cp)
-    diff = e.positions - cp.v
-    dist = np.linalg.norm(diff, axis=1)
-    if p.heaviside_mode == "off":
-        gate = 1.0
-    else:
-        fx = np.asarray(f(e.positions), dtype=float)
-        gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
-    z = rng.normal_block(STREAM_DIFFUSION, e.step_count, e.positions.shape)
-    new = (
-        e.positions
-        - p.lam * p.dt * diff * gate
-        + np.sqrt(2.0) * p.sigma * np.sqrt(p.dt) * dist[:, None] * z
-    )
-    _require_finite(new, e.step_count)
-    return Ensemble(new, e.time + p.dt, e.step_count + 1)
+def advance(e: Ensemble, positions: np.ndarray, dt: float) -> Ensemble:
+    """The ensemble moved to `positions` by one step of size dt.
 
-
-def step_anisotropic(e, f, p, rng: RngPlan, cp: Optional[ConsensusPoint] = None) -> Ensemble:
-    """Component-wise dynamic: noise scales each coordinate of X - v
-    independently, so a coordinate that matches the consensus stays put."""
-    cp = _consensus(e, f, p, cp)
-    z = rng.normal_block(STREAM_DIFFUSION, e.step_count, e.positions.shape)
-    new = anisotropic_kick(e.positions, cp.v, p.lam, p.sigma, p.dt, z)
-    _require_finite(new, e.step_count)
-    return Ensemble(new, e.time + p.dt, e.step_count + 1)
-
-
-def step_common_noise(e, f, p, rng: RngPlan, cp: Optional[ConsensusPoint] = None) -> Ensemble:
-    """Component-wise dynamic with one shared normal draw per coordinate per
-    step, so coincident particles stay coincident forever."""
-    cp = _consensus(e, f, p, cp)
-    z = rng.generator(STREAM_DIFFUSION, e.step_count).standard_normal(e.dimension)
-    new = anisotropic_kick(e.positions, cp.v, p.lam, p.sigma, p.dt, z)
-    _require_finite(new, e.step_count)
-    return Ensemble(new, e.time + p.dt, e.step_count + 1)
-
-
-def step_personal_best(
-    e, f, p, mem: PersonalBestMemory, rng: RngPlan, cp: Optional[ConsensusPoint] = None
-) -> Tuple[Ensemble, PersonalBestMemory]:
-    """Dual-drift dynamic: each particle moves toward the consensus point or
-    toward its personal best, whichever has the smaller objective value.
-
-    The drift prefactors are pure Heaviside gates (mode 'off' falls back to
-    exact gating, since ungated dual drift would pin particles in between).
-    Diffusion is component-wise with the sqrt(2)*sigma prefactor. After the
-    position update the memory accumulates one left-endpoint rectangle of
-    the weighted time integrals and refreshes p.
+    This is the step's one finiteness check: a non-finite coordinate raises
+    DivergenceError naming the step. The constructor's checks are skipped,
+    because they would test the same array again.
     """
-    cp = _consensus(e, f, p, cp)
-    mode = "exact" if p.heaviside_mode == "off" else p.heaviside_mode
-    fx = np.asarray(f(e.positions), dtype=float)
-    fp = np.asarray(f(mem.p), dtype=float)
-    lam_gate = heaviside(fx - cp.f_at_v, mode, p.epsilon) * heaviside(
-        fp - cp.f_at_v, mode, p.epsilon
-    )
-    mu_gate = heaviside(fx - fp, mode, p.epsilon) * heaviside(
-        cp.f_at_v - fp, mode, p.epsilon
-    )
-    diff_v = e.positions - cp.v
-    diff_p = e.positions - mem.p
-    z = rng.normal_block(STREAM_DIFFUSION, e.step_count, e.positions.shape)
-    new = (
-        e.positions
-        - p.dt * (lam_gate[:, None] * diff_v + mu_gate[:, None] * diff_p)
-        + np.sqrt(2.0) * p.sigma * np.sqrt(p.dt) * diff_v * z
-    )
-    _require_finite(new, e.step_count)
-    new_mem = mem.accumulate(e.positions, fx, p.beta, p.dt)
-    return Ensemble(new, e.time + p.dt, e.step_count + 1), new_mem
+    if not np.isfinite(positions).all():
+        raise DivergenceError(e.step_count)
+    nxt = object.__new__(Ensemble)
+    nxt.positions, nxt.time, nxt.step_count = positions, e.time + dt, e.step_count + 1
+    return nxt
 
 
-def _sphere_raw_update(e, f, p, rng: RngPlan, cp: Optional[ConsensusPoint]) -> np.ndarray:
-    """Unconstrained Euler-Maruyama update of the sphere dynamic, before
-    the rows are projected back to unit norm."""
-    cp = _consensus(e, f, p, cp)
+def _tangential(x, y, norms_sq) -> np.ndarray:
+    """Row-wise projection onto the tangent space of the sphere at x:
+    P(x) y = y - x (x.y)/|x|^2."""
+    return y - x * (np.sum(x * y, axis=1) / norms_sq)[:, None]
+
+
+def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp):
+    """Euler-Maruyama update (X - drift) + noise of p.variant, before the
+    sphere renormalization; returns it with the updated personal-best memory."""
+    if p.variant == "personal_best" and mem is None:
+        raise ValueError("personal_best variant needs a PersonalBestMemory")
+    if cp is None:
+        cp = weighted_mean(e, f, p.alpha)
     x = e.positions
-    d = e.dimension
-    norms_sq = np.sum(x * x, axis=1)
-    if np.any(norms_sq < 1e-24):
-        raise SingularityError("particle at the origin: projection undefined")
+    shape = (e.dimension,) if p.variant == "common_noise" else x.shape
+    z = rng.normal_block(STREAM_DIFFUSION, e.step_count, shape)
     diff = x - cp.v
-    dist_sq = np.sum(diff * diff, axis=1)
-    dist = np.sqrt(dist_sq)
-    z = rng.normal_block(STREAM_DIFFUSION, e.step_count, x.shape)
-    # tangential projection P(x) y = y - x (x.y)/|x|^2
-    proj_diff = diff - x * (np.sum(x * diff, axis=1) / norms_sq)[:, None]
-    proj_z = z - x * (np.sum(x * z, axis=1) / norms_sq)[:, None]
-    # Ito correction along the outward normal: grad|x|=x/|x|, lap|x|=(d-1)/|x|
-    correction = 0.5 * p.sigma**2 * p.dt * (dist_sq * (d - 1.0) / norms_sq)[:, None] * x
-    return (
-        x
-        - p.lam * p.dt * proj_diff
-        + p.sigma * np.sqrt(p.dt) * dist[:, None] * proj_z
-        - correction
-    )
-
-
-def step_sphere(e, f, p, rng: RngPlan, cp: Optional[ConsensusPoint] = None) -> Ensemble:
-    """Sphere-constrained dynamic: tangential drift and diffusion plus the
-    curvature correction, then exact renormalization of every row.
-
-    Requires unit-norm rows on entry; the step returns unit-norm rows.
-    """
-    raw = _sphere_raw_update(e, f, p, rng, cp)
-    _require_finite(raw, e.step_count)
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms < 1e-12):
-        raise SingularityError("renormalization hit the origin")
-    return Ensemble(raw / norms[:, None], e.time + p.dt, e.step_count + 1)
-
-
-def sphere_norm_drift(e, f, p, rng: RngPlan, cp: Optional[ConsensusPoint] = None) -> float:
-    """Max | |row| - 1 | of the raw sphere update before renormalization;
-    first-order consistency makes this O(dt)."""
-    raw = _sphere_raw_update(e, f, p, rng, cp)
-    return float(np.max(np.abs(np.linalg.norm(raw, axis=1) - 1.0)))
-
-
-_PLAIN_STEPPERS = {
-    "original": step_original,
-    "anisotropic": step_anisotropic,
-    "common_noise": step_common_noise,
-    "sphere": step_sphere,
-}
+    sqrt_dt = np.sqrt(p.dt)
+    if p.variant in ("anisotropic", "common_noise"):
+        # a coordinate that matches the consensus stays put; common noise
+        # shares one draw per coordinate, so coincident particles stay so
+        drift = p.lam * p.dt * diff
+        noise = p.sigma * sqrt_dt * diff * z
+    elif p.variant == "original":
+        if p.heaviside_mode == "off":
+            gate = 1.0
+        else:
+            fx = np.asarray(f(x), dtype=float)
+            gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
+        drift = p.lam * p.dt * diff * gate
+        noise = np.sqrt(2.0) * p.sigma * sqrt_dt * np.linalg.norm(diff, axis=1)[:, None] * z
+    elif p.variant == "personal_best":
+        # pure Heaviside gates pick the pull toward v or toward the personal
+        # best, whichever has the smaller objective value; mode 'off' falls
+        # back to exact gating, since ungated dual drift would pin particles
+        # in between
+        mode = "exact" if p.heaviside_mode == "off" else p.heaviside_mode
+        fx = np.asarray(f(x), dtype=float)
+        fp = np.asarray(f(mem.p), dtype=float)
+        lam_gate = heaviside(fx - cp.f_at_v, mode, p.epsilon) * heaviside(
+            fp - cp.f_at_v, mode, p.epsilon
+        )
+        mu_gate = heaviside(fx - fp, mode, p.epsilon) * heaviside(
+            cp.f_at_v - fp, mode, p.epsilon
+        )
+        drift = p.dt * (lam_gate[:, None] * diff + mu_gate[:, None] * (x - mem.p))
+        noise = np.sqrt(2.0) * p.sigma * sqrt_dt * diff * z
+        mem = mem.accumulate(x, fx, p.beta, p.dt)
+    else:  # sphere: tangential drift and diffusion
+        norms_sq = np.sum(x * x, axis=1)
+        if np.any(norms_sq < 1e-24):
+            raise SingularityError("particle at the origin: projection undefined")
+        dist_sq = np.sum(diff * diff, axis=1)
+        drift = p.lam * p.dt * _tangential(x, diff, norms_sq)
+        noise = p.sigma * sqrt_dt * np.sqrt(dist_sq)[:, None] * _tangential(x, z, norms_sq)
+        # Ito correction along the outward normal: grad|x|=x/|x|, lap|x|=(d-1)/|x|
+        curvature = dist_sq * (e.dimension - 1.0) / norms_sq
+        correction = 0.5 * p.sigma**2 * p.dt * curvature[:, None] * x
+    new = (x - drift) + noise
+    if p.variant == "sphere":
+        new = new - correction
+    return new, mem
 
 
 def step(
@@ -280,9 +226,27 @@ def step(
     mem: Optional[PersonalBestMemory] = None,
     cp: Optional[ConsensusPoint] = None,
 ):
-    """Advance one step of the selected variant; returns (ensemble, memory)."""
-    if p.variant == "personal_best":
-        if mem is None:
-            raise ValueError("personal_best variant needs a PersonalBestMemory")
-        return step_personal_best(e, f, p, mem, rng, cp)
-    return _PLAIN_STEPPERS[p.variant](e, f, p, rng, cp), mem
+    """Advance one step of p.variant; returns (ensemble, memory).
+
+    `cp` defaults to the weighted mean of `e`. `mem` is required by the
+    personal_best variant, which returns it updated by one left-endpoint
+    rectangle of its weighted time integrals; the other variants pass it
+    through. The sphere variant needs unit-norm rows on entry and returns
+    unit-norm rows.
+    """
+    new, mem = _update(e, f, p, rng, mem, cp)
+    if p.variant == "sphere":
+        norms = np.linalg.norm(new, axis=1)
+        if np.any(norms < 1e-12):
+            raise SingularityError("renormalization hit the origin")
+        new = new / norms[:, None]
+    return advance(e, new, p.dt), mem
+
+
+def sphere_norm_drift(e, f, p, rng: RngPlan, cp: Optional[ConsensusPoint] = None) -> float:
+    """Max | |row| - 1 | of the sphere update before renormalization;
+    first-order consistency makes this O(dt)."""
+    if p.variant != "sphere":
+        raise ValueError("sphere_norm_drift needs the sphere variant")
+    raw, _ = _update(e, f, p, rng, None, cp)
+    return float(np.max(np.abs(np.linalg.norm(raw, axis=1) - 1.0)))

@@ -8,6 +8,7 @@ aggregation is order-independent.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -29,6 +30,7 @@ from .dynamics import (
     DivergenceError,
     PersonalBestMemory,
     VariantParams,
+    advance,
     anisotropic_kick,
     step,
 )
@@ -102,6 +104,13 @@ class RunConfig:
             raise ValueError("max_steps and record_every must be at least 1")
         if self.stop_eps is not None and not self.stop_eps > 0.0:
             raise ValueError("stop_eps must be positive when given")
+        if self.batching is not None and (
+            self.params.variant != "anisotropic" or self.integrator != "euler"
+        ):
+            raise ValueError(
+                "random batches apply the component-wise Euler update and require "
+                "the anisotropic variant with the euler integrator"
+            )
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,8 @@ def _point(e: Ensemble, cp: ConsensusPoint) -> TrajectoryPoint:
     )
 
 
-def _advance(e, f, p, plan, integrator, mem, cp):
+def _step(e, f, p, plan, integrator, mem, cp):
+    """Move every particle one step with the configured integrator."""
     if integrator == "euler":
         return step(e, f, p, plan, mem=mem, cp=cp)
     gen = plan.generator(STREAM_DIFFUSION, e.step_count)
@@ -146,9 +156,7 @@ def _advance(e, f, p, plan, integrator, mem, cp):
         new = split_diffusion(xhat, cp.v, p.sigma, p.dt, gen)
     else:
         new = frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, gen)
-    if not np.isfinite(new).all():
-        raise DivergenceError(e.step_count)
-    return Ensemble(new, e.time + p.dt, e.step_count + 1), mem
+    return advance(e, new, p.dt), mem
 
 
 def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp=None):
@@ -173,16 +181,47 @@ def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp=None):
     )
 
 
-def _run_plain(config, f, plan, e, t0):
-    p = config.params
+def _batches(config, plan):
+    """(epoch, index within the epoch, batch) for every batch of a batched
+    run, dealt epoch by epoch up to the epoch budget."""
+    bp = config.batching
+    state = BatchState.fresh()
+    for k in range(bp.max_epochs):
+        batches, state = make_batches(state, config.n_particles, bp.batch_size, plan)
+        for theta, batch in enumerate(batches):
+            yield k, theta, batch
+
+
+def run(config: RunConfig) -> RunResult:
+    """Execute one run until the stop criterion, the step budget, or divergence.
+
+    A plain run moves every particle once per iteration and tests
+    `config.stop_eps` before the update. A batched run moves one batch per
+    iteration, in the order `make_batches` deals them, tests
+    `batching.stop_eps` after the update, and also ends after `max_epochs`.
+    """
+    f = make_objective(config.objective, config.dimension)
+    plan = RngPlan(config.master_seed)
+    e = init_ensemble(config.init, config.n_particles, config.dimension, plan)
+    t0 = time.perf_counter()
+    p, bp = config.params, config.batching
+    if bp is None:
+        iterations, eps = itertools.repeat((0, 0, None)), config.stop_eps
+    else:
+        if bp.sigma_schedule is None:
+            bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
+        iterations, eps = _batches(config, plan), bp.stop_eps
     mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
     trajectory: List[TrajectoryPoint] = []
     v_prev = None
     status = "max_steps"
     cp = None
-    for _ in range(config.max_steps):
+    for k, theta, batch in iterations:
         try:
-            cp = weighted_mean(e, f, p.alpha)
+            if batch is None:
+                cp = weighted_mean(e, f, p.alpha)
+            else:
+                cp = batch_consensus(e, f, p.alpha, batch)
         except ValueError:
             if cp is None:  # not even the initial state is evaluable
                 raise
@@ -190,75 +229,28 @@ def _run_plain(config, f, plan, e, t0):
             break
         if e.step_count % config.record_every == 0:
             trajectory.append(_point(e, cp))
-        if (
+        stop = (
             v_prev is not None
-            and config.stop_eps is not None
-            and stop_check(v_prev, cp.v, config.dimension, config.stop_eps)
-        ):
+            and eps is not None
+            and stop_check(v_prev, cp.v, config.dimension, eps)
+        )
+        if not stop or bp is not None:  # a plain run stops before its update
+            try:
+                if batch is None:
+                    e, mem = _step(e, f, p, plan, config.integrator, mem, cp)
+                else:
+                    scope = batch if bp.update_mode == "partial" else np.arange(e.n_particles)
+                    e = batch_update(e, cp, bp, scope, plan, lam=p.lam, k=k, theta=theta)
+            except DivergenceError:
+                status = "divergence"
+                break
+        if stop:
             status = "stop_criterion"
             break
         v_prev = cp.v
-        try:
-            e, mem = _advance(e, f, p, plan, config.integrator, mem, cp)
-        except DivergenceError:
-            status = "divergence"
+        if e.step_count >= config.max_steps:
             break
     return _finish(trajectory, e, f, p.alpha, status, t0, config, fallback_cp=cp)
-
-
-def _run_batched(config, f, plan, e, t0):
-    p = config.params
-    bp = config.batching
-    if bp.sigma_schedule is None:
-        bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
-    state = BatchState.fresh()
-    trajectory: List[TrajectoryPoint] = []
-    v_prev = None
-    status = "max_steps"
-    done = False
-    cp = None
-    for k in range(bp.max_epochs):
-        if done:
-            break
-        batches, state = make_batches(state, config.n_particles, bp.batch_size, plan)
-        for theta, batch in enumerate(batches):
-            try:
-                cp = batch_consensus(e, f, p.alpha, batch)
-            except ValueError:
-                if cp is None:
-                    raise
-                status = "divergence"
-                done = True
-                break
-            if e.step_count % config.record_every == 0:
-                trajectory.append(_point(e, cp))
-            scope = batch if bp.update_mode == "partial" else np.arange(config.n_particles)
-            try:
-                e = batch_update(e, cp, bp, scope, plan, lam=p.lam, k=k, theta=theta)
-            except DivergenceError:
-                status = "divergence"
-                done = True
-                break
-            if v_prev is not None and stop_check(v_prev, cp.v, config.dimension, bp.stop_eps):
-                status = "stop_criterion"
-                done = True
-                break
-            v_prev = cp.v
-            if e.step_count >= config.max_steps:
-                done = True
-                break
-    return _finish(trajectory, e, f, p.alpha, status, t0, config, fallback_cp=cp)
-
-
-def run(config: RunConfig) -> RunResult:
-    """Execute one run until the stop criterion, the step budget, or divergence."""
-    f = make_objective(config.objective, config.dimension)
-    plan = RngPlan(config.master_seed)
-    e = init_ensemble(config.init, config.n_particles, config.dimension, plan)
-    t0 = time.perf_counter()
-    if config.batching is not None:
-        return _run_batched(config, f, plan, e, t0)
-    return _run_plain(config, f, plan, e, t0)
 
 
 def campaign_seeds(master_seed: int, runs: int) -> List[int]:
@@ -395,7 +387,7 @@ def diagnostic_pairwise_decay(
     over Monte Carlo replicas, as a (time, value) series.
 
     All replicas advance in one vectorized sweep; each replica draws its own
-    shared-per-coordinate noise, matching step_common_noise exactly.
+    shared-per-coordinate noise, matching the common_noise step exactly.
     """
     if replicas < 1 or n < 2:
         raise ValueError("need at least one replica of at least two particles")

@@ -18,7 +18,7 @@ import pytest
 
 from cbopt.batching import BatchState, make_batches
 from cbopt.consensus import weighted_mean, weights
-from cbopt.dynamics import VariantParams, step_sphere, sphere_norm_drift
+from cbopt.dynamics import VariantParams, sphere_norm_drift, step
 from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.harness import (
     RunConfig,
@@ -155,7 +155,7 @@ def test_06_sphere_constraint():
     p = VariantParams(lam=1.0, sigma=0.5, dt=0.002, alpha=20.0, variant="sphere")
     worst = 0.0
     for _ in range(1000):
-        e = step_sphere(e, f, p, plan)
+        e = step(e, f, p, plan)[0]
         worst = max(worst, float(np.max(np.abs(np.linalg.norm(e.positions, axis=1) - 1.0))))
     drift_coarse = sphere_norm_drift(
         e, f, replace(p, dt=0.004), RngPlan(99)

@@ -15,7 +15,7 @@ from cbopt.batching import (
     stop_check,
 )
 from cbopt.consensus import weighted_mean
-from cbopt.dynamics import VariantParams, step_anisotropic
+from cbopt.dynamics import VariantParams, step
 from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.objectives import make_objective
 
@@ -148,7 +148,7 @@ class TestBatchUpdate:
         e = init_ensemble(InitSpec("box", low=-2, high=2), 8, 3, plan)
         p = VariantParams(lam=1.0, sigma=0.6, dt=0.05, alpha=12.0, variant="anisotropic")
         cp = weighted_mean(e, f, 12.0)
-        stepped = step_anisotropic(e, f, p, plan, cp=cp)
+        stepped = step(e, f, p, plan, cp=cp)[0]
         bp = BatchParams(
             batch_size=8,
             update_mode="full",

@@ -200,6 +200,20 @@ class TestCmdRun:
         summary = json.loads(proc.stdout.strip().splitlines()[-1])
         assert summary["summary"]["steps"] <= 6  # 2 updates per epoch x 3 epochs
 
+    def test_batching_needs_anisotropic_euler_exit_one(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        for variant in ("kind: sphere", "integrator: frozen"):
+            path.write_text(
+                MINIMAL.replace("kind: anisotropic", variant) + "batching: {batch_size: 5}\n"
+            )
+            proc = invoke(["run", "--config", str(path)])
+            assert proc.returncode == 1, variant
+            assert proc.stderr.startswith("config error:") and proc.stdout == ""
+        path.write_text(MINIMAL.replace("kind: anisotropic", "kind: personal_best"))
+        proc = invoke(["run", "--config", str(path), "--batch-size", "5"])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error:") and proc.stdout == ""
+
     def test_divergence_exit_two(self, tmp_path):
         path = tmp_path / "config.yaml"
         path.write_text(
@@ -247,6 +261,20 @@ class TestCmdBench:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().splitlines()
         assert [row.split(",")[3] for row in lines[1:]] == ["anisotropic", "common_noise"]
+
+    def test_variant_conflict_exit_one_before_any_campaign(self, tmp_path):
+        text = BENCH.replace("  kind: anisotropic\n", "  kind: anisotropic\n  integrator: split\n")
+        text = text.replace(
+            "    norm: infinity\n", "    norm: infinity\n    variants: [anisotropic, original]\n"
+        )
+        path = tmp_path / "bench.yaml"
+        path.write_text(text)
+        out = tmp_path / "results"
+        proc = invoke(["bench", "--config", str(path), "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: harness.campaign.variants")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not out.exists()
 
     def test_bench_requires_campaign(self, tmp_path):
         path = tmp_path / "config.yaml"

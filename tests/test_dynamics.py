@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbopt.consensus import weighted_mean
 from cbopt.dynamics import (
+    VARIANTS,
     DivergenceError,
     PersonalBestMemory,
     SingularityError,
@@ -16,11 +19,6 @@ from cbopt.dynamics import (
     heaviside,
     sphere_norm_drift,
     step,
-    step_anisotropic,
-    step_common_noise,
-    step_original,
-    step_personal_best,
-    step_sphere,
 )
 from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.objectives import ObjectiveFunction, make_objective
@@ -103,7 +101,7 @@ class TestOriginalStep:
         p = VariantParams(lam=1.0, sigma=0.8, dt=0.01, alpha=0.0, variant="original")
         cp = weighted_mean(e, f, 0.0)
         assert np.allclose(cp.v, [0.0, 0.0])
-        out = step_original(e, f, p, RngPlan(0), cp=cp)
+        out = step(e, f, p, RngPlan(0), cp=cp)[0]
         assert np.array_equal(out.positions[2], pos[2])
 
     def test_sigma_zero_linear_contraction(self):
@@ -113,7 +111,7 @@ class TestOriginalStep:
         e = Ensemble(pos)
         p = VariantParams(lam=0.7, sigma=0.0, dt=0.05, alpha=2.0, variant="original")
         cp = weighted_mean(e, f, 2.0)
-        out = step_original(e, f, p, RngPlan(0))
+        out = step(e, f, p, RngPlan(0))[0]
         expected = pos - 0.7 * 0.05 * (pos - cp.v)
         assert np.allclose(out.positions, expected, atol=1e-14)
         assert out.time == pytest.approx(0.05) and out.step_count == 1
@@ -122,7 +120,7 @@ class TestOriginalStep:
         f = quadratic(3)
         e = Ensemble(np.array([[0.5, -1.0, 2.0]]))
         p = VariantParams(lam=1.0, sigma=0.0, dt=0.01, variant="original")
-        out = step_original(e, f, p, RngPlan(5))
+        out = step(e, f, p, RngPlan(5))[0]
         assert np.array_equal(out.positions, e.positions)
 
     def test_exact_heaviside_freezes_drift_of_better_particles(self):
@@ -132,7 +130,7 @@ class TestOriginalStep:
             lam=1.0, sigma=0.0, dt=0.1, alpha=0.0, variant="original", heaviside_mode="exact"
         )
         cp = weighted_mean(e, f, 0.0)  # v = 2.55, f(v) > f(0.1)
-        out = step_original(e, f, p, RngPlan(0), cp=cp)
+        out = step(e, f, p, RngPlan(0), cp=cp)[0]
         assert out.positions[0, 0] == 0.1  # gate 0: better than v_f, stays
         assert out.positions[1, 0] != 5.0  # gate 1: pulled toward v_f
 
@@ -143,7 +141,7 @@ class TestAnisotropicStep:
         pos = np.array([[0.0, 2.0], [0.0, -2.0]])  # coordinate 0 equals v_0
         e = Ensemble(pos)
         p = VariantParams(lam=1.0, sigma=1.0, dt=0.01, alpha=0.0, variant="anisotropic")
-        out = step_anisotropic(e, f, p, RngPlan(3))
+        out = step(e, f, p, RngPlan(3))[0]
         assert np.array_equal(out.positions[:, 0], [0.0, 0.0])
         assert not np.array_equal(out.positions[:, 1], pos[:, 1])
 
@@ -153,8 +151,8 @@ class TestAnisotropicStep:
         e = Ensemble(rng.normal(size=(6, 3)))
         p_a = VariantParams(lam=0.4, sigma=0.0, dt=0.02, alpha=1.0, variant="anisotropic")
         p_o = VariantParams(lam=0.4, sigma=0.0, dt=0.02, alpha=1.0, variant="original")
-        out_a = step_anisotropic(e, f, p_a, RngPlan(0))
-        out_o = step_original(e, f, p_o, RngPlan(0))
+        out_a = step(e, f, p_a, RngPlan(0))[0]
+        out_o = step(e, f, p_o, RngPlan(0))[0]
         assert np.allclose(out_a.positions, out_o.positions, atol=1e-14)
 
     def test_one_step_law_matches_original_in_1d(self):
@@ -171,8 +169,8 @@ class TestAnisotropicStep:
         )
         cp = weighted_mean(Ensemble(np.zeros((1, 1))), f, 0.0)
         assert np.array_equal(cp.v, v)
-        a = step_original(Ensemble(start), f, p_orig, RngPlan(21), cp=cp).positions[:, 0]
-        b = step_anisotropic(Ensemble(start), f, p_anis, RngPlan(22), cp=cp).positions[:, 0]
+        a = step(Ensemble(start), f, p_orig, RngPlan(21), cp=cp)[0].positions[:, 0]
+        b = step(Ensemble(start), f, p_anis, RngPlan(22), cp=cp)[0].positions[:, 0]
         assert ks_2samp(a, b).pvalue > 0.01
 
 
@@ -183,7 +181,7 @@ class TestCommonNoiseStep:
         p = VariantParams(lam=1.0, sigma=0.9, dt=0.01, alpha=30.0, variant="common_noise")
         plan = RngPlan(4)
         for _ in range(25):
-            e = step_common_noise(e, f, p, plan)
+            e = step(e, f, p, plan)[0]
             assert np.all(e.positions == e.positions[0])
 
     def test_noise_shared_per_coordinate(self):
@@ -191,7 +189,7 @@ class TestCommonNoiseStep:
         pos = np.array([[1.0, 1.0], [3.0, 3.0]])
         e = Ensemble(pos)
         p = VariantParams(lam=0.0, sigma=1.0, dt=1.0, alpha=0.0, variant="common_noise")
-        out = step_common_noise(e, f, p, RngPlan(6))
+        out = step(e, f, p, RngPlan(6))[0]
         v = pos.mean(axis=0)
         ratio = (out.positions - pos) / (pos - v)  # recovers z per coordinate
         assert np.allclose(ratio[0], ratio[1], atol=1e-12)
@@ -201,7 +199,7 @@ class TestCommonNoiseStep:
         pos = np.array([[1.0, 0.0], [-1.0, 2.0]])
         e = Ensemble(pos)
         p = VariantParams(lam=1.0, sigma=0.0, dt=0.1, alpha=0.0, variant="common_noise")
-        out = step_common_noise(e, f, p, RngPlan(0))
+        out = step(e, f, p, RngPlan(0))[0]
         v = pos.mean(axis=0)
         assert np.allclose(out.positions, pos - 0.1 * (pos - v), atol=1e-14)
 
@@ -221,7 +219,7 @@ class TestPersonalBestStep:
         p = VariantParams(lam=1.0, sigma=0.4, dt=0.01, alpha=0.0, beta=7.0, variant="personal_best")
         visited = [e.positions.copy()]
         for _ in range(10):
-            e, mem = step_personal_best(e, f, p, mem, plan)
+            e, mem = step(e, f, p, plan, mem)
             visited.append(e.positions.copy())
         # weights constant: p is the mean of the left endpoints
         expected = np.mean(visited[:-1], axis=0)
@@ -237,7 +235,7 @@ class TestPersonalBestStep:
             lam=1.0, sigma=0.0, dt=0.1, alpha=1e4, beta=1.0, variant="personal_best"
         )
         cp = weighted_mean(e, f, 1e4)  # essentially the particle at 0.05
-        out, _ = step_personal_best(e, f, p, mem, RngPlan(0), cp=cp)
+        out, _ = step(e, f, p, RngPlan(0), mem, cp=cp)
         # f(v) < f(X^i) = f(p^i) for the outer particles: move toward v only
         expected = e.positions[0, 0] - 0.1 * (e.positions[0, 0] - cp.v[0])
         assert out.positions[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -258,7 +256,7 @@ class TestPersonalBestStep:
         from cbopt.consensus import ConsensusPoint
 
         cp = ConsensusPoint(v=np.array([0.8]), f_at_v=float(f(np.array([0.8]))), log_normalizer=0.0)
-        out, _ = step_personal_best(e, f, p, mem, RngPlan(0), cp=cp)
+        out, _ = step(e, f, p, RngPlan(0), mem, cp=cp)
         # particle 0: f(p)=0.01 < f(X)=1, f(p) < f(v): mu gate open
         # lam gate: H(f(X)-f(v)) H(f(p)-f(v)) = 1 * 0 = 0
         expected = 1.0 - 0.1 * (1.0 - 0.1)
@@ -272,7 +270,7 @@ class TestPersonalBestStep:
         mem = PersonalBestMemory.initial(e)
         p = VariantParams(lam=1.0, sigma=0.3, dt=0.01, alpha=1.0, beta=50.0, variant="personal_best")
         for _ in range(5):
-            e, mem = step_personal_best(e, f, p, mem, plan)
+            e, mem = step(e, f, p, plan, mem)
         assert np.isfinite(mem.p).all()
         assert np.all(mem.scaled_den > 0.0)
 
@@ -284,7 +282,7 @@ class TestSphereStep:
         e = init_ensemble(InitSpec("sphere"), 40, 3, plan)
         p = VariantParams(lam=1.0, sigma=0.5, dt=0.005, alpha=20.0, variant="sphere")
         for _ in range(50):
-            e = step_sphere(e, f, p, plan)
+            e = step(e, f, p, plan)[0]
         norms = np.linalg.norm(e.positions, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
@@ -296,7 +294,7 @@ class TestSphereStep:
         e = Ensemble(np.array([x]))
         p = VariantParams(lam=1.0, sigma=0.7, dt=0.01, alpha=0.0, variant="sphere")
         cp = ConsensusPoint(v=x.copy(), f_at_v=1.0, log_normalizer=0.0)
-        out = step_sphere(e, f, p, RngPlan(11), cp=cp)
+        out = step(e, f, p, RngPlan(11), cp=cp)[0]
         assert np.allclose(out.positions[0], x, atol=1e-15)
 
     def test_projection_kills_radial_component(self):
@@ -322,7 +320,7 @@ class TestSphereStep:
         e = Ensemble(np.array([[0.0, 1.0], [1e-20, 1e-20]]))
         p = VariantParams(variant="sphere")
         with pytest.raises(SingularityError):
-            step_sphere(e, f, p, RngPlan(0))
+            step(e, f, p, RngPlan(0))
 
 
 class TestStepDispatch:
@@ -360,8 +358,36 @@ class TestStepDispatch:
         e = Ensemble(np.array([[1e300], [-1e300]]))
         p = VariantParams(lam=1e6, sigma=0.0, dt=1e6, alpha=0.0, variant="anisotropic")
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
-            step_anisotropic(e, f, p, RngPlan(0))
+            step(e, f, p, RngPlan(0))
         assert err.value.step == 0
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        n=st.integers(1, 8),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_step_invariants(self, variant, n, d, seed):
+        f = make_objective("rastrigin", d)
+        plan = RngPlan(seed)
+        init = InitSpec("sphere") if variant == "sphere" else InitSpec("box", low=-2, high=2)
+        e = init_ensemble(init, n, d, plan)
+        start = e.positions.copy()
+        p = VariantParams(lam=1.0, sigma=0.8, dt=0.01, alpha=20.0, variant=variant)
+        mem = PersonalBestMemory.initial(e) if variant == "personal_best" else None
+        for _ in range(4):
+            out, mem = step(e, f, p, plan, mem)
+            assert out.positions.shape == (n, d)
+            assert np.isfinite(out.positions).all()
+            assert out.time == e.time + p.dt and out.step_count == e.step_count + 1
+            if variant == "sphere":
+                assert np.max(np.abs(np.linalg.norm(out.positions, axis=1) - 1.0)) <= 1e-12
+            e = out
+        if n == 1:  # v = X: drift and noise vanish
+            assert np.max(np.abs(e.positions - start)) <= 1e-12
 
 
 class TestFrozenMomentLaws:

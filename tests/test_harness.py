@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cbopt.batching import BatchParams, ConstantSchedule
-from cbopt.dynamics import VariantParams, anisotropic_kick, step_common_noise
+from cbopt.dynamics import VariantParams, step
 from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.harness import (
     RunConfig,
@@ -56,6 +56,16 @@ class TestRunConfig:
     def test_unknown_integrator(self):
         with pytest.raises(ValueError):
             small_config(integrator="milstein")
+
+    def test_batching_requires_anisotropic_euler(self):
+        batching = BatchParams(batch_size=5)
+        for variant in ("original", "common_noise", "personal_best", "sphere"):
+            with pytest.raises(ValueError, match="anisotropic"):
+                small_config(batching=batching, params=VariantParams(variant=variant))
+        for integrator in ("split", "frozen"):
+            with pytest.raises(ValueError, match="euler"):
+                small_config(batching=batching, integrator=integrator)
+        assert small_config(batching=batching).batching == batching
 
 
 class TestRun:
@@ -368,7 +378,7 @@ class TestPairwiseDiagnostic:
 
         manual = [mean_pairwise_sq_dist(e)]
         for _ in range(5):
-            e = step_common_noise(e, f, p, plan)
+            e = step(e, f, p, plan)[0]
             manual.append(mean_pairwise_sq_dist(e))
         assert np.allclose([v for _, v in series], manual, rtol=1e-12, atol=0)
 
