@@ -1,6 +1,7 @@
 """Golden outputs: sha256 of `cbopt run` stdout and ensemble.csv for one
-small config per variant, integrator, batch mode and way a run ends, and
-of `cbopt bench` summary.csv and runs.jsonl at one and at two workers.
+small config per variant, integrator, batch mode, way a run ends and
+command-line override, and of `cbopt bench` summary.csv and runs.jsonl at
+one and at two workers.
 
 The hashes pin results bit for bit. Generator streams are not guaranteed
 stable across numpy releases, so the tests skip when the running numpy is
@@ -85,6 +86,23 @@ RUN_CASES = {
     ),
 }
 
+# case name -> (config YAML, command-line flags that override its keys,
+# terminated_by, exit code)
+FLAG_CASES = {
+    "flags_seed_record_every": (_yaml(), ["--seed", "11", "--record-every", "5"], "max_steps", 0),
+    "flags_batch": (
+        _yaml(alpha=2.0),
+        ["--batch-size", "5", "--max-epochs", "3", "--update-mode", "full"],
+        "max_steps", 0,
+    ),
+    "flags_batch_stop_eps": (
+        _yaml(alpha=2.0, max_steps=2000, batching="batching: {batch_size: 4, gamma: 0.05,"
+              " stop_eps: 1.0e-300, max_epochs: 1000}\n"),
+        ["--stop-eps", "1e-6"],
+        "stop_criterion", 0,
+    ),
+}
+
 BENCH = """\
 objective: {name: rastrigin, dimension: 3}
 variant: {kind: anisotropic}
@@ -114,11 +132,14 @@ def _main(argv):
 
 def run_case(name, tmp_path):
     """Hashes of one `cbopt run` case, checking how the run ended."""
-    text, terminated_by, expected_code = RUN_CASES[name]
+    if name in FLAG_CASES:
+        text, flags, terminated_by, expected_code = FLAG_CASES[name]
+    else:
+        (text, terminated_by, expected_code), flags = RUN_CASES[name], []
     config = tmp_path / f"{name}.yaml"
     config.write_text(text)
     out = tmp_path / name
-    code, stdout = _main(["run", "--config", str(config), "--out", str(out)])
+    code, stdout = _main(["run", "--config", str(config), "--out", str(out), *flags])
     assert code == expected_code
     assert json.loads(stdout.splitlines()[-1])["summary"]["terminated_by"] == terminated_by
     return {
@@ -149,7 +170,7 @@ def golden():
     return recorded
 
 
-@pytest.mark.parametrize("name", sorted(RUN_CASES))
+@pytest.mark.parametrize("name", sorted(RUN_CASES) + sorted(FLAG_CASES))
 def test_run_output_matches_golden(name, golden, tmp_path):
     assert run_case(name, tmp_path) == golden["run"][name]
 
@@ -162,7 +183,7 @@ def test_bench_output_matches_golden(threads, golden, tmp_path):
 def _record():
     """Run every case and rewrite hashes.json."""
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {name: run_case(name, Path(tmp)) for name in sorted(RUN_CASES)}
+        runs = {name: run_case(name, Path(tmp)) for name in sorted([*RUN_CASES, *FLAG_CASES])}
         bench = [bench_case(threads, Path(tmp)) for threads in (1, 2)]
     if bench[0] != bench[1]:
         raise SystemExit("bench output differs between one and two workers")
