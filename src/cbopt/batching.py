@@ -10,15 +10,19 @@ data-parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, is_dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .consensus import ConsensusPoint, consensus_from_values
 from .dynamics import advance, anisotropic_kick
-from .ensemble import Ensemble, RngPlan, STREAM_DIFFUSION, STREAM_PERMUTATION
+from .ensemble import (
+    Ensemble, FieldError, RngPlan, STREAM_DIFFUSION, STREAM_PERMUTATION, check_choice,
+)
 from .objectives import ObjectiveFunction
+
+UPDATE_MODES = ("partial", "full")
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,8 @@ class BatchParams:
     """Batch size, update scope, schedules, and the stopping tolerance.
 
     sigma_schedule None means "reuse the dynamics' sigma", resolved by the
-    run driver.
+    run driver. The fields of a constant or geometric schedule fix the sign
+    of all its values; other callables are checked as `batch_update` runs.
     """
 
     batch_size: int
@@ -57,13 +62,18 @@ class BatchParams:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.update_mode not in ("partial", "full"):
-            raise ValueError(f"unknown update_mode {self.update_mode!r}")
+            raise FieldError("batch_size", "must be at least 1")
+        check_choice("update_mode", self.update_mode, UPDATE_MODES)
+        gamma, sigma = (astuple(s) if is_dataclass(s) else () for s in
+                        (self.gamma_schedule, self.sigma_schedule))
+        if not all(x > 0.0 for x in gamma):
+            raise FieldError("gamma_schedule", "must yield positive step sizes")
+        if not all(x >= 0.0 for x in sigma):
+            raise FieldError("sigma_schedule", "must yield nonnegative noise scales")
         if not self.stop_eps > 0.0:
-            raise ValueError("stop_eps must be positive")
+            raise FieldError("stop_eps", "must be positive")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
+            raise FieldError("max_epochs", "must be at least 1")
 
 
 @dataclass(frozen=True)

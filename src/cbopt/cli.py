@@ -1,34 +1,41 @@
 """Command-line front end: YAML config parsing and the run/bench/diagnose
 subcommands.
 
-Configs are fail-closed: unknown keys are rejected with their full key
-path. All emitted records carry the sha256 of the config bytes and the
-master seed, and identical invocations produce identical bytes regardless
-of CBO_THREADS (which only caps campaign workers).
+Every config key is one row of `SCHEMA`: its YAML path, the dataclass field
+it sets, how its value is read, and the flag that sets it from the command
+line. Defaults and range checks are the dataclasses' own, and `--help`
+lists the table. Configs are fail-closed: unknown keys are rejected with
+their full key path. All emitted records carry the sha256 of the config
+bytes and the master seed, and identical invocations produce identical
+bytes regardless of CBO_THREADS (which only caps campaign workers).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 import yaml
 
-from .batching import BatchParams, ConstantSchedule, GeometricSchedule
+from .batching import UPDATE_MODES, BatchParams, ConstantSchedule, GeometricSchedule
 from .dynamics import HEAVISIDE_MODES, VARIANTS, VariantParams
-from .ensemble import Ensemble, InitSpec, RngPlan, init_ensemble, positions_to_csv
+from .ensemble import (
+    INIT_KINDS, Ensemble, FieldError, InitSpec, RngPlan, init_ensemble, positions_to_csv,
+)
 from .harness import (
     INTEGRATORS,
+    NORMS,
+    CampaignSpec,
     RunConfig,
-    SuccessCriterion,
     diagnostic_frozen_moment,
     diagnostic_laplace,
     diagnostic_pairwise_decay,
@@ -48,248 +55,220 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key path."""
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
-    runs: int = 100
-    tolerance: float = 0.25
-    norm: str = "infinity"
-    variants: Optional[List[str]] = None
-
-
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema: readers check the type of one YAML value and convert it
 
 
-def _mapping(obj, path: str) -> dict:
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path} must be a mapping")
-    return obj
-
-
-def _check_keys(mapping: dict, allowed, path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown key: {path}.{key}")
-
-
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number")
-    return float(value)
-
-
-def _as_int(value, path: str) -> int:
+def _int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer")
     return value
 
 
-def _as_str(value, path: str, choices=None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path} must be a string")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path} must be one of {sorted(choices)}, got {value!r}")
-    return value
+def _float(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number")
+    return float(value)
 
 
-def _parse_init(section, path: str) -> InitSpec:
-    section = _mapping(section, path)
-    kind = _as_str(section.get("kind", "box"), f"{path}.kind", ("box", "gaussian", "sphere"))
-    allowed = {"box": ("kind", "low", "high"), "gaussian": ("kind", "mean", "variance"), "sphere": ("kind",)}
-    _check_keys(section, allowed[kind], path)
-    try:
-        if kind == "box":
-            return InitSpec(
-                "box",
-                low=_as_float(section.get("low", -1.0), f"{path}.low"),
-                high=_as_float(section.get("high", 1.0), f"{path}.high"),
-            )
-        if kind == "gaussian":
-            mean = section.get("mean", 0.0)
-            if isinstance(mean, list):
-                mean = tuple(_as_float(m, f"{path}.mean") for m in mean)
-            else:
-                mean = _as_float(mean, f"{path}.mean")
-            return InitSpec(
-                "gaussian",
-                mean=mean,
-                variance=_as_float(section.get("variance", 1.0), f"{path}.variance"),
-            )
-        return InitSpec("sphere")
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from None
+def _numbers(value, path: str):
+    return tuple(_float(v, path) for v in value) if isinstance(value, list) else _float(value, path)
 
 
-def _parse_schedule(value, path: str):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return ConstantSchedule(float(value))
-    section = _mapping(value, path)
-    kind = _as_str(section.get("kind"), f"{path}.kind", ("constant", "geometric"))
-    if kind == "constant":
-        _check_keys(section, ("kind", "value"), path)
-        return ConstantSchedule(_as_float(section.get("value"), f"{path}.value"))
-    _check_keys(section, ("kind", "initial", "decay"), path)
-    return GeometricSchedule(
-        initial=_as_float(section.get("initial"), f"{path}.initial"),
-        decay=_as_float(section.get("decay"), f"{path}.decay"),
-    )
+def _name(value, path: str):
+    """A choice, or a list of them; the dataclass checks them."""
+    return "off" if value is False else value  # YAML 1.1 reads a bare `off` as false
 
 
-def _parse_params(section, variant: str, heaviside: str) -> VariantParams:
-    section = _mapping(section, "params")
-    _check_keys(section, ("lambda", "sigma", "alpha", "dt", "epsilon", "beta"), "params")
+_SCHEDULES = {"constant": ConstantSchedule, "geometric": GeometricSchedule}
+
+
+def _schedule(value, path: str):
+    """A number, or a mapping of `kind` and that schedule's fields."""
+    if not isinstance(value, dict):
+        return ConstantSchedule(_float(value, path))
+    if value.get("kind") not in tuple(_SCHEDULES):
+        raise ConfigError(f"{path}.kind must be one of {sorted(_SCHEDULES)}")
+    names = [f.name for f in dataclasses.fields(_SCHEDULES[value["kind"]])]
+    for name in value.keys() - {"kind", *names}:
+        raise ConfigError(f"unknown key: {path}.{name}")
+    return _SCHEDULES[value["kind"]](**{n: _float(value.get(n), f"{path}.{n}") for n in names})
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key and the dataclass field it sets. A dataclass as `read`
+    makes it a section; owner None is the spec returned beside the RunConfig."""
+
+    path: str
+    owner: Optional[type]
+    field: str
+    read: Callable
+    choices: tuple = ()
+    kinds: tuple = ()  # the init kinds that take the key
+    flag: str = ""
+    commands: tuple = ("run",)  # the subcommands that take the flag
+    note: str = ""
+
+
+_ALL = ("run", "bench", "diagnose")
+SCHEMA = (
+    Key("objective.name", RunConfig, "objective", _name, tuple(benchmark_names())),
+    Key("objective.dimension", RunConfig, "dimension", _int),
+    Key("variant.kind", VariantParams, "variant", _name, VARIANTS),
+    Key("variant.heaviside", VariantParams, "heaviside_mode", _name, HEAVISIDE_MODES),
+    Key("variant.integrator", RunConfig, "integrator", _name, INTEGRATORS,
+        note="split/frozen need the anisotropic variant"),
+    Key("params", RunConfig, "params", VariantParams),
+    Key("params.lambda", VariantParams, "lam", _float),
+    Key("params.sigma", VariantParams, "sigma", _float),
+    Key("params.alpha", VariantParams, "alpha", _float),
+    Key("params.dt", VariantParams, "dt", _float),
+    Key("params.epsilon", VariantParams, "epsilon", _float),
+    Key("params.beta", VariantParams, "beta", _float),
+    Key("batching", RunConfig, "batching", BatchParams,
+        note="needs the anisotropic variant with the euler integrator"),
+    Key("batching.batch_size", BatchParams, "batch_size", _int, flag="--batch-size",
+        note="at most the particle count"),
+    Key("batching.update_mode", BatchParams, "update_mode", _name, UPDATE_MODES,
+        flag="--update-mode"),
+    Key("batching.gamma", BatchParams, "gamma_schedule", _schedule,
+        note="a number, {kind: constant, value} or {kind: geometric, initial, decay}"),
+    Key("batching.sigma", BatchParams, "sigma_schedule", _schedule,
+        note="as gamma; absent: the dynamics' sigma"),
+    Key("batching.stop_eps", BatchParams, "stop_eps", _float, flag="--stop-eps",
+        note="tested after each batch update"),
+    Key("batching.max_epochs", BatchParams, "max_epochs", _int, flag="--max-epochs"),
+    Key("harness.n_particles", RunConfig, "n_particles", _int),
+    Key("harness.init", RunConfig, "init", InitSpec,
+        note="when absent; a given init takes the defaults below"),
+    Key("harness.init.kind", InitSpec, "kind", _name, INIT_KINDS),
+    Key("harness.init.low", InitSpec, "low", _float, kinds=("box",)),
+    Key("harness.init.high", InitSpec, "high", _float, kinds=("box",)),
+    Key("harness.init.mean", InitSpec, "mean", _numbers, kinds=("gaussian",),
+        note="a number or one per dimension"),
+    Key("harness.init.variance", InitSpec, "variance", _float, kinds=("gaussian",)),
+    Key("harness.max_steps", RunConfig, "max_steps", _int),
+    Key("harness.seed", RunConfig, "master_seed", _int, flag="--seed", commands=_ALL),
+    Key("harness.stop_eps", RunConfig, "stop_eps", _float, flag="--stop-eps",
+        note="tested before each update of an unbatched run"),
+    Key("harness.campaign", None, "campaign", CampaignSpec, note="needed by bench"),
+    Key("harness.campaign.runs", CampaignSpec, "runs", _int),
+    Key("harness.campaign.tolerance", CampaignSpec, "tolerance", _float),
+    Key("harness.campaign.norm", CampaignSpec, "norm", _name, NORMS),
+    Key("harness.campaign.variants", CampaignSpec, "variants", _name, VARIANTS,
+        note="a list; absent: the configured variant"),
+    Key("output.record_every", RunConfig, "record_every", _int, flag="--record-every",
+        commands=_ALL),
+)
+_KEYS = {key.path: key for key in SCHEMA}
+_GROUPS = {key.path.rpartition(".")[0] for key in SCHEMA} - {""}  # the paths that hold keys
+_FLAGS = {k.flag: [j for j in SCHEMA if j.flag == k.flag] for k in SCHEMA if k.flag}
+
+
+def _default(key: Key):
+    """The dataclass default of the key's field; MISSING when it is required."""
+    if key.owner is None:
+        return None
+    f = next(f for f in dataclasses.fields(key.owner) if f.name == key.field)
+    return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+
+
+def _key_path(owner, field: str) -> str:
+    """The key path that sets a field of `owner`, dotted for a nested one."""
+    head, _, rest = field.partition(".")
+    key = next(k for k in SCHEMA if k.owner is owner and k.field == head)
+    return _key_path(key.read, rest) if rest else key.path
+
+
+def _lookup(document: dict, path: str):
+    """The value at a key path; None when it is absent."""
+    for part in path.split("."):
+        document = document.get(part) if isinstance(document, dict) else None
+    return document
+
+
+def _check_keys(node: dict, path: str) -> None:
+    """Reject unknown keys and drop null values: null is the same as absent."""
+    for name, value in list(node.items()):
+        full = f"{path}.{name}".lstrip(".")
+        if full not in _KEYS and full not in _GROUPS:
+            raise ConfigError(f"unknown key: {full}")
+        if value is None:
+            del node[name]
+        elif full in _GROUPS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{full} must be a mapping")
+            _check_keys(value, full)
+
+
+def _set_flags(document: dict, args) -> None:
+    """Write each flag given in `args` into its key. A flag that sets two
+    keys sets the first whose section the document has, else the last."""
+    for flag, keys in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        key = next(k for k in keys if k is keys[-1] or k.path.split(".")[0] in document)
+        *parents, leaf = key.path.split(".")
+        node = document
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+
+
+def _make(owner, document: dict):
+    """Build `owner` from its keys; owner None returns the keyword arguments
+    of the specs beside the RunConfig instead."""
+    keys = [k for k in SCHEMA if k.owner is owner]
     kwargs = {}
-    for config_key, attr in (
-        ("lambda", "lam"),
-        ("sigma", "sigma"),
-        ("alpha", "alpha"),
-        ("dt", "dt"),
-        ("epsilon", "epsilon"),
-        ("beta", "beta"),
-    ):
-        if config_key in section:
-            value = _as_float(section[config_key], f"params.{config_key}")
-            if config_key in ("dt", "epsilon") and not value > 0.0:
-                raise ConfigError(f"params.{config_key} must be positive")
-            if not np.isfinite(value) or value < 0.0:
-                raise ConfigError(f"params.{config_key} must be finite and nonnegative")
-            kwargs[attr] = value
+    for key in keys:
+        value = _lookup(document, key.path)
+        if isinstance(key.read, type):
+            if value is not None or _default(key) is dataclasses.MISSING:
+                kwargs[key.field] = _make(key.read, document)
+        elif value is not None:
+            kwargs[key.field] = key.read(value, key.path)
+        elif _default(key) is dataclasses.MISSING:
+            raise ConfigError(f"{key.path} is required")
+    if owner is None:
+        return kwargs
     try:
-        return VariantParams(variant=variant, heaviside_mode=heaviside, **kwargs)
-    except ValueError as err:
-        raise ConfigError(f"params: {err}") from None
+        made = owner(**kwargs)
+    except FieldError as err:
+        raise ConfigError(f"{_key_path(owner, err.field)} {err.reason}") from None
+    for key in keys:
+        if key.kinds and key.field in kwargs and made.kind not in key.kinds:
+            raise ConfigError(f"unknown key: {key.path}")
+    return made
 
 
-def _parse_batching(section) -> Optional[BatchParams]:
-    if section is None:
-        return None
-    section = _mapping(section, "batching")
-    _check_keys(
-        section,
-        ("batch_size", "update_mode", "gamma", "sigma", "stop_eps", "max_epochs"),
-        "batching",
-    )
-    if "batch_size" not in section:
-        raise ConfigError("batching.batch_size is required")
-    kwargs = dict(batch_size=_as_int(section["batch_size"], "batching.batch_size"))
-    if "update_mode" in section:
-        kwargs["update_mode"] = _as_str(
-            section["update_mode"], "batching.update_mode", ("partial", "full")
-        )
-    if "gamma" in section:
-        kwargs["gamma_schedule"] = _parse_schedule(section["gamma"], "batching.gamma")
-    if "sigma" in section:
-        kwargs["sigma_schedule"] = _parse_schedule(section["sigma"], "batching.sigma")
-    if "stop_eps" in section:
-        kwargs["stop_eps"] = _as_float(section["stop_eps"], "batching.stop_eps")
-    if "max_epochs" in section:
-        kwargs["max_epochs"] = _as_int(section["max_epochs"], "batching.max_epochs")
-    try:
-        return BatchParams(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"batching: {err}") from None
-
-
-def _parse_campaign(section) -> Optional[CampaignSpec]:
-    if section is None:
-        return None
-    section = _mapping(section, "harness.campaign")
-    _check_keys(section, ("runs", "tolerance", "norm", "variants"), "harness.campaign")
-    variants = section.get("variants")
-    if variants is not None:
-        if not isinstance(variants, list) or not variants:
-            raise ConfigError("harness.campaign.variants must be a nonempty list")
-        variants = [
-            _as_str(v, "harness.campaign.variants", VARIANTS) for v in variants
-        ]
-    return CampaignSpec(
-        runs=_as_int(section.get("runs", 100), "harness.campaign.runs"),
-        tolerance=_as_float(section.get("tolerance", 0.25), "harness.campaign.tolerance"),
-        norm=_as_str(section.get("norm", "infinity"), "harness.campaign.norm", ("infinity", "euclidean")),
-        variants=variants,
-    )
-
-
-def parse_config(raw: bytes):
-    """Parse config bytes into (RunConfig, CampaignSpec or None)."""
+def parse_config(raw: bytes, args=None):
+    """Parse config bytes into (RunConfig, CampaignSpec or None). The flags
+    given in `args` are written over their keys first, so a flag and its
+    key share one check."""
     try:
         document = yaml.safe_load(raw)
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML: {err}") from None
-    document = _mapping(document, "config")
-    _check_keys(
-        document, ("objective", "variant", "params", "batching", "harness", "output"), "config"
-    )
-
-    objective = _mapping(document.get("objective"), "objective")
-    _check_keys(objective, ("name", "dimension"), "objective")
-    if "name" not in objective or "dimension" not in objective:
-        raise ConfigError("objective.name and objective.dimension are required")
-    name = _as_str(objective["name"], "objective.name", tuple(benchmark_names()))
-    dimension = _as_int(objective["dimension"], "objective.dimension")
-    if dimension < 1:
-        raise ConfigError("objective.dimension must be at least 1")
-
-    variant = _mapping(document.get("variant"), "variant")
-    _check_keys(variant, ("kind", "heaviside", "integrator"), "variant")
-    kind = _as_str(variant.get("kind", "anisotropic"), "variant.kind", VARIANTS)
-    heaviside = variant.get("heaviside", "off")
-    if heaviside is False:  # YAML 1.1 reads a bare `off` as boolean
-        heaviside = "off"
-    heaviside = _as_str(heaviside, "variant.heaviside", HEAVISIDE_MODES)
-    integrator = _as_str(variant.get("integrator", "euler"), "variant.integrator", INTEGRATORS)
-
-    params = _parse_params(document.get("params"), kind, heaviside)
-    batching = _parse_batching(document.get("batching"))
-
-    harness = _mapping(document.get("harness"), "harness")
-    _check_keys(
-        harness,
-        ("n_particles", "init", "max_steps", "seed", "stop_eps", "campaign"),
-        "harness",
-    )
-    n_particles = _as_int(harness.get("n_particles", 100), "harness.n_particles")
-    init = _parse_init(harness.get("init", {"kind": "box", "low": -3.0, "high": 3.0}), "harness.init")
-    max_steps = _as_int(harness.get("max_steps", 10_000), "harness.max_steps")
-    seed = _as_int(harness.get("seed", 0), "harness.seed")
-    stop_eps = harness.get("stop_eps")
-    if stop_eps is not None:
-        stop_eps = _as_float(stop_eps, "harness.stop_eps")
-    campaign = _parse_campaign(harness.get("campaign"))
-
-    output = _mapping(document.get("output"), "output")
-    _check_keys(output, ("record_every",), "output")
-    record_every = _as_int(output.get("record_every", 100), "output.record_every")
-
-    try:
-        config = RunConfig(
-            objective=name,
-            dimension=dimension,
-            params=params,
-            integrator=integrator,
-            batching=batching,
-            n_particles=n_particles,
-            init=init,
-            max_steps=max_steps,
-            master_seed=seed,
-            record_every=record_every,
-            stop_eps=stop_eps,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    return config, campaign
+    document = {} if document is None else document
+    if not isinstance(document, dict):
+        raise ConfigError("config must be a mapping")
+    _check_keys(document, "")
+    if args is not None:
+        _set_flags(document, args)
+    return _make(RunConfig, document), _make(None, document).get("campaign")
 
 
-def load_config(path: str):
-    """Read a config file; returns (RunConfig, CampaignSpec or None, sha256 hex)."""
+def load_config(path: str, args=None):
+    """Read a config file; returns (RunConfig, CampaignSpec or None, sha256
+    hex of the file), with the flags given in `args` applied."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err.strerror}") from None
-    config, campaign = parse_config(raw)
+    config, campaign = parse_config(raw, args)
     return config, campaign, hashlib.sha256(raw).hexdigest()
 
 
@@ -321,41 +300,12 @@ def _write_text(out_dir: Optional[str], filename: str, text: str) -> None:
         handle.write(text)
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, master_seed=args.seed)
-    if getattr(args, "record_every", None) is not None:
-        if args.record_every < 1:
-            raise ConfigError("--record-every must be at least 1")
-        config = replace(config, record_every=args.record_every)
-    batch_flags = {
-        "batch_size": getattr(args, "batch_size", None),
-        "update_mode": getattr(args, "update_mode", None),
-        "stop_eps": getattr(args, "stop_eps", None),
-        "max_epochs": getattr(args, "max_epochs", None),
-    }
-    updates = {key: value for key, value in batch_flags.items() if value is not None}
-    if updates:
-        if config.batching is None:
-            if "batch_size" not in updates:
-                raise ConfigError("--batch-size is required to enable batching from flags")
-            base = BatchParams(batch_size=updates.pop("batch_size"))
-        else:
-            base = config.batching
-        try:
-            config = replace(config, batching=replace(base, **updates))
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-    return config
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_run(args) -> int:
-    config, _, config_hash = load_config(args.config)
-    config = _apply_overrides(config, args)
+    config, _, config_hash = load_config(args.config, args)
     result = run(config)
     lines = []
     for pt in result.trajectory:
@@ -396,21 +346,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config, campaign, config_hash = load_config(args.config)
-    config = _apply_overrides(config, args)
+    config, campaign, config_hash = load_config(args.config, args)
     if campaign is None:
-        raise ConfigError("harness.campaign section is required for bench")
+        raise ConfigError(f"{_key_path(None, 'campaign')} section is required for bench")
     variants = sorted(campaign.variants or [config.params.variant])
-    crit = SuccessCriterion(
-        target=np.zeros(config.dimension),
-        tolerance=campaign.tolerance,
-        norm=campaign.norm,
-    )
+    crit = campaign.criterion(config.dimension)
     workers = _workers()
     try:  # every variant's config is checked before any campaign runs
         configs = [replace(config, params=replace(config.params, variant=v)) for v in variants]
-    except ValueError as err:
-        raise ConfigError(f"harness.campaign.variants: {err}") from None
+    except FieldError as err:
+        raise ConfigError(f"{_key_path(CampaignSpec, 'variants')}: {err}") from None
     run_lines = []
     rows = []
     for variant, vconfig in zip(variants, configs):
@@ -543,10 +488,13 @@ def _diagnose_variance(seed: int) -> List[str]:
 def cmd_diagnose(args) -> int:
     if args.suite not in SUITES:
         raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    config = None
-    if args.config is not None:
-        config, _, _ = load_config(args.config)
-    seed = args.seed if args.seed is not None else (config.master_seed if config else 0)
+    config = load_config(args.config, args)[0] if args.config is not None else None
+    seed = config.master_seed if config else _default(_FLAGS["--seed"][0])
+    if config is None and args.seed is not None:  # no config to check the flag against
+        try:
+            seed = RngPlan(args.seed).master_seed
+        except FieldError as err:
+            raise ConfigError(f"--seed {err.reason}") from None
     if args.suite == "moments":
         lines = _diagnose_moments(config, seed)
     elif args.suite == "pairwise":
@@ -565,66 +513,62 @@ def cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-_DEFAULTS_HELP = """\
-config defaults (YAML):
-  objective:            name/dimension required; names: ackley rastrigin griewank zakharov wavy
-  variant.kind          anisotropic   (original | anisotropic | common_noise | personal_best | sphere)
-  variant.heaviside     off           (off | exact | regularized)
-  variant.integrator    euler         (euler | split | frozen; split/frozen need anisotropic)
-  params.lambda         1.0
-  params.sigma          1.0
-  params.alpha          30.0
-  params.dt             0.01
-  params.epsilon        0.001
-  params.beta           1.0
-  batching              absent        (batch_size required inside; update_mode partial,
-                                       gamma 0.01, sigma = params.sigma, stop_eps 1e-8,
-                                       max_epochs 1000; needs anisotropic + euler)
-  harness.n_particles   100
-  harness.init          {kind: box, low: -3.0, high: 3.0}
-  harness.max_steps     10000
-  harness.seed          0
-  harness.stop_eps      absent (no plain-run early stop)
-  harness.campaign      absent        (runs 100, tolerance 0.25, norm infinity)
-  output.record_every   100
 
-exit codes: 0 ok, 1 config error, 2 divergence, 3 diagnostic FAIL.
-CBO_THREADS caps campaign workers without affecting results.
-"""
+def _shown(default) -> str:
+    """A default as a config would spell it."""
+    if default is None:
+        return "absent"
+    if default is dataclasses.MISSING:
+        return "required"
+    if isinstance(default, InitSpec):  # the keys of its kind
+        keys = [k for k in SCHEMA if k.owner is InitSpec and default.kind in (k.kinds or INIT_KINDS)]
+        shown = (f"{k.path.rpartition('.')[2]}: {_shown(getattr(default, k.field))}" for k in keys)
+        return "{" + ", ".join(shown) + "}"
+    value = getattr(default, "value", default)  # a constant schedule shows its value
+    if isinstance(value, float) and "." not in repr(value):
+        return repr(value).replace("e", ".0e")  # YAML 1.1 reads 1e-08 as a string
+    return str(value)
+
+
+def _defaults_help() -> str:
+    lines = ["config defaults (YAML), from the config dataclasses:"]
+    for key in SCHEMA:
+        notes = [f"({' | '.join(key.choices)})"] if key.choices else []
+        notes += [f"{' or '.join(key.kinds)} only"] if key.kinds else []
+        notes += [n for n in (key.note, key.flag) if n]
+        default = "" if key.read is VariantParams else _shown(_default(key))
+        lines.append(f"  {key.path:<27}{default:<12} {'; '.join(notes)}".rstrip())
+    return "\n".join(lines) + (
+        "\n\nexit codes: 0 ok, 1 config error, 2 divergence, 3 diagnostic FAIL.\n"
+        "CBO_THREADS caps campaign workers without affecting results.\n"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbopt",
         description="Consensus-based optimization runner and diagnostics",
-        epilog=_DEFAULTS_HELP,
+        epilog=_defaults_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="path to YAML config")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
+    commands = {
+        "run": sub.add_parser("run", help="execute one run, stream JSON-lines + summary"),
+        "bench": sub.add_parser("bench", help="run a seeded campaign, emit a CSV summary"),
+        "diagnose": sub.add_parser("diagnose", help="check a quantitative law, print PASS/FAIL"),
+    }
+    commands["diagnose"].add_argument("suite", help="one of: moments pairwise laplace variance")
+    for name, p in commands.items():
+        p.add_argument("--config", required=name != "diagnose", help="path to YAML config")
         p.add_argument("--out", default=None, help="directory for output files")
-        p.add_argument(
-            "--record-every", type=int, default=None, help="trajectory recording stride"
-        )
-
-    p_run = sub.add_parser("run", help="execute one run, stream JSON-lines + summary")
-    common(p_run)
-    p_run.add_argument("--batch-size", type=int, default=None, help="random-batch size M")
-    p_run.add_argument(
-        "--update-mode", choices=("partial", "full"), default=None, help="batch update scope"
-    )
-    p_run.add_argument("--stop-eps", type=float, default=None, help="batch stopping tolerance")
-    p_run.add_argument("--max-epochs", type=int, default=None, help="batch epoch budget")
-
-    p_bench = sub.add_parser("bench", help="run a seeded campaign, emit a CSV summary")
-    common(p_bench)
-
-    p_diag = sub.add_parser("diagnose", help="check a quantitative law, print PASS/FAIL")
-    p_diag.add_argument("suite", help="one of: moments pairwise laplace variance")
-    common(p_diag, config_required=False)
+        for flag, keys in _FLAGS.items():
+            if name in keys[0].commands:
+                p.add_argument(
+                    flag,
+                    type={_int: int, _float: float}.get(keys[0].read, str),
+                    choices=keys[0].choices or None,
+                    help="sets " + " if the run is batched, else ".join(k.path for k in keys),
+                )
     return parser
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .consensus import ConsensusPoint, weighted_mean
-from .ensemble import Ensemble, RngPlan, STREAM_DIFFUSION
+from .ensemble import Ensemble, FieldError, RngPlan, STREAM_DIFFUSION, check_choice
 
 VARIANTS = ("original", "anisotropic", "common_noise", "personal_best", "sphere")
 HEAVISIDE_MODES = ("off", "exact", "regularized")
@@ -61,15 +61,13 @@ class VariantParams:
         for name in ("lam", "sigma", "alpha", "beta"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError("dt must be positive")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive")
-        if self.heaviside_mode not in HEAVISIDE_MODES:
-            raise ValueError(f"unknown heaviside_mode {self.heaviside_mode!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+                raise FieldError(name, "must be finite and nonnegative")
+        for name in ("dt", "epsilon"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise FieldError(name, "must be finite and positive")
+        check_choice("heaviside_mode", self.heaviside_mode, HEAVISIDE_MODES)
+        check_choice("variant", self.variant, VARIANTS)
 
 
 @dataclass

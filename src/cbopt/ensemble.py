@@ -25,6 +25,25 @@ STREAM_PERMUTATION = 2
 
 _MASK64 = (1 << 64) - 1
 
+INIT_KINDS = ("box", "gaussian", "sphere")
+
+
+class FieldError(ValueError):
+    """A config dataclass rejected a field: ``field`` is its name, dotted
+    for a field of a nested config (``batching.batch_size``)."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(field, reason)
+        self.field, self.reason = field, reason
+
+    def __str__(self) -> str:
+        return f"{self.field} {self.reason}"
+
+
+def check_choice(field: str, value, choices) -> None:
+    if value not in choices:
+        raise FieldError(field, f"must be one of {sorted(choices)}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class RngPlan:
@@ -33,9 +52,8 @@ class RngPlan:
     master_seed: int
 
     def __post_init__(self):
-        seed = int(self.master_seed)
-        if not 0 <= seed <= _MASK64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
+        if not 0 <= int(self.master_seed) <= _MASK64:
+            raise FieldError("master_seed", "must be a 64-bit unsigned integer")
 
     def generator(self, stream: int, step: int) -> np.random.Generator:
         """Fresh generator for one (stream, step) block of the Philox counter."""
@@ -88,19 +106,21 @@ class InitSpec:
     with the given variance, and 'sphere' draws uniformly on the unit sphere.
     """
 
-    kind: str
+    kind: str = "box"
     low: float = -1.0
     high: float = 1.0
     mean: Union[float, tuple] = 0.0
     variance: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("box", "gaussian", "sphere"):
-            raise ValueError(f"unknown init kind {self.kind!r}")
+        check_choice("kind", self.kind, INIT_KINDS)
+        for name in ("low", "high", "mean", "variance"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise FieldError(name, "must be finite")
         if self.kind == "box" and not self.low <= self.high:
-            raise ValueError("box init needs low <= high")
+            raise FieldError("low", "must not exceed high")
         if self.kind == "gaussian" and not self.variance > 0:
-            raise ValueError("gaussian init needs positive variance")
+            raise FieldError("variance", "must be positive")
 
 
 def init_ensemble(dist: InitSpec, n: int, d: int, rng: RngPlan) -> Ensemble:

@@ -27,6 +27,7 @@ from .batching import (
 )
 from .consensus import ConsensusPoint, laplace_value, weighted_mean
 from .dynamics import (
+    VARIANTS,
     DivergenceError,
     PersonalBestMemory,
     VariantParams,
@@ -36,17 +37,20 @@ from .dynamics import (
 )
 from .ensemble import (
     Ensemble,
+    FieldError,
     InitSpec,
     RngPlan,
     STREAM_DIFFUSION,
     STREAM_INIT,
+    check_choice,
     init_ensemble,
     moments,
 )
 from .integrators import frozen_gbm, split_diffusion, split_drift
-from .objectives import ObjectiveFunction, make_objective
+from .objectives import ObjectiveFunction, benchmark_names, make_objective
 
 INTEGRATORS = ("euler", "split", "frozen")
+NORMS = ("infinity", "euclidean")
 
 
 @dataclass(frozen=True)
@@ -61,9 +65,8 @@ class SuccessCriterion:
     def __post_init__(self):
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
         if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.norm not in ("infinity", "euclidean"):
-            raise ValueError(f"unknown norm {self.norm!r}")
+            raise FieldError("tolerance", "must be positive")
+        check_choice("norm", self.norm, NORMS)
 
     def met(self, v) -> bool:
         v = np.asarray(v, dtype=float)
@@ -91,26 +94,50 @@ class RunConfig:
     stop_eps: Optional[float] = None  # plain-run early stop on consecutive v_f
 
     def __post_init__(self):
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+        check_choice("objective", self.objective, benchmark_names())
+        check_choice("integrator", self.integrator, INTEGRATORS)
         if self.integrator != "euler" and self.params.variant != "anisotropic":
-            raise ValueError(
-                "split/frozen integrators are exact solves of the component-wise "
-                "dynamic and require the anisotropic variant"
-            )
-        if self.dimension < 1 or self.n_particles < 1:
-            raise ValueError("dimension and n_particles must be at least 1")
-        if self.max_steps < 1 or self.record_every < 1:
-            raise ValueError("max_steps and record_every must be at least 1")
+            raise FieldError("integrator", "split/frozen solve the component-wise dynamic "
+                             "exactly and need the anisotropic variant")
+        for name in ("dimension", "n_particles", "max_steps", "record_every"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, "must be at least 1")
+        RngPlan(self.master_seed)  # FieldError("master_seed") out of range
         if self.stop_eps is not None and not self.stop_eps > 0.0:
-            raise ValueError("stop_eps must be positive when given")
-        if self.batching is not None and (
-            self.params.variant != "anisotropic" or self.integrator != "euler"
-        ):
-            raise ValueError(
-                "random batches apply the component-wise Euler update and require "
-                "the anisotropic variant with the euler integrator"
-            )
+            raise FieldError("stop_eps", "must be positive when given")
+        if self.init.kind == "gaussian" and np.size(self.init.mean) not in (1, self.dimension):
+            raise FieldError("init.mean", f"must be a number or {self.dimension} numbers")
+        batched = self.batching is not None
+        if batched and (self.params.variant != "anisotropic" or self.integrator != "euler"):
+            raise FieldError("batching", "applies the component-wise Euler update and needs "
+                             "the anisotropic variant with the euler integrator")
+        if batched and self.batching.batch_size > self.n_particles:
+            raise FieldError("batching.batch_size", "must not exceed n_particles")
+
+
+@dataclass(frozen=True)
+class CampaignSpec:
+    """A seeded campaign: how many runs per variant and what counts as a
+    success. `variants` None runs only the configured variant."""
+
+    runs: int = 100
+    tolerance: float = 0.25
+    norm: str = "infinity"
+    variants: Optional[List[str]] = None
+
+    def __post_init__(self):
+        if self.runs < 1:
+            raise FieldError("runs", "must be at least 1")
+        self.criterion(1)  # FieldError on tolerance or norm
+        if self.variants is not None:
+            if not isinstance(self.variants, (list, tuple)) or not self.variants:
+                raise FieldError("variants", "must be a nonempty list")
+            for variant in self.variants:
+                check_choice("variants", variant, VARIANTS)
+
+    def criterion(self, dimension: int) -> SuccessCriterion:
+        """Success within `tolerance` of the origin of R^dimension."""
+        return SuccessCriterion(np.zeros(dimension), self.tolerance, self.norm)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,23 @@
 """CLI tests: config validation, exit codes, output determinism, and the
 bench/diagnose surfaces."""
 
+import argparse
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import yaml
 
-from cbopt.cli import ConfigError, main, parse_config
+from cbopt.batching import BatchParams
+from cbopt.cli import SCHEMA, ConfigError, main, parse_config
+from cbopt.dynamics import VariantParams
+from cbopt.ensemble import InitSpec
+from cbopt.harness import CampaignSpec, RunConfig
 
 MINIMAL = """\
 objective:
@@ -130,6 +138,49 @@ class TestParseConfig:
         config, _ = parse_config(text.encode())
         assert config.batching.gamma_schedule(2, 0) == pytest.approx(0.081)
 
+    def test_documented_defaults_parse_like_absent_keys(self):
+        explicit = MINIMAL + (
+            "  heaviside: off\n"
+            "  integrator: euler\n"
+            "params: {lambda: 1.0, sigma: 1.0, alpha: 30.0, dt: 0.01, epsilon: 0.001, beta: 1.0}\n"
+            "harness:\n"
+            "  n_particles: 100\n"
+            "  init: {kind: box, low: -3.0, high: 3.0}\n"
+            "  max_steps: 10000\n"
+            "  seed: 0\n"
+            "output: {record_every: 100}\n"
+        )
+        assert parse_config(explicit.encode()) == parse_config(MINIMAL.encode())
+        batched = MINIMAL + "batching: {batch_size: 2}\nharness: {campaign: {}}\n"
+        explicit = MINIMAL + (
+            "batching: {batch_size: 2, update_mode: partial, gamma: 0.01, stop_eps: 1.0e-8,"
+            " max_epochs: 1000}\n"
+            "harness: {campaign: {runs: 100, tolerance: 0.25, norm: infinity}}\n"
+        )
+        assert parse_config(explicit.encode()) == parse_config(batched.encode())
+
+    def test_stop_eps_flag_follows_batching(self):
+        args = argparse.Namespace(stop_eps=1e-3)
+        config, _ = parse_config(MINIMAL.encode(), args)
+        assert config.stop_eps == 1e-3 and config.batching is None
+        args.batch_size = 2
+        config, _ = parse_config(MINIMAL.encode(), args)
+        assert config.stop_eps is None and config.batching.stop_eps == 1e-3
+        config, _ = parse_config((MINIMAL + "batching: {batch_size: 2}\n").encode(), args)
+        assert config.stop_eps is None and config.batching.stop_eps == 1e-3
+
+    def test_given_box_init_defaults_to_unit_box(self):
+        config, _ = parse_config((MINIMAL + "harness: {init: {kind: box}}\n").encode())
+        assert config.init == InitSpec("box", low=-1.0, high=1.0)
+        assert parse_config(MINIMAL.encode())[0].init == InitSpec("box", low=-3.0, high=3.0)
+
+    def test_schema_sets_every_config_field_once(self):
+        targets = [(key.owner, key.field) for key in SCHEMA]
+        assert len(set(targets)) == len(targets)
+        for owner in (RunConfig, VariantParams, BatchParams, InitSpec, CampaignSpec):
+            fields = {f.name for f in dataclasses.fields(owner)}
+            assert fields == {field for o, field in targets if o is owner}
+
 
 class TestCmdRun:
     def test_minimal_run_exit_zero(self, tmp_path):
@@ -199,6 +250,25 @@ class TestCmdRun:
         assert proc.returncode == 0
         summary = json.loads(proc.stdout.strip().splitlines()[-1])
         assert summary["summary"]["steps"] <= 6  # 2 updates per epoch x 3 epochs
+
+    def test_stop_eps_flag_stops_a_plain_run(self, tmp_path):
+        text = MINIMAL.replace("dimension: 2", "dimension: 3") + (
+            "params: {sigma: 0.7, alpha: 2.0}\n"
+            "harness: {n_particles: 12, max_steps: 2000, seed: 7}\n"
+        )
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        flagged = invoke(["run", "--config", str(path), "--stop-eps", "1e-6",
+                          "--out", str(tmp_path / "flag")])
+        assert flagged.returncode == 0, flagged.stderr
+        summary = json.loads(flagged.stdout.strip().splitlines()[-1])["summary"]
+        assert summary["terminated_by"] == "stop_criterion"
+        assert 1 < summary["steps"] < 2000
+        path.write_text(text.replace("seed: 7}", "seed: 7, stop_eps: 1.0e-6}"))
+        keyed = invoke(["run", "--config", str(path), "--out", str(tmp_path / "key")])
+        assert keyed.returncode == 0, keyed.stderr
+        csv = [(tmp_path / d / "ensemble.csv").read_text() for d in ("flag", "key")]
+        assert csv[0] == csv[1]
 
     def test_batching_needs_anisotropic_euler_exit_one(self, tmp_path):
         path = tmp_path / "config.yaml"
@@ -292,6 +362,36 @@ class TestCmdBench:
         assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize(
+    "yaml_tail, argv, key_path",
+    [
+        ("harness: {campaign: {runs: 0}}\n", ["bench"], "harness.campaign.runs"),
+        ("harness: {campaign: {tolerance: 0.0}}\n", ["bench"], "harness.campaign.tolerance"),
+        ("harness: {seed: -1}\n", ["run"], "harness.seed"),
+        ("", ["run", "--seed", "-1"], "harness.seed"),
+        ("", ["diagnose", "laplace", "--seed", "-1"], "harness.seed"),
+        (None, ["diagnose", "laplace", "--seed", "-1"], "--seed"),
+        ("harness: {n_particles: 10}\nbatching: {batch_size: 11}\n", ["run"],
+         "batching.batch_size"),
+        ("batching: {batch_size: 1, gamma: -0.1}\n", ["run"], "batching.gamma"),
+        ("batching: {batch_size: 1, gamma: {kind: geometric, initial: 0.1, decay: -1}}\n",
+         ["run"], "batching.gamma"),
+        ("harness: {init: {kind: gaussian, mean: [1.0, 2.0, 3.0]}}\n", ["run"],
+         "harness.init.mean"),
+        ("harness: {init: {kind: box, low: -.inf}}\n", ["run"], "harness.init.low"),
+    ],
+)
+def test_config_error_names_key_without_traceback(tmp_path, yaml_tail, argv, key_path):
+    if yaml_tail is not None:
+        path = tmp_path / "config.yaml"
+        path.write_text(MINIMAL + yaml_tail)
+        argv = argv[:1] + ["--config", str(path)] + argv[1:]
+    proc = invoke(argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"config error: {key_path} "), proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
 class TestCmdDiagnose:
     def test_unknown_suite(self):
         proc = invoke(["diagnose", "spectral"])
@@ -333,3 +433,26 @@ def test_help_documents_defaults():
     assert proc.returncode == 0
     assert "config defaults" in proc.stdout
     assert "harness.seed" in proc.stdout
+    shown = {}  # key path -> (default column, the whole line)
+    for line in proc.stdout.splitlines():
+        match = re.match(r"  (\S+)(?: +(\{.*?\}|\S+))?", line)
+        if match:
+            shown[match[1]] = (match[2], line)
+    for key in SCHEMA:
+        text, line = shown[key.path]
+        assert " | ".join(key.choices) in line
+        if key.owner is None:
+            assert text == "absent", line
+            continue
+        field = next(f for f in dataclasses.fields(key.owner) if f.name == key.field)
+        if field.default_factory is not dataclasses.MISSING:
+            default = field.default_factory()
+            assert yaml.safe_load(text) == {"kind": "box", "low": default.low, "high": default.high}
+        elif field.default is dataclasses.MISSING:
+            assert text == "required" or key.read is VariantParams, line
+        elif field.default is None:
+            assert text == "absent", line
+        else:  # the documented default reads back as the dataclass default
+            value = yaml.safe_load(text)
+            value = "off" if value is False else value  # YAML 1.1 reads a bare off as false
+            assert value == getattr(field.default, "value", field.default), line

@@ -8,7 +8,7 @@ import pytest
 
 from cbopt.batching import BatchParams, ConstantSchedule
 from cbopt.dynamics import VariantParams, step
-from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
+from cbopt.ensemble import Ensemble, FieldError, InitSpec, RngPlan, init_ensemble
 from cbopt.harness import (
     RunConfig,
     SuccessCriterion,
@@ -66,6 +66,20 @@ class TestRunConfig:
             with pytest.raises(ValueError, match="euler"):
                 small_config(batching=batching, integrator=integrator)
         assert small_config(batching=batching).batching == batching
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(n_particles=4, batching=BatchParams(batch_size=5)), "batching.batch_size"),
+            (dict(init=InitSpec("gaussian", mean=(0.0, 1.0, 2.0))), "init.mean"),
+            (dict(master_seed=-1), "master_seed"),
+            (dict(objective="sphere"), "objective"),
+        ],
+    )
+    def test_rejects_at_construction_what_a_run_would_reject(self, overrides, field):
+        with pytest.raises(FieldError) as err:
+            small_config(**overrides)
+        assert err.value.field == field
 
 
 class TestRun:
