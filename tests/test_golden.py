@@ -1,7 +1,9 @@
 """Golden outputs: sha256 of `cbopt run` stdout and ensemble.csv for one
 small config per variant, integrator, batch mode, way a run ends and
-command-line override, and of `cbopt bench` summary.csv and runs.jsonl at
-one and at two workers.
+command-line override, of `cbopt bench` summary.csv and runs.jsonl at
+one and at two workers, of `cbopt diagnose` stdout for the suites that run
+in seconds, and of the float64 bytes the pairwise and frozen-moment
+diagnostics return at a small size.
 
 The hashes pin results bit for bit. Generator streams are not guaranteed
 stable across numpy releases, so the tests skip when the running numpy is
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from cbopt.cli import main
+from cbopt.harness import diagnostic_frozen_moment, diagnostic_pairwise_decay
 
 HASHES = Path(__file__).resolve().parent / "golden" / "hashes.json"
 
@@ -118,6 +121,32 @@ output: {record_every: 1000}
 """
 
 
+# case name -> (arguments after `diagnose`, config YAML or None, exit code).
+# The `pairwise` suite and `moments` at its default size take tens of
+# seconds, so `moments` is pinned on a small config (where it prints FAIL)
+# and the pairwise law through DIAGNOSTIC_CASES.
+DIAGNOSE_CASES = {
+    "laplace": (["laplace", "--seed", "3"], None, 0),
+    "variance": (["variance", "--seed", "5"], None, 0),
+    "moments_small": (
+        ["moments"],
+        "objective: {name: ackley, dimension: 3}\nparams: {dt: 0.01}\nharness: {n_particles: 1000}\n",
+        3,
+    ),
+}
+
+# case name -> the library diagnostic whose float64 result is pinned
+DIAGNOSTIC_CASES = {
+    "pairwise_decay": lambda: diagnostic_pairwise_decay(1.0, 0.5, 1e-3, 20, 50, 0.05, seed=3),
+    "frozen_moment_isotropic": lambda: diagnostic_frozen_moment(
+        "isotropic", 1.0, 0.3, 5, 1000, 1e-2, 0.5, 3
+    ),
+    "frozen_moment_anisotropic": lambda: diagnostic_frozen_moment(
+        "anisotropic", 1.0, 0.3, 5, 1000, 1e-2, 0.5, 3
+    ),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -159,6 +188,23 @@ def bench_case(threads, tmp_path):
     return {name: _sha((out / name).read_bytes()) for name in ("summary.csv", "runs.jsonl")}
 
 
+def diagnose_case(name, tmp_path):
+    """Hash of one `cbopt diagnose` stdout, checking its exit code."""
+    argv, text, expected_code = DIAGNOSE_CASES[name]
+    if text is not None:
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(text)
+        argv = [*argv, "--config", str(config)]
+    code, stdout = _main(["diagnose", *argv])
+    assert code == expected_code
+    return _sha(stdout.encode())
+
+
+def diagnostic_case(name):
+    """Hash of the float64 bytes of one diagnostic's result."""
+    return _sha(np.asarray(DIAGNOSTIC_CASES[name](), dtype=np.float64).tobytes())
+
+
 @pytest.fixture(scope="module")
 def golden():
     recorded = json.loads(HASHES.read_text())
@@ -180,16 +226,32 @@ def test_bench_output_matches_golden(threads, golden, tmp_path):
     assert bench_case(threads, tmp_path) == golden["bench"]
 
 
+@pytest.mark.parametrize("name", sorted(DIAGNOSE_CASES))
+def test_diagnose_output_matches_golden(name, golden, tmp_path):
+    assert diagnose_case(name, tmp_path) == golden["diagnose"][name]
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSTIC_CASES))
+def test_diagnostic_values_match_golden(name, golden):
+    assert diagnostic_case(name) == golden["diagnostic"][name]
+
+
 def _record():
     """Run every case and rewrite hashes.json."""
     with tempfile.TemporaryDirectory() as tmp:
         runs = {name: run_case(name, Path(tmp)) for name in sorted([*RUN_CASES, *FLAG_CASES])}
         bench = [bench_case(threads, Path(tmp)) for threads in (1, 2)]
+        diagnose = {name: diagnose_case(name, Path(tmp)) for name in sorted(DIAGNOSE_CASES)}
+    diagnostic = {name: diagnostic_case(name) for name in sorted(DIAGNOSTIC_CASES)}
     if bench[0] != bench[1]:
         raise SystemExit("bench output differs between one and two workers")
     HASHES.parent.mkdir(exist_ok=True)
     HASHES.write_text(
-        json.dumps({"numpy": np.__version__, "run": runs, "bench": bench[0]}, indent=2) + "\n"
+        json.dumps(
+            {"numpy": np.__version__, "run": runs, "bench": bench[0], "diagnose": diagnose,
+             "diagnostic": diagnostic},
+            indent=2,
+        ) + "\n"
     )
     print(f"wrote {HASHES}")
 
