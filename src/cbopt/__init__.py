@@ -46,7 +46,6 @@ from .harness import (
     diagnostic_frozen_moment,
     diagnostic_laplace,
     diagnostic_pairwise_decay,
-    diagnostic_variance_decay,
     fit_decay_rate,
     laplace_standard_error,
     run,

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
@@ -39,7 +40,6 @@ from .harness import (
     diagnostic_frozen_moment,
     diagnostic_laplace,
     diagnostic_pairwise_decay,
-    diagnostic_variance_decay,
     fit_decay_rate,
     laplace_standard_error,
     run,
@@ -95,6 +95,19 @@ def _schedule(value, path: str):
     return _SCHEDULES[value["kind"]](**{n: _float(value.get(n), f"{path}.{n}") for n in names})
 
 
+class ConfigLoader(yaml.SafeLoader):
+    """The safe loader, also reading exponent floats without a dot or an
+    exponent sign (`1e-8`, `1.0e8`) as numbers, as YAML 1.2 does; YAML 1.1
+    reads them as strings."""
+
+
+ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 @dataclass(frozen=True)
 class Key:
     """One config key and the dataclass field it sets. A dataclass as `read`
@@ -111,7 +124,6 @@ class Key:
     note: str = ""
 
 
-_ALL = ("run", "bench", "diagnose")
 SCHEMA = (
     Key("objective.name", RunConfig, "objective", _name, tuple(benchmark_names())),
     Key("objective.dimension", RunConfig, "dimension", _int),
@@ -149,7 +161,8 @@ SCHEMA = (
         note="a number or one per dimension"),
     Key("harness.init.variance", InitSpec, "variance", _float, kinds=("gaussian",)),
     Key("harness.max_steps", RunConfig, "max_steps", _int),
-    Key("harness.seed", RunConfig, "master_seed", _int, flag="--seed", commands=_ALL),
+    Key("harness.seed", RunConfig, "master_seed", _int, flag="--seed",
+        commands=("run", "bench", "diagnose")),
     Key("harness.stop_eps", RunConfig, "stop_eps", _float, flag="--stop-eps",
         note="tested before each update of an unbatched run"),
     Key("harness.campaign", None, "campaign", CampaignSpec, note="needed by bench"),
@@ -158,8 +171,7 @@ SCHEMA = (
     Key("harness.campaign.norm", CampaignSpec, "norm", _name, NORMS),
     Key("harness.campaign.variants", CampaignSpec, "variants", _name, VARIANTS,
         note="a list; absent: the configured variant"),
-    Key("output.record_every", RunConfig, "record_every", _int, flag="--record-every",
-        commands=_ALL),
+    Key("output.record_every", RunConfig, "record_every", _int, flag="--record-every"),
 )
 _KEYS = {key.path: key for key in SCHEMA}
 _GROUPS = {key.path.rpartition(".")[0] for key in SCHEMA} - {""}  # the paths that hold keys
@@ -248,7 +260,7 @@ def parse_config(raw: bytes, args=None):
     given in `args` are written over their keys first, so a flag and its
     key share one check."""
     try:
-        document = yaml.safe_load(raw)
+        document = yaml.load(raw, Loader=ConfigLoader)
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML: {err}") from None
     document = {} if document is None else document
@@ -473,14 +485,8 @@ def _diagnose_variance(seed: int) -> List[str]:
         record_every=1_000_000,
         master_seed=seed,
     )
-    plan = RngPlan(seed)
-    decayed = 0
-    runs = 50
-    for r in range(runs):
-        series = diagnostic_variance_decay(replace(base, master_seed=plan.run_seed(r)))
-        if series[-1][1] < series[0][1]:
-            decayed += 1
-    fraction = decayed / runs
+    results = run_campaign(base, 50)
+    fraction = sum(r.trajectory[-1].variance < r.trajectory[0].variance for r in results) / 50
     verdict = "PASS" if fraction >= 0.95 else "FAIL"
     return [f"variance decay_fraction={fraction!r} threshold=0.95 {verdict}"]
 
@@ -524,10 +530,7 @@ def _shown(default) -> str:
         keys = [k for k in SCHEMA if k.owner is InitSpec and default.kind in (k.kinds or INIT_KINDS)]
         shown = (f"{k.path.rpartition('.')[2]}: {_shown(getattr(default, k.field))}" for k in keys)
         return "{" + ", ".join(shown) + "}"
-    value = getattr(default, "value", default)  # a constant schedule shows its value
-    if isinstance(value, float) and "." not in repr(value):
-        return repr(value).replace("e", ".0e")  # YAML 1.1 reads 1e-08 as a string
-    return str(value)
+    return str(getattr(default, "value", default))  # a constant schedule shows its value
 
 
 def _defaults_help() -> str:

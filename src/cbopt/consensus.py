@@ -3,13 +3,17 @@
 Weights are exp(-alpha * f) normalized to probabilities. The sample minimum
 of f is subtracted inside the exponent first, so all weights lie in (0, 1]
 and no overflow occurs even for alpha of order 1e6 on a bounded f-range.
-Reductions use numpy's index-ascending pairwise sums, which keeps results
-identical no matter how the f-evaluations were scheduled across workers.
+One reduction evaluates these shifted exponentials once and derives the
+consensus point and the log-normalizer from them, for one ensemble or for
+a stack of replicas. Reductions use numpy's index-ascending pairwise sums,
+which keeps results identical no matter how the f-evaluations were
+scheduled across workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -26,36 +30,46 @@ class ConsensusPoint:
     log_normalizer: float  # log((1/N) sum_i exp(-alpha f_i)), stabilized
 
 
-def weights(fvals, alpha) -> np.ndarray:
-    """Normalized weights proportional to exp(-alpha * f_i)."""
+def exponentials(fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
+    """exp(-alpha (f_i - min f)) over the last axis of `fvals`, and the shift
+    -alpha min f of each ensemble: the weights up to their normalization,
+    and the offset of the log-normalizer."""
     fvals = np.asarray(fvals, dtype=float)
-    if fvals.ndim != 1 or fvals.size < 1:
-        raise ValueError("fvals must be a nonempty vector")
+    if fvals.ndim < 1 or fvals.size < 1:
+        raise ValueError("fvals must be nonempty along the particle axis")
     if not np.isfinite(fvals).all():
         raise ValueError("non-finite objective value in weights")
     alpha = float(alpha)
     if not np.isfinite(alpha) or alpha < 0.0:
         raise ValueError("alpha must be finite and nonnegative")
-    shifted = np.exp(-alpha * (fvals - fvals.min()))
-    return shifted / shifted.sum()
+    fmin = fvals.min(axis=-1, keepdims=True)
+    if alpha == 0.0:  # 0 * inf is NaN where f spans more than the float range
+        return np.ones_like(fvals), np.zeros(fmin.shape[:-1])
+    return np.exp(-alpha * (fvals - fmin)), -alpha * fmin[..., 0]
 
 
-def log_mean_exp_neg(fvals, alpha) -> float:
-    """Stabilized log((1/N) sum exp(-alpha f_i))."""
-    fvals = np.asarray(fvals, dtype=float)
-    peak = -alpha * fvals.min()
-    return float(peak + np.log(np.mean(np.exp(-alpha * fvals - peak))))
+def weights(fvals, alpha) -> np.ndarray:
+    """Normalized weights proportional to exp(-alpha * f_i)."""
+    shifted, _ = exponentials(fvals, alpha)
+    return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
+def consensus_reduction(positions, fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
+    """Consensus points v and log-normalizers log((1/N) sum_i exp(-alpha f_i))
+    of (N, d) positions with (N,) values, or of each ensemble in a
+    (..., N, d) stack with (..., N) values; v has shape (..., d)."""
+    shifted, shift = exponentials(fvals, alpha)
+    total = shifted.sum(axis=-1, keepdims=True)
+    v = ((shifted / total)[..., None] * positions).sum(axis=-2)
+    return v, shift + np.log(total[..., 0] / shifted.shape[-1])
 
 
 def consensus_from_values(
     positions: np.ndarray, fvals: np.ndarray, alpha: float, f: ObjectiveFunction
 ) -> ConsensusPoint:
     """Build the consensus point from precomputed objective values."""
-    w = weights(fvals, alpha)
-    v = (w[:, None] * positions).sum(axis=0)
-    return ConsensusPoint(
-        v=v, f_at_v=float(f(v)), log_normalizer=log_mean_exp_neg(fvals, alpha)
-    )
+    v, log_normalizer = consensus_reduction(positions, fvals, alpha)
+    return ConsensusPoint(v=v, f_at_v=float(f(v)), log_normalizer=float(log_normalizer))
 
 
 def weighted_mean(e: Ensemble, f: ObjectiveFunction, alpha: float) -> ConsensusPoint:
@@ -69,7 +83,5 @@ def laplace_value(e: Ensemble, f: ObjectiveFunction, alpha: float) -> float:
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    fvals = np.asarray(f(e.positions), dtype=float)
-    if not np.isfinite(fvals).all():
-        raise ValueError("non-finite objective value")
-    return -log_mean_exp_neg(fvals, alpha) / alpha
+    _, log_normalizer = consensus_reduction(e.positions, f(e.positions), alpha)
+    return float(-log_normalizer / alpha)

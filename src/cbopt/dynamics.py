@@ -132,8 +132,8 @@ def consensus_condition(p: VariantParams, d: int) -> bool:
 
 def anisotropic_kick(positions, v, lam, sigma, dt, z) -> np.ndarray:
     """Component-wise Euler-Maruyama update toward a given consensus point
-    v, for random-batch updates and the replica sweep of the pairwise
-    diagnostic."""
+    v, for random-batch updates, the replica sweep of the pairwise
+    diagnostic and the frozen-moment diagnostic (v = 0)."""
     diff = positions - v
     return positions - lam * dt * diff + sigma * np.sqrt(dt) * diff * z
 

@@ -150,14 +150,15 @@ def moments(e: Ensemble):
     return mean, variance
 
 
-def mean_pairwise_sq_dist(e: Ensemble) -> float:
-    """Average of |X^i - X^j|^2 over all unordered pairs i != j."""
-    n = e.n_particles
+def mean_pairwise_sq_dist(positions):
+    """Average of |X^i - X^j|^2 over all unordered pairs i != j of (N, d)
+    positions, or of each ensemble in a (..., N, d) stack."""
+    n = positions.shape[-2]
     if n < 2:
         raise ValueError("pairwise distance needs at least two particles")
-    centered = e.positions - e.positions.mean(axis=0)
+    centered = positions - positions.mean(axis=-2, keepdims=True)
     # sum over pairs i<j equals N * sum_i |X^i - mean|^2
-    return float(2.0 * np.sum(centered * centered) / (n - 1))
+    return (2.0 / (n - 1)) * np.sum(centered * centered, axis=(-2, -1))
 
 
 def positions_to_csv(e: Ensemble) -> str:

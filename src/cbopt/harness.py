@@ -25,7 +25,9 @@ from .batching import (
     make_batches,
     stop_check,
 )
-from .consensus import ConsensusPoint, laplace_value, weighted_mean
+from .consensus import (
+    ConsensusPoint, consensus_reduction, exponentials, laplace_value, weighted_mean,
+)
 from .dynamics import (
     VARIANTS,
     DivergenceError,
@@ -44,6 +46,7 @@ from .ensemble import (
     STREAM_INIT,
     check_choice,
     init_ensemble,
+    mean_pairwise_sq_dist,
     moments,
 )
 from .integrators import frozen_gbm, split_diffusion, split_drift
@@ -347,6 +350,7 @@ def diagnostic_frozen_moment(
         raise ValueError("need at least 1000 particles for a stable fit")
     plan = RngPlan(seed)
     x = plan.generator(STREAM_INIT, 0).standard_normal((n, d))
+    e = Ensemble(x)
     steps = int(round(t_final / dt))
     second = np.empty(steps + 1)
     second[0] = np.mean(np.sum(x * x, axis=1))
@@ -355,11 +359,11 @@ def diagnostic_frozen_moment(
         z = plan.normal_block(STREAM_DIFFUSION, s, (n, d))
         if variant == "isotropic":
             scale = np.sqrt(np.sum(x * x, axis=1))[:, None]
+            new = x - lam * dt * x + sigma * sqrt_dt * scale * z
         else:
-            scale = x
-        x = x - lam * dt * x + sigma * sqrt_dt * scale * z
-        if not np.isfinite(x).all():
-            raise DivergenceError(s)
+            new = anisotropic_kick(x, 0.0, lam, sigma, dt, z)
+        e = advance(e, new, dt)
+        x = e.positions
         second[s + 1] = np.mean(np.sum(x * x, axis=1))
     times = dt * np.arange(steps + 1)
     fitted = fit_decay_rate(np.column_stack([times, second]))
@@ -382,20 +386,8 @@ def diagnostic_laplace(
 def laplace_standard_error(e: Ensemble, f: ObjectiveFunction, alpha: float) -> float:
     """Delta-method standard error of the Monte Carlo Laplace value; the
     stabilizing shift cancels in the ratio."""
-    fvals = np.asarray(f(e.positions), dtype=float)
-    w = np.exp(-alpha * (fvals - fvals.min()))
-    return float(np.std(w, ddof=1) / (alpha * np.mean(w) * np.sqrt(w.size)))
-
-
-def diagnostic_variance_decay(config: RunConfig) -> List[Tuple[float, float]]:
-    """Empirical variance over time for a full (non-frozen) run.
-
-    Exponential decay is only expected when consensus_condition holds for
-    the configured variant; with the condition violated (e.g. common noise
-    with 2*lam < sigma^2) the series is the interesting counterexample.
-    """
-    result = run(config)
-    return [(pt.time, pt.variance) for pt in result.trajectory]
+    shifted, _ = exponentials(f(e.positions), alpha)
+    return float(np.std(shifted, ddof=1) / (alpha * np.mean(shifted) * np.sqrt(shifted.size)))
 
 
 def diagnostic_pairwise_decay(
@@ -422,23 +414,14 @@ def diagnostic_pairwise_decay(
     plan = RngPlan(seed)
     positions = plan.generator(STREAM_INIT, 0).standard_normal((replicas, n, d))
     steps = int(round(t_final / h))
-    pair_factor = 2.0 / (n - 1)
-
-    def mean_pairwise(x):
-        centered = x - x.mean(axis=1, keepdims=True)
-        return pair_factor * np.sum(centered * centered, axis=(1, 2))
-
     series = np.empty(steps + 1)
-    series[0] = np.mean(mean_pairwise(positions))
+    series[0] = np.mean(mean_pairwise_sq_dist(positions))
     for s in range(steps):
-        fvals = np.asarray(f(positions), dtype=float)  # (replicas, n)
-        shifted = np.exp(-alpha * (fvals - fvals.min(axis=1, keepdims=True)))
-        w = shifted / shifted.sum(axis=1, keepdims=True)
-        v = (w[:, :, None] * positions).sum(axis=1)  # (replicas, d)
+        v, _ = consensus_reduction(positions, f(positions), alpha)  # (replicas, d)
         z = plan.normal_block(STREAM_DIFFUSION, s, (replicas, d))
         positions = anisotropic_kick(
             positions, v[:, None, :], lam, sigma, h, z[:, None, :]
         )
-        series[s + 1] = np.mean(mean_pairwise(positions))
+        series[s + 1] = np.mean(mean_pairwise_sq_dist(positions))
     times = h * np.arange(steps + 1)
     return list(zip(times.tolist(), series.tolist()))

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from cbopt.batching import BatchParams
-from cbopt.cli import SCHEMA, ConfigError, main, parse_config
+from cbopt.cli import SCHEMA, ConfigError, ConfigLoader, main, parse_config
 from cbopt.dynamics import VariantParams
 from cbopt.ensemble import InitSpec
 from cbopt.harness import CampaignSpec, RunConfig
@@ -158,6 +158,25 @@ class TestParseConfig:
             "harness: {campaign: {runs: 100, tolerance: 0.25, norm: infinity}}\n"
         )
         assert parse_config(explicit.encode()) == parse_config(batched.encode())
+
+    @pytest.mark.parametrize(
+        "yaml_tail, read, value",
+        [
+            ("harness: {stop_eps: 1e-8}\n", lambda c: c.stop_eps, 1e-8),
+            ("harness: {stop_eps: 1.0e8}\n", lambda c: c.stop_eps, 1e8),
+            ("params: {alpha: 1e2}\n", lambda c: c.params.alpha, 100.0),
+            ("params: {dt: .5E-2}\n", lambda c: c.params.dt, 0.005),
+            ("harness: {stop_eps: '1e-8'}\n", None, "harness.stop_eps must be a number"),
+            ('params: {alpha: "1e2"}\n', None, "params.alpha must be a number"),
+        ],
+    )
+    def test_exponent_floats_are_numbers_unless_quoted(self, yaml_tail, read, value):
+        raw = (MINIMAL + yaml_tail).encode()
+        if read is None:
+            with pytest.raises(ConfigError, match=value):
+                parse_config(raw)
+        else:
+            assert read(parse_config(raw)[0]) == value
 
     def test_stop_eps_flag_follows_batching(self):
         args = argparse.Namespace(stop_eps=1e-3)
@@ -392,6 +411,16 @@ def test_config_error_names_key_without_traceback(tmp_path, yaml_tail, argv, key
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["bench", "--config"], ["diagnose", "laplace", "--config"]])
+def test_record_every_is_a_usage_error_outside_run(tmp_path, argv):
+    path = tmp_path / "bench.yaml"
+    path.write_text(BENCH)
+    proc = invoke([*argv, str(path), "--record-every", "5"])
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --record-every 5" in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestCmdDiagnose:
     def test_unknown_suite(self):
         proc = invoke(["diagnose", "spectral"])
@@ -453,6 +482,6 @@ def test_help_documents_defaults():
         elif field.default is None:
             assert text == "absent", line
         else:  # the documented default reads back as the dataclass default
-            value = yaml.safe_load(text)
+            value = yaml.load(text, Loader=ConfigLoader)  # as a config would read it
             value = "off" if value is False else value  # YAML 1.1 reads a bare off as false
             assert value == getattr(field.default, "value", field.default), line

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cbopt.consensus import laplace_value, weighted_mean, weights
+from cbopt.consensus import consensus_reduction, laplace_value, weighted_mean, weights
 from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.objectives import ObjectiveFunction, make_objective
 
@@ -157,3 +160,68 @@ class TestLaplaceValue:
         e = Ensemble(np.zeros((3, 1)))
         with pytest.raises(ValueError):
             laplace_value(e, quadratic(1), 0.0)
+
+
+def _values(shape, bound):
+    return arrays(float, shape, elements=st.floats(-bound, bound, allow_nan=False))
+
+
+@st.composite
+def ensembles(draw, stacked=False):
+    """(positions, fvals): (R, N, d) and (R, N) when stacked, else (N, d) and (N,)."""
+    lead = (draw(st.integers(1, 4)),) if stacked else ()
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    return draw(_values(lead + (n, d), 10.0)), draw(_values(lead + (n,), 10.0))
+
+
+class TestReductionProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(ensemble=ensembles(stacked=True), alpha=st.floats(0.0, 100.0))
+    def test_stack_matches_separate_weighted_means_bitwise(self, ensemble, alpha):
+        positions, fvals = ensemble
+        v, log_normalizer = consensus_reduction(positions, fvals, alpha)
+        for r, rows in enumerate(positions):
+            # the drawn values at the particles; f(v) plays no part in v
+            drawn = ObjectiveFunction("drawn", lambda x, r=r: fvals[r] if x.ndim == 2 else 0.0,
+                                      rows.shape[1])
+            cp = weighted_mean(Ensemble(rows), drawn, alpha)
+            assert v[r].tobytes() == cp.v.tobytes()
+            assert log_normalizer[r] == cp.log_normalizer
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ensemble=ensembles(),
+        alpha=st.floats(0.0, 10.0),
+        c=st.floats(-10.0, 10.0),
+        shift=st.floats(-10.0, 10.0),
+    )
+    def test_invariant_under_f_plus_c_and_equivariant_under_translation(
+        self, ensemble, alpha, c, shift
+    ):
+        # |f|, |c|, |x| <= 10 and alpha <= 10 bound the rounding of f + c in
+        # the exponent, and of x + shift, well below 1e-12 of the scale
+        positions, fvals = ensemble
+        v, _ = consensus_reduction(positions, fvals, alpha)
+        scale = 1e-12 * (1.0 + np.max(np.abs(positions)) + abs(shift))
+        np.testing.assert_allclose(
+            consensus_reduction(positions, fvals + c, alpha)[0], v, rtol=1e-12, atol=scale
+        )
+        np.testing.assert_allclose(
+            consensus_reduction(positions + shift, fvals, alpha)[0], v + shift,
+            rtol=1e-12, atol=scale,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fvals=arrays(float, st.integers(1, 12), elements=st.floats(allow_nan=False,
+                                                                   allow_infinity=False)),
+        alpha=st.one_of(st.floats(0.0, 1e308), st.just(1e308), st.just(0.0)),
+    )
+    @example(fvals=np.array([3.0, 5.0]), alpha=1e308)  # -alpha f overflows
+    @example(fvals=np.array([-1e308, 1e308]), alpha=0.0)  # f - min f overflows
+    def test_log_normalizer_is_never_nan(self, fvals, alpha):
+        positions = np.linspace(-1.0, 1.0, fvals.size)[:, None]
+        with np.errstate(over="ignore"):
+            v, log_normalizer = consensus_reduction(positions, fvals, alpha)
+        assert not np.isnan(log_normalizer)
+        assert np.isfinite(v).all()

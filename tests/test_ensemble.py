@@ -143,9 +143,9 @@ class TestMoments:
 
 class TestPairwiseDistance:
     def test_examples(self):
-        assert mean_pairwise_sq_dist(Ensemble(np.ones((5, 2)))) == pytest.approx(0.0, abs=1e-14)
-        assert mean_pairwise_sq_dist(Ensemble(np.array([[0.0], [3.0]]))) == pytest.approx(9.0)
-        three = Ensemble(np.array([[0.0], [1.0], [2.0]]))
+        assert mean_pairwise_sq_dist(np.ones((5, 2))) == pytest.approx(0.0, abs=1e-14)
+        assert mean_pairwise_sq_dist(np.array([[0.0], [3.0]])) == pytest.approx(9.0)
+        three = np.array([[0.0], [1.0], [2.0]])
         assert mean_pairwise_sq_dist(three) == pytest.approx(2.0)  # (1+4+1)/3
 
     def test_matches_brute_force(self):
@@ -157,11 +157,18 @@ class TestPairwiseDistance:
             for j in range(i + 1, 25):
                 total += float(np.sum((pos[i] - pos[j]) ** 2))
                 count += 1
-        assert mean_pairwise_sq_dist(Ensemble(pos)) == pytest.approx(total / count, rel=1e-12)
+        assert mean_pairwise_sq_dist(pos) == pytest.approx(total / count, rel=1e-12)
+
+    def test_stack_matches_each_ensemble_bitwise(self):
+        stack = np.random.default_rng(15).normal(size=(3, 2, 7, 4))
+        spread = mean_pairwise_sq_dist(stack)
+        assert spread.shape == (3, 2)
+        for index in np.ndindex(3, 2):
+            assert spread[index] == mean_pairwise_sq_dist(stack[index])
 
     def test_needs_two_particles(self):
         with pytest.raises(ValueError):
-            mean_pairwise_sq_dist(Ensemble(np.zeros((1, 3))))
+            mean_pairwise_sq_dist(np.zeros((1, 3)))
 
 
 class TestCsvRoundTrip:

@@ -15,7 +15,6 @@ from cbopt.harness import (
     diagnostic_frozen_moment,
     diagnostic_laplace,
     diagnostic_pairwise_decay,
-    diagnostic_variance_decay,
     fit_decay_rate,
     laplace_standard_error,
     run,
@@ -358,13 +357,13 @@ class TestVarianceDecayDiagnostic:
             max_steps=20,
             record_every=1,
         )
-        series = diagnostic_variance_decay(config)
-        assert all(v == 0.0 for _, v in series)
+        trajectory = run(config).trajectory
+        assert all(pt.variance == 0.0 for pt in trajectory)
 
     def test_decay_under_consensus_condition(self):
         config = small_config(max_steps=300, record_every=300)
-        series = diagnostic_variance_decay(config)
-        assert series[-1][1] < series[0][1]
+        trajectory = run(config).trajectory
+        assert trajectory[-1].variance < trajectory[0].variance
 
     def test_growth_with_common_noise_violating_condition(self):
         config = small_config(
@@ -373,8 +372,8 @@ class TestVarianceDecayDiagnostic:
             record_every=400,
             master_seed=11,
         )
-        series = diagnostic_variance_decay(config)
-        assert series[-1][1] > series[0][1]
+        trajectory = run(config).trajectory
+        assert trajectory[-1].variance > trajectory[0].variance
 
 
 class TestPairwiseDiagnostic:
@@ -390,10 +389,10 @@ class TestPairwiseDiagnostic:
         p = VariantParams(lam=lam, sigma=sigma, alpha=alpha, dt=h, variant="common_noise")
         from cbopt.ensemble import mean_pairwise_sq_dist
 
-        manual = [mean_pairwise_sq_dist(e)]
+        manual = [mean_pairwise_sq_dist(e.positions)]
         for _ in range(5):
             e = step(e, f, p, plan)[0]
-            manual.append(mean_pairwise_sq_dist(e))
+            manual.append(mean_pairwise_sq_dist(e.positions))
         assert np.allclose([v for _, v in series], manual, rtol=1e-12, atol=0)
 
     def test_decay_rate_short(self):
