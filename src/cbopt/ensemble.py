@@ -7,6 +7,13 @@ coordinates. Draws for distinct (particle, coordinate, step) triples are
 therefore independent by construction, and a fixed master seed reproduces
 the identical sequence no matter how many workers evaluate it or in which
 order.
+
+A plan builds one Philox generator on first use and repositions it at each
+``generator(stream, step)`` call by writing the counter block into its
+state, which gives the bits a freshly seeded generator would. The returned
+generator is the plan's own and stays valid only until the plan's next
+``generator`` or ``normal_block`` call, so draw from it before that call,
+and do not share one plan between threads.
 """
 
 from __future__ import annotations
@@ -56,14 +63,33 @@ class RngPlan:
             raise FieldError("master_seed", "must be a 64-bit unsigned integer")
 
     def generator(self, stream: int, step: int) -> np.random.Generator:
-        """Fresh generator for one (stream, step) block of the Philox counter."""
-        bitgen = np.random.Philox(
-            key=int(self.master_seed), counter=[0, 0, int(step), int(stream)]
-        )
-        return np.random.Generator(bitgen)
+        """Generator at the start of the (stream, step) block of the Philox
+        counter: it draws bit for bit what a fresh
+        ``Generator(Philox(key=master_seed, counter=[0, 0, step, stream]))``
+        draws, with the counter as four uint64 words.
+
+        It is the plan's own generator, repositioned on every call: it stays
+        valid until the next `generator` or `normal_block` call on this plan,
+        so draw from it before that call and keep the plan to one thread.
+        """
+        # the cache is not a dataclass field, so ==, hash and repr ignore it
+        if "_philox" not in self.__dict__:
+            bitgen = np.random.Philox(key=int(self.master_seed))
+            # a state with an empty 64-bit buffer (buffer_pos 4) and no
+            # buffered 32-bit half (has_uint32 0), as a fresh generator has
+            cache = (bitgen, np.random.Generator(bitgen), bitgen.state)
+            object.__setattr__(self, "_philox", cache)
+        bitgen, gen, state = self._philox
+        state["state"]["counter"] = [0, 0, int(step), int(stream)]
+        bitgen.state = state
+        return gen
 
     def normal_block(self, stream: int, step: int, shape) -> np.ndarray:
         return self.generator(stream, step).standard_normal(shape)
+
+    def __getstate__(self):
+        # a copy or an unpickled plan builds its own generator
+        return {"master_seed": self.master_seed}
 
     def run_seed(self, run_index: int) -> int:
         """Independent 64-bit master seed for run ``run_index`` of a campaign."""

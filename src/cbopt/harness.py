@@ -299,6 +299,8 @@ def run_campaign(config: RunConfig, runs: int, workers: int = 1) -> List[RunResu
     configs = [
         replace(config, master_seed=s) for s in campaign_seeds(config.master_seed, runs)
     ]
+    # a pool starts all its workers at once, so never ask for more than runs
+    workers = min(workers, runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, configs))

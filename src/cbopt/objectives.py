@@ -24,23 +24,23 @@ def _as_points(x) -> np.ndarray:
 def ackley(x):
     """Ackley function: exponential well at the origin under cosine ripples."""
     x = _as_points(x)
-    rms = np.sqrt(np.mean(x * x, axis=-1))
-    cos_mean = np.mean(np.cos(2.0 * np.pi * x), axis=-1)
+    rms = np.sqrt((x * x).mean(axis=-1))
+    cos_mean = np.cos(2.0 * np.pi * x).mean(axis=-1)
     return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + np.e
 
 
 def rastrigin(x):
     """Rastrigin function: quadratic bowl with a cosine lattice of minima."""
     x = _as_points(x)
-    return np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
+    return (x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0).sum(axis=-1)
 
 
 def griewank(x):
     """Griewank function: shallow quadratic with a product-of-cosines ripple."""
     x = _as_points(x)
     idx = np.arange(1, x.shape[-1] + 1, dtype=float)
-    quad = np.sum(x * x, axis=-1) / 4000.0
-    ripple = np.prod(np.cos(x / np.sqrt(idx)), axis=-1)
+    quad = (x * x).sum(axis=-1) / 4000.0
+    ripple = np.cos(x / np.sqrt(idx)).prod(axis=-1)
     return 1.0 + quad - ripple
 
 
@@ -48,15 +48,15 @@ def zakharov(x):
     """Zakharov function: sphere plus even powers of a weighted coordinate sum."""
     x = _as_points(x)
     idx = np.arange(1, x.shape[-1] + 1, dtype=float)
-    lin = np.sum(0.5 * idx * x, axis=-1)
-    return np.sum(x * x, axis=-1) + lin**2 + lin**4
+    lin = (0.5 * idx * x).sum(axis=-1)
+    return (x * x).sum(axis=-1) + lin**2 + lin**4
 
 
 def wavy(x):
     # Canonical form with frequency k = 10; the mean of cos(kx)*exp(-x^2/2)
     # is damped away from the origin, giving many shallow local minima.
     x = _as_points(x)
-    return 1.0 - np.mean(np.cos(10.0 * x) * np.exp(-0.5 * x * x), axis=-1)
+    return 1.0 - (np.cos(10.0 * x) * np.exp(-0.5 * x * x)).mean(axis=-1)
 
 
 @dataclass(frozen=True)

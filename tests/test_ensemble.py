@@ -1,8 +1,15 @@
 """Ensemble state, reproducible streams, and empirical moment tests."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cbopt import harness
+from cbopt.dynamics import VariantParams
 from cbopt.ensemble import (
     Ensemble,
     InitSpec,
@@ -13,6 +20,31 @@ from cbopt.ensemble import (
     positions_from_csv,
     positions_to_csv,
 )
+
+TOP = (1 << 64) - 1
+U64 = st.integers(0, TOP)
+
+
+def _draw(gen, kind, size):
+    """One draw of odd length: `integers` leaves a buffered 32-bit half, the
+    others leave the 64-bit block buffer part used."""
+    if kind == "standard_normal":
+        return gen.standard_normal(size)
+    if kind == "uniform":
+        return gen.uniform(-1.0, 2.0, size)
+    if kind == "integers":
+        return gen.integers(0, 1000, size)
+    return gen.permutation(size)
+
+
+DRAWS = st.lists(
+    st.tuples(
+        st.sampled_from(["standard_normal", "uniform", "integers", "permutation"]),
+        st.sampled_from([1, 3, 5, 7]),
+    ),
+    max_size=6,
+)
+INTERLEAVED = [("integers", 3), ("standard_normal", 5), ("permutation", 7), ("uniform", 1)]
 
 
 class TestRngPlan:
@@ -39,6 +71,63 @@ class TestRngPlan:
         seeds = [plan.run_seed(r) for r in range(50)]
         assert len(set(seeds)) == 50
         assert seeds == [RngPlan(77).run_seed(r) for r in range(50)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=U64, blocks=st.lists(st.tuples(U64, U64, DRAWS), min_size=1, max_size=5))
+    @example(seed=0, blocks=[(1, 0, INTERLEAVED), (1, 1, INTERLEAVED), (0, 0, INTERLEAVED)])
+    @example(seed=TOP, blocks=[(2, 7, INTERLEAVED), (TOP, TOP, INTERLEAVED)])
+    def test_repositioned_generator_matches_fresh_bitwise(self, seed, blocks):
+        # the counter goes in as uint64: numpy reads a list holding a word of
+        # 2**63 or more through float64, which rounds it (2**64 - 1 -> 0)
+        plan = RngPlan(seed)
+        for stream, step, draws in blocks:
+            gen = plan.generator(stream, step)
+            counter = np.array([0, 0, step, stream], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+            for kind, size in draws:
+                assert np.array_equal(_draw(gen, kind, size), _draw(fresh, kind, size))
+
+    def test_small_counters_match_the_list_form(self):
+        for stream, step in [(0, 0), (1, 7), (2, (1 << 63) - 1)]:
+            fresh = np.random.Generator(np.random.Philox(key=9, counter=[0, 0, step, stream]))
+            assert np.array_equal(
+                RngPlan(9).normal_block(stream, step, 5), fresh.standard_normal(5)
+            )
+
+    def test_top_counter_words_address_their_own_blocks(self):
+        plan = RngPlan(9)
+        assert not np.array_equal(plan.normal_block(TOP, TOP, 5), plan.normal_block(0, 0, 5))
+
+    def test_run_builds_one_philox(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        config = harness.RunConfig(
+            objective="rastrigin",
+            dimension=3,
+            params=VariantParams(lam=1.0, sigma=0.7, alpha=10.0, dt=0.01, variant="anisotropic"),
+            n_particles=8,
+            max_steps=50,
+            master_seed=3,
+        )
+        assert harness.run(config).steps == 50
+        assert len(built) <= 1
+
+    def test_used_plan_compares_hashes_and_pickles_like_a_fresh_one(self):
+        plan, fresh = RngPlan(41), RngPlan(41)
+        first = plan.normal_block(1, 3, (3, 3))
+        assert plan == fresh and hash(plan) == hash(fresh) and repr(plan) == repr(fresh)
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone == plan and hash(clone) == hash(plan) and repr(clone) == repr(plan)
+        assert np.array_equal(clone.normal_block(1, 3, (3, 3)), first)
+        assert np.array_equal(clone.normal_block(2, 8, 5), fresh.normal_block(2, 8, 5))
+        assert np.array_equal(plan.normal_block(2, 8, 5), fresh.normal_block(2, 8, 5))
+        assert copy.copy(plan).generator(0, 0) is not plan.generator(0, 0)
 
     def test_seed_bounds(self):
         RngPlan(0)

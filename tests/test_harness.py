@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cbopt import harness
 from cbopt.batching import BatchParams, ConstantSchedule
 from cbopt.dynamics import VariantParams, step
 from cbopt.ensemble import Ensemble, FieldError, InitSpec, RngPlan, init_ensemble
@@ -273,6 +274,35 @@ class TestCampaign:
             assert a.seed == b.seed
             assert np.array_equal(a.final_consensus.v, b.final_consensus.v)
             assert np.array_equal(a.final_positions, b.final_positions)
+
+    def test_workers_capped_at_runs(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        config = small_config(max_steps=10)
+        serial = run_campaign(config, 3)
+        pooled = run_campaign(config, 3, workers=64)
+        assert pools == [3]
+        assert [r.seed for r in pooled] == [r.seed for r in serial]
+        for a, b in zip(serial, pooled):
+            assert np.array_equal(a.final_positions, b.final_positions)
+        run_campaign(config, 1, workers=64)
+        assert pools == [3]  # one run stays in this process
 
 
 class TestFitDecayRate:
