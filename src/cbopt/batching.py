@@ -144,8 +144,10 @@ def batch_update(
     left bit-identical. Advances the clock by gamma.
 
     Scope indices are sorted, so noise rows attach to particles in index
-    order whatever order the batch came in.
-    """
+    order whatever order the batch came in. A full scope (every row once)
+    kicks the whole array with the same (N, d) draw, bit for bit, with no
+    gather, copy or scatter. A size-N scope with a repeat is gathered, and
+    the last write to a row wins."""
     if bp.sigma_schedule is None:
         raise ValueError("sigma_schedule must be resolved before batch_update")
     gamma = float(bp.gamma_schedule(k, theta))
@@ -156,6 +158,9 @@ def batch_update(
         raise ValueError("sigma schedule must yield nonnegative noise scales")
     scope = np.sort(np.asarray(scope, dtype=np.int64))
     z = rng.normal_block(STREAM_DIFFUSION, e.step_count, (scope.size, e.dimension))
+    full = scope.size == e.n_particles and scope[0] == 0 and scope[-1] == scope.size - 1
+    if full and (scope[1:] != scope[:-1]).all():  # sorted 0..N-1, every row once
+        return advance(e, anisotropic_kick(e.positions, v.v, lam, sigma, gamma, z), gamma)
     new = e.positions.copy()
     new[scope] = anisotropic_kick(e.positions[scope], v.v, lam, sigma, gamma, z)
     return advance(e, new, gamma)
@@ -167,4 +172,4 @@ def stop_check(v_prev, v_curr, d: int, eps: float) -> bool:
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     delta = np.asarray(v_curr, dtype=float) - np.asarray(v_prev, dtype=float)
-    return bool(np.sum(delta * delta) / d <= eps)
+    return bool(np.add.reduce(delta * delta, axis=None) / d <= eps)

@@ -12,6 +12,7 @@ scheduled across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -40,9 +41,9 @@ def exponentials(fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(fvals).all():
         raise ValueError("non-finite objective value in weights")
     alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha < 0.0:
+    if not math.isfinite(alpha) or alpha < 0.0:
         raise ValueError("alpha must be finite and nonnegative")
-    fmin = fvals.min(axis=-1, keepdims=True)
+    fmin = np.minimum.reduce(fvals, axis=-1, keepdims=True)
     if alpha == 0.0:  # 0 * inf is NaN where f spans more than the float range
         return np.ones_like(fvals), np.zeros(fmin.shape[:-1])
     return np.exp(-alpha * (fvals - fmin)), -alpha * fmin[..., 0]
@@ -51,7 +52,7 @@ def exponentials(fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
 def weights(fvals, alpha) -> np.ndarray:
     """Normalized weights proportional to exp(-alpha * f_i)."""
     shifted, _ = exponentials(fvals, alpha)
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    return shifted / np.add.reduce(shifted, axis=-1, keepdims=True)
 
 
 def consensus_reduction(positions, fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
@@ -59,8 +60,8 @@ def consensus_reduction(positions, fvals, alpha) -> Tuple[np.ndarray, np.ndarray
     of (N, d) positions with (N,) values, or of each ensemble in a
     (..., N, d) stack with (..., N) values; v has shape (..., d)."""
     shifted, shift = exponentials(fvals, alpha)
-    total = shifted.sum(axis=-1, keepdims=True)
-    v = ((shifted / total)[..., None] * positions).sum(axis=-2)
+    total = np.add.reduce(shifted, axis=-1, keepdims=True)
+    v = np.add.reduce((shifted / total)[..., None] * positions, axis=-2)
     return v, shift + np.log(total[..., 0] / shifted.shape[-1])
 
 

@@ -9,12 +9,15 @@ isotropic noise (original), per-coordinate noise (anisotropic), one draw
 per coordinate shared by all particles (common_noise), a second gated pull
 toward a per-particle memory (personal_best), or tangential projections
 with an Ito correction and a renormalization onto the unit sphere
-(sphere). Per-particle work is independent within a step; the consensus
+(sphere). An exact heaviside gate is a comparison, and `gate_pair` builds
+an exact pair of gates with one conjunction, bitwise what their product
+gives. Per-particle work is independent within a step; the consensus
 reduction is the only synchronization point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,7 +115,7 @@ def heaviside(x, mode: str, epsilon: Optional[float] = None):
     if mode == "off":
         out = np.ones_like(x)
     elif mode == "exact":
-        out = np.where(x >= 0.0, 1.0, 0.0)
+        out = (x >= 0.0).astype(float)
     elif mode == "regularized":
         if epsilon is None or not epsilon > 0.0:
             raise ValueError("regularized heaviside needs positive epsilon")
@@ -120,6 +123,15 @@ def heaviside(x, mode: str, epsilon: Optional[float] = None):
     else:
         raise ValueError(f"unknown heaviside mode {mode!r}")
     return float(out) if out.ndim == 0 else out
+
+
+def gate_pair(a, b, mode: str, epsilon: Optional[float] = None):
+    """heaviside(a) * heaviside(b) in `mode`, bit for bit, for float arrays."""
+    if mode == "exact":  # two comparisons and one conjunction, in place
+        both = a >= 0.0
+        both &= b >= 0.0
+        return both.astype(float)
+    return heaviside(a, mode, epsilon) * heaviside(b, mode, epsilon)
 
 
 def consensus_condition(p: VariantParams, d: int) -> bool:
@@ -135,7 +147,7 @@ def anisotropic_kick(positions, v, lam, sigma, dt, z) -> np.ndarray:
     v, for random-batch updates, the replica sweep of the pairwise
     diagnostic and the frozen-moment diagnostic (v = 0)."""
     diff = positions - v
-    return positions - lam * dt * diff + sigma * np.sqrt(dt) * diff * z
+    return positions - lam * dt * diff + sigma * math.sqrt(dt) * diff * z
 
 
 def advance(e: Ensemble, positions: np.ndarray, dt: float) -> Ensemble:
@@ -155,7 +167,7 @@ def advance(e: Ensemble, positions: np.ndarray, dt: float) -> Ensemble:
 def _tangential(x, y, norms_sq) -> np.ndarray:
     """Row-wise projection onto the tangent space of the sphere at x:
     P(x) y = y - x (x.y)/|x|^2."""
-    return y - x * (np.sum(x * y, axis=1) / norms_sq)[:, None]
+    return y - x * (np.add.reduce(x * y, axis=1) / norms_sq)[:, None]
 
 
 def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp):
@@ -169,7 +181,7 @@ def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp):
     shape = (e.dimension,) if p.variant == "common_noise" else x.shape
     z = rng.normal_block(STREAM_DIFFUSION, e.step_count, shape)
     diff = x - cp.v
-    sqrt_dt = np.sqrt(p.dt)
+    sqrt_dt = math.sqrt(p.dt)
     if p.variant in ("anisotropic", "common_noise"):
         # a coordinate that matches the consensus stays put; common noise
         # shares one draw per coordinate, so coincident particles stay so
@@ -182,7 +194,7 @@ def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp):
             fx = np.asarray(f(x), dtype=float)
             gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
         drift = p.lam * p.dt * diff * gate
-        noise = np.sqrt(2.0) * p.sigma * sqrt_dt * np.linalg.norm(diff, axis=1)[:, None] * z
+        noise = math.sqrt(2.0) * p.sigma * sqrt_dt * np.linalg.norm(diff, axis=1)[:, None] * z
     elif p.variant == "personal_best":
         # pure Heaviside gates pick the pull toward v or toward the personal
         # best, whichever has the smaller objective value; mode 'off' falls
@@ -191,20 +203,16 @@ def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp):
         mode = "exact" if p.heaviside_mode == "off" else p.heaviside_mode
         fx = np.asarray(f(x), dtype=float)
         fp = np.asarray(f(mem.p), dtype=float)
-        lam_gate = heaviside(fx - cp.f_at_v, mode, p.epsilon) * heaviside(
-            fp - cp.f_at_v, mode, p.epsilon
-        )
-        mu_gate = heaviside(fx - fp, mode, p.epsilon) * heaviside(
-            cp.f_at_v - fp, mode, p.epsilon
-        )
+        lam_gate = gate_pair(fx - cp.f_at_v, fp - cp.f_at_v, mode, p.epsilon)
+        mu_gate = gate_pair(fx - fp, cp.f_at_v - fp, mode, p.epsilon)
         drift = p.dt * (lam_gate[:, None] * diff + mu_gate[:, None] * (x - mem.p))
-        noise = np.sqrt(2.0) * p.sigma * sqrt_dt * diff * z
+        noise = math.sqrt(2.0) * p.sigma * sqrt_dt * diff * z
         mem = mem.accumulate(x, fx, p.beta, p.dt)
     else:  # sphere: tangential drift and diffusion
-        norms_sq = np.sum(x * x, axis=1)
+        norms_sq = np.add.reduce(x * x, axis=1)
         if np.any(norms_sq < 1e-24):
             raise SingularityError("particle at the origin: projection undefined")
-        dist_sq = np.sum(diff * diff, axis=1)
+        dist_sq = np.add.reduce(diff * diff, axis=1)
         drift = p.lam * p.dt * _tangential(x, diff, norms_sq)
         noise = p.sigma * sqrt_dt * np.sqrt(dist_sq)[:, None] * _tangential(x, z, norms_sq)
         # Ito correction along the outward normal: grad|x|=x/|x|, lap|x|=(d-1)/|x|

@@ -241,6 +241,7 @@ def run(config: RunConfig) -> RunResult:
         if bp.sigma_schedule is None:
             bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
         iterations, eps = _batches(config, plan), bp.stop_eps
+        all_rows = np.arange(config.n_particles) if bp.update_mode == "full" else None
     mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
     trajectory: List[TrajectoryPoint] = []
     v_prev = None
@@ -269,7 +270,7 @@ def run(config: RunConfig) -> RunResult:
                 if batch is None:
                     e, mem = _step(e, f, p, plan, config.integrator, mem, cp)
                 else:
-                    scope = batch if bp.update_mode == "partial" else np.arange(e.n_particles)
+                    scope = batch if all_rows is None else all_rows
                     e = batch_update(e, cp, bp, scope, plan, lam=p.lam, k=k, theta=theta)
             except DivergenceError:
                 status = "divergence"

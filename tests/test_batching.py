@@ -3,6 +3,8 @@ updates, and the stopping rule."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbopt.batching import (
     BatchParams,
@@ -16,7 +18,7 @@ from cbopt.batching import (
 )
 from cbopt.consensus import weighted_mean
 from cbopt.dynamics import VariantParams, step
-from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
+from cbopt.ensemble import Ensemble, InitSpec, RngPlan, STREAM_DIFFUSION, init_ensemble
 from cbopt.objectives import make_objective
 
 
@@ -119,6 +121,18 @@ class TestBatchConsensus:
             batch_consensus(e, f, 1.0, [])
 
 
+def gathered_update(e, v, scope, plan, lam, sigma, gamma):
+    """Reference batch update: sort the scope, gather its rows, kick them
+    with one noise row each, and scatter them into a copy of the positions."""
+    scope = np.sort(scope)
+    z = plan.normal_block(STREAM_DIFFUSION, e.step_count, (scope.size, e.dimension))
+    x = e.positions[scope]
+    diff = x - v
+    new = e.positions.copy()
+    new[scope] = x - lam * gamma * diff + sigma * np.sqrt(gamma) * diff * z
+    return new
+
+
 class TestBatchUpdate:
     def test_full_contraction_lands_on_consensus(self):
         f = make_objective("ackley", 2)
@@ -158,6 +172,50 @@ class TestBatchUpdate:
         batched = batch_update(e, cp, bp, np.arange(8), plan, lam=1.0)
         assert np.array_equal(stepped.positions, batched.positions)
         assert batched.time == stepped.time
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**64 - 1),
+        gamma=st.floats(1e-4, 1.0),
+        sigma=st.floats(0.0, 2.0),
+        form=st.sampled_from(["sorted", "shuffled", "list"]),
+        data=st.data(),
+    )
+    def test_full_scope_matches_gather_scatter_bitwise(self, n, d, seed, gamma, sigma, form, data):
+        plan = RngPlan(seed)
+        e = init_ensemble(InitSpec("box", low=-2, high=2), n, d, plan)
+        cp = batch_consensus(e, make_objective("rastrigin", d), 10.0, np.arange(n))
+        bp = BatchParams(
+            batch_size=n,
+            gamma_schedule=ConstantSchedule(gamma),
+            sigma_schedule=ConstantSchedule(sigma),
+        )
+        rows = list(range(n))
+        if form == "shuffled":
+            rows = data.draw(st.permutations(rows))
+        scope = rows if form == "list" else np.array(rows)
+        out = batch_update(e, cp, bp, scope, plan, lam=1.3)
+        expected = gathered_update(e, cp.v, np.array(rows), plan, 1.3, sigma, gamma)
+        assert out.positions.tobytes() == expected.tobytes()
+        assert out.time == e.time + gamma and out.step_count == e.step_count + 1
+
+    def test_size_n_scope_with_repeated_index_keeps_the_last_write(self):
+        plan = RngPlan(12)
+        e = init_ensemble(InitSpec("box", low=-2, high=2), 5, 3, plan)
+        cp = batch_consensus(e, make_objective("ackley", 3), 5.0, [0, 1, 2])
+        bp = BatchParams(batch_size=5, sigma_schedule=ConstantSchedule(0.8))
+        scope = [4, 0, 2, 0, 3]  # N indices from 0 to N-1, row 0 twice, row 1 absent
+        out = batch_update(e, cp, bp, scope, plan, lam=1.0)
+        expected = gathered_update(e, cp.v, np.array(scope), plan, 1.0, 0.8, 0.01)
+        assert out.positions.tobytes() == expected.tobytes()
+        assert np.array_equal(out.positions[1], e.positions[1])
+        # sorted scope [0, 0, 2, 3, 4]: row 0 is written with noise row 0, then row 1
+        z = plan.normal_block(STREAM_DIFFUSION, e.step_count, (5, 3))
+        diff = e.positions[0] - cp.v
+        last = e.positions[0] - 1.0 * 0.01 * diff + 0.8 * np.sqrt(0.01) * diff * z[1]
+        assert np.array_equal(out.positions[0], last)
 
     def test_clock_advances_by_gamma(self):
         f = make_objective("ackley", 2)

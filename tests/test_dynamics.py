@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbopt.consensus import weighted_mean
@@ -16,6 +16,7 @@ from cbopt.dynamics import (
     SingularityError,
     VariantParams,
     consensus_condition,
+    gate_pair,
     heaviside,
     sphere_norm_drift,
     step,
@@ -59,6 +60,44 @@ class TestHeaviside:
             heaviside(0.0, "regularized", 0.0)
         with pytest.raises(ValueError):
             heaviside(0.0, "smooth")
+
+
+# gate arguments: differences of objective values, with ties, signed zeros,
+# subnormals, infinities and NaN drawn often
+GATE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, math.inf, -math.inf]),
+    st.just(math.nan),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+class TestGatePair:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(GATE_VALUES, GATE_VALUES), min_size=1, max_size=12),
+        mode=st.sampled_from(["exact", "regularized"]),
+        epsilon=st.floats(1e-6, 10.0),
+    )
+    @example(pairs=[(0.0, -0.0), (-0.0, 0.0), (5e-324, -5e-324), (math.nan, 1.0)],
+             mode="exact", epsilon=1e-3)
+    @example(pairs=[(0.0, -0.0), (-0.0, 0.0), (5e-324, -5e-324), (math.nan, 1.0)],
+             mode="regularized", epsilon=1e-3)
+    def test_matches_heaviside_product_bitwise(self, pairs, mode, epsilon):
+        a, b = (np.array(column) for column in zip(*pairs))
+        with np.errstate(over="ignore"):  # huge differences over a small epsilon
+            expected = heaviside(a, mode, epsilon) * heaviside(b, mode, epsilon)
+            assert gate_pair(a, b, mode, epsilon).tobytes() == expected.tobytes()
+
+    def test_differences_of_close_values(self):
+        # subnormal and zero differences of objective values, as the step forms them
+        fx = np.array([1e-308, 2e-308, 3e-308, 0.0, -0.0])
+        f_v = 2e-308
+        a, b = fx - f_v, f_v - fx
+        assert a[0] < 0.0 < a[2] and abs(a[0]) < 2.3e-308  # subnormal
+        assert gate_pair(a, b, "exact").tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+        for mode, eps in (("exact", None), ("regularized", 1e-300)):
+            expected = heaviside(a, mode, eps) * heaviside(b, mode, eps)
+            assert gate_pair(a, b, mode, eps).tobytes() == expected.tobytes()
 
 
 class TestVariantParams:

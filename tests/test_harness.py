@@ -8,7 +8,7 @@ import pytest
 
 from cbopt import harness
 from cbopt.batching import BatchParams, ConstantSchedule
-from cbopt.dynamics import VariantParams, step
+from cbopt.dynamics import VARIANTS, VariantParams, step
 from cbopt.ensemble import Ensemble, FieldError, InitSpec, RngPlan, init_ensemble
 from cbopt.harness import (
     RunConfig,
@@ -221,6 +221,45 @@ class TestBatchedRun:
         assert result.terminated_by == "stop_criterion"
 
 
+# every variant with euler, the exact integrators, and both batch modes
+EDGE_SETUPS = [(variant, "euler", None) for variant in VARIANTS] + [
+    ("anisotropic", "split", None),
+    ("anisotropic", "frozen", None),
+    ("anisotropic", "euler", "partial"),
+    ("anisotropic", "euler", "full"),
+]
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("n, d", [(1, 3), (6, 1), (1, 1)])
+    @pytest.mark.parametrize("variant, integrator, mode", EDGE_SETUPS)
+    def test_one_particle_or_one_coordinate_gives_finite_output(
+        self, n, d, variant, integrator, mode
+    ):
+        config = small_config(
+            dimension=d,
+            n_particles=n,
+            params=VariantParams(lam=1.0, sigma=0.7, alpha=30.0, dt=0.01, variant=variant),
+            integrator=integrator,
+            batching=None if mode is None else BatchParams(batch_size=n, update_mode=mode),
+            init=InitSpec("sphere") if variant == "sphere" else InitSpec("box", low=-2, high=2),
+            max_steps=25,
+            record_every=5,
+        )
+        result = run(config)
+        cp = result.final_consensus
+        assert result.terminated_by in ("max_steps", "stop_criterion")
+        assert result.final_positions.shape == (n, d)
+        assert np.isfinite(result.final_positions).all()
+        assert np.isfinite(cp.v).all() and math.isfinite(cp.f_at_v)
+        assert math.isfinite(cp.log_normalizer)
+        for pt in result.trajectory:
+            assert np.isfinite(pt.v).all() and np.isfinite(pt.mean).all()
+            assert math.isfinite(pt.f_at_v) and math.isfinite(pt.variance)
+        if n == 1:  # the consensus of one particle is that particle
+            assert np.array_equal(cp.v, result.final_positions[0])
+
+
 class TestSuccessRate:
     def test_all_hits(self):
         results = [run(small_config(max_steps=1500, record_every=1500)) for _ in range(3)]
@@ -274,6 +313,25 @@ class TestCampaign:
             assert a.seed == b.seed
             assert np.array_equal(a.final_consensus.v, b.final_consensus.v)
             assert np.array_equal(a.final_positions, b.final_positions)
+
+    @pytest.mark.parametrize("setup", ["personal_best", "batch_partial", "batch_full"])
+    def test_worker_count_does_not_change_other_paths(self, setup):
+        if setup == "personal_best":
+            params = VariantParams(lam=1.0, sigma=0.7, alpha=30.0, beta=30.0, dt=0.01,
+                                   variant="personal_best")
+            config = small_config(params=params, max_steps=30)
+        else:
+            mode = setup.split("_")[1]
+            config = small_config(
+                max_steps=40,
+                batching=BatchParams(batch_size=8, update_mode=mode, stop_eps=1e-12),
+            )
+        serial = run_campaign(config, 4, workers=1)
+        parallel = run_campaign(config, 4, workers=2)
+        for a, b in zip(serial, parallel):
+            assert (a.seed, a.steps, a.terminated_by) == (b.seed, b.steps, b.terminated_by)
+            assert a.final_consensus.v.tobytes() == b.final_consensus.v.tobytes()
+            assert a.final_positions.tobytes() == b.final_positions.tobytes()
 
     def test_workers_capped_at_runs(self, monkeypatch):
         pools = []
