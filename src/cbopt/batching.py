@@ -123,6 +123,8 @@ def batch_consensus(
     batch = np.sort(np.asarray(batch, dtype=np.int64))
     if batch.size == 0:
         raise ValueError("empty batch")
+    if batch.item(0) < 0 or batch.item(-1) >= e.n_particles:
+        raise ValueError(f"batch {batch.tolist()} indexes outside 0..{e.n_particles - 1}")
     positions = e.positions[batch]
     fvals = np.asarray(f(positions), dtype=float)
     return consensus_from_values(positions, fvals, alpha, f)
@@ -157,6 +159,8 @@ def batch_update(
     if sigma < 0.0:
         raise ValueError("sigma schedule must yield nonnegative noise scales")
     scope = np.sort(np.asarray(scope, dtype=np.int64))
+    if scope.size and (scope.item(0) < 0 or scope.item(-1) >= e.n_particles):
+        raise ValueError(f"batch {scope.tolist()} indexes outside 0..{e.n_particles - 1}")
     z = rng.normal_block(STREAM_DIFFUSION, e.step_count, (scope.size, e.dimension))
     full = scope.size == e.n_particles and scope[0] == 0 and scope[-1] == scope.size - 1
     if full and (scope[1:] != scope[:-1]).all():  # sorted 0..N-1, every row once

@@ -119,7 +119,8 @@ def heaviside(x, mode: str, epsilon: Optional[float] = None):
     elif mode == "regularized":
         if epsilon is None or not epsilon > 0.0:
             raise ValueError("regularized heaviside needs positive epsilon")
-        out = 0.5 + 0.5 * np.tanh(x / epsilon)
+        with np.errstate(over="ignore"):  # |x| / epsilon may overflow; tanh(+-inf) is +-1
+            out = 0.5 + 0.5 * np.tanh(x / epsilon)
     else:
         raise ValueError(f"unknown heaviside mode {mode!r}")
     return float(out) if out.ndim == 0 else out

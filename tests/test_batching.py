@@ -120,6 +120,18 @@ class TestBatchConsensus:
         with pytest.raises(ValueError):
             batch_consensus(e, f, 1.0, [])
 
+    @pytest.mark.parametrize("batch", [[-1, 3], [0, 4]])
+    def test_out_of_range_indices_rejected(self, batch):
+        # numpy would wrap -1 to the last row and raise a bare IndexError for 4
+        f = make_objective("ackley", 2)
+        e = init_ensemble(InitSpec("box", low=-2, high=2), 4, 2, RngPlan(5))
+        with pytest.raises(ValueError, match=rf"batch \[{batch[0]}, {batch[1]}\]"):
+            batch_consensus(e, f, 1.0, batch)
+        cp = batch_consensus(e, f, 1.0, [0, 3])
+        bp = BatchParams(batch_size=2, sigma_schedule=ConstantSchedule(0.5))
+        with pytest.raises(ValueError, match=rf"batch \[{batch[0]}, {batch[1]}\]"):
+            batch_update(e, cp, bp, batch, RngPlan(5), lam=1.0)
+
 
 def gathered_update(e, v, scope, plan, lam, sigma, gamma):
     """Reference batch update: sort the scope, gather its rows, kick them

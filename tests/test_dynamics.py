@@ -2,6 +2,7 @@
 laws, the sphere constraint, and divergence guards."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,13 @@ class TestHeaviside:
             out = heaviside(x, mode, eps)
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
+    def test_regularized_overflow_is_silent(self):
+        # 1e300 / 1e-10 overflows to inf; tanh(+-inf) is +-1, so the gate is exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = heaviside(np.array([1e300, -1e300, 0.0]), "regularized", 1e-10)
+        assert out.tolist() == [1.0, 0.0, 0.5]
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             heaviside(0.0, "regularized", 0.0)
@@ -84,9 +92,8 @@ class TestGatePair:
              mode="regularized", epsilon=1e-3)
     def test_matches_heaviside_product_bitwise(self, pairs, mode, epsilon):
         a, b = (np.array(column) for column in zip(*pairs))
-        with np.errstate(over="ignore"):  # huge differences over a small epsilon
-            expected = heaviside(a, mode, epsilon) * heaviside(b, mode, epsilon)
-            assert gate_pair(a, b, mode, epsilon).tobytes() == expected.tobytes()
+        expected = heaviside(a, mode, epsilon) * heaviside(b, mode, epsilon)
+        assert gate_pair(a, b, mode, epsilon).tobytes() == expected.tobytes()
 
     def test_differences_of_close_values(self):
         # subnormal and zero differences of objective values, as the step forms them

@@ -1,11 +1,22 @@
 """Benchmark objective tests: independent scalar oracles, origin values,
-nonnegativity on the search boxes, and multimodality."""
+nonnegativity on the search boxes, multimodality, and sharded evaluation."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbopt import InitSpec, RunConfig, VariantParams, objectives
+from cbopt.harness import run
 from cbopt.objectives import (
     ObjectiveFunction,
     ackley,
@@ -142,3 +153,98 @@ class TestObjectiveFunction:
     def test_custom_objective(self):
         quad = ObjectiveFunction("quad", lambda x: np.sum(x**2, axis=-1), dimension=2)
         assert quad(np.array([3.0, 4.0])) == pytest.approx(25.0)
+
+
+def laplace_quadratic(x):
+    # the quadratic `cbopt diagnose laplace` evaluates
+    return np.sum(np.asarray(x, float) ** 2, axis=-1)
+
+
+class TestShardedEvaluation:
+    """A stack of SHARD_MIN_ELEMENTS numbers or more is evaluated in row
+    shards on threads; the values must be the whole call's, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fn=st.sampled_from(ALL + [laplace_quadratic]),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 6))
+        | st.tuples(st.integers(1, 11), st.integers(1, 6)),
+        threads=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shards_match_whole_bitwise(self, fn, shape, threads, seed):
+        x = np.random.default_rng(seed).uniform(-5.0, 5.0, shape)
+        obj = ObjectiveFunction(fn.__name__, fn, dimension=shape[-1])
+        whole = obj(x)
+        with mock.patch.multiple(objectives, SHARD_MIN_ELEMENTS=1, _THREADS=threads):
+            sharded = obj(x)
+        assert sharded.shape == whole.shape == shape[:-1]
+        assert sharded.tobytes() == whole.tobytes()
+
+    def test_shards_keep_the_callers_errstate(self):
+        # numpy's error state is per thread; the overflowing row is in the last shard
+        x = np.ones((6, 3))
+        x[-1] = 1e100
+        obj = make_objective("zakharov", 3)
+        with mock.patch.multiple(objectives, SHARD_MIN_ELEMENTS=1, _THREADS=3):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                obj(x)
+
+    def test_large_run_matches_whole_bitwise(self, monkeypatch):
+        # two steps of the benchmark's N=2000, d=50 ensemble, sharded and forced whole
+        config = RunConfig(
+            objective="ackley",
+            dimension=50,
+            params=VariantParams(lam=1.0, sigma=0.7, alpha=30.0, dt=0.01),
+            n_particles=2000,
+            init=InitSpec("box", low=-3.0, high=3.0),
+            max_steps=2,
+            master_seed=711,
+        )
+        assert 2000 * 50 >= objectives.SHARD_MIN_ELEMENTS
+        monkeypatch.setattr(objectives, "_THREADS", max(objectives._THREADS, 2))
+        sharded = run(config)
+        monkeypatch.setattr(objectives, "SHARD_MIN_ELEMENTS", 2**62)
+        whole = run(config)
+        assert sharded.steps == whole.steps == 2
+        assert sharded.final_consensus.v.tobytes() == whole.final_consensus.v.tobytes()
+        assert sharded.final_positions.tobytes() == whole.final_positions.tobytes()
+
+    def test_forked_campaign_workers_finish_and_match_in_process(self):
+        # the parent's pool has live threads before the fork; a worker must
+        # neither use that pool nor hang, and workers=2 must equal workers=1
+        script = textwrap.dedent("""
+            import numpy as np
+            from cbopt import InitSpec, RunConfig, VariantParams, objectives
+            from cbopt.harness import run_campaign
+            objectives._THREADS = max(objectives._THREADS, 2)
+            f = objectives.make_objective("ackley", 40)
+            f(np.ones((1000, 40)))  # starts the parent's shard pool
+            config = RunConfig(
+                objective="ackley", dimension=40,
+                params=VariantParams(lam=1.0, sigma=0.7, alpha=30.0, dt=0.01),
+                n_particles=1000, init=InitSpec("box", low=-3.0, high=3.0),
+                max_steps=3, master_seed=5,
+            )
+            assert 1000 * 40 >= objectives.SHARD_MIN_ELEMENTS
+            forked = run_campaign(config, 2, workers=2)
+            local = run_campaign(config, 2, workers=1)
+            for a, b in zip(forked, local):
+                assert a.final_consensus.v.tobytes() == b.final_consensus.v.tobytes()
+                assert a.final_positions.tobytes() == b.final_positions.tobytes()
+            print("ok")
+        """)
+        src = str(Path(objectives.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # the hung campaign workers too
+            child.communicate()
+            pytest.fail("campaign with a shard pool in the parent did not finish in 120 s")
+        assert child.returncode == 0, err
+        assert out.strip() == "ok"
