@@ -81,6 +81,31 @@ RUN_CASES = {
               " stop_eps: 1.0e-6, max_epochs: 1000}\n"),
         "stop_criterion", 0,
     ),
+    # 12 = 2 x 5 + 2: batch 0 of later epochs carries the remainder, which
+    # overlaps the batches after it and can repeat an index of its own; the
+    # step budget ends the run inside an epoch
+    "batch_partial_remainder": (
+        _yaml(alpha=2.0, max_steps=23, batching="batching: {batch_size: 5, update_mode: partial,"
+              " gamma: 0.05, stop_eps: 1.0e-300, max_epochs: 100}\n"),
+        "max_steps", 0,
+    ),
+    # the objective overflows inside an epoch (step 25, its second batch)
+    "batch_divergence_objective": (
+        _yaml(objective="rastrigin", dimension=2, alpha=1.0, max_steps=200,
+              init="{kind: box, low: -5.0, high: 10.0}",
+              batching="batching: {batch_size: 3, update_mode: partial, gamma: 0.05,"
+              " sigma: 1.0e+30, stop_eps: 1.0e-300, max_epochs: 1000}\n"),
+        "divergence", 2,
+    ),
+    # the kick overflows at the third batch of the second epoch (step 6)
+    "batch_divergence_kick": (
+        _yaml(objective="rastrigin", dimension=2, alpha=1.0, max_steps=200,
+              init="{kind: box, low: -5.0, high: 10.0}",
+              batching="batching: {batch_size: 3, update_mode: partial, gamma: 0.05,"
+              " sigma: {kind: geometric, initial: 0.7, decay: 1.0e+308},"
+              " stop_eps: 1.0e-300, max_epochs: 1000}\n"),
+        "divergence", 2,
+    ),
     "max_steps": (_yaml(kind="common_noise", max_steps=37), "max_steps", 0),
     "divergence": (
         _yaml(objective="zakharov", dimension=2, sigma=40.0, dt=10.0, max_steps=5000,
