@@ -4,8 +4,8 @@ scoped updates, and the stopping criterion.
 Each epoch concatenates the previous remainder with a fresh random
 permutation of all indices, slices off as many size-M batches as fit, and
 carries the leftover (< M indices) into the next epoch. Batches within an
-epoch are processed sequentially; per-particle work inside one update is
-data-parallel.
+epoch step in order; consecutive batches with disjoint rows can be passed
+as one (q, M) stack and stepped at once, bit for bit.
 """
 
 from __future__ import annotations
@@ -111,20 +111,28 @@ def make_batches(
     return batches, BatchState(remainder=pool[q * m :], epoch=state.epoch + 1)
 
 
+def _sorted_rows(batch, n: int) -> np.ndarray:
+    """`batch` as int64 indices, ascending within each batch of a stack."""
+    batch = np.sort(np.asarray(batch, dtype=np.int64))
+    if batch.size and (batch.min() < 0 or batch.max() >= n if batch.ndim > 1
+                       else batch.item(0) < 0 or batch.item(-1) >= n):
+        raise ValueError(f"batch {batch.tolist()} indexes outside 0..{n - 1}")
+    return batch
+
+
 def batch_consensus(
     e: Ensemble, f: ObjectiveFunction, alpha: float, batch
 ) -> ConsensusPoint:
-    """Consensus point of the sub-ensemble indexed by `batch`.
+    """Consensus point of the sub-ensemble indexed by `batch`, or of each
+    batch of a (q, M) stack as one stacked point, from one call of `f`.
 
     Indices are sorted first so the reduction is index-ascending: the result
     depends on the batch as a set, and a batch of all indices reproduces the
     full weighted mean bitwise.
     """
-    batch = np.sort(np.asarray(batch, dtype=np.int64))
+    batch = _sorted_rows(batch, e.n_particles)
     if batch.size == 0:
         raise ValueError("empty batch")
-    if batch.item(0) < 0 or batch.item(-1) >= e.n_particles:
-        raise ValueError(f"batch {batch.tolist()} indexes outside 0..{e.n_particles - 1}")
     positions = e.positions[batch]
     fvals = np.asarray(f(positions), dtype=float)
     return consensus_from_values(positions, fvals, alpha, f)
@@ -146,28 +154,37 @@ def batch_update(
     left bit-identical. Advances the clock by gamma.
 
     Scope indices are sorted, so noise rows attach to particles in index
-    order whatever order the batch came in. A full scope (every row once)
-    kicks the whole array with the same (N, d) draw, bit for bit, with no
-    gather, copy or scatter. A size-N scope with a repeat is gathered, and
-    the last write to a row wins."""
+    order whatever order the batch came in, and a repeated row takes the
+    last write. `range(N)` is the full scope: it kicks the whole array with
+    the same (N, d) draw, bit for bit, with no sort, gather, copy or scatter.
+    A (q, M) stack of disjoint scopes with a stacked `v` is q calls in a row,
+    bit for bit: member j takes theta + j and step e.step_count + j."""
     if bp.sigma_schedule is None:
         raise ValueError("sigma_schedule must be resolved before batch_update")
-    gamma = float(bp.gamma_schedule(k, theta))
-    sigma = float(bp.sigma_schedule(k, theta))
-    if not gamma > 0.0:
+    full = isinstance(scope, range) and scope == range(e.n_particles)
+    rows = None if full else _sorted_rows(scope, e.n_particles)
+    q = len(rows) if not full and rows.ndim > 1 else 1
+    gammas = [float(bp.gamma_schedule(k, theta + j)) for j in range(q)]
+    sigmas = [float(bp.sigma_schedule(k, theta + j)) for j in range(q)]
+    if not all(gamma > 0.0 for gamma in gammas):
         raise ValueError("gamma schedule must yield positive step sizes")
-    if sigma < 0.0:
+    if any(sigma < 0.0 for sigma in sigmas):
         raise ValueError("sigma schedule must yield nonnegative noise scales")
-    scope = np.sort(np.asarray(scope, dtype=np.int64))
-    if scope.size and (scope.item(0) < 0 or scope.item(-1) >= e.n_particles):
-        raise ValueError(f"batch {scope.tolist()} indexes outside 0..{e.n_particles - 1}")
-    z = rng.normal_block(STREAM_DIFFUSION, e.step_count, (scope.size, e.dimension))
-    full = scope.size == e.n_particles and scope[0] == 0 and scope[-1] == scope.size - 1
-    if full and (scope[1:] != scope[:-1]).all():  # sorted 0..N-1, every row once
-        return advance(e, anisotropic_kick(e.positions, v.v, lam, sigma, gamma, z), gamma)
+    shape = (e.n_particles if full else rows.shape[-1], e.dimension)
+    z = [rng.normal_block(STREAM_DIFFUSION, e.step_count + j, shape) for j in range(q)]
+    if q == 1:  # one batch: scalar coefficients cost least
+        gamma, sigma, v, z = gammas[0], sigmas[0], v.v, z[0]
+    else:
+        gamma, sigma = np.reshape(gammas, (q, 1, 1)), np.reshape(sigmas, (q, 1, 1))
+        v, z = v.v[:, None], np.stack(z)
+    if full:
+        return advance(e, anisotropic_kick(e.positions, v, lam, sigma, gamma, z), gamma)
     new = e.positions.copy()
-    new[scope] = anisotropic_kick(e.positions[scope], v.v, lam, sigma, gamma, z)
-    return advance(e, new, gamma)
+    new[rows] = anisotropic_kick(e.positions[rows], v, lam, sigma, gamma, z)
+    out = advance(e, new, gammas[0])
+    for gamma in gammas[1:]:  # the clock advances member by member
+        out.time, out.step_count = out.time + gamma, out.step_count + 1
+    return out
 
 
 def stop_check(v_prev, v_curr, d: int, eps: float) -> bool:

@@ -30,6 +30,10 @@ class ConsensusPoint:
     f_at_v: float
     log_normalizer: float  # log((1/N) sum_i exp(-alpha f_i)), stabilized
 
+    def __getitem__(self, j):
+        """Point j, or a slice of points, of a stacked point (v of shape (q, d))."""
+        return ConsensusPoint(self.v[j], self.f_at_v[j], self.log_normalizer[j])
+
 
 def exponentials(fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
     """exp(-alpha (f_i - min f)) over the last axis of `fvals`, and the shift
@@ -68,8 +72,10 @@ def consensus_reduction(positions, fvals, alpha) -> Tuple[np.ndarray, np.ndarray
 def consensus_from_values(
     positions: np.ndarray, fvals: np.ndarray, alpha: float, f: ObjectiveFunction
 ) -> ConsensusPoint:
-    """Build the consensus point from precomputed objective values."""
+    """Build the consensus point, or a stacked one, from precomputed objective values."""
     v, log_normalizer = consensus_reduction(positions, fvals, alpha)
+    if v.ndim > 1:  # one f call on the q points; lists of q floats
+        return ConsensusPoint(v, np.asarray(f(v), dtype=float).tolist(), log_normalizer.tolist())
     return ConsensusPoint(v=v, f_at_v=float(f(v)), log_normalizer=float(log_normalizer))
 
 

@@ -145,10 +145,10 @@ def consensus_condition(p: VariantParams, d: int) -> bool:
 
 def anisotropic_kick(positions, v, lam, sigma, dt, z) -> np.ndarray:
     """Component-wise Euler-Maruyama update toward a given consensus point
-    v, for random-batch updates, the replica sweep of the pairwise
-    diagnostic and the frozen-moment diagnostic (v = 0)."""
+    v, for random batches (a stack too, with `sigma` and `dt` per ensemble),
+    the pairwise replica sweep and the frozen-moment diagnostic (v = 0)."""
     diff = positions - v
-    return positions - lam * dt * diff + sigma * math.sqrt(dt) * diff * z
+    return positions - lam * dt * diff + sigma * np.sqrt(dt) * diff * z
 
 
 def advance(e: Ensemble, positions: np.ndarray, dt: float) -> Ensemble:

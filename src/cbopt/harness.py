@@ -211,15 +211,32 @@ def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp=None):
     )
 
 
-def _batches(config, plan):
-    """(epoch, index within the epoch, batch) for every batch of a batched
-    run, dealt epoch by epoch up to the epoch budget."""
+def _groups(config, plan):
+    """(epoch, first theta, batches) of a batched run up to the epoch budget:
+    one batch, or in partial mode a (q, M) stack of consecutive batches of an
+    epoch with disjoint rows, ended before a batch that touches its rows,
+    before a recorded step and at the step budget. A batch that shares a row
+    with the one before it goes alone: its point may repeat and stop the run."""
     bp = config.batching
-    state = BatchState.fresh()
+    state, step, last = BatchState.fresh(), 0, set()
     for k in range(bp.max_epochs):
         batches, state = make_batches(state, config.n_particles, bp.batch_size, plan)
+        if bp.update_mode == "full":
+            yield from ((k, theta, batch) for theta, batch in enumerate(batches))
+            continue
+        cuts = [0]
         for theta, batch in enumerate(batches):
-            yield k, theta, batch
+            rows = set(batch.tolist())
+            if theta and (alone or not held.isdisjoint(rows) or step % config.record_every == 0
+                          or step == config.max_steps):
+                cuts.append(theta)
+            if cuts[-1] == theta:  # a stack starts here
+                alone, held = not rows.isdisjoint(last), set()
+            held |= rows
+            last, step = rows, step + 1
+        cuts.append(len(batches))
+        for a, b in zip(cuts, cuts[1:]):
+            yield k, a, batches[a] if b == a + 1 else np.stack(batches[a:b])
 
 
 def run(config: RunConfig) -> RunResult:
@@ -227,59 +244,64 @@ def run(config: RunConfig) -> RunResult:
 
     A plain run moves every particle once per iteration and tests
     `config.stop_eps` before the update. A batched run moves one batch per
-    iteration, in the order `make_batches` deals them, tests
-    `batching.stop_eps` after the update, and also ends after `max_epochs`.
+    step, in the order `make_batches` deals them, tests `batching.stop_eps`
+    after the update, and also ends after `max_epochs`. Each stack of
+    `_groups` steps at once, or one batch at a time if it fails, with the
+    outputs and errors of one batch at a time.
     """
     f = make_objective(config.objective, config.dimension)
     plan = RngPlan(config.master_seed)
     e = init_ensemble(config.init, config.n_particles, config.dimension, plan)
     t0 = time.perf_counter()
-    p, bp = config.params, config.batching
+    p, bp, d = config.params, config.batching, config.dimension
     if bp is None:
-        iterations, eps = itertools.repeat((0, 0, None)), config.stop_eps
+        groups, eps = itertools.repeat((0, 0, None)), config.stop_eps
     else:
         if bp.sigma_schedule is None:
             bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
-        iterations, eps = _batches(config, plan), bp.stop_eps
-        all_rows = np.arange(config.n_particles) if bp.update_mode == "full" else None
+        groups, eps = _groups(config, plan), bp.stop_eps
+        all_rows = range(config.n_particles) if bp.update_mode == "full" else None
     mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
     trajectory: List[TrajectoryPoint] = []
-    v_prev = None
-    status = "max_steps"
-    cp = None
-    for k, theta, batch in iterations:
+    v_prev, cp, status = None, None, "max_steps"
+    while (group := next(groups, None)) is not None:
+        k, theta, batch = group
+        q, cps = 1 if batch is None or batch.ndim == 1 else len(batch), None
         try:
             if batch is None:
-                cp = weighted_mean(e, f, p.alpha)
-            else:
-                cp = batch_consensus(e, f, p.alpha, batch)
-        except ValueError:
-            if cp is None:  # not even the initial state is evaluable
-                raise
+                cps = weighted_mean(e, f, p.alpha)
+            else:  # a stack of q > 1 batches gives a stacked point: cps[j] is batch j's
+                cps = batch_consensus(e, f, p.alpha, batch)
+            first = cps if q == 1 else cps[0]
+            record = _point(e, first) if e.step_count % config.record_every == 0 else None
+            n, stop, prev = q, False, v_prev
+            if eps is not None:  # the stop rule, batch by batch
+                for n, v in enumerate((cps.v,) if q == 1 else cps.v, 1):
+                    stop = prev is not None and stop_check(prev, v, d, eps)
+                    if stop:
+                        break
+                    prev = v
+            if batch is not None:
+                scope = (batch if n == q else batch[:n]) if all_rows is None else all_rows
+                e = batch_update(e, cps if n == q else cps[:n], bp, scope, plan, lam=p.lam, k=k,
+                                 theta=theta)
+            elif not stop:  # a plain run stops before its update
+                e, mem = _step(e, f, p, plan, config.integrator, mem, cps)
+        except (ValueError, DivergenceError) as err:
+            if q > 1:  # one batch at a time: the error surfaces at its batch
+                groups = itertools.chain([(k, theta + j, b) for j, b in enumerate(batch)], groups)
+                continue
+            if isinstance(err, ValueError) and (cps is not None or cp is None):
+                raise  # not a divergence, or not even the initial state is evaluable
             status = "divergence"
-            break
-        if e.step_count % config.record_every == 0:
-            trajectory.append(_point(e, cp))
-        stop = (
-            v_prev is not None
-            and eps is not None
-            and stop_check(v_prev, cp.v, config.dimension, eps)
-        )
-        if not stop or bp is not None:  # a plain run stops before its update
-            try:
-                if batch is None:
-                    e, mem = _step(e, f, p, plan, config.integrator, mem, cp)
-                else:
-                    scope = batch if all_rows is None else all_rows
-                    e = batch_update(e, cp, bp, scope, plan, lam=p.lam, k=k, theta=theta)
-            except DivergenceError:
-                status = "divergence"
+            if cps is None:  # the objective is not finite at the batch
                 break
-        if stop:
+        if record is not None:  # also when the kick diverged, as one batch at a time
+            trajectory.append(record)
+        cp, v_prev = cps if q == 1 else cps[n - 1], prev
+        if stop and status == "max_steps":
             status = "stop_criterion"
-            break
-        v_prev = cp.v
-        if e.step_count >= config.max_steps:
+        if status != "max_steps" or e.step_count >= config.max_steps:
             break
     return _finish(trajectory, e, f, p.alpha, status, t0, config, fallback_cp=cp)
 

@@ -5,10 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbopt import harness
-from cbopt.batching import BatchParams, ConstantSchedule
-from cbopt.dynamics import VARIANTS, VariantParams, step
+from cbopt.batching import (
+    BatchParams, BatchState, ConstantSchedule, GeometricSchedule, batch_consensus, batch_update,
+    make_batches, stop_check,
+)
+from cbopt.dynamics import VARIANTS, DivergenceError, VariantParams, step
 from cbopt.ensemble import Ensemble, FieldError, InitSpec, RngPlan, init_ensemble
 from cbopt.harness import (
     RunConfig,
@@ -22,6 +27,7 @@ from cbopt.harness import (
     run_campaign,
     success_rate,
 )
+from cbopt.consensus import weighted_mean
 from cbopt.objectives import ObjectiveFunction, make_objective
 
 
@@ -219,6 +225,214 @@ class TestBatchedRun:
         )
         result = run(config)
         assert result.terminated_by == "stop_criterion"
+
+
+def per_batch_run(config):
+    """Reference batched run, one batch at a time: batch_consensus, record,
+    stop check, batch_update, in the order make_batches deals the batches."""
+    f = harness.make_objective(config.objective, config.dimension)
+    plan = RngPlan(config.master_seed)
+    e = init_ensemble(config.init, config.n_particles, config.dimension, plan)
+    p, bp = config.params, config.batching
+    if bp.sigma_schedule is None:
+        bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
+    all_rows = np.arange(config.n_particles) if bp.update_mode == "full" else None
+    trajectory, v_prev, cp, status = [], None, None, "max_steps"
+
+    def batches():
+        state = BatchState.fresh()
+        for k in range(bp.max_epochs):
+            dealt, state = make_batches(state, config.n_particles, bp.batch_size, plan)
+            for theta, batch in enumerate(dealt):
+                yield k, theta, batch
+
+    for k, theta, batch in batches():
+        try:
+            cp = batch_consensus(e, f, p.alpha, batch)
+        except ValueError:
+            if cp is None:
+                raise
+            status = "divergence"
+            break
+        if e.step_count % config.record_every == 0:
+            trajectory.append(harness._point(e, cp))
+        stop = v_prev is not None and stop_check(v_prev, cp.v, config.dimension, bp.stop_eps)
+        scope = batch if all_rows is None else all_rows
+        try:
+            e = batch_update(e, cp, bp, scope, plan, lam=p.lam, k=k, theta=theta)
+        except DivergenceError:
+            status = "divergence"
+            break
+        if stop:
+            status = "stop_criterion"
+            break
+        v_prev = cp.v
+        if e.step_count >= config.max_steps:
+            break
+    return harness._finish(trajectory, e, f, p.alpha, status, 0.0, config, fallback_cp=cp)
+
+
+def assert_same_run(result, expected):
+    """Steps, ending, every trajectory field, the final consensus point and
+    the final positions, bytewise."""
+    assert (result.steps, result.terminated_by) == (expected.steps, expected.terminated_by)
+    assert len(result.trajectory) == len(expected.trajectory)
+    for a, b in zip(result.trajectory, expected.trajectory):
+        assert (a.step, a.time, a.f_at_v, a.variance) == (b.step, b.time, b.f_at_v, b.variance)
+        assert a.v.tobytes() == b.v.tobytes() and a.mean.tobytes() == b.mean.tobytes()
+    got, want = result.final_consensus, expected.final_consensus
+    assert got.v.tobytes() == want.v.tobytes()
+    assert (got.f_at_v, got.log_normalizer) == (want.f_at_v, want.log_normalizer)
+    assert type(got.f_at_v) is float and type(got.log_normalizer) is float
+    assert result.final_positions.tobytes() == expected.final_positions.tobytes()
+
+
+def wavy_gamma(k, theta):
+    """A step size that changes with the batch index, not a dataclass."""
+    return 0.02 + 0.01 * math.sin(1.0 + 0.7 * theta + 0.3 * k)
+
+
+SCHEDULES = {
+    "constant": ConstantSchedule(0.03),
+    "geometric": GeometricSchedule(initial=0.04, decay=0.9),
+    "callable": wavy_gamma,
+}
+
+
+def batched_config(n, m, mode="partial", **overrides):
+    batching = dict(batch_size=m, update_mode=mode, stop_eps=1e-300, max_epochs=100)
+    batching.update(overrides.pop("batching", {}))
+    defaults = dict(
+        objective="rastrigin", dimension=2,
+        params=VariantParams(lam=1.0, sigma=0.5, alpha=1.0, dt=0.01),
+        batching=BatchParams(**batching), n_particles=n,
+        init=InitSpec("box", low=-5.0, high=10.0), max_steps=40, master_seed=3, record_every=100,
+    )
+    defaults.update(overrides)
+    return RunConfig(**defaults)
+
+
+def sigma_at(trigger, value, otherwise=0.5):
+    """A noise scale of `value` at (epoch, theta) `trigger`, else `otherwise`."""
+    return lambda k, theta: value if (k, theta) == trigger else otherwise
+
+
+class TestGroupedBatches:
+    """A batched run evaluates disjoint batches of an epoch as one stack; it
+    must end exactly as the run that takes one batch at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        m_frac=st.floats(0.0, 1.0),
+        d=st.integers(1, 3),
+        mode=st.sampled_from(["partial", "full"]),
+        record_every=st.integers(1, 7),
+        max_steps=st.integers(1, 40),
+        max_epochs=st.integers(1, 4),
+        stop_eps=st.sampled_from([1e-300, 1e-6, 1e-2]),
+        gamma=st.sampled_from(sorted(SCHEDULES)),
+        sigma=st.sampled_from(["dynamics", *sorted(SCHEDULES)]),
+        objective=st.sampled_from(["rastrigin", "ackley"]),
+        alpha=st.sampled_from([1.0, 30.0]),
+        seed=st.integers(0, 2**32),
+    )
+    # 5 = 3 + 2: the second epoch deals a leftover row again in its second batch
+    @example(n=5, m_frac=0.5, d=1, mode="partial", record_every=3, max_steps=3, max_epochs=2,
+             stop_eps=1e-300, gamma="callable", sigma="dynamics", objective="rastrigin",
+             alpha=1.0, seed=5)
+    def test_matches_one_batch_at_a_time_bitwise(
+        self, n, m_frac, d, mode, record_every, max_steps, max_epochs, stop_eps, gamma, sigma,
+        objective, alpha, seed,
+    ):
+        m = 1 + min(n - 1, int(m_frac * n))
+        config = RunConfig(
+            objective=objective, dimension=d,
+            params=VariantParams(lam=1.0, sigma=0.7, alpha=alpha, dt=0.01),
+            batching=BatchParams(
+                batch_size=m, update_mode=mode, gamma_schedule=SCHEDULES[gamma],
+                sigma_schedule=None if sigma == "dynamics" else SCHEDULES[sigma],
+                stop_eps=stop_eps, max_epochs=max_epochs,
+            ),
+            n_particles=n, init=InitSpec("box", low=-2.0, high=2.0), max_steps=max_steps,
+            master_seed=seed, record_every=record_every,
+        )
+        assert_same_run(run(config), per_batch_run(config))
+
+    def test_groups_make_fewer_objective_calls_on_the_same_points(self, monkeypatch):
+        config = batched_config(12, 3, max_steps=24)  # 4 disjoint batches an epoch
+        calls = []  # the points of each objective call
+
+        def counting(name, d):
+            fn = make_objective(name, d).fn
+
+            def counted(x):
+                calls.append(math.prod(np.shape(x)[:-1]))
+                return fn(x)
+            return ObjectiveFunction(name, counted, d)
+
+        monkeypatch.setattr(harness, "make_objective", counting)
+        grouped = run(config)
+        grouped_calls, calls[:] = calls[:], []
+        assert_same_run(grouped, per_batch_run(config))
+        # M + 1 points a batch and N + 1 for the final state, in fewer calls
+        assert sum(grouped_calls) == sum(calls) == 24 * 4 + 12 + 1
+        assert len(grouped_calls) < len(calls)
+
+    def test_non_finite_kick_inside_a_group(self):
+        # 13 = 3 x 4 + 1; sigma = inf at the third batch of the second epoch
+        # (step 5): its kick is non-finite, the two members before it are
+        # applied; the record at step 3 holds the clock after the first epoch
+        config = batched_config(13, 4, record_every=3, batching=dict(
+            gamma_schedule=wavy_gamma, sigma_schedule=sigma_at((1, 2), math.inf)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            result, expected = run(config), per_batch_run(config)
+        assert (result.steps, result.terminated_by) == (5, "divergence")
+        assert_same_run(result, expected)
+
+    def test_non_finite_objective_inside_a_group(self):
+        # the noise at (0, 1) throws that batch's rows past 1e150, where
+        # rastrigin overflows; at seed 8 the first later batch holding one of
+        # them is the third of the second epoch, inside a group
+        config = batched_config(12, 3, master_seed=8, record_every=4, batching=dict(
+            gamma_schedule=wavy_gamma, sigma_schedule=sigma_at((0, 1), 1e200)))
+        plan = RngPlan(config.master_seed)
+        first, state = make_batches(BatchState.fresh(), 12, 3, plan)
+        second, _ = make_batches(state, 12, 3, plan)
+        thrown = set(first[1].tolist())
+        assert [bool(thrown & set(b.tolist())) for b in second[:3]] == [False, False, True]
+        with np.errstate(invalid="ignore", over="ignore"):
+            result, expected = run(config), per_batch_run(config)
+        assert (result.steps, result.terminated_by) == (6, "divergence")
+        assert_same_run(result, expected)
+        # the final state is not evaluable: the fallback is the last good point
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            weighted_mean(Ensemble(result.final_positions), make_objective("rastrigin", 2), 1.0)
+
+    def test_zero_step_size_raises_at_its_member_not_earlier(self):
+        def gamma(k, theta):
+            return 0.0 if (k, theta) == (1, 2) else 0.05
+
+        config = batched_config(13, 4, batching=dict(gamma_schedule=gamma))  # 3 batches, rem 1
+        for runner in (run, per_batch_run):
+            with pytest.raises(ValueError, match="gamma schedule must yield positive"):
+                runner(config)
+        # the budget ends the run just before that member: no error
+        before = replace(config, max_steps=5)
+        assert run(before).steps == 5
+        assert_same_run(run(before), per_batch_run(before))
+        # a stop rule that fires at step 1 ends the run before a zero at (0, 2)
+        early = replace(config, batching=replace(
+            config.batching, stop_eps=1e300, gamma_schedule=lambda k, theta: 0.05 * (theta != 2)))
+        result = run(early)
+        assert (result.steps, result.terminated_by) == (2, "stop_criterion")
+        assert_same_run(result, per_batch_run(early))
+
+    def test_remainder_overlaps_are_cut_from_groups(self):
+        # 13 = 3 x 4 + 1: batch 0 of every later epoch carries a leftover row,
+        # which the epoch's permutation deals again in a later batch
+        config = batched_config(13, 4, max_steps=60, batching=dict(max_epochs=30))
+        assert_same_run(run(config), per_batch_run(config))
 
 
 # every variant with euler, the exact integrators, and both batch modes
