@@ -10,6 +10,7 @@ as one (q, M) stack and stepped at once, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, is_dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -35,13 +36,17 @@ class ConstantSchedule:
 
 @dataclass(frozen=True)
 class GeometricSchedule:
-    """Per-epoch geometric decay: initial * decay**k."""
+    """Per-epoch geometric decay: initial * decay**k, in IEEE arithmetic, so a
+    value past the float range is infinite (and initial 0 stays 0)."""
 
     initial: float
     decay: float
 
     def __call__(self, k: int, theta: int) -> float:
-        return self.initial * self.decay**k
+        try:
+            return self.initial * self.decay**k
+        except OverflowError:  # Python floats raise where IEEE gives inf
+            return self.initial * math.inf if self.initial else self.initial
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,10 @@ class BatchParams:
             raise FieldError("stop_eps", "must be positive")
         if self.max_epochs < 1:
             raise FieldError("max_epochs", "must be at least 1")
+        if (isinstance(self.gamma_schedule, GeometricSchedule)
+                and not self.gamma_schedule(self.max_epochs - 1, 0) > 0.0):
+            raise FieldError("gamma_schedule", f"must yield positive step sizes; it "
+                             f"underflows to 0 by epoch {self.max_epochs - 1}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Random-batch bookkeeping tests: partitions, batch consensus, scoped
 updates, and the stopping rule."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from cbopt.batching import (
 )
 from cbopt.consensus import weighted_mean
 from cbopt.dynamics import VariantParams, step
-from cbopt.ensemble import Ensemble, InitSpec, RngPlan, STREAM_DIFFUSION, init_ensemble
+from cbopt.ensemble import Ensemble, FieldError, InitSpec, RngPlan, STREAM_DIFFUSION, init_ensemble
 from cbopt.objectives import make_objective
 
 
@@ -90,6 +92,14 @@ class TestMakeBatches:
             BatchParams(batch_size=3, update_mode="half")
         with pytest.raises(ValueError):
             BatchParams(batch_size=3, stop_eps=0.0)
+
+    def test_geometric_schedule_past_the_float_range(self):
+        assert GeometricSchedule(0.7, 1e200)(2, 0) == math.inf
+        assert GeometricSchedule(0.0, 1e200)(2, 0) == 0.0  # not 0 * inf
+        assert GeometricSchedule(0.1, 1e-200)(2, 0) == 0.0
+        BatchParams(batch_size=3, gamma_schedule=GeometricSchedule(0.1, 1e-200), max_epochs=2)
+        with pytest.raises(FieldError, match="gamma_schedule"):
+            BatchParams(batch_size=3, gamma_schedule=GeometricSchedule(0.1, 1e-200), max_epochs=3)
 
 
 class TestBatchConsensus:

@@ -320,6 +320,20 @@ class TestCmdRun:
         assert summary["summary"]["terminated_by"] == "divergence"
 
 
+    def test_geometric_sigma_past_the_float_range_diverges(self, tmp_path):
+        # 0.7 * (1e200)**2 is past the float range: sigma is inf at epoch 2, and
+        # its first batch (step 8 of 4 batches per epoch) kicks to non-finite
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            MINIMAL + "harness: {n_particles: 12, seed: 7, max_steps: 100}\n"
+            "batching: {batch_size: 3, sigma: {kind: geometric, initial: 0.7, decay: 1.0e200}}\n"
+        )
+        proc = invoke(["run", "--config", str(path)])
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+        summary = json.loads(proc.stdout.strip().splitlines()[-1])["summary"]
+        assert (summary["terminated_by"], summary["steps"]) == ("divergence", 8)
+
+
 class TestCmdBench:
     def test_campaign_csv(self, tmp_path):
         path = tmp_path / "bench.yaml"
@@ -394,6 +408,9 @@ class TestCmdBench:
          "batching.batch_size"),
         ("batching: {batch_size: 1, gamma: -0.1}\n", ["run"], "batching.gamma"),
         ("batching: {batch_size: 1, gamma: {kind: geometric, initial: 0.1, decay: -1}}\n",
+         ["run"], "batching.gamma"),
+        # decay**k underflows to 0 before the last epoch: no step size is left
+        ("batching: {batch_size: 3, gamma: {kind: geometric, initial: 0.1, decay: 1.0e-200}}\n",
          ["run"], "batching.gamma"),
         ("harness: {init: {kind: gaussian, mean: [1.0, 2.0, 3.0]}}\n", ["run"],
          "harness.init.mean"),
