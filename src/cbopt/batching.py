@@ -10,7 +10,6 @@ as one (q, M) stack and stepped at once, bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass, is_dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -36,8 +35,7 @@ class ConstantSchedule:
 
 @dataclass(frozen=True)
 class GeometricSchedule:
-    """Per-epoch geometric decay: initial * decay**k, in IEEE arithmetic, so a
-    value past the float range is infinite (and initial 0 stays 0)."""
+    """Per-epoch geometric decay: initial * decay**k."""
 
     initial: float
     decay: float
@@ -45,8 +43,8 @@ class GeometricSchedule:
     def __call__(self, k: int, theta: int) -> float:
         try:
             return self.initial * self.decay**k
-        except OverflowError:  # Python floats raise where IEEE gives inf
-            return self.initial * math.inf if self.initial else self.initial
+        except OverflowError:  # the IEEE value: inf past the float range, and 0 stays 0
+            return self.initial * np.inf if self.initial else self.initial
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,7 @@ class BatchParams:
             raise FieldError("max_epochs", "must be at least 1")
         if (isinstance(self.gamma_schedule, GeometricSchedule)
                 and not self.gamma_schedule(self.max_epochs - 1, 0) > 0.0):
-            raise FieldError("gamma_schedule", f"must yield positive step sizes; it "
-                             f"underflows to 0 by epoch {self.max_epochs - 1}")
+            raise FieldError("gamma_schedule", f"underflows to 0 by epoch {self.max_epochs - 1}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,8 @@ def make_batches(
 
 def _sorted_rows(batch, n: int) -> np.ndarray:
     """`batch` as int64 indices, ascending within each batch of a stack."""
-    batch = np.sort(np.asarray(batch, dtype=np.int64))
+    batch = np.array(batch, dtype=np.int64)  # a copy, sorted in place
+    batch.sort()
     if batch.size and (batch.min() < 0 or batch.max() >= n if batch.ndim > 1
                        else batch.item(0) < 0 or batch.item(-1) >= n):
         raise ValueError(f"batch {batch.tolist()} indexes outside 0..{n - 1}")
@@ -173,27 +171,35 @@ def batch_update(
     full = isinstance(scope, range) and scope == range(e.n_particles)
     rows = None if full else _sorted_rows(scope, e.n_particles)
     q = len(rows) if not full and rows.ndim > 1 else 1
-    gammas = [float(bp.gamma_schedule(k, theta + j)) for j in range(q)]
-    sigmas = [float(bp.sigma_schedule(k, theta + j)) for j in range(q)]
-    if not all(gamma > 0.0 for gamma in gammas):
-        raise ValueError("gamma schedule must yield positive step sizes")
-    if any(sigma < 0.0 for sigma in sigmas):
-        raise ValueError("sigma schedule must yield nonnegative noise scales")
     shape = (e.n_particles if full else rows.shape[-1], e.dimension)
-    z = [rng.normal_block(STREAM_DIFFUSION, e.step_count + j, shape) for j in range(q)]
     if q == 1:  # one batch: scalar coefficients cost least
-        gamma, sigma, v, z = gammas[0], sigmas[0], v.v, z[0]
+        (gamma, sigma), v = _coefficients(bp, k, theta), v.v
+        z = rng.normal_block(STREAM_DIFFUSION, e.step_count, shape)
     else:
+        gammas, sigmas = zip(*[_coefficients(bp, k, theta + j) for j in range(q)])
         gamma, sigma = np.reshape(gammas, (q, 1, 1)), np.reshape(sigmas, (q, 1, 1))
-        v, z = v.v[:, None], np.stack(z)
+        v, z = v.v[:, None], np.stack(
+            [rng.normal_block(STREAM_DIFFUSION, e.step_count + j, shape) for j in range(q)])
     if full:
         return advance(e, anisotropic_kick(e.positions, v, lam, sigma, gamma, z), gamma)
     new = e.positions.copy()
     new[rows] = anisotropic_kick(e.positions[rows], v, lam, sigma, gamma, z)
+    if q == 1:
+        return advance(e, new, gamma)
     out = advance(e, new, gammas[0])
     for gamma in gammas[1:]:  # the clock advances member by member
         out.time, out.step_count = out.time + gamma, out.step_count + 1
     return out
+
+
+def _coefficients(bp: BatchParams, k: int, theta: int) -> Tuple[float, float]:
+    """The checked gamma_{k,theta} and sigma_{k,theta} of one batch."""
+    gamma, sigma = float(bp.gamma_schedule(k, theta)), float(bp.sigma_schedule(k, theta))
+    if not gamma > 0.0:
+        raise ValueError("gamma schedule must yield positive step sizes")
+    if sigma < 0.0:
+        raise ValueError("sigma schedule must yield nonnegative noise scales")
+    return gamma, sigma
 
 
 def stop_check(v_prev, v_curr, d: int, eps: float) -> bool:

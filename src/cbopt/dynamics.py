@@ -158,7 +158,7 @@ def advance(e: Ensemble, positions: np.ndarray, dt: float) -> Ensemble:
     DivergenceError naming the step. The constructor's checks are skipped,
     because they would test the same array again.
     """
-    if not np.isfinite(positions).all():
+    if not np.logical_and.reduce(np.isfinite(positions), axis=None):
         raise DivergenceError(e.step_count)
     nxt = object.__new__(Ensemble)
     nxt.positions, nxt.time, nxt.step_count = positions, e.time + dt, e.step_count + 1

@@ -4,6 +4,7 @@ All five benchmarks are minimization problems with value 0 at the origin
 and nonnegative values everywhere. Each function accepts a single point of
 shape ``(d,)`` or a stack of points of shape ``(..., d)`` and reduces over
 the trailing axis, so ensembles can be evaluated in one vectorized call.
+Sums, means and products call the ufunc reductions the ndarray methods wrap.
 
 An ``ObjectiveFunction`` evaluates a stack of ``SHARD_MIN_ELEMENTS`` numbers
 or more in row shards on threads, one per usable CPU; the values are the
@@ -45,23 +46,23 @@ def _as_points(x) -> np.ndarray:
 def ackley(x):
     """Ackley function: exponential well at the origin under cosine ripples."""
     x = _as_points(x)
-    rms = np.sqrt((x * x).mean(axis=-1))
-    cos_mean = np.cos(2.0 * np.pi * x).mean(axis=-1)
+    rms = np.sqrt(np.add.reduce(x * x, axis=-1) / x.shape[-1])
+    cos_mean = np.add.reduce(np.cos(2.0 * np.pi * x), axis=-1) / x.shape[-1]
     return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + np.e
 
 
 def rastrigin(x):
     """Rastrigin function: quadratic bowl with a cosine lattice of minima."""
     x = _as_points(x)
-    return (x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0).sum(axis=-1)
+    return np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
 
 
 def griewank(x):
     """Griewank function: shallow quadratic with a product-of-cosines ripple."""
     x = _as_points(x)
     idx = np.arange(1, x.shape[-1] + 1, dtype=float)
-    quad = (x * x).sum(axis=-1) / 4000.0
-    ripple = np.cos(x / np.sqrt(idx)).prod(axis=-1)
+    quad = np.add.reduce(x * x, axis=-1) / 4000.0
+    ripple = np.multiply.reduce(np.cos(x / np.sqrt(idx)), axis=-1)
     return 1.0 + quad - ripple
 
 
@@ -69,15 +70,15 @@ def zakharov(x):
     """Zakharov function: sphere plus even powers of a weighted coordinate sum."""
     x = _as_points(x)
     idx = np.arange(1, x.shape[-1] + 1, dtype=float)
-    lin = (0.5 * idx * x).sum(axis=-1)
-    return (x * x).sum(axis=-1) + lin**2 + lin**4
+    lin = np.add.reduce(0.5 * idx * x, axis=-1)
+    return np.add.reduce(x * x, axis=-1) + lin**2 + lin**4
 
 
 def wavy(x):
     # Canonical form with frequency k = 10; the mean of cos(kx)*exp(-x^2/2)
     # is damped away from the origin, giving many shallow local minima.
     x = _as_points(x)
-    return 1.0 - (np.cos(10.0 * x) * np.exp(-0.5 * x * x)).mean(axis=-1)
+    return 1.0 - np.add.reduce(np.cos(10.0 * x) * np.exp(-0.5 * x * x), axis=-1) / x.shape[-1]
 
 
 @dataclass(frozen=True)

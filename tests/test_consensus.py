@@ -1,6 +1,7 @@
 """Consensus weights, weighted mean, and Laplace-value tests."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cbopt.consensus import consensus_reduction, laplace_value, weighted_mean, weights
+from cbopt.consensus import (
+    consensus_from_values, consensus_reduction, laplace_value, weighted_mean, weights,
+)
 from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.objectives import ObjectiveFunction, make_objective
 
@@ -225,3 +228,73 @@ class TestReductionProperties:
             v, log_normalizer = consensus_reduction(positions, fvals, alpha)
         assert not np.isnan(log_normalizer)
         assert np.isfinite(v).all()
+
+
+def eager_log_normalizer(fvals, alpha):
+    """log((1/N) sum_i exp(-alpha f_i)) as an eager reduction computes it:
+    -alpha min f (0 at alpha 0), plus the log of the mean shifted exponential."""
+    fmin = np.minimum.reduce(fvals, axis=-1, keepdims=True)
+    shifted = np.ones_like(fvals) if alpha == 0.0 else np.exp(-alpha * (fvals - fmin))
+    total = np.add.reduce(shifted, axis=-1, keepdims=True)
+    shift = np.zeros(fmin.shape[:-1]) if alpha == 0.0 else -alpha * fmin[..., 0]
+    return shift + np.log(total[..., 0] / fvals.shape[-1])
+
+
+@st.composite
+def lazy_cases(draw):
+    """(positions, fvals): (q, M, d) and (q, M) stacks or (N, d) and (N,)
+    single ensembles, with tied values or not."""
+    lead = draw(st.sampled_from([(), (1,), (2,), (4,)]))
+    n, d = draw(st.integers(1, 10)), draw(st.integers(1, 3))
+    values = st.sampled_from([-1.5, 0.0, 2.0]) if draw(st.booleans()) else st.floats(-50.0, 50.0)
+    return (draw(_values(lead + (n, d), 10.0)),
+            draw(arrays(float, lead + (n,), elements=values)))
+
+
+def float_bytes(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestLazyLogNormalizer:
+    @settings(max_examples=200, deadline=None)
+    @given(case=lazy_cases(), alpha=st.sampled_from([0.0, 1e308]) | st.floats(0.0, 100.0))
+    @example(case=(np.zeros((2, 3, 1)), np.array([[3.0, 3.0, 5.0], [-2.0, 7.0, 7.0]])),
+             alpha=1e308)  # -alpha min f overflows: -inf, and a tie at the minimum
+    def test_matches_the_eager_reduction_bitwise(self, case, alpha):
+        positions, fvals = case
+        f = quadratic(positions.shape[-1])
+        with np.errstate(over="ignore"):
+            want = eager_log_normalizer(fvals, alpha)
+            _, reduced = consensus_reduction(positions, fvals, alpha)
+            cps = consensus_from_values(positions, fvals, alpha, f)
+            # points picked out of the stack, and pickles, all before any read
+            children = [cps[j] for j in range(len(fvals))] if fvals.ndim > 1 else []
+            tail = cps[1:] if fvals.ndim > 1 else None
+            last = pickle.loads(pickle.dumps(cps[-1])) if fvals.ndim > 1 else None
+            unread = pickle.loads(pickle.dumps(consensus_from_values(positions, fvals, alpha, f)))
+            got = cps.log_normalizer
+        assert float_bytes(reduced) == float_bytes(want)
+        assert float_bytes(got) == float_bytes(want) == float_bytes(unread.log_normalizer)
+        if fvals.ndim == 1:
+            assert type(got) is float and type(unread.log_normalizer) is float
+            return
+        assert type(got) is list and all(type(x) is float for x in got)
+        for j, child in enumerate(children):
+            assert type(child.log_normalizer) is float
+            assert float_bytes(child.log_normalizer) == float_bytes(want[j])
+        assert float_bytes(last.log_normalizer) == float_bytes(want[-1])
+        assert float_bytes(tail.log_normalizer) == float_bytes(want[1:])
+
+    def test_computed_on_the_first_read_only(self, monkeypatch):
+        calls, log = [], np.log
+        monkeypatch.setattr(np, "log", lambda *a, **k: calls.append(1) or log(*a, **k))
+        rng = np.random.default_rng(12)
+        positions, fvals = rng.normal(size=(3, 5, 2)), rng.normal(size=(3, 5))
+        cps = consensus_from_values(positions, fvals, 4.0, quadratic(2))
+        first, rest = cps[0], cps[1:]
+        assert calls == []  # building a point, and picking points out, compute nothing
+        reads = [point.log_normalizer for point in (first, rest[1], cps, cps[2])]
+        assert len(calls) == 1  # the stack's one computation, which every point reads
+        want = consensus_reduction(positions, fvals, 4.0)[1]
+        assert float_bytes(reads[:2] + reads[3:]) == float_bytes(want[[0, 2, 2]])
+        assert float_bytes(reads[2]) == float_bytes(want)

@@ -160,6 +160,50 @@ def laplace_quadratic(x):
     return np.sum(np.asarray(x, float) ** 2, axis=-1)
 
 
+def methods_ackley(x):
+    rms = np.sqrt((x * x).mean(axis=-1))
+    cos_mean = np.cos(2.0 * np.pi * x).mean(axis=-1)
+    return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + np.e
+
+
+def methods_griewank(x):
+    idx = np.arange(1, x.shape[-1] + 1, dtype=float)
+    return 1.0 + (x * x).sum(axis=-1) / 4000.0 - np.cos(x / np.sqrt(idx)).prod(axis=-1)
+
+
+def methods_zakharov(x):
+    lin = (0.5 * np.arange(1, x.shape[-1] + 1, dtype=float) * x).sum(axis=-1)
+    return (x * x).sum(axis=-1) + lin**2 + lin**4
+
+
+# each benchmark written with the ndarray methods .sum, .mean and .prod
+METHODS = {
+    ackley: methods_ackley,
+    rastrigin: lambda x: (x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0).sum(axis=-1),
+    griewank: methods_griewank,
+    zakharov: methods_zakharov,
+    wavy: lambda x: 1.0 - (np.cos(10.0 * x) * np.exp(-0.5 * x * x)).mean(axis=-1),
+}
+
+
+class TestUfuncReductions:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fn=st.sampled_from(ALL),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 30), st.integers(1, 7)),
+        scale=st.sampled_from([0.01, 1.0, 40.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_the_ndarray_methods_bitwise(self, fn, shape, scale, seed):
+        # a sum divided by d and a sum of the quotients differ in a few
+        # points in a hundred, so draw many points of distinct values
+        x = np.random.default_rng(seed).uniform(-scale, scale, shape)
+        for points in (x, x[0], x[0, 0]):  # (R, N, d), (N, d) and (d,)
+            got, want = fn(points), METHODS[fn](points)
+            assert np.shape(got) == np.shape(want) == points.shape[:-1]
+            assert got.tobytes() == want.tobytes()
+
+
 class TestShardedEvaluation:
     """A stack of SHARD_MIN_ELEMENTS numbers or more is evaluated in row
     shards on threads; the values must be the whole call's, bit for bit."""
