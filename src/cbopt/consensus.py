@@ -82,7 +82,7 @@ def _reduce(positions, fvals, alpha):
     shifted, fmin = exponentials(fvals, alpha)
     total = np.add.reduce(shifted, axis=-1, keepdims=True)
     v = np.add.reduce((shifted / total)[..., None] * positions, axis=-2)
-    alpha, n = float(alpha), shifted.shape[-1]  # at alpha 0, -0.0 * (finite) min f is a 0
+    alpha, n = float(alpha), shifted.shape[-1]  # -alpha min f is a zero at alpha 0: f is finite
     return v, lambda: -alpha * fmin[..., 0] + np.log(total[..., 0] / n)
 
 

@@ -319,7 +319,6 @@ class TestCmdRun:
         summary = json.loads(proc.stdout.strip().splitlines()[-1])
         assert summary["summary"]["terminated_by"] == "divergence"
 
-
     def test_geometric_sigma_past_the_float_range_diverges(self, tmp_path):
         # 0.7 * (1e200)**2 is past the float range: sigma is inf at epoch 2, and
         # its first batch (step 8 of 4 batches per epoch) kicks to non-finite

@@ -267,7 +267,7 @@ class TestLazyLogNormalizer:
             want = eager_log_normalizer(fvals, alpha)
             _, reduced = consensus_reduction(positions, fvals, alpha)
             cps = consensus_from_values(positions, fvals, alpha, f)
-            # points picked out of the stack, and pickles, all before any read
+            # points picked out of the stack, and pickles of unread points
             children = [cps[j] for j in range(len(fvals))] if fvals.ndim > 1 else []
             tail = cps[1:] if fvals.ndim > 1 else None
             last = pickle.loads(pickle.dumps(cps[-1])) if fvals.ndim > 1 else None
