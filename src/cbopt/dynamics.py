@@ -145,8 +145,9 @@ def consensus_condition(p: VariantParams, d: int) -> bool:
 
 def anisotropic_kick(positions, v, lam, sigma, dt, z) -> np.ndarray:
     """Component-wise Euler-Maruyama update toward a given consensus point
-    v, for random batches (a stack too, with `sigma` and `dt` per ensemble),
-    the pairwise replica sweep and the frozen-moment diagnostic (v = 0)."""
+    v: the step of the anisotropic and common_noise variants, random batches
+    (a stack too, with `sigma` and `dt` per ensemble), the pairwise replica
+    sweep and the frozen-moment diagnostic (v = 0)."""
     diff = positions - v
     return positions - lam * dt * diff + sigma * np.sqrt(dt) * diff * z
 
@@ -181,14 +182,13 @@ def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp):
     x = e.positions
     shape = (e.dimension,) if p.variant == "common_noise" else x.shape
     z = rng.normal_block(STREAM_DIFFUSION, e.step_count, shape)
-    diff = x - cp.v
-    sqrt_dt = math.sqrt(p.dt)
     if p.variant in ("anisotropic", "common_noise"):
         # a coordinate that matches the consensus stays put; common noise
         # shares one draw per coordinate, so coincident particles stay so
-        drift = p.lam * p.dt * diff
-        noise = p.sigma * sqrt_dt * diff * z
-    elif p.variant == "original":
+        return anisotropic_kick(x, cp.v, p.lam, p.sigma, p.dt, z), mem
+    diff = x - cp.v
+    sqrt_dt = math.sqrt(p.dt)
+    if p.variant == "original":
         if p.heaviside_mode == "off":
             gate = 1.0
         else:

@@ -26,7 +26,7 @@ from .batching import (
     stop_check,
 )
 from .consensus import (
-    ConsensusPoint, consensus_reduction, exponentials, laplace_value, weighted_mean,
+    ConsensusPoint, consensus_mean, exponentials, laplace_value, weighted_mean,
 )
 from .dynamics import (
     VARIANTS,
@@ -249,61 +249,63 @@ def run(config: RunConfig) -> RunResult:
     `_groups` steps at once, or one batch at a time if it fails, with the
     outputs and errors of one batch at a time.
     """
-    f = make_objective(config.objective, config.dimension)
-    plan = RngPlan(config.master_seed)
-    e = init_ensemble(config.init, config.n_particles, config.dimension, plan)
-    t0 = time.perf_counter()
-    p, bp, d = config.params, config.batching, config.dimension
-    if bp is None:
-        groups, eps = itertools.repeat((0, 0, None)), config.stop_eps
-    else:
-        if bp.sigma_schedule is None:
-            bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
-        groups, eps = _groups(config, plan), bp.stop_eps
-        all_rows = range(config.n_particles) if bp.update_mode == "full" else None
-    mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
-    trajectory: List[TrajectoryPoint] = []
-    v_prev, cp, status = None, None, "max_steps"
-    while (group := next(groups, None)) is not None:
-        k, theta, batch = group
-        q, cps = 1 if batch is None or batch.ndim == 1 else len(batch), None
-        try:
-            if batch is None:
-                cps = weighted_mean(e, f, p.alpha)
-            else:  # a stack of q > 1 batches gives a stacked point: cps[j] is batch j's
-                cps = batch_consensus(e, f, p.alpha, batch)
-            first = cps if q == 1 else cps[0]
-            record = _point(e, first) if e.step_count % config.record_every == 0 else None
-            n, stop, prev = q, False, v_prev
-            if eps is not None:  # the stop rule, batch by batch
-                for n, v in enumerate((cps.v,) if q == 1 else cps.v, 1):
-                    stop = prev is not None and stop_check(prev, v, d, eps)
-                    if stop:
-                        break
-                    prev = v
-            if batch is not None:
-                scope = (batch if n == q else batch[:n]) if all_rows is None else all_rows
-                e = batch_update(e, cps if n == q else cps[:n], bp, scope, plan, lam=p.lam, k=k,
-                                 theta=theta)
-            elif not stop:  # a plain run stops before its update
-                e, mem = _step(e, f, p, plan, config.integrator, mem, cps)
-        except (ValueError, DivergenceError) as err:
-            if q > 1:  # one batch at a time: the error surfaces at its batch
-                groups = itertools.chain([(k, theta + j, b) for j, b in enumerate(batch)], groups)
-                continue
-            if isinstance(err, ValueError) and (cps is not None or cp is None):
-                raise  # not a divergence, or not even the initial state is evaluable
-            status = "divergence"
-            if cps is None:  # the objective is not finite at the batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = make_objective(config.objective, config.dimension)
+        plan = RngPlan(config.master_seed)
+        e = init_ensemble(config.init, config.n_particles, config.dimension, plan)
+        t0 = time.perf_counter()
+        p, bp, d = config.params, config.batching, config.dimension
+        if bp is None:
+            groups, eps = itertools.repeat((0, 0, None)), config.stop_eps
+        else:
+            if bp.sigma_schedule is None:
+                bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
+            groups, eps = _groups(config, plan), bp.stop_eps
+            all_rows = range(config.n_particles) if bp.update_mode == "full" else None
+        mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
+        trajectory: List[TrajectoryPoint] = []
+        v_prev, cp, status = None, None, "max_steps"
+        while (group := next(groups, None)) is not None:
+            k, theta, batch = group
+            q, cps = 1 if batch is None or batch.ndim == 1 else len(batch), None
+            try:
+                if batch is None:
+                    cps = weighted_mean(e, f, p.alpha)
+                else:  # a stack of q > 1 batches gives a stacked point: cps[j] is batch j's
+                    cps = batch_consensus(e, f, p.alpha, batch)
+                first = cps if q == 1 else cps[0]
+                record = _point(e, first) if e.step_count % config.record_every == 0 else None
+                n, stop, prev = q, False, v_prev
+                if eps is not None:  # the stop rule, batch by batch
+                    for n, v in enumerate((cps.v,) if q == 1 else cps.v, 1):
+                        stop = prev is not None and stop_check(prev, v, d, eps)
+                        if stop:
+                            break
+                        prev = v
+                if batch is not None:
+                    scope = (batch if n == q else batch[:n]) if all_rows is None else all_rows
+                    e = batch_update(e, cps if n == q else cps[:n], bp, scope, plan, lam=p.lam, k=k,
+                                     theta=theta)
+                elif not stop:  # a plain run stops before its update
+                    e, mem = _step(e, f, p, plan, config.integrator, mem, cps)
+            except (ValueError, DivergenceError) as err:
+                if q > 1:  # one batch at a time: the error surfaces at its batch
+                    singles = [(k, theta + j, b) for j, b in enumerate(batch)]
+                    groups = itertools.chain(singles, groups)
+                    continue
+                if isinstance(err, ValueError) and (cps is not None or cp is None):
+                    raise  # not a divergence, or not even the initial state is evaluable
+                status = "divergence"
+                if cps is None:  # the objective is not finite at the batch
+                    break
+            if record is not None:  # also when the kick diverged, as one batch at a time
+                trajectory.append(record)
+            cp, v_prev = cps if q == 1 else cps[n - 1], prev
+            if stop and status == "max_steps":
+                status = "stop_criterion"
+            if status != "max_steps" or e.step_count >= config.max_steps:
                 break
-        if record is not None:  # also when the kick diverged, as one batch at a time
-            trajectory.append(record)
-        cp, v_prev = cps if q == 1 else cps[n - 1], prev
-        if stop and status == "max_steps":
-            status = "stop_criterion"
-        if status != "max_steps" or e.step_count >= config.max_steps:
-            break
-    return _finish(trajectory, e, f, p.alpha, status, t0, config, fallback_cp=cp)
+        return _finish(trajectory, e, f, p.alpha, status, t0, config, fallback_cp=cp)
 
 
 def campaign_seeds(master_seed: int, runs: int) -> List[int]:
@@ -442,7 +444,7 @@ def diagnostic_pairwise_decay(
     series = np.empty(steps + 1)
     series[0] = np.mean(mean_pairwise_sq_dist(positions))
     for s in range(steps):
-        v, _ = consensus_reduction(positions, f(positions), alpha)  # (replicas, d)
+        v = consensus_mean(positions, f(positions), alpha)  # (replicas, d)
         z = plan.normal_block(STREAM_DIFFUSION, s, (replicas, d))
         positions = anisotropic_kick(
             positions, v[:, None, :], lam, sigma, h, z[:, None, :]

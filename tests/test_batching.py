@@ -116,7 +116,6 @@ class TestBatchConsensus:
         b = weighted_mean(e, f, 15.0)
         assert np.array_equal(a.v, b.v)
         assert a.f_at_v == b.f_at_v
-        assert a.log_normalizer == b.log_normalizer
 
     def test_symmetric_pair_midpoint(self):
         f = make_objective("ackley", 1)

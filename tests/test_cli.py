@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,19 @@ class TestCmdRun:
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
         summary = json.loads(proc.stdout.strip().splitlines()[-1])["summary"]
         assert (summary["terminated_by"], summary["steps"]) == ("divergence", 8)
+
+    @pytest.mark.parametrize("tail, code", [
+        ("batching: {batch_size: 3, sigma: {kind: geometric, initial: 0.7, decay: 1.0e200}}", 2),
+        ("params: {sigma: 1.0e200}", 2),
+        ("params: {alpha: 1.0e+308}", 0),  # exp(-alpha (f - min f)) overflows to 0
+    ], ids=["geometric_sigma", "huge_sigma", "huge_alpha"])
+    def test_overflow_inside_a_run_warns_nothing(self, tmp_path, capsys, tail, code):
+        path = tmp_path / "config.yaml"
+        path.write_text(f"{MINIMAL}{tail}\nharness: {{n_particles: 12, seed: 7, max_steps: 100}}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(path)]) == code
+        assert capsys.readouterr().err == ""
 
 
 class TestCmdBench:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cbopt.consensus import (
-    consensus_from_values, consensus_reduction, laplace_value, weighted_mean, weights,
+    consensus_from_values, consensus_mean, laplace_value, log_normalizer, weighted_mean, weights,
 )
 from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.objectives import ObjectiveFunction, make_objective
@@ -182,14 +182,14 @@ class TestReductionProperties:
     @given(ensemble=ensembles(stacked=True), alpha=st.floats(0.0, 100.0))
     def test_stack_matches_separate_weighted_means_bitwise(self, ensemble, alpha):
         positions, fvals = ensemble
-        v, log_normalizer = consensus_reduction(positions, fvals, alpha)
+        v, stacked = consensus_mean(positions, fvals, alpha), log_normalizer(fvals, alpha)
         for r, rows in enumerate(positions):
             # the drawn values at the particles; f(v) plays no part in v
             drawn = ObjectiveFunction("drawn", lambda x, r=r: fvals[r] if x.ndim == 2 else 0.0,
                                       rows.shape[1])
             cp = weighted_mean(Ensemble(rows), drawn, alpha)
             assert v[r].tobytes() == cp.v.tobytes()
-            assert log_normalizer[r] == cp.log_normalizer
+            assert stacked[r].tobytes() == log_normalizer(fvals[r], alpha).tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -204,14 +204,13 @@ class TestReductionProperties:
         # |f|, |c|, |x| <= 10 and alpha <= 10 bound the rounding of f + c in
         # the exponent, and of x + shift, well below 1e-12 of the scale
         positions, fvals = ensemble
-        v, _ = consensus_reduction(positions, fvals, alpha)
+        v = consensus_mean(positions, fvals, alpha)
         scale = 1e-12 * (1.0 + np.max(np.abs(positions)) + abs(shift))
         np.testing.assert_allclose(
-            consensus_reduction(positions, fvals + c, alpha)[0], v, rtol=1e-12, atol=scale
+            consensus_mean(positions, fvals + c, alpha), v, rtol=1e-12, atol=scale
         )
         np.testing.assert_allclose(
-            consensus_reduction(positions + shift, fvals, alpha)[0], v + shift,
-            rtol=1e-12, atol=scale,
+            consensus_mean(positions + shift, fvals, alpha), v + shift, rtol=1e-12, atol=scale
         )
 
     @settings(max_examples=200, deadline=None)
@@ -225,8 +224,8 @@ class TestReductionProperties:
     def test_log_normalizer_is_never_nan(self, fvals, alpha):
         positions = np.linspace(-1.0, 1.0, fvals.size)[:, None]
         with np.errstate(over="ignore"):
-            v, log_normalizer = consensus_reduction(positions, fvals, alpha)
-        assert not np.isnan(log_normalizer)
+            v, value = consensus_mean(positions, fvals, alpha), log_normalizer(fvals, alpha)
+        assert not np.isnan(value)
         assert np.isfinite(v).all()
 
 
@@ -241,10 +240,10 @@ def eager_log_normalizer(fvals, alpha):
 
 
 @st.composite
-def lazy_cases(draw):
+def cases(draw, lead=st.sampled_from([(), (1,), (2,), (4,)])):
     """(positions, fvals): (q, M, d) and (q, M) stacks or (N, d) and (N,)
     single ensembles, with tied values or not."""
-    lead = draw(st.sampled_from([(), (1,), (2,), (4,)]))
+    lead = draw(lead)
     n, d = draw(st.integers(1, 10)), draw(st.integers(1, 3))
     values = st.sampled_from([-1.5, 0.0, 2.0]) if draw(st.booleans()) else st.floats(-50.0, 50.0)
     return (draw(_values(lead + (n, d), 10.0)),
@@ -255,46 +254,35 @@ def float_bytes(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-class TestLazyLogNormalizer:
+class TestLogNormalizer:
     @settings(max_examples=200, deadline=None)
-    @given(case=lazy_cases(), alpha=st.sampled_from([0.0, 1e308]) | st.floats(0.0, 100.0))
+    @given(case=cases(), alpha=st.sampled_from([0.0, 1e308]) | st.floats(0.0, 100.0))
     @example(case=(np.zeros((2, 3, 1)), np.array([[3.0, 3.0, 5.0], [-2.0, 7.0, 7.0]])),
              alpha=1e308)  # -alpha min f overflows: -inf, and a tie at the minimum
     def test_matches_the_eager_reduction_bitwise(self, case, alpha):
-        positions, fvals = case
-        f = quadratic(positions.shape[-1])
+        _, fvals = case
         with np.errstate(over="ignore"):
-            want = eager_log_normalizer(fvals, alpha)
-            _, reduced = consensus_reduction(positions, fvals, alpha)
-            cps = consensus_from_values(positions, fvals, alpha, f)
-            # points picked out of the stack, and pickles of unread points
-            children = [cps[j] for j in range(len(fvals))] if fvals.ndim > 1 else []
-            tail = cps[1:] if fvals.ndim > 1 else None
-            last = pickle.loads(pickle.dumps(cps[-1])) if fvals.ndim > 1 else None
-            unread = pickle.loads(pickle.dumps(consensus_from_values(positions, fvals, alpha, f)))
-            got = cps.log_normalizer
-        assert float_bytes(reduced) == float_bytes(want)
-        assert float_bytes(got) == float_bytes(want) == float_bytes(unread.log_normalizer)
-        if fvals.ndim == 1:
-            assert type(got) is float and type(unread.log_normalizer) is float
-            return
-        assert type(got) is list and all(type(x) is float for x in got)
-        for j, child in enumerate(children):
-            assert type(child.log_normalizer) is float
-            assert float_bytes(child.log_normalizer) == float_bytes(want[j])
-        assert float_bytes(last.log_normalizer) == float_bytes(want[-1])
-        assert float_bytes(tail.log_normalizer) == float_bytes(want[1:])
+            want, got = eager_log_normalizer(fvals, alpha), log_normalizer(fvals, alpha)
+        assert np.shape(got) == fvals.shape[:-1]
+        assert float_bytes(got) == float_bytes(want)
 
-    def test_computed_on_the_first_read_only(self, monkeypatch):
-        calls, log = [], np.log
-        monkeypatch.setattr(np, "log", lambda *a, **k: calls.append(1) or log(*a, **k))
-        rng = np.random.default_rng(12)
-        positions, fvals = rng.normal(size=(3, 5, 2)), rng.normal(size=(3, 5))
-        cps = consensus_from_values(positions, fvals, 4.0, quadratic(2))
-        first, rest = cps[0], cps[1:]
-        assert calls == []  # building a point, and picking points out, compute nothing
-        reads = [point.log_normalizer for point in (first, rest[1], cps, cps[2])]
-        assert len(calls) == 1  # the stack's one computation, which every point reads
-        want = consensus_reduction(positions, fvals, 4.0)[1]
-        assert float_bytes(reads[:2] + reads[3:]) == float_bytes(want[[0, 2, 2]])
-        assert float_bytes(reads[2]) == float_bytes(want)
+
+class TestStackedPoint:
+    @settings(max_examples=100, deadline=None)
+    @given(case=cases(lead=st.sampled_from([(1,), (2,), (4,)])), alpha=st.floats(0.0, 100.0),
+           a=st.integers(-4, 4), b=st.integers(-4, 4))
+    def test_points_slices_and_pickles_keep_v_and_f_at_v_bitwise(self, case, alpha, a, b):
+        positions, fvals = case
+        cps = consensus_from_values(positions, fvals, alpha, quadratic(positions.shape[-1]))
+        q = len(fvals)
+        for j in list(range(q)) + [-1]:
+            point = cps[j]
+            assert point.v.tobytes() == cps.v[j].tobytes()
+            assert type(point.f_at_v) is float
+            assert float_bytes(point.f_at_v) == float_bytes(cps.f_at_v[j])
+        part = cps[a:b]
+        assert part.v.tobytes() == cps.v[a:b].tobytes()
+        assert float_bytes(part.f_at_v) == float_bytes(cps.f_at_v[a:b])
+        copy = pickle.loads(pickle.dumps(cps))
+        assert copy.v.tobytes() == cps.v.tobytes()
+        assert type(copy.f_at_v) is list and float_bytes(copy.f_at_v) == float_bytes(cps.f_at_v)

@@ -301,7 +301,7 @@ class TestPersonalBestStep:
         # use a consensus point away from the origin so f(p) < f(v)
         from cbopt.consensus import ConsensusPoint
 
-        cp = ConsensusPoint(v=np.array([0.8]), f_at_v=float(f(np.array([0.8]))), log_normalizer=0.0)
+        cp = ConsensusPoint(v=np.array([0.8]), f_at_v=float(f(np.array([0.8]))))
         out, _ = step(e, f, p, RngPlan(0), mem, cp=cp)
         # particle 0: f(p)=0.01 < f(X)=1, f(p) < f(v): mu gate open
         # lam gate: H(f(X)-f(v)) H(f(p)-f(v)) = 1 * 0 = 0
@@ -339,7 +339,7 @@ class TestSphereStep:
         x = np.array([0.0, 0.0, 1.0])
         e = Ensemble(np.array([x]))
         p = VariantParams(lam=1.0, sigma=0.7, dt=0.01, alpha=0.0, variant="sphere")
-        cp = ConsensusPoint(v=x.copy(), f_at_v=1.0, log_normalizer=0.0)
+        cp = ConsensusPoint(v=x.copy(), f_at_v=1.0)
         out = step(e, f, p, RngPlan(11), cp=cp)[0]
         assert np.allclose(out.positions[0], x, atol=1e-15)
 

@@ -27,7 +27,7 @@ from cbopt.harness import (
     run_campaign,
     success_rate,
 )
-from cbopt.consensus import consensus_reduction, weighted_mean
+from cbopt.consensus import weighted_mean
 from cbopt.objectives import ObjectiveFunction, make_objective
 
 
@@ -282,8 +282,7 @@ def assert_same_run(result, expected):
         assert a.v.tobytes() == b.v.tobytes() and a.mean.tobytes() == b.mean.tobytes()
     got, want = result.final_consensus, expected.final_consensus
     assert got.v.tobytes() == want.v.tobytes()
-    assert (got.f_at_v, got.log_normalizer) == (want.f_at_v, want.log_normalizer)
-    assert type(got.f_at_v) is float and type(got.log_normalizer) is float
+    assert got.f_at_v == want.f_at_v and type(got.f_at_v) is float
     assert result.final_positions.tobytes() == expected.final_positions.tobytes()
 
 
@@ -466,7 +465,6 @@ class TestEdgeCases:
         assert result.final_positions.shape == (n, d)
         assert np.isfinite(result.final_positions).all()
         assert np.isfinite(cp.v).all() and math.isfinite(cp.f_at_v)
-        assert math.isfinite(cp.log_normalizer)
         for pt in result.trajectory:
             assert np.isfinite(pt.v).all() and np.isfinite(pt.mean).all()
             assert math.isfinite(pt.f_at_v) and math.isfinite(pt.variance)
@@ -577,38 +575,16 @@ class TestCampaign:
         assert pools == [3]  # one run stays in this process
 
 
-class TestLazyLogNormalizer:
-    """No step, batch or group computes a log-normalizer; the final point
-    computes it when read, with the eager reduction's value."""
-
-    @pytest.fixture
-    def logs(self, monkeypatch):
-        calls, log = [], np.log
-        monkeypatch.setattr(np, "log", lambda *a, **k: calls.append(1) or log(*a, **k))
-        return calls
+class TestNoLogNormalizer:
+    """No step, batch or group of a run computes a log-normalizer."""
 
     @pytest.mark.parametrize("mode", ["plain", "partial", "full"])
-    def test_runs_compute_none(self, logs, mode):
+    def test_runs_compute_none(self, monkeypatch, mode):
+        calls, log = [], np.log
+        monkeypatch.setattr(np, "log", lambda *a, **k: calls.append(1) or log(*a, **k))
         config = small_config(max_steps=30) if mode == "plain" else batched_config(13, 4, mode)
         result = run(config)
-        assert result.terminated_by == "max_steps" and logs == []
-        f, positions = make_objective(config.objective, config.dimension), result.final_positions
-        _, want = consensus_reduction(positions, f(positions), config.params.alpha)
-        logs.clear()
-        got = result.final_consensus.log_normalizer
-        assert len(logs) == 1 and type(got) is float
-        assert np.float64(got).tobytes() == want.tobytes()
-
-    def test_campaign_workers_return_it_as_a_float(self, logs):
-        config = small_config(max_steps=30)
-        serial = run_campaign(config, 3, workers=1)
-        parallel = run_campaign(config, 3, workers=2)
-        logs.clear()
-        got = [r.final_consensus.log_normalizer for r in parallel]
-        assert logs == []  # computed in the worker, and pickled as a float
-        want = [r.final_consensus.log_normalizer for r in serial]
-        assert len(logs) == 3 and all(type(x) is float for x in got)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert result.terminated_by == "max_steps" and calls == []
 
 
 class TestFitDecayRate:
