@@ -6,12 +6,19 @@ in seconds, and of the float64 bytes the pairwise and frozen-moment
 diagnostics return at a small size.
 
 The hashes pin results bit for bit. Generator streams are not guaranteed
-stable across numpy releases, so the tests skip when the running numpy is
-not the one the hashes were recorded with. To record them again after a
-deliberate change of results, run ``PYTHONPATH=src python tests/test_golden.py``.
+stable across numpy releases, and the float64 bits of `exp`, `log1p` and
+`log` depend on which SIMD kernels numpy picks on the running CPU (and on
+the C library). So hashes.json holds one hash set per numpy version and
+math fingerprint (`math_fingerprint`), and the tests skip, naming both,
+when no set matches the running pair. ``PYTHONPATH=src python
+tests/test_golden.py`` records the set of the running pair and leaves the
+others as they are: run it on unchanged code to add a missing set, or
+under each recorded `NPY_DISABLE_CPU_FEATURES` value after a deliberate
+change of results.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -230,14 +237,49 @@ def diagnostic_case(name):
     return _sha(np.asarray(DIAGNOSTIC_CASES[name](), dtype=np.float64).tobytes())
 
 
+@functools.cache
+def math_fingerprint() -> str:
+    """sha256 of the float64 bits of exp, log1p, log, cos, tanh and sqrt
+    over one fixed probe vector of 2**16 points spread over (-30, 30), the
+    range the objectives and the weights feed them (the logarithms and the
+    root take its absolute values, which are never 0)."""
+    probe = (np.arange(2**16) - 2**15 + 0.5) * (30.0 / 2**15)
+    size = np.abs(probe)
+    digest = hashlib.sha256()
+    for values in (np.exp(probe), np.log1p(size), np.log(size), np.cos(probe), np.tanh(probe),
+                   np.sqrt(size)):
+        digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
+def _matches(entry) -> bool:
+    return entry["numpy"] == np.__version__ and entry["fingerprint"] == math_fingerprint()
+
+
+def recorded_set():
+    """The hash set recorded for the running numpy and math fingerprint, or None."""
+    return next((entry for entry in json.loads(HASHES.read_text()) if _matches(entry)), None)
+
+
+def missing_set_reason():
+    """None when a hash set is recorded for the running numpy and math
+    fingerprint, else why not, naming the running pair."""
+    if recorded_set() is not None:
+        return None
+    versions = sorted({entry["numpy"] for entry in json.loads(HASHES.read_text())})
+    if np.__version__ not in versions:
+        return (f"golden hashes were recorded with numpy {', '.join(versions)}, "
+                f"running numpy {np.__version__}")
+    return (f"no golden hash set is recorded for numpy {np.__version__} with math fingerprint "
+            f"{math_fingerprint()}; record it on unchanged code with "
+            "`PYTHONPATH=src python tests/test_golden.py`")
+
+
 @pytest.fixture(scope="module")
 def golden():
-    recorded = json.loads(HASHES.read_text())
-    if recorded["numpy"] != np.__version__:
-        pytest.skip(
-            f"golden hashes were recorded with numpy {recorded['numpy']}, "
-            f"running numpy {np.__version__}"
-        )
+    recorded = recorded_set()
+    if recorded is None:
+        pytest.skip(missing_set_reason())
     return recorded
 
 
@@ -262,7 +304,8 @@ def test_diagnostic_values_match_golden(name, golden):
 
 
 def _record():
-    """Run every case and rewrite hashes.json."""
+    """Run every case and rewrite the hash set of the running numpy and math
+    fingerprint in hashes.json, keeping the other sets."""
     with tempfile.TemporaryDirectory() as tmp:
         runs = {name: run_case(name, Path(tmp)) for name in sorted([*RUN_CASES, *FLAG_CASES])}
         bench = [bench_case(threads, Path(tmp)) for threads in (1, 2)]
@@ -270,15 +313,17 @@ def _record():
     diagnostic = {name: diagnostic_case(name) for name in sorted(DIAGNOSTIC_CASES)}
     if bench[0] != bench[1]:
         raise SystemExit("bench output differs between one and two workers")
+    entry = {
+        "numpy": np.__version__, "fingerprint": math_fingerprint(),
+        "npy_disable_cpu_features": os.environ.get("NPY_DISABLE_CPU_FEATURES", ""),
+        "run": runs, "bench": bench[0], "diagnose": diagnose, "diagnostic": diagnostic,
+    }
+    sets = json.loads(HASHES.read_text()) if HASHES.exists() else []
+    sets = [other for other in sets if not _matches(other)] + [entry]
     HASHES.parent.mkdir(exist_ok=True)
-    HASHES.write_text(
-        json.dumps(
-            {"numpy": np.__version__, "run": runs, "bench": bench[0], "diagnose": diagnose,
-             "diagnostic": diagnostic},
-            indent=2,
-        ) + "\n"
-    )
-    print(f"wrote {HASHES}")
+    HASHES.write_text(json.dumps(sets, indent=2) + "\n")
+    print(f"wrote the set for numpy {np.__version__}, math fingerprint {math_fingerprint()}, "
+          f"to {HASHES}")
 
 
 if __name__ == "__main__":
