@@ -2,17 +2,17 @@
 
 `step` advances every variant the same way: it computes the consensus
 point once from the pre-step positions (synchronous update), makes one
-normal draw keyed by the ensemble's step counter, forms the Euler-Maruyama
-update (X - drift) + noise, and checks it once for finiteness. A variant
-supplies only its drift and noise terms: a Heaviside gate on the drift and
-isotropic noise (original), per-coordinate noise (anisotropic), one draw
-per coordinate shared by all particles (common_noise), a second gated pull
-toward a per-particle memory (personal_best), or tangential projections
-with an Ito correction and a renormalization onto the unit sphere
-(sphere). An exact heaviside gate is a comparison, and `gate_pair` builds
-an exact pair of gates with one conjunction, bitwise what their product
-gives. Per-particle work is independent within a step; the consensus
-reduction is the only synchronization point.
+normal draw z keyed by the ensemble's step counter, forms the Euler-Maruyama
+update (X - drift) + noise, and checks it once for finiteness. Its kicks are
+pure transforms of (positions, v, z) that the library reuses: `isotropic_kick`
+(noise sigma |X - v| z and a gated drift: original) and `anisotropic_kick`
+(noise sigma (X - v)_k z_k: anisotropic, and common_noise with one draw per
+coordinate shared by all particles). personal_best adds a gated pull toward
+a per-particle memory; sphere takes tangential projections with an Ito
+correction and renormalizes. An exact heaviside gate is a comparison, and
+`gate_pair` builds an exact pair of gates with one conjunction, bitwise what
+their product gives. Per-particle work is independent within a step; the
+consensus reduction is the only synchronization point.
 """
 
 from __future__ import annotations
@@ -143,6 +143,16 @@ def consensus_condition(p: VariantParams, d: int) -> bool:
     return 2.0 * p.lam > p.sigma**2
 
 
+def isotropic_kick(positions, v, lam, sigma, dt, z, gate=1.0) -> np.ndarray:
+    """Isotropic Euler-Maruyama update toward a given consensus point v, its
+    noise scaled by |X - v| over the last axis: the original variant's step
+    (sigma with its sqrt(2), gate its Heaviside factor) and the frozen-moment
+    diagnostic's (v = 0)."""
+    diff = positions - v
+    dist = np.linalg.norm(diff, axis=-1)[..., None]
+    return positions - lam * dt * diff * gate + sigma * np.sqrt(dt) * dist * z
+
+
 def anisotropic_kick(positions, v, lam, sigma, dt, z) -> np.ndarray:
     """Component-wise Euler-Maruyama update toward a given consensus point
     v: the step of the anisotropic and common_noise variants, random batches
@@ -186,17 +196,15 @@ def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp):
         # a coordinate that matches the consensus stays put; common noise
         # shares one draw per coordinate, so coincident particles stay so
         return anisotropic_kick(x, cp.v, p.lam, p.sigma, p.dt, z), mem
-    diff = x - cp.v
-    sqrt_dt = math.sqrt(p.dt)
     if p.variant == "original":
-        if p.heaviside_mode == "off":
-            gate = 1.0
-        else:
+        gate = 1.0
+        if p.heaviside_mode != "off":  # f(x) before the kick's (N, d) temporaries exist
             fx = np.asarray(f(x), dtype=float)
             gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
-        drift = p.lam * p.dt * diff * gate
-        noise = math.sqrt(2.0) * p.sigma * sqrt_dt * np.linalg.norm(diff, axis=1)[:, None] * z
-    elif p.variant == "personal_best":
+        return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, gate), mem
+    diff = x - cp.v
+    sqrt_dt = math.sqrt(p.dt)
+    if p.variant == "personal_best":
         # pure Heaviside gates pick the pull toward v or toward the personal
         # best, whichever has the smaller objective value; mode 'off' falls
         # back to exact gating, since ungated dual drift would pin particles

@@ -29,13 +29,8 @@ from .consensus import (
     ConsensusPoint, consensus_mean, exponentials, laplace_value, weighted_mean,
 )
 from .dynamics import (
-    VARIANTS,
-    DivergenceError,
-    PersonalBestMemory,
-    VariantParams,
-    advance,
-    anisotropic_kick,
-    step,
+    VARIANTS, DivergenceError, PersonalBestMemory, VariantParams, advance, anisotropic_kick,
+    isotropic_kick, step,
 )
 from .ensemble import (
     Ensemble,
@@ -180,12 +175,11 @@ def _step(e, f, p, plan, integrator, mem, cp):
     """Move every particle one step with the configured integrator."""
     if integrator == "euler":
         return step(e, f, p, plan, mem=mem, cp=cp)
-    gen = plan.generator(STREAM_DIFFUSION, e.step_count)
+    z = plan.normal_block(STREAM_DIFFUSION, e.step_count, e.positions.shape)
     if integrator == "split":
-        xhat = split_drift(e.positions, cp.v, p.lam, p.dt)
-        new = split_diffusion(xhat, cp.v, p.sigma, p.dt, gen)
+        new = split_diffusion(split_drift(e.positions, cp.v, p.lam, p.dt), cp.v, p.sigma, p.dt, z)
     else:
-        new = frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, gen)
+        new = frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, z)
     return advance(e, new, p.dt), mem
 
 
@@ -376,22 +370,15 @@ def diagnostic_frozen_moment(
     if n < 1000:
         raise ValueError("need at least 1000 particles for a stable fit")
     plan = RngPlan(seed)
-    x = plan.generator(STREAM_INIT, 0).standard_normal((n, d))
-    e = Ensemble(x)
+    e = Ensemble(plan.generator(STREAM_INIT, 0).standard_normal((n, d)))
     steps = int(round(t_final / dt))
     second = np.empty(steps + 1)
-    second[0] = np.mean(np.sum(x * x, axis=1))
-    sqrt_dt = np.sqrt(dt)
+    kick = isotropic_kick if variant == "isotropic" else anisotropic_kick
     for s in range(steps):
+        second[s] = np.mean(np.sum(e.positions * e.positions, axis=1))
         z = plan.normal_block(STREAM_DIFFUSION, s, (n, d))
-        if variant == "isotropic":
-            scale = np.sqrt(np.sum(x * x, axis=1))[:, None]
-            new = x - lam * dt * x + sigma * sqrt_dt * scale * z
-        else:
-            new = anisotropic_kick(x, 0.0, lam, sigma, dt, z)
-        e = advance(e, new, dt)
-        x = e.positions
-        second[s + 1] = np.mean(np.sum(x * x, axis=1))
+        e = advance(e, kick(e.positions, 0.0, lam, sigma, dt, z), dt)
+    second[steps] = np.mean(np.sum(e.positions * e.positions, axis=1))
     times = dt * np.arange(steps + 1)
     fitted = fit_decay_rate(np.column_stack([times, second]))
     predicted = 2.0 * lam - (sigma**2 * d if variant == "isotropic" else sigma**2)

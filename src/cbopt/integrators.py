@@ -4,7 +4,8 @@ Both schemes hold the consensus point fixed over one interval of length
 gamma: the splitting scheme solves the drift ODE exactly and then applies
 the component-wise noise kick, while the freezing scheme applies the exact
 per-coordinate geometric-Brownian-motion solution in one shot. All three
-functions are pure per-row transforms, safe under any data-parallel split.
+functions are pure per-row transforms of (positions, v, z), safe under any
+data-parallel split; none draws: the caller passes the step's normal draw z.
 """
 
 from __future__ import annotations
@@ -23,20 +24,18 @@ def split_drift(positions, v, lam, gamma) -> np.ndarray:
     return v + (positions - v) * np.exp(-lam * gamma)
 
 
-def split_diffusion(positions, v, sigma, gamma, rng: np.random.Generator) -> np.ndarray:
-    """Component-wise noise kick sigma*sqrt(gamma)*(X - v)_k * z after the drift solve."""
+def split_diffusion(positions, v, sigma, gamma, z) -> np.ndarray:
+    """Component-wise noise kick sigma*sqrt(gamma)*(X - v)_k * z_k after the drift solve."""
     _check_gamma(gamma)
-    z = rng.standard_normal(np.shape(positions))
     return positions + sigma * np.sqrt(gamma) * (positions - v) * z
 
 
-def frozen_gbm(positions, v, lam, sigma, gamma, rng: np.random.Generator) -> np.ndarray:
+def frozen_gbm(positions, v, lam, sigma, gamma, z) -> np.ndarray:
     """Exact per-coordinate GBM solution with the consensus point held at v.
 
     The exponential factor is positive, so no coordinate ever crosses v;
     at sigma = 0 this coincides bitwise with split_drift.
     """
     _check_gamma(gamma)
-    z = rng.standard_normal(np.shape(positions))
     exponent = (-lam - 0.5 * sigma**2) * gamma + sigma * np.sqrt(gamma) * z
     return v + (positions - v) * np.exp(exponent)

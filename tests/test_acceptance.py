@@ -224,7 +224,7 @@ def test_08_integrator_equivalence():
     lam, sigma, gamma = 1.0, 0.6, 0.2
     x = np.full((100_000, 1), 3.0)
     v = np.ones(1)
-    out = frozen_gbm(x, v, lam, sigma, gamma, np.random.default_rng(56))
+    out = frozen_gbm(x, v, lam, sigma, gamma, np.random.default_rng(56).standard_normal(x.shape))
     mean_rel = abs(float(np.mean(out - v)) - 2.0 * math.exp(-lam * gamma)) / (
         2.0 * math.exp(-lam * gamma)
     )
@@ -232,7 +232,8 @@ def test_08_integrator_equivalence():
     xg = np.random.default_rng(57).normal(size=(40, 3))
     vg = np.random.default_rng(58).normal(size=3)
     bitwise = np.array_equal(
-        split_drift(xg, vg, 1.3, 0.7), frozen_gbm(xg, vg, 1.3, 0.0, 0.7, np.random.default_rng(59))
+        split_drift(xg, vg, 1.3, 0.7),
+        frozen_gbm(xg, vg, 1.3, 0.0, 0.7, np.random.default_rng(59).standard_normal(xg.shape)),
     )
     report(
         "8 integrator equivalence",

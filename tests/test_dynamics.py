@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cbopt.consensus import weighted_mean
 from cbopt.dynamics import (
+    HEAVISIDE_MODES,
     VARIANTS,
     DivergenceError,
     PersonalBestMemory,
@@ -19,10 +20,11 @@ from cbopt.dynamics import (
     consensus_condition,
     gate_pair,
     heaviside,
+    isotropic_kick,
     sphere_norm_drift,
     step,
 )
-from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
+from cbopt.ensemble import STREAM_DIFFUSION, Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.objectives import ObjectiveFunction, make_objective
 
 
@@ -179,6 +181,64 @@ class TestOriginalStep:
         out = step(e, f, p, RngPlan(0), cp=cp)[0]
         assert out.positions[0, 0] == 0.1  # gate 0: better than v_f, stays
         assert out.positions[1, 0] != 5.0  # gate 1: pulled toward v_f
+
+
+def original_update(x, v, lam, sigma, dt, z, gate):
+    """The original variant's update as its step wrote it before isotropic_kick."""
+    diff = x - v
+    sqrt_dt = math.sqrt(dt)
+    drift = lam * dt * diff * gate
+    noise = math.sqrt(2.0) * sigma * sqrt_dt * np.linalg.norm(diff, axis=1)[:, None] * z
+    return (x - drift) + noise
+
+
+def frozen_moment_update(x, lam, sigma, dt, z):
+    """The frozen-moment diagnostic's isotropic update (v = 0) as it was written."""
+    scale = np.sqrt(np.sum(x * x, axis=1))[:, None]
+    return x - lam * dt * x + sigma * np.sqrt(dt) * scale * z
+
+
+class TestIsotropicKick:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.0, 5.0),
+        sigma=st.floats(0.0, 5.0),
+        dt=st.floats(1e-8, 1.0),
+        mode=st.sampled_from(HEAVISIDE_MODES),
+        epsilon=st.floats(1e-6, 10.0),
+    )
+    def test_equals_both_former_isotropic_updates_bytewise(
+        self, n, d, seed, lam, sigma, dt, mode, epsilon
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        v = rng.normal(size=d)
+        z = rng.standard_normal((n, d))
+        fx = rng.integers(-2, 3, size=n) * 0.5  # ties with f(v) = 0 hit the exact gate's edge
+        gate = 1.0 if mode == "off" else heaviside(fx, mode, epsilon)[:, None]
+        expected = original_update(x, v, lam, sigma, dt, z, gate)
+        kicked = isotropic_kick(x, v, lam, math.sqrt(2.0) * sigma, dt, z, gate)
+        assert kicked.tobytes() == expected.tobytes()
+        expected = frozen_moment_update(x, lam, sigma, dt, z)
+        assert isotropic_kick(x, 0.0, lam, sigma, dt, z).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", HEAVISIDE_MODES)
+    def test_original_step_equals_the_former_update_bytewise(self, mode):
+        f = make_objective("rastrigin", 4)
+        plan = RngPlan(11)
+        e = Ensemble(init_ensemble(InitSpec("box", low=-2, high=2), 9, 4, plan).positions,
+                     time=0.3, step_count=5)
+        p = VariantParams(lam=0.8, sigma=0.6, dt=0.02, alpha=5.0, epsilon=0.5,
+                          variant="original", heaviside_mode=mode)
+        cp = weighted_mean(e, f, p.alpha)
+        x = e.positions
+        gate = 1.0 if mode == "off" else heaviside(f(x) - cp.f_at_v, mode, p.epsilon)[:, None]
+        z = plan.normal_block(STREAM_DIFFUSION, 5, x.shape)
+        expected = original_update(x, cp.v, p.lam, p.sigma, p.dt, z, gate)
+        assert step(e, f, p, plan, cp=cp)[0].positions.tobytes() == expected.tobytes()
 
 
 class TestAnisotropicStep:

@@ -3,8 +3,15 @@ never-overshoot guarantees."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbopt.consensus import weighted_mean
+from cbopt.dynamics import VariantParams
+from cbopt.ensemble import STREAM_DIFFUSION, Ensemble, RngPlan
+from cbopt.harness import _step
 from cbopt.integrators import frozen_gbm, split_diffusion, split_drift
+from cbopt.objectives import make_objective
 
 
 def rk4_contraction(x0, v, lam, gamma, substeps=10_000):
@@ -71,19 +78,23 @@ class TestSplitDrift:
 class TestSplitDiffusion:
     def test_sigma_zero_identity(self):
         x = np.random.default_rng(22).normal(size=(10, 2))
-        out = split_diffusion(x, np.zeros(2), 0.0, 0.5, np.random.default_rng(0))
+        out = split_diffusion(
+            x, np.zeros(2), 0.0, 0.5, np.random.default_rng(0).standard_normal(x.shape)
+        )
         assert np.array_equal(out, x)
 
     def test_at_consensus_identity(self):
         v = np.array([1.0, -1.0])
         x = np.tile(v, (7, 1))
-        out = split_diffusion(x, v, 2.0, 0.5, np.random.default_rng(1))
+        out = split_diffusion(x, v, 2.0, 0.5, np.random.default_rng(1).standard_normal(x.shape))
         assert np.array_equal(out, x)
 
     def test_variance_matches_sigma_sq_gamma(self):
         sigma, gamma = 0.7, 0.25
         x = np.ones((100_000, 1))  # X - v = 1
-        out = split_diffusion(x, np.zeros(1), sigma, gamma, np.random.default_rng(23))
+        out = split_diffusion(
+            x, np.zeros(1), sigma, gamma, np.random.default_rng(23).standard_normal(x.shape)
+        )
         var = np.var(out - x)
         assert var == pytest.approx(sigma**2 * gamma, rel=0.02)
 
@@ -94,7 +105,7 @@ class TestFrozenGbm:
         x = rng.normal(size=(30, 3))
         v = rng.normal(size=3)
         a = split_drift(x, v, 1.3, 0.17)
-        b = frozen_gbm(x, v, 1.3, 0.0, 0.17, np.random.default_rng(99))
+        b = frozen_gbm(x, v, 1.3, 0.0, 0.17, np.random.default_rng(99).standard_normal(x.shape))
         assert np.array_equal(a, b)
 
     def test_mean_matches_contraction(self):
@@ -102,21 +113,23 @@ class TestFrozenGbm:
         lam, sigma, gamma = 1.0, 0.6, 0.2
         x = np.full((100_000, 1), 3.0)
         v = np.ones(1)
-        out = frozen_gbm(x, v, lam, sigma, gamma, np.random.default_rng(25))
+        out = frozen_gbm(
+            x, v, lam, sigma, gamma, np.random.default_rng(25).standard_normal(x.shape)
+        )
         expected = 2.0 * np.exp(-lam * gamma)
         assert np.mean(out - v) == pytest.approx(expected, rel=0.02)
 
     def test_zero_diff_coordinate_pinned(self):
         x = np.array([[0.5, 2.0], [0.5, -1.0]])
         v = np.array([0.5, 0.0])
-        out = frozen_gbm(x, v, 1.0, 0.9, 0.1, np.random.default_rng(26))
+        out = frozen_gbm(x, v, 1.0, 0.9, 0.1, np.random.default_rng(26).standard_normal(x.shape))
         assert np.array_equal(out[:, 0], [0.5, 0.5])
 
     def test_never_crosses_consensus(self):
         rng = np.random.default_rng(27)
         x = rng.normal(size=(1000, 2)) * 4
         v = np.array([0.3, -0.7])
-        out = frozen_gbm(x, v, 1.0, 2.0, 0.5, np.random.default_rng(28))
+        out = frozen_gbm(x, v, 1.0, 2.0, 0.5, np.random.default_rng(28).standard_normal(x.shape))
         assert np.all(np.sign(out - v) == np.sign(x - v))
 
 
@@ -129,9 +142,65 @@ class TestTranslationCommutation:
         a = split_drift(x, v, 0.9, 0.4)
         b = split_drift(x + c, v + c, 0.9, 0.4)
         assert np.max(np.abs(b - (a + c))) <= 1e-12
-        a = split_diffusion(x, v, 0.8, 0.4, np.random.default_rng(5))
-        b = split_diffusion(x + c, v + c, 0.8, 0.4, np.random.default_rng(5))
+        a = split_diffusion(x, v, 0.8, 0.4, np.random.default_rng(5).standard_normal(x.shape))
+        b = split_diffusion(
+            x + c, v + c, 0.8, 0.4, np.random.default_rng(5).standard_normal(x.shape)
+        )
         assert np.max(np.abs(b - (a + c))) <= 1e-12
-        a = frozen_gbm(x, v, 0.9, 0.8, 0.4, np.random.default_rng(6))
-        b = frozen_gbm(x + c, v + c, 0.9, 0.8, 0.4, np.random.default_rng(6))
+        a = frozen_gbm(x, v, 0.9, 0.8, 0.4, np.random.default_rng(6).standard_normal(x.shape))
+        b = frozen_gbm(
+            x + c, v + c, 0.9, 0.8, 0.4, np.random.default_rng(6).standard_normal(x.shape)
+        )
         assert np.max(np.abs(b - (a + c))) <= 1e-12
+
+
+def split_diffusion_drawing(positions, v, sigma, gamma, rng):
+    """split_diffusion as it was written when it drew from a Generator."""
+    z = rng.standard_normal(np.shape(positions))
+    return positions + sigma * np.sqrt(gamma) * (positions - v) * z
+
+
+def frozen_gbm_drawing(positions, v, lam, sigma, gamma, rng):
+    """frozen_gbm as it was written when it drew from a Generator."""
+    z = rng.standard_normal(np.shape(positions))
+    exponent = (-lam - 0.5 * sigma**2) * gamma + sigma * np.sqrt(gamma) * z
+    return v + (positions - v) * np.exp(exponent)
+
+
+class TestFedDraw:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.0, 5.0),
+        sigma=st.floats(0.0, 5.0),
+        gamma=st.floats(1e-8, 2.0),
+    )
+    def test_equal_the_generator_form_bytewise(self, n, d, seed, lam, sigma, gamma):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        v = rng.normal(size=d)
+        z = np.random.default_rng(seed + 1).standard_normal(x.shape)
+        expected = split_diffusion_drawing(x, v, sigma, gamma, np.random.default_rng(seed + 1))
+        assert split_diffusion(x, v, sigma, gamma, z).tobytes() == expected.tobytes()
+        expected = frozen_gbm_drawing(x, v, lam, sigma, gamma, np.random.default_rng(seed + 1))
+        assert frozen_gbm(x, v, lam, sigma, gamma, z).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("integrator", ["split", "frozen"])
+    def test_harness_step_equals_the_generator_form_bytewise(self, integrator):
+        f = make_objective("ackley", 3)
+        plan = RngPlan(4)
+        e = Ensemble(np.random.default_rng(8).normal(size=(7, 3)), time=0.1, step_count=6)
+        p = VariantParams(lam=1.1, sigma=0.9, dt=0.05, alpha=10.0)
+        cp = weighted_mean(e, f, p.alpha)
+        x = e.positions
+        new, _ = _step(e, f, p, plan, integrator, None, cp)
+        gen = plan.generator(STREAM_DIFFUSION, 6)
+        if integrator == "split":
+            expected = split_diffusion_drawing(split_drift(x, cp.v, p.lam, p.dt), cp.v, p.sigma,
+                                               p.dt, gen)
+        else:
+            expected = frozen_gbm_drawing(x, cp.v, p.lam, p.sigma, p.dt, gen)
+        assert new.positions.tobytes() == expected.tobytes()
+        assert new.step_count == 7
