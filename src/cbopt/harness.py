@@ -109,6 +109,9 @@ class RunConfig:
         if batched and (self.params.variant != "anisotropic" or self.integrator != "euler"):
             raise FieldError("batching", "applies the component-wise Euler update and needs "
                              "the anisotropic variant with the euler integrator")
+        if batched and self.stop_eps is not None:
+            raise FieldError("stop_eps", "applies to unbatched runs; a batched run tests "
+                             "batching.stop_eps")
         if batched and self.batching.batch_size > self.n_particles:
             raise FieldError("batching.batch_size", "must not exceed n_particles")
 

@@ -419,6 +419,8 @@ class TestCmdBench:
         (None, ["diagnose", "laplace", "--seed", "-1"], "--seed"),
         ("harness: {n_particles: 10}\nbatching: {batch_size: 11}\n", ["run"],
          "batching.batch_size"),
+        # a batched run tests batching.stop_eps; harness.stop_eps would be ignored
+        ("harness: {stop_eps: 1.0e+30}\nbatching: {batch_size: 2}\n", ["run"], "harness.stop_eps"),
         ("batching: {batch_size: 1, gamma: -0.1}\n", ["run"], "batching.gamma"),
         ("batching: {batch_size: 1, gamma: {kind: geometric, initial: 0.1, decay: -1}}\n",
          ["run"], "batching.gamma"),

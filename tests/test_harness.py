@@ -77,6 +77,7 @@ class TestRunConfig:
         "overrides, field",
         [
             (dict(n_particles=4, batching=BatchParams(batch_size=5)), "batching.batch_size"),
+            (dict(stop_eps=1e-6, batching=BatchParams(batch_size=5)), "stop_eps"),
             (dict(init=InitSpec("gaussian", mean=(0.0, 1.0, 2.0))), "init.mean"),
             (dict(master_seed=-1), "master_seed"),
             (dict(objective="sphere"), "objective"),
