@@ -29,19 +29,16 @@ import yaml
 
 from .batching import UPDATE_MODES, BatchParams, ConstantSchedule, GeometricSchedule
 from .dynamics import HEAVISIDE_MODES, VARIANTS, VariantParams
-from .ensemble import (
-    INIT_KINDS, Ensemble, FieldError, InitSpec, RngPlan, init_ensemble, positions_to_csv,
-)
+from .ensemble import INIT_KINDS, Ensemble, FieldError, InitSpec, RngPlan, positions_to_csv
 from .harness import (
     INTEGRATORS,
     NORMS,
     CampaignSpec,
     RunConfig,
     diagnostic_frozen_moment,
-    diagnostic_laplace,
     diagnostic_pairwise_decay,
     fit_decay_rate,
-    laplace_standard_error,
+    laplace_table,
     run,
     run_campaign,
     success_rate,
@@ -459,17 +456,15 @@ def _diagnose_laplace(seed: int) -> List[str]:
         name="quadratic", fn=lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1), dimension=1
     )
     init = InitSpec("gaussian", mean=0.0, variance=1.0)
-    values = diagnostic_laplace(quadratic, init, [1.0, 10.0, 100.0], 100_000, seed)
-    e = init_ensemble(init, 100_000, 1, RngPlan(seed))  # same sample: same plan
+    rows = laplace_table(quadratic, init, [1.0, 10.0, 100.0], 100_000, seed)
     lines = []
-    for alpha, value in values:
+    for alpha, value, se in rows:
         closed = np.log1p(2.0 * alpha) / (2.0 * alpha)
-        se = laplace_standard_error(e, quadratic, alpha)
         verdict = "PASS" if abs(value - closed) <= 3.0 * se else "FAIL"
         lines.append(
             f"laplace alpha={alpha!r} closed={float(closed)!r} mc={value!r} se={se!r} {verdict}"
         )
-    decreasing = all(b[1] <= a[1] + 1e-12 for a, b in zip(values, values[1:]))
+    decreasing = all(b[1] <= a[1] + 1e-12 for a, b in zip(rows, rows[1:]))
     lines.append(f"laplace monotone nonincreasing={decreasing} {'PASS' if decreasing else 'FAIL'}")
     return lines
 

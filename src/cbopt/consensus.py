@@ -6,7 +6,8 @@ and no overflow occurs even for alpha of order 1e6 on a bounded f-range.
 `consensus_mean` reduces positions under these weights to the consensus
 point, and `log_normalizer` reduces the same shifted exponentials to the
 Laplace log-normalizer; each works on one ensemble or on a stack of
-replicas, and each caller computes only the one it reads.
+replicas, and each caller computes only the one it reads. `laplace_estimate`
+takes the Laplace value and its standard error from one set of exponentials.
 Reductions use numpy's index-ascending pairwise sums, which keeps results
 identical no matter how the f-evaluations were scheduled across workers.
 """
@@ -68,7 +69,10 @@ def consensus_mean(positions, fvals, alpha) -> np.ndarray:
 def log_normalizer(fvals, alpha):
     """log((1/N) sum_i exp(-alpha f_i)) over the last axis of `fvals`, stabilized
     by the shift -alpha min f, which is a zero at alpha 0 since f is finite."""
-    shifted, fmin = exponentials(fvals, alpha)
+    return _log_mean(*exponentials(fvals, alpha), alpha)
+
+
+def _log_mean(shifted, fmin, alpha):
     n = shifted.shape[-1]
     return -float(alpha) * fmin[..., 0] + np.log(np.add.reduce(shifted, axis=-1) / n)
 
@@ -88,9 +92,19 @@ def weighted_mean(e: Ensemble, f: ObjectiveFunction, alpha: float) -> ConsensusP
     return consensus_from_values(e.positions, fvals, alpha, f)
 
 
-def laplace_value(e: Ensemble, f: ObjectiveFunction, alpha: float) -> float:
-    """-(1/alpha) log((1/N) sum exp(-alpha f(X^i))); tends to min f as alpha grows."""
+def laplace_estimate(fvals, alpha) -> Tuple[float, float]:
+    """The Monte Carlo Laplace value -(1/alpha) log((1/N) sum exp(-alpha f_i))
+    of (N,) objective values, which tends to min f as alpha grows, and its
+    delta-method standard error (the stabilizing shift cancels in its ratio),
+    from one set of shifted exponentials."""
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    return float(-log_normalizer(f(e.positions), alpha) / alpha)
+    shifted, fmin = exponentials(fvals, alpha)
+    se = np.std(shifted, ddof=1) / (alpha * np.mean(shifted) * np.sqrt(shifted.size))
+    return float(-_log_mean(shifted, fmin, alpha) / alpha), float(se)
+
+
+def laplace_value(e: Ensemble, f: ObjectiveFunction, alpha: float) -> float:
+    """The Monte Carlo Laplace value of the ensemble's positions (`laplace_estimate`)."""
+    return laplace_estimate(f(e.positions), alpha)[0]

@@ -26,7 +26,7 @@ from .batching import (
     stop_check,
 )
 from .consensus import (
-    ConsensusPoint, consensus_mean, exponentials, laplace_value, weighted_mean,
+    ConsensusPoint, consensus_mean, laplace_estimate, weighted_mean,
 )
 from .dynamics import (
     VARIANTS, DivergenceError, PersonalBestMemory, VariantParams, advance, anisotropic_kick,
@@ -392,19 +392,24 @@ def diagnostic_laplace(
     f: ObjectiveFunction, init: InitSpec, alphas: Sequence[float], n: int, seed: int
 ) -> List[Tuple[float, float]]:
     """Monte Carlo Laplace values on one fixed sample, per alpha."""
+    return [(a, value) for a, value, _ in laplace_table(f, init, alphas, n, seed)]
+
+
+def laplace_table(
+    f: ObjectiveFunction, init: InitSpec, alphas: Sequence[float], n: int, seed: int
+) -> List[Tuple[float, float, float]]:
+    """(alpha, Monte Carlo Laplace value, its standard error) per alpha, on one
+    sample of n points drawn from `init`, evaluated once."""
     alphas = [float(a) for a in alphas]
     if any(a <= 0 for a in alphas) or sorted(alphas) != alphas:
         raise ValueError("alphas must be positive and increasing")
-    plan = RngPlan(seed)
-    e = init_ensemble(init, n, f.dimension, plan)
-    return [(a, laplace_value(e, f, a)) for a in alphas]
+    fvals = f(init_ensemble(init, n, f.dimension, RngPlan(seed)).positions)
+    return [(a, *laplace_estimate(fvals, a)) for a in alphas]
 
 
 def laplace_standard_error(e: Ensemble, f: ObjectiveFunction, alpha: float) -> float:
-    """Delta-method standard error of the Monte Carlo Laplace value; the
-    stabilizing shift cancels in the ratio."""
-    shifted, _ = exponentials(f(e.positions), alpha)
-    return float(np.std(shifted, ddof=1) / (alpha * np.mean(shifted) * np.sqrt(shifted.size)))
+    """Delta-method standard error of the Monte Carlo Laplace value (`laplace_estimate`)."""
+    return laplace_estimate(f(e.positions), alpha)[1]
 
 
 def diagnostic_pairwise_decay(

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ import yaml
 from cbopt.batching import BatchParams
 from cbopt.cli import SCHEMA, ConfigError, ConfigLoader, main, parse_config
 from cbopt.dynamics import VariantParams
-from cbopt.ensemble import InitSpec
+from cbopt.ensemble import STREAM_INIT, InitSpec, RngPlan
 from cbopt.harness import CampaignSpec, RunConfig
+from cbopt.objectives import ObjectiveFunction
 
 MINIMAL = """\
 objective:
@@ -464,6 +466,25 @@ class TestCmdDiagnose:
         lines = proc.stdout.strip().splitlines()
         assert len(lines) == 4  # three alphas + monotonicity line
         assert all(line.endswith("PASS") for line in lines)
+
+    def test_laplace_suite_draws_and_evaluates_its_sample_once(self, capsys):
+        calls, draws = [], []
+        call, generator = ObjectiveFunction.__call__, RngPlan.generator
+
+        def counting_call(f, x):
+            calls.append(np.shape(x))
+            return call(f, x)
+
+        def counting_generator(plan, stream, step):
+            draws.append((stream, step))
+            return generator(plan, stream, step)
+
+        with mock.patch.object(ObjectiveFunction, "__call__", counting_call), \
+                mock.patch.object(RngPlan, "generator", counting_generator):
+            assert main(["diagnose", "laplace", "--seed", "3"]) == 0
+        assert calls == [(100_000, 1)]
+        assert draws == [(STREAM_INIT, 0)]
+        assert len(capsys.readouterr().out.splitlines()) == 4
 
     def test_moments_suite_sigma_zero(self, tmp_path):
         path = tmp_path / "config.yaml"
