@@ -198,7 +198,7 @@ def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp):
         return anisotropic_kick(x, cp.v, p.lam, p.sigma, p.dt, z), mem
     if p.variant == "original":
         gate = 1.0
-        if p.heaviside_mode != "off":  # f(x) before the kick's (N, d) temporaries exist
+        if p.heaviside_mode != "off":  # f(x) first: the kick's temporaries add no peak memory
             fx = np.asarray(f(x), dtype=float)
             gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
         return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, gate), mem
