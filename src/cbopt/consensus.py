@@ -60,10 +60,13 @@ def weights(fvals, alpha) -> np.ndarray:
     return shifted / np.add.reduce(shifted, axis=-1, keepdims=True)
 
 
-def consensus_mean(positions, fvals, alpha) -> np.ndarray:
+def consensus_mean(positions, fvals, alpha, scratch=None) -> np.ndarray:
     """Consensus points v of (N, d) positions with (N,) values, or of each
-    ensemble in a (..., N, d) stack with (..., N) values; v has shape (..., d)."""
-    return np.add.reduce(weights(fvals, alpha)[..., None] * positions, axis=-2)
+    ensemble in a (..., N, d) stack with (..., N) values; v has shape (..., d).
+    `scratch`, an array of the positions' shape, holds the weighted product
+    if given."""
+    product = np.multiply(weights(fvals, alpha)[..., None], positions, out=scratch)
+    return np.add.reduce(product, axis=-2)
 
 
 def log_normalizer(fvals, alpha):
@@ -78,18 +81,19 @@ def _log_mean(shifted, fmin, alpha):
 
 
 def consensus_from_values(
-    positions: np.ndarray, fvals: np.ndarray, alpha: float, f: ObjectiveFunction
+    positions: np.ndarray, fvals: np.ndarray, alpha: float, f: ObjectiveFunction, scratch=None
 ) -> ConsensusPoint:
-    """Build the consensus point, or a stacked one, from precomputed objective values."""
-    v = consensus_mean(positions, fvals, alpha)
+    """Build the consensus point, or a stacked one, from precomputed objective
+    values (`scratch` as in `consensus_mean`)."""
+    v = consensus_mean(positions, fvals, alpha, scratch)
     f_at_v = np.asarray(f(v), dtype=float).tolist() if v.ndim > 1 else float(f(v))
     return ConsensusPoint(v, f_at_v)
 
 
-def weighted_mean(e: Ensemble, f: ObjectiveFunction, alpha: float) -> ConsensusPoint:
-    """Consensus point of the full ensemble."""
+def weighted_mean(e: Ensemble, f: ObjectiveFunction, alpha: float, scratch=None) -> ConsensusPoint:
+    """Consensus point of the full ensemble (`scratch` as in `consensus_mean`)."""
     fvals = np.asarray(f(e.positions), dtype=float)
-    return consensus_from_values(e.positions, fvals, alpha, f)
+    return consensus_from_values(e.positions, fvals, alpha, f, scratch)
 
 
 def laplace_estimate(fvals, alpha) -> Tuple[float, float]:

@@ -13,6 +13,14 @@ correction and renormalizes. An exact heaviside gate is a comparison, and
 `gate_pair` builds an exact pair of gates with one conjunction, bitwise what
 their product gives. Per-particle work is independent within a step; the
 consensus reduction is the only synchronization point.
+
+Kernels write their large temporaries into the scratch they are given: the
+buffers of a `Workspace`, through ufunc ``out=``, with the same operations in
+the same order as the formulas, so the bits do not depend on it. Given no
+workspace, each ufunc allocates its own array. The returned positions are
+always a new array; a personal_best step given a workspace writes its memory
+into one of the workspace's two memory buffers, the one its input memory is
+not in.
 """
 
 from __future__ import annotations
@@ -73,6 +81,30 @@ class VariantParams:
         check_choice("variant", self.variant, VARIANTS)
 
 
+class Workspace:
+    """Scratch arrays of one shape, owned by one run (or one diagnostic loop)
+    and dropped with it: `a`, `b` and `c` for temporaries and `z` for the
+    normal draw. A workspace is not thread-safe; give each thread its own."""
+
+    def __init__(self, shape):
+        self.a, self.b, self.c, self.z = (np.empty(shape) for _ in range(4))
+        self.memories = ()
+
+    def spare_memory(self, mem: "PersonalBestMemory") -> "PersonalBestMemory":
+        """The one of this workspace's two memory buffers that `mem` is not,
+        made on first use."""
+        if not self.memories:
+            self.memories = (PersonalBestMemory.empty(self.a.shape),
+                             PersonalBestMemory.empty(self.a.shape))
+        return self.memories[mem is self.memories[0]]
+
+
+def _scratch(ws: Optional[Workspace]):
+    """The buffers a, b and c of `ws`, or three None: a ufunc given out=None
+    allocates its own array."""
+    return (None, None, None) if ws is None else (ws.a, ws.b, ws.c)
+
+
 @dataclass
 class PersonalBestMemory:
     """Exponentially weighted time-averages approximating each particle's
@@ -89,24 +121,36 @@ class PersonalBestMemory:
     p: np.ndarray  # (N, d) current personal-best estimates
 
     @classmethod
-    def initial(cls, e: Ensemble) -> "PersonalBestMemory":
-        n, d = e.positions.shape
-        return cls(
-            scaled_num=np.zeros((n, d)),
-            scaled_den=np.zeros(n),
-            log_scale=np.full(n, -np.inf),
-            p=e.positions.copy(),
-        )
+    def initial(cls, e: Ensemble, out=None) -> "PersonalBestMemory":
+        """No weight yet, and p at the positions; written into the arrays of
+        `out` if given."""
+        out = cls.empty(e.positions.shape) if out is None else out
+        out.scaled_num.fill(0.0)
+        out.scaled_den.fill(0.0)
+        out.log_scale.fill(-np.inf)
+        np.copyto(out.p, e.positions)
+        return out
 
-    def accumulate(self, positions, fvals, beta, dt) -> "PersonalBestMemory":
-        """Add one left-endpoint rectangle of the weighted time integrals."""
+    @classmethod
+    def empty(cls, shape) -> "PersonalBestMemory":
+        n, d = shape
+        return cls(np.empty((n, d)), np.empty(n), np.empty(n), np.empty((n, d)))
+
+    def accumulate(self, positions, fvals, beta, dt, out=None) -> "PersonalBestMemory":
+        """Add one left-endpoint rectangle of the weighted time integrals;
+        the result is written into the arrays of `out`, a memory other than
+        this one, or into new ones, and returned."""
+        out = PersonalBestMemory.empty(self.p.shape) if out is None else out
         g = -beta * np.asarray(fvals, dtype=float)
-        scale = np.maximum(self.log_scale, g)
+        scale = np.maximum(self.log_scale, g, out=out.log_scale)
         carry = np.exp(self.log_scale - scale)  # 0 on the very first call
         w = np.exp(g - scale) * dt
-        num = self.scaled_num * carry[:, None] + positions * w[:, None]
-        den = self.scaled_den * carry + w
-        return PersonalBestMemory(num, den, scale, num / den[:, None])
+        num = np.multiply(self.scaled_num, carry[:, None], out=out.scaled_num)
+        np.add(num, np.multiply(positions, w[:, None], out=out.p), out=num)
+        den = np.multiply(self.scaled_den, carry, out=out.scaled_den)
+        np.add(den, w, out=den)
+        np.divide(num, den[:, None], out=out.p)
+        return out
 
 
 def heaviside(x, mode: str, epsilon: Optional[float] = None):
@@ -143,23 +187,38 @@ def consensus_condition(p: VariantParams, d: int) -> bool:
     return 2.0 * p.lam > p.sigma**2
 
 
-def isotropic_kick(positions, v, lam, sigma, dt, z, gate=1.0) -> np.ndarray:
+def _row_norms(x, out=None) -> np.ndarray:
+    """|x| over the last axis, as np.linalg.norm computes it; `out` holds x*x."""
+    return np.sqrt(np.add.reduce(np.multiply(x, x, out=out), axis=-1))
+
+
+def isotropic_kick(positions, v, lam, sigma, dt, z, gate=1.0, ws=None) -> np.ndarray:
     """Isotropic Euler-Maruyama update toward a given consensus point v, its
     noise scaled by |X - v| over the last axis: the original variant's step
     (sigma with its sqrt(2), gate its Heaviside factor) and the frozen-moment
-    diagnostic's (v = 0)."""
-    diff = positions - v
-    dist = np.linalg.norm(diff, axis=-1)[..., None]
-    return positions - lam * dt * diff * gate + sigma * np.sqrt(dt) * dist * z
+    diagnostic's (v = 0). Computes
+    positions - lam * dt * diff * gate + sigma * sqrt(dt) * |diff| * z
+    with diff = positions - v, its temporaries in `ws`."""
+    a, b, _ = _scratch(ws)
+    diff = np.subtract(positions, v, out=a)
+    dist = _row_norms(diff, b)[..., None]
+    drift = np.multiply(np.multiply(lam * dt, diff, out=b), gate, out=b)
+    noise = np.multiply(sigma * np.sqrt(dt) * dist, z, out=diff)
+    return np.add(np.subtract(positions, drift, out=drift), noise)
 
 
-def anisotropic_kick(positions, v, lam, sigma, dt, z) -> np.ndarray:
+def anisotropic_kick(positions, v, lam, sigma, dt, z, ws=None) -> np.ndarray:
     """Component-wise Euler-Maruyama update toward a given consensus point
     v: the step of the anisotropic and common_noise variants, random batches
     (a stack too, with `sigma` and `dt` per ensemble), the pairwise replica
-    sweep and the frozen-moment diagnostic (v = 0)."""
-    diff = positions - v
-    return positions - lam * dt * diff + sigma * np.sqrt(dt) * diff * z
+    sweep and the frozen-moment diagnostic (v = 0). Computes
+    positions - lam * dt * diff + sigma * sqrt(dt) * diff * z
+    with diff = positions - v, its temporaries in `ws`."""
+    a, b, _ = _scratch(ws)
+    diff = np.subtract(positions, v, out=a)
+    drift = np.multiply(lam * dt, diff, out=b)
+    noise = np.multiply(np.multiply(sigma * np.sqrt(dt), diff, out=diff), z, out=diff)
+    return np.add(np.subtract(positions, drift, out=drift), noise)
 
 
 def advance(e: Ensemble, positions: np.ndarray, dt: float) -> Ensemble:
@@ -176,33 +235,38 @@ def advance(e: Ensemble, positions: np.ndarray, dt: float) -> Ensemble:
     return nxt
 
 
-def _tangential(x, y, norms_sq) -> np.ndarray:
+def _tangential(x, y, norms_sq, out=None) -> np.ndarray:
     """Row-wise projection onto the tangent space of the sphere at x:
-    P(x) y = y - x (x.y)/|x|^2."""
-    return y - x * (np.add.reduce(x * y, axis=1) / norms_sq)[:, None]
+    P(x) y = y - x (x.y)/|x|^2, written into `out`."""
+    xy = np.multiply(x, y, out=out)
+    proj = np.multiply(x, (np.add.reduce(xy, axis=1) / norms_sq)[:, None], out=xy)
+    return np.subtract(y, proj, out=proj)
 
 
-def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp):
+def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp, ws):
     """Euler-Maruyama update (X - drift) + noise of p.variant, before the
-    sphere renormalization; returns it with the updated personal-best memory."""
+    sphere renormalization; returns it with the updated personal-best memory.
+    The update is a new array, except the sphere's, which is in `ws`."""
     if p.variant == "personal_best" and mem is None:
         raise ValueError("personal_best variant needs a PersonalBestMemory")
+    a, b, c = _scratch(ws)
     if cp is None:
-        cp = weighted_mean(e, f, p.alpha)
+        cp = weighted_mean(e, f, p.alpha, a)
     x = e.positions
-    shape = (e.dimension,) if p.variant == "common_noise" else x.shape
-    z = rng.normal_block(STREAM_DIFFUSION, e.step_count, shape)
+    common = p.variant == "common_noise"
+    z = rng.normal_block(STREAM_DIFFUSION, e.step_count, (e.dimension,) if common else x.shape,
+                         out=None if ws is None or common else ws.z)
     if p.variant in ("anisotropic", "common_noise"):
         # a coordinate that matches the consensus stays put; common noise
         # shares one draw per coordinate, so coincident particles stay so
-        return anisotropic_kick(x, cp.v, p.lam, p.sigma, p.dt, z), mem
+        return anisotropic_kick(x, cp.v, p.lam, p.sigma, p.dt, z, ws), mem
     if p.variant == "original":
         gate = 1.0
         if p.heaviside_mode != "off":  # f(x) first: the kick's temporaries add no peak memory
             fx = np.asarray(f(x), dtype=float)
             gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
-        return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, gate), mem
-    diff = x - cp.v
+        return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, gate, ws), mem
+    diff = np.subtract(x, cp.v, out=a)
     sqrt_dt = math.sqrt(p.dt)
     if p.variant == "personal_best":
         # pure Heaviside gates pick the pull toward v or toward the personal
@@ -214,23 +278,30 @@ def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp):
         fp = np.asarray(f(mem.p), dtype=float)
         lam_gate = gate_pair(fx - cp.f_at_v, fp - cp.f_at_v, mode, p.epsilon)
         mu_gate = gate_pair(fx - fp, cp.f_at_v - fp, mode, p.epsilon)
-        drift = p.dt * (lam_gate[:, None] * diff + mu_gate[:, None] * (x - mem.p))
-        noise = math.sqrt(2.0) * p.sigma * sqrt_dt * diff * z
-        mem = mem.accumulate(x, fx, p.beta, p.dt)
-    else:  # sphere: tangential drift and diffusion
-        norms_sq = np.add.reduce(x * x, axis=1)
-        if np.any(norms_sq < 1e-24):
-            raise SingularityError("particle at the origin: projection undefined")
-        dist_sq = np.add.reduce(diff * diff, axis=1)
-        drift = p.lam * p.dt * _tangential(x, diff, norms_sq)
-        noise = p.sigma * sqrt_dt * np.sqrt(dist_sq)[:, None] * _tangential(x, z, norms_sq)
-        # Ito correction along the outward normal: grad|x|=x/|x|, lap|x|=(d-1)/|x|
-        curvature = dist_sq * (e.dimension - 1.0) / norms_sq
-        correction = 0.5 * p.sigma**2 * p.dt * curvature[:, None] * x
-    new = (x - drift) + noise
-    if p.variant == "sphere":
-        new = new - correction
-    return new, mem
+        # drift = dt * (lam_gate * diff + mu_gate * (x - p)); x - p goes into
+        # the p of the memory buffer that accumulate fills next
+        spare = None if ws is None else ws.spare_memory(mem)
+        drift = np.multiply(lam_gate[:, None], diff, out=b)
+        pull = np.subtract(x, mem.p, out=None if spare is None else spare.p)
+        np.add(drift, np.multiply(mu_gate[:, None], pull, out=pull), out=drift)
+        np.multiply(p.dt, drift, out=drift)
+        noise = np.multiply(math.sqrt(2.0) * p.sigma * sqrt_dt, diff, out=diff)
+        np.multiply(noise, z, out=noise)
+        mem = mem.accumulate(x, fx, p.beta, p.dt, spare)
+        return np.add(np.subtract(x, drift, out=drift), noise), mem
+    # sphere: tangential drift and diffusion
+    norms_sq = np.add.reduce(np.multiply(x, x, out=b), axis=1)
+    if np.any(norms_sq < 1e-24):
+        raise SingularityError("particle at the origin: projection undefined")
+    dist_sq = np.add.reduce(np.multiply(diff, diff, out=b), axis=1)
+    drift = np.multiply(p.lam * p.dt, _tangential(x, diff, norms_sq, b), out=b)
+    noise = _tangential(x, z, norms_sq, c)
+    np.multiply(p.sigma * sqrt_dt * np.sqrt(dist_sq)[:, None], noise, out=noise)
+    # Ito correction along the outward normal: grad|x|=x/|x|, lap|x|=(d-1)/|x|
+    curvature = dist_sq * (e.dimension - 1.0) / norms_sq
+    correction = np.multiply(0.5 * p.sigma**2 * p.dt * curvature[:, None], x, out=diff)
+    new = np.add(np.subtract(x, drift, out=drift), noise, out=drift)
+    return np.subtract(new, correction, out=new), mem
 
 
 def step(
@@ -240,6 +311,7 @@ def step(
     rng: RngPlan,
     mem: Optional[PersonalBestMemory] = None,
     cp: Optional[ConsensusPoint] = None,
+    ws: Optional[Workspace] = None,
 ):
     """Advance one step of p.variant; returns (ensemble, memory).
 
@@ -247,11 +319,12 @@ def step(
     personal_best variant, which returns it updated by one left-endpoint
     rectangle of its weighted time integrals; the other variants pass it
     through. The sphere variant needs unit-norm rows on entry and returns
-    unit-norm rows.
+    unit-norm rows. `ws`, a workspace of the positions' shape, takes the
+    step's temporaries; the new positions never alias it.
     """
-    new, mem = _update(e, f, p, rng, mem, cp)
+    new, mem = _update(e, f, p, rng, mem, cp, ws)
     if p.variant == "sphere":
-        norms = np.linalg.norm(new, axis=1)
+        norms = _row_norms(new, None if ws is None else ws.c)
         if np.any(norms < 1e-12):
             raise SingularityError("renormalization hit the origin")
         new = new / norms[:, None]
@@ -263,5 +336,5 @@ def sphere_norm_drift(e, f, p, rng: RngPlan, cp: Optional[ConsensusPoint] = None
     first-order consistency makes this O(dt)."""
     if p.variant != "sphere":
         raise ValueError("sphere_norm_drift needs the sphere variant")
-    raw, _ = _update(e, f, p, rng, None, cp)
-    return float(np.max(np.abs(np.linalg.norm(raw, axis=1) - 1.0)))
+    raw, _ = _update(e, f, p, rng, None, cp, None)
+    return float(np.max(np.abs(_row_norms(raw) - 1.0)))

@@ -84,8 +84,10 @@ class RngPlan:
         bitgen.state = state
         return gen
 
-    def normal_block(self, stream: int, step: int, shape) -> np.ndarray:
-        return self.generator(stream, step).standard_normal(shape)
+    def normal_block(self, stream: int, step: int, shape, out=None) -> np.ndarray:
+        """Standard normals of `shape` from the start of the (stream, step)
+        block, written into `out` (C-contiguous, of that shape) if given."""
+        return self.generator(stream, step).standard_normal(shape, out=out)
 
     def __getstate__(self):
         # a copy or an unpickled plan builds its own generator
@@ -176,15 +178,16 @@ def moments(e: Ensemble):
     return mean, variance
 
 
-def mean_pairwise_sq_dist(positions):
+def mean_pairwise_sq_dist(positions, scratch=None):
     """Average of |X^i - X^j|^2 over all unordered pairs i != j of (N, d)
-    positions, or of each ensemble in a (..., N, d) stack."""
+    positions, or of each ensemble in a (..., N, d) stack; `scratch`, an
+    array of the positions' shape, holds the temporaries if given."""
     n = positions.shape[-2]
     if n < 2:
         raise ValueError("pairwise distance needs at least two particles")
-    centered = positions - positions.mean(axis=-2, keepdims=True)
+    centered = np.subtract(positions, positions.mean(axis=-2, keepdims=True), out=scratch)
     # sum over pairs i<j equals N * sum_i |X^i - mean|^2
-    return (2.0 / (n - 1)) * np.sum(centered * centered, axis=(-2, -1))
+    return (2.0 / (n - 1)) * np.sum(np.multiply(centered, centered, out=centered), axis=(-2, -1))
 
 
 def positions_to_csv(e: Ensemble) -> str:

@@ -29,8 +29,8 @@ from .consensus import (
     ConsensusPoint, consensus_mean, laplace_estimate, weighted_mean,
 )
 from .dynamics import (
-    VARIANTS, DivergenceError, PersonalBestMemory, VariantParams, advance, anisotropic_kick,
-    isotropic_kick, step,
+    VARIANTS, DivergenceError, PersonalBestMemory, VariantParams, Workspace, advance,
+    anisotropic_kick, isotropic_kick, step,
 )
 from .ensemble import (
     Ensemble,
@@ -89,7 +89,15 @@ class RunConfig:
     max_steps: int = 10_000
     master_seed: int = 0
     record_every: int = 100
-    stop_eps: Optional[float] = None  # plain-run early stop on consecutive v_f
+    stop_eps: Optional[float] = None
+    """Plain-run stop rule: with v_k the consensus point after k >= 1 steps,
+    the run ends as `stop_criterion`, before its next update, once
+    (1/d)|v_k - v_{k-1}|^2 <= stop_eps. The rule measures how far the
+    consensus point moved, not how far the particles are spread. Under sharp
+    weights one particle carries nearly all the weight and pins v, so a run
+    can stop after one step at any stop_eps; that is the rule's meaning
+    (ackley, d=3, N=12, sigma=0.7, dt=0.01, alpha=30 stops after one step
+    even at 1e-20)."""
 
     def __post_init__(self):
         check_choice("objective", self.objective, benchmark_names())
@@ -174,21 +182,24 @@ def _point(e: Ensemble, cp: ConsensusPoint) -> TrajectoryPoint:
     )
 
 
-def _step(e, f, p, plan, integrator, mem, cp):
-    """Move every particle one step with the configured integrator."""
+def _step(e, f, p, plan, integrator, mem, cp, ws=None):
+    """Move every particle one step with the configured integrator, its
+    temporaries in the workspace `ws` if given."""
     if integrator == "euler":
-        return step(e, f, p, plan, mem=mem, cp=cp)
-    z = plan.normal_block(STREAM_DIFFUSION, e.step_count, e.positions.shape)
+        return step(e, f, p, plan, mem=mem, cp=cp, ws=ws)
+    z = plan.normal_block(STREAM_DIFFUSION, e.step_count, e.positions.shape,
+                          out=None if ws is None else ws.z)
     if integrator == "split":
-        new = split_diffusion(split_drift(e.positions, cp.v, p.lam, p.dt), cp.v, p.sigma, p.dt, z)
+        drifted = split_drift(e.positions, cp.v, p.lam, p.dt, None if ws is None else ws.c)
+        new = split_diffusion(drifted, cp.v, p.sigma, p.dt, z, ws)
     else:
-        new = frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, z)
+        new = frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, z, ws)
     return advance(e, new, p.dt), mem
 
 
-def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp=None):
+def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp=None, scratch=None):
     try:
-        final_cp = weighted_mean(e, f, alpha)
+        final_cp = weighted_mean(e, f, alpha, scratch)
         if not trajectory or trajectory[-1].step != e.step_count:
             trajectory.append(_point(e, final_cp))
     except ValueError:
@@ -245,6 +256,10 @@ def run(config: RunConfig) -> RunResult:
     after the update, and also ends after `max_epochs`. Each stack of
     `_groups` steps at once, or one batch at a time if it fails, with the
     outputs and errors of one batch at a time.
+
+    The run owns one `Workspace` of (N, d) buffers for the temporaries of
+    its full-ensemble steps and personal_best's memory, made here and
+    dropped on return; no array of the result aliases it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         f = make_objective(config.objective, config.dimension)
@@ -259,7 +274,9 @@ def run(config: RunConfig) -> RunResult:
                 bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
             groups, eps = _groups(config, plan), bp.stop_eps
             all_rows = range(config.n_particles) if bp.update_mode == "full" else None
-        mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
+        ws, mem = Workspace(e.positions.shape), None
+        if p.variant == "personal_best":  # starts in one of the workspace's memory buffers
+            mem = PersonalBestMemory.initial(e, ws.spare_memory(None))
         trajectory: List[TrajectoryPoint] = []
         v_prev, cp, status = None, None, "max_steps"
         while (group := next(groups, None)) is not None:
@@ -267,7 +284,7 @@ def run(config: RunConfig) -> RunResult:
             q, cps = 1 if batch is None or batch.ndim == 1 else len(batch), None
             try:
                 if batch is None:
-                    cps = weighted_mean(e, f, p.alpha)
+                    cps = weighted_mean(e, f, p.alpha, ws.a)
                 else:  # a stack of q > 1 batches gives a stacked point: cps[j] is batch j's
                     cps = batch_consensus(e, f, p.alpha, batch)
                 first = cps if q == 1 else cps[0]
@@ -284,7 +301,7 @@ def run(config: RunConfig) -> RunResult:
                     e = batch_update(e, cps if n == q else cps[:n], bp, scope, plan, lam=p.lam, k=k,
                                      theta=theta)
                 elif not stop:  # a plain run stops before its update
-                    e, mem = _step(e, f, p, plan, config.integrator, mem, cps)
+                    e, mem = _step(e, f, p, plan, config.integrator, mem, cps, ws)
             except (ValueError, DivergenceError) as err:
                 if q > 1:  # one batch at a time: the error surfaces at its batch
                     singles = [(k, theta + j, b) for j, b in enumerate(batch)]
@@ -302,7 +319,7 @@ def run(config: RunConfig) -> RunResult:
                 status = "stop_criterion"
             if status != "max_steps" or e.step_count >= config.max_steps:
                 break
-        return _finish(trajectory, e, f, p.alpha, status, t0, config, fallback_cp=cp)
+        return _finish(trajectory, e, f, p.alpha, status, t0, config, cp, ws.a)
 
 
 def campaign_seeds(master_seed: int, runs: int) -> List[int]:
@@ -377,11 +394,12 @@ def diagnostic_frozen_moment(
     steps = int(round(t_final / dt))
     second = np.empty(steps + 1)
     kick = isotropic_kick if variant == "isotropic" else anisotropic_kick
+    ws = Workspace((n, d))
     for s in range(steps):
-        second[s] = np.mean(np.sum(e.positions * e.positions, axis=1))
-        z = plan.normal_block(STREAM_DIFFUSION, s, (n, d))
-        e = advance(e, kick(e.positions, 0.0, lam, sigma, dt, z), dt)
-    second[steps] = np.mean(np.sum(e.positions * e.positions, axis=1))
+        second[s] = np.mean(np.sum(np.multiply(e.positions, e.positions, out=ws.a), axis=1))
+        z = plan.normal_block(STREAM_DIFFUSION, s, (n, d), out=ws.z)
+        e = advance(e, kick(e.positions, 0.0, lam, sigma, dt, z, ws=ws), dt)
+    second[steps] = np.mean(np.sum(np.multiply(e.positions, e.positions, out=ws.a), axis=1))
     times = dt * np.arange(steps + 1)
     fitted = fit_decay_rate(np.column_stack([times, second]))
     predicted = 2.0 * lam - (sigma**2 * d if variant == "isotropic" else sigma**2)
@@ -437,13 +455,12 @@ def diagnostic_pairwise_decay(
     positions = plan.generator(STREAM_INIT, 0).standard_normal((replicas, n, d))
     steps = int(round(t_final / h))
     series = np.empty(steps + 1)
-    series[0] = np.mean(mean_pairwise_sq_dist(positions))
+    ws = Workspace(positions.shape)
+    series[0] = np.mean(mean_pairwise_sq_dist(positions, ws.a))
     for s in range(steps):
-        v = consensus_mean(positions, f(positions), alpha)  # (replicas, d)
+        v = consensus_mean(positions, f(positions), alpha, ws.a)  # (replicas, d)
         z = plan.normal_block(STREAM_DIFFUSION, s, (replicas, d))
-        positions = anisotropic_kick(
-            positions, v[:, None, :], lam, sigma, h, z[:, None, :]
-        )
-        series[s + 1] = np.mean(mean_pairwise_sq_dist(positions))
+        positions = anisotropic_kick(positions, v[:, None, :], lam, sigma, h, z[:, None, :], ws)
+        series[s + 1] = np.mean(mean_pairwise_sq_dist(positions, ws.a))
     times = h * np.arange(steps + 1)
     return list(zip(times.tolist(), series.tolist()))

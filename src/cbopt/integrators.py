@@ -6,6 +6,9 @@ the component-wise noise kick, while the freezing scheme applies the exact
 per-coordinate geometric-Brownian-motion solution in one shot. All three
 functions are pure per-row transforms of (positions, v, z), safe under any
 data-parallel split; none draws: the caller passes the step's normal draw z.
+Each writes its temporaries, in the formula's order, through ufunc ``out=``
+into the scratch it is given (`split_drift` its result into `out`, the
+others into the workspace's `a` and `b`) and allocates what it is not given.
 """
 
 from __future__ import annotations
@@ -18,24 +21,31 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError("gamma must be positive")
 
 
-def split_drift(positions, v, lam, gamma) -> np.ndarray:
+def split_drift(positions, v, lam, gamma, out=None) -> np.ndarray:
     """Exact contraction toward v: X -> v + (X - v) exp(-lam*gamma)."""
     _check_gamma(gamma)
-    return v + (positions - v) * np.exp(-lam * gamma)
+    t = np.subtract(positions, v, out=out)
+    np.multiply(t, np.exp(-lam * gamma), out=t)
+    return np.add(v, t, out=t)
 
 
-def split_diffusion(positions, v, sigma, gamma, z) -> np.ndarray:
+def split_diffusion(positions, v, sigma, gamma, z, ws=None) -> np.ndarray:
     """Component-wise noise kick sigma*sqrt(gamma)*(X - v)_k * z_k after the drift solve."""
     _check_gamma(gamma)
-    return positions + sigma * np.sqrt(gamma) * (positions - v) * z
+    t = np.subtract(positions, v, out=None if ws is None else ws.a)
+    np.multiply(np.multiply(sigma * np.sqrt(gamma), t, out=t), z, out=t)
+    return np.add(positions, t)
 
 
-def frozen_gbm(positions, v, lam, sigma, gamma, z) -> np.ndarray:
+def frozen_gbm(positions, v, lam, sigma, gamma, z, ws=None) -> np.ndarray:
     """Exact per-coordinate GBM solution with the consensus point held at v.
 
     The exponential factor is positive, so no coordinate ever crosses v;
     at sigma = 0 this coincides bitwise with split_drift.
     """
     _check_gamma(gamma)
-    exponent = (-lam - 0.5 * sigma**2) * gamma + sigma * np.sqrt(gamma) * z
-    return v + (positions - v) * np.exp(exponent)
+    # exponent = (-lam - sigma^2/2) gamma + sigma sqrt(gamma) z
+    exponent = np.multiply(sigma * np.sqrt(gamma), z, out=None if ws is None else ws.a)
+    np.exp(np.add((-lam - 0.5 * sigma**2) * gamma, exponent, out=exponent), out=exponent)
+    t = np.subtract(positions, v, out=None if ws is None else ws.b)
+    return np.add(v, np.multiply(t, exponent, out=t))

@@ -5,6 +5,9 @@ and nonnegative values everywhere. Each function accepts a single point of
 shape ``(d,)`` or a stack of points of shape ``(..., d)`` and reduces over
 the trailing axis, so ensembles can be evaluated in one vectorized call.
 Sums, means and products call the ufunc reductions the ndarray methods wrap.
+Each call writes its elementwise steps, in the formula's order, through ufunc
+``out=`` into one or two arrays of its own, never into a run's workspace, so
+calls from several threads share nothing.
 
 An ``ObjectiveFunction`` evaluates a stack of ``SHARD_MIN_ELEMENTS`` numbers
 or more in row shards on threads, one per usable CPU; the values are the
@@ -46,23 +49,28 @@ def _as_points(x) -> np.ndarray:
 def ackley(x):
     """Ackley function: exponential well at the origin under cosine ripples."""
     x = _as_points(x)
-    rms = np.sqrt(np.add.reduce(x * x, axis=-1) / x.shape[-1])
-    cos_mean = np.add.reduce(np.cos(2.0 * np.pi * x), axis=-1) / x.shape[-1]
+    t = x * x
+    rms = np.sqrt(np.add.reduce(t, axis=-1) / x.shape[-1])
+    np.cos(np.multiply(2.0 * np.pi, x, out=t), out=t)
+    cos_mean = np.add.reduce(t, axis=-1) / x.shape[-1]
     return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + np.e
 
 
 def rastrigin(x):
     """Rastrigin function: quadratic bowl with a cosine lattice of minima."""
-    x = _as_points(x)
-    return np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
+    x = _as_points(x)  # sum of x^2 - 10 cos(2 pi x) + 10
+    t, u = x * x, np.multiply(2.0 * np.pi, x)
+    np.multiply(10.0, np.cos(u, out=u), out=u)
+    return np.add.reduce(np.add(np.subtract(t, u, out=t), 10.0, out=t), axis=-1)
 
 
 def griewank(x):
     """Griewank function: shallow quadratic with a product-of-cosines ripple."""
     x = _as_points(x)
     idx = np.arange(1, x.shape[-1] + 1, dtype=float)
-    quad = np.add.reduce(x * x, axis=-1) / 4000.0
-    ripple = np.multiply.reduce(np.cos(x / np.sqrt(idx)), axis=-1)
+    t = x * x
+    quad = np.add.reduce(t, axis=-1) / 4000.0
+    ripple = np.multiply.reduce(np.cos(np.divide(x, np.sqrt(idx), out=t), out=t), axis=-1)
     return 1.0 + quad - ripple
 
 
@@ -70,15 +78,18 @@ def zakharov(x):
     """Zakharov function: sphere plus even powers of a weighted coordinate sum."""
     x = _as_points(x)
     idx = np.arange(1, x.shape[-1] + 1, dtype=float)
-    lin = np.add.reduce(0.5 * idx * x, axis=-1)
-    return np.add.reduce(x * x, axis=-1) + lin**2 + lin**4
+    t = 0.5 * idx * x
+    lin = np.add.reduce(t, axis=-1)
+    return np.add.reduce(np.multiply(x, x, out=t), axis=-1) + lin**2 + lin**4
 
 
 def wavy(x):
     # Canonical form with frequency k = 10; the mean of cos(kx)*exp(-x^2/2)
     # is damped away from the origin, giving many shallow local minima.
-    x = _as_points(x)
-    return 1.0 - np.add.reduce(np.cos(10.0 * x) * np.exp(-0.5 * x * x), axis=-1) / x.shape[-1]
+    x = _as_points(x)  # 1 - mean of cos(10 x) exp(-x^2 / 2)
+    t, u = np.multiply(10.0, x), np.multiply(-0.5, x)
+    np.exp(np.multiply(u, x, out=u), out=u)
+    return 1.0 - np.add.reduce(np.multiply(np.cos(t, out=t), u, out=t), axis=-1) / x.shape[-1]
 
 
 @dataclass(frozen=True)

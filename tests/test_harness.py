@@ -128,6 +128,19 @@ class TestRun:
         assert result.terminated_by == "stop_criterion"
         assert result.steps < 5000
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-20])
+    def test_plain_stop_rule_can_end_after_one_step_under_sharp_weights(self, eps):
+        # the rule's documented meaning: it measures the move of v, and one
+        # particle that carries nearly all the weight pins v
+        config = small_config(dimension=3, n_particles=12, master_seed=7, max_steps=60,
+                              stop_eps=eps)
+        fvals = make_objective("ackley", 3)(init_ensemble(config.init, 12, 3, RngPlan(7)).positions)
+        w = np.exp(-30.0 * (fvals - fvals.min()))
+        assert w.sum() ** 2 / (w * w).sum() < 1.01  # effective sample size
+        result = run(config)
+        assert (result.terminated_by, result.steps) == ("stop_criterion", 1)
+        assert [point.step for point in result.trajectory] == [0, 1]
+
     def test_divergence_recorded_not_raised(self):
         config = small_config(
             objective="zakharov",

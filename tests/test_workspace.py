@@ -1,0 +1,465 @@
+"""Kernels that write into a workspace: bit for bit what the expressions they
+replaced give (copies of which are kept here as the reference), with a
+workspace and without; no result of a run aliases a buffer; and a step
+with a workspace allocates little more than its new positions."""
+
+import math
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cbopt import harness, objectives
+from cbopt.consensus import ConsensusPoint, consensus_mean, weights
+from cbopt.dynamics import (
+    HEAVISIDE_MODES,
+    VARIANTS,
+    PersonalBestMemory,
+    VariantParams,
+    Workspace,
+    anisotropic_kick,
+    gate_pair,
+    heaviside,
+    isotropic_kick,
+    step,
+)
+from cbopt.ensemble import (
+    STREAM_DIFFUSION, Ensemble, InitSpec, RngPlan, init_ensemble, mean_pairwise_sq_dist,
+)
+from cbopt.harness import RunConfig, run
+from cbopt.integrators import frozen_gbm, split_diffusion, split_drift
+from cbopt.objectives import make_objective
+
+# ---------------------------------------------------------------------------
+# the expressions as they were written before the kernels took a workspace
+
+
+def ref_isotropic_kick(positions, v, lam, sigma, dt, z, gate=1.0):
+    diff = positions - v
+    dist = np.linalg.norm(diff, axis=-1)[..., None]
+    return positions - lam * dt * diff * gate + sigma * np.sqrt(dt) * dist * z
+
+
+def ref_anisotropic_kick(positions, v, lam, sigma, dt, z):
+    diff = positions - v
+    return positions - lam * dt * diff + sigma * np.sqrt(dt) * diff * z
+
+
+def ref_accumulate(mem, positions, fvals, beta, dt):
+    g = -beta * np.asarray(fvals, dtype=float)
+    scale = np.maximum(mem.log_scale, g)
+    carry = np.exp(mem.log_scale - scale)
+    w = np.exp(g - scale) * dt
+    num = mem.scaled_num * carry[:, None] + positions * w[:, None]
+    den = mem.scaled_den * carry + w
+    return PersonalBestMemory(num, den, scale, num / den[:, None])
+
+
+def ref_tangential(x, y, norms_sq):
+    return y - x * (np.add.reduce(x * y, axis=1) / norms_sq)[:, None]
+
+
+def ref_step(e, f, p, rng, mem, cp):
+    """dynamics.step and its update, each temporary a new array."""
+    x = e.positions
+    shape = (e.dimension,) if p.variant == "common_noise" else x.shape
+    z = rng.normal_block(STREAM_DIFFUSION, e.step_count, shape)
+    if p.variant in ("anisotropic", "common_noise"):
+        return ref_anisotropic_kick(x, cp.v, p.lam, p.sigma, p.dt, z), mem
+    if p.variant == "original":
+        gate = 1.0
+        if p.heaviside_mode != "off":
+            fx = np.asarray(f(x), dtype=float)
+            gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
+        return ref_isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, gate), mem
+    diff = x - cp.v
+    sqrt_dt = math.sqrt(p.dt)
+    if p.variant == "personal_best":
+        mode = "exact" if p.heaviside_mode == "off" else p.heaviside_mode
+        fx = np.asarray(f(x), dtype=float)
+        fp = np.asarray(f(mem.p), dtype=float)
+        lam_gate = gate_pair(fx - cp.f_at_v, fp - cp.f_at_v, mode, p.epsilon)
+        mu_gate = gate_pair(fx - fp, cp.f_at_v - fp, mode, p.epsilon)
+        drift = p.dt * (lam_gate[:, None] * diff + mu_gate[:, None] * (x - mem.p))
+        noise = math.sqrt(2.0) * p.sigma * sqrt_dt * diff * z
+        return (x - drift) + noise, ref_accumulate(mem, x, fx, p.beta, p.dt)
+    norms_sq = np.add.reduce(x * x, axis=1)
+    dist_sq = np.add.reduce(diff * diff, axis=1)
+    drift = p.lam * p.dt * ref_tangential(x, diff, norms_sq)
+    noise = p.sigma * sqrt_dt * np.sqrt(dist_sq)[:, None] * ref_tangential(x, z, norms_sq)
+    curvature = dist_sq * (e.dimension - 1.0) / norms_sq
+    correction = 0.5 * p.sigma**2 * p.dt * curvature[:, None] * x
+    new = (x - drift) + noise
+    new = new - correction
+    return new / np.linalg.norm(new, axis=1)[:, None], mem
+
+
+def ref_split_drift(positions, v, lam, gamma):
+    return v + (positions - v) * np.exp(-lam * gamma)
+
+
+def ref_split_diffusion(positions, v, sigma, gamma, z):
+    return positions + sigma * np.sqrt(gamma) * (positions - v) * z
+
+
+def ref_frozen_gbm(positions, v, lam, sigma, gamma, z):
+    exponent = (-lam - 0.5 * sigma**2) * gamma + sigma * np.sqrt(gamma) * z
+    return v + (positions - v) * np.exp(exponent)
+
+
+def ref_consensus_mean(positions, fvals, alpha):
+    return np.add.reduce(weights(fvals, alpha)[..., None] * positions, axis=-2)
+
+
+def ref_mean_pairwise_sq_dist(positions):
+    n = positions.shape[-2]
+    centered = positions - positions.mean(axis=-2, keepdims=True)
+    return (2.0 / (n - 1)) * np.sum(centered * centered, axis=(-2, -1))
+
+
+def ref_ackley(x):
+    rms = np.sqrt(np.add.reduce(x * x, axis=-1) / x.shape[-1])
+    cos_mean = np.add.reduce(np.cos(2.0 * np.pi * x), axis=-1) / x.shape[-1]
+    return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + np.e
+
+
+def ref_rastrigin(x):
+    return np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
+
+
+def ref_griewank(x):
+    idx = np.arange(1, x.shape[-1] + 1, dtype=float)
+    quad = np.add.reduce(x * x, axis=-1) / 4000.0
+    ripple = np.multiply.reduce(np.cos(x / np.sqrt(idx)), axis=-1)
+    return 1.0 + quad - ripple
+
+
+def ref_zakharov(x):
+    idx = np.arange(1, x.shape[-1] + 1, dtype=float)
+    lin = np.add.reduce(0.5 * idx * x, axis=-1)
+    return np.add.reduce(x * x, axis=-1) + lin**2 + lin**4
+
+
+def ref_wavy(x):
+    return 1.0 - np.add.reduce(np.cos(10.0 * x) * np.exp(-0.5 * x * x), axis=-1) / x.shape[-1]
+
+
+REF_OBJECTIVES = {
+    "ackley": ref_ackley,
+    "rastrigin": ref_rastrigin,
+    "griewank": ref_griewank,
+    "zakharov": ref_zakharov,
+    "wavy": ref_wavy,
+}
+
+
+def memory_bytes(mem):
+    return b"".join(a.tobytes() for a in (mem.scaled_num, mem.scaled_den, mem.log_scale, mem.p))
+
+
+def ref_point(e, f, alpha):
+    v = ref_consensus_mean(e.positions, np.asarray(f(e.positions), dtype=float), alpha)
+    return ConsensusPoint(v, float(f(v)))
+
+
+# ---------------------------------------------------------------------------
+# bit for bit
+
+
+class TestKernelsMatchTheReference:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        mode=st.sampled_from(HEAVISIDE_MODES),
+        objective=st.sampled_from(sorted(REF_OBJECTIVES)),
+        n=st.sampled_from([1, 2, 7]),
+        d=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**64 - 1),
+        lam=st.floats(0.0, 3.0),
+        sigma=st.floats(0.0, 2.0),
+        dt=st.floats(1e-4, 0.1),
+        alpha=st.floats(0.0, 50.0),
+        beta=st.floats(0.0, 50.0),
+    )
+    def test_steps(self, variant, mode, objective, n, d, seed, lam, sigma, dt, alpha, beta):
+        f = make_objective(objective, d)
+        plan = RngPlan(seed)
+        init = InitSpec("sphere") if variant == "sphere" else InitSpec("box", low=-2, high=2)
+        e = init_ensemble(init, n, d, plan)
+        p = VariantParams(lam=lam, sigma=sigma, dt=dt, alpha=alpha, beta=beta, epsilon=0.3,
+                          variant=variant, heaviside_mode=mode)
+        mem = PersonalBestMemory.initial(e) if variant == "personal_best" else None
+        ref_e, ref_mem, plain_e, plain_mem = e, mem, e, mem
+        ws = Workspace((n, d))
+        for _ in range(4):  # the workspace's memory buffers take turns
+            expected, ref_mem = ref_step(ref_e, f, p, plan, ref_mem, ref_point(ref_e, f, alpha))
+            ref_e = Ensemble(expected, ref_e.time + dt, ref_e.step_count + 1)
+            plain_e, plain_mem = step(plain_e, f, p, plan, plain_mem)
+            e, mem = step(e, f, p, plan, mem, ws=ws)
+            assert plain_e.positions.tobytes() == e.positions.tobytes() == expected.tobytes()
+            if variant == "personal_best":
+                assert memory_bytes(plain_mem) == memory_bytes(mem) == memory_bytes(ref_mem)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([2, 7]),
+        d=st.sampled_from([2, 3, 5]),
+        seed=st.integers(0, 2**64 - 1),
+        sigma=st.floats(0.5, 4.0),
+        dt=st.floats(0.01, 0.5),
+    )
+    def test_sphere_steps_with_a_large_ito_correction(self, n, d, seed, sigma, dt):
+        # sigma^2 dt of order 1, so the correction's last bits reach the update
+        f = make_objective("rastrigin", d)
+        plan = RngPlan(seed)
+        e = init_ensemble(InitSpec("sphere"), n, d, plan)
+        p = VariantParams(sigma=sigma, dt=dt, alpha=1.0, variant="sphere")
+        expected, _ = ref_step(e, f, p, plan, None, ref_point(e, f, p.alpha))
+        for ws in (None, Workspace((n, d))):
+            assert step(e, f, p, plan, ws=ws)[0].positions.tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 7]),
+        d=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.0, 5.0),
+        sigma=st.floats(0.0, 5.0),
+        gamma=st.floats(1e-8, 2.0),
+    )
+    def test_integrators(self, n, d, seed, lam, sigma, gamma):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        v = rng.normal(size=d)
+        z = rng.standard_normal((n, d))
+        ws = Workspace((n, d))
+        expected = ref_split_diffusion(ref_split_drift(x, v, lam, gamma), v, sigma, gamma, z)
+        for scratch, out in ((None, None), (ws, ws.c)):
+            drifted = split_drift(x, v, lam, gamma, out)
+            assert drifted.tobytes() == ref_split_drift(x, v, lam, gamma).tobytes()
+            assert split_diffusion(drifted, v, sigma, gamma, z, scratch).tobytes() \
+                == expected.tobytes()
+            assert frozen_gbm(x, v, lam, sigma, gamma, z, scratch).tobytes() \
+                == ref_frozen_gbm(x, v, lam, sigma, gamma, z).tobytes()
+
+    @pytest.mark.parametrize("integrator", ["split", "frozen"])
+    def test_harness_integrator_steps(self, integrator):
+        f = make_objective("ackley", 3)
+        plan = RngPlan(4)
+        e = Ensemble(np.random.default_rng(8).normal(size=(7, 3)), time=0.1, step_count=6)
+        p = VariantParams(lam=1.1, sigma=0.9, dt=0.05, alpha=10.0)
+        cp = ref_point(e, f, p.alpha)
+        z = plan.normal_block(STREAM_DIFFUSION, 6, (7, 3))
+        if integrator == "split":
+            expected = ref_split_diffusion(ref_split_drift(e.positions, cp.v, p.lam, p.dt), cp.v,
+                                           p.sigma, p.dt, z)
+        else:
+            expected = ref_frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, z)
+        ws = Workspace((7, 3))
+        for scratch in (None, ws, ws):
+            new, _ = harness._step(e, f, p, plan, integrator, None, cp, scratch)
+            assert new.positions.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        q=st.integers(1, 4),
+        m=st.sampled_from([1, 2, 7]),
+        d=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.0, 5.0),
+        mode=st.sampled_from(["batch", "replicas"]),
+    )
+    def test_stacked_kicks(self, q, m, d, seed, lam, mode):
+        """(q, M, d) batch stacks with per-member sigma and gamma, and the
+        pairwise sweep's (R, N, d) replicas with one draw per coordinate."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(q, m, d)) * 10.0 ** rng.uniform(-3, 3)
+        v = rng.normal(size=(q, 1, d))
+        if mode == "batch":
+            sigma, gamma = rng.uniform(0, 3, (q, 1, 1)), rng.uniform(1e-4, 1, (q, 1, 1))
+            z = rng.standard_normal((q, m, d))
+        else:
+            sigma, gamma = rng.uniform(0, 3), rng.uniform(1e-4, 1)
+            z = rng.standard_normal((q, d))[:, None, :]
+        expected = ref_anisotropic_kick(x, v, lam, sigma, gamma, z)
+        ws = Workspace((q, m, d))
+        for scratch in (None, ws, ws):
+            assert anisotropic_kick(x, v, lam, sigma, gamma, z, scratch).tobytes() \
+                == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 7]),
+        d=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.0, 5.0),
+        sigma=st.floats(0.0, 5.0),
+        dt=st.floats(1e-8, 1.0),
+        gated=st.booleans(),
+    )
+    def test_isotropic_kick(self, n, d, seed, lam, sigma, dt, gated):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        v = rng.normal(size=d)
+        z = rng.standard_normal((n, d))
+        gate = rng.integers(0, 2, (n, 1)).astype(float) if gated else 1.0
+        expected = ref_isotropic_kick(x, v, lam, sigma, dt, z, gate)
+        ws = Workspace((n, d))
+        for scratch in (None, ws, ws):
+            assert isotropic_kick(x, v, lam, sigma, dt, z, gate, scratch).tobytes() \
+                == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.sampled_from([1, 2, 7]), st.sampled_from([1, 3])),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.0, 100.0),
+    )
+    def test_consensus_and_pairwise_scratch(self, shape, seed, alpha):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        fvals = rng.uniform(0, 3, shape[:-1])
+        for points, values in ((x, fvals), (x[0], fvals[0])):  # (R, N, d) and (N, d)
+            expected = ref_consensus_mean(points, values, alpha).tobytes()
+            assert consensus_mean(points, values, alpha).tobytes() == expected
+            scratch = np.empty(points.shape)
+            assert consensus_mean(points, values, alpha, scratch).tobytes() == expected
+            if shape[1] > 1:
+                expected = ref_mean_pairwise_sq_dist(points).tobytes()
+                assert mean_pairwise_sq_dist(points).tobytes() == expected
+                assert mean_pairwise_sq_dist(points, scratch).tobytes() == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(REF_OBJECTIVES)),
+        shape=st.tuples(st.integers(1, 4), st.sampled_from([1, 2, 7]), st.integers(1, 6)),
+        scale=st.sampled_from([0.01, 1.0, 40.0]),
+        threads=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_objectives_on_stacks(self, name, shape, scale, threads, seed):
+        x = np.random.default_rng(seed).uniform(-scale, scale, shape)
+        fn = make_objective(name, shape[-1])
+        for points in (x, x[0], x[0, 0]):  # (R, N, d), (N, d) and (d,)
+            assert fn.fn(points).tobytes() == REF_OBJECTIVES[name](points).tobytes()
+        with mock.patch.multiple(objectives, SHARD_MIN_ELEMENTS=1, _THREADS=threads):
+            assert fn(x).tobytes() == REF_OBJECTIVES[name](x).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(REF_OBJECTIVES))
+    def test_objectives_at_sharded_sizes(self, name, monkeypatch):
+        x = np.random.default_rng(5).uniform(-3.0, 3.0, (3, 700, 50))
+        assert x[0].size >= objectives.SHARD_MIN_ELEMENTS
+        monkeypatch.setattr(objectives, "_THREADS", max(objectives._THREADS, 2))
+        fn = make_objective(name, 50)
+        for points in (x, x[0]):  # the replicas' stack and one N=700 ensemble
+            assert fn(points).tobytes() == REF_OBJECTIVES[name](points).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# what a caller keeps stays as it was
+
+
+def snapshot(*arrays):
+    return [np.array(a, copy=True) for a in arrays]
+
+
+def unchanged(arrays, copies):
+    return all(a.tobytes() == c.tobytes() and a.shape == c.shape for a, c in zip(arrays, copies))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_kept_states_and_results_do_not_change(variant):
+    f = make_objective("ackley", 3)
+    plan = RngPlan(21)
+    init = InitSpec("sphere") if variant == "sphere" else InitSpec("box", low=-2, high=2)
+    p = VariantParams(sigma=0.7, dt=0.05, alpha=5.0, variant=variant)
+    e = init_ensemble(init, 9, 3, plan)
+    mem = PersonalBestMemory.initial(e) if variant == "personal_best" else None
+    ws = Workspace((9, 3))
+    kept = []
+    for k in range(6):
+        if k == 2:  # step k's ensemble, and its memory from a step with no workspace
+            e, mem = step(e, f, p, plan, mem)
+            kept += [e.positions] + ([mem.scaled_num, mem.scaled_den, mem.log_scale, mem.p]
+                                      if mem is not None else [])
+        else:
+            e, mem = step(e, f, p, plan, mem, ws=ws)
+            kept.append(e.positions)
+    config = RunConfig(objective="ackley", dimension=3, params=p, n_particles=9, init=init,
+                       max_steps=8, master_seed=4, record_every=3)
+    result = run(config)
+    kept += [result.final_positions, result.final_consensus.v]
+    kept += [point.v for point in result.trajectory] + [point.mean for point in result.trajectory]
+    copies = snapshot(*kept)
+    for _ in range(3):
+        e, mem = step(e, f, p, plan, mem, ws=ws)
+    run(replace(config, master_seed=5))
+    run(config)
+    assert unchanged(kept, copies)
+
+
+def test_workspace_memory_buffers_take_turns_and_spare_the_input():
+    f = make_objective("rastrigin", 2)
+    plan = RngPlan(3)
+    e = init_ensemble(InitSpec("box", low=-2, high=2), 5, 2, plan)
+    p = VariantParams(sigma=0.5, variant="personal_best")
+    first = PersonalBestMemory.initial(e)
+    copy = snapshot(first.scaled_num, first.scaled_den, first.log_scale, first.p)
+    ws = Workspace((5, 2))
+    e, mem1 = step(e, f, p, plan, first, ws=ws)
+    e, mem2 = step(e, f, p, plan, mem1, ws=ws)
+    e, mem3 = step(e, f, p, plan, mem2, ws=ws)
+    assert mem1 is mem3 is ws.memories[0] and mem2 is ws.memories[1]
+    assert unchanged([first.scaled_num, first.scaled_den, first.log_scale, first.p], copy)
+    for m in ws.memories:
+        for a in (m.scaled_num, m.p):
+            assert not np.shares_memory(a, e.positions)
+
+
+# ---------------------------------------------------------------------------
+# allocation peak of one step
+
+
+LARGE_N = [
+    ("anisotropic", "euler"),
+    ("anisotropic", "split"),
+    ("anisotropic", "frozen"),
+    ("original", "euler"),
+    ("common_noise", "euler"),
+    ("personal_best", "euler"),
+    ("sphere", "euler"),
+]
+
+
+@pytest.mark.parametrize("variant, integrator", LARGE_N)
+def test_workspace_step_allocates_little_more_than_its_positions(variant, integrator):
+    # the single_large_n configurations: N=2000, d=50; the objective may
+    # shard its rows on threads, whose allocations are traced too
+    n, d = 2000, 50
+    f = make_objective("ackley", d)
+    plan = RngPlan(9)
+    init = InitSpec("sphere") if variant == "sphere" else InitSpec("box", low=-3, high=3)
+    p = VariantParams(lam=1.0, sigma=0.7, alpha=30.0, dt=0.01, variant=variant,
+                      heaviside_mode="exact" if variant == "original" else "off")
+    e = init_ensemble(init, n, d, plan)
+    mem = PersonalBestMemory.initial(e) if variant == "personal_best" else None
+    ws = Workspace((n, d))
+
+    def one_step(e, mem):
+        return harness._step(e, f, p, plan, integrator, mem, harness.weighted_mean(e, f, p.alpha,
+                                                                                  ws.a), ws)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, mem = one_step(e, mem)  # warm: the memory buffers are made on first use
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            e, mem = one_step(e, mem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peak - start) / (n * d * 8) <= 2.5
