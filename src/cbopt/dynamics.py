@@ -19,14 +19,14 @@ buffers of a `Workspace`, through ufunc ``out=``, with the same operations in
 the same order as the formulas, so the bits do not depend on it. Given no
 workspace, each ufunc allocates its own array. The returned positions are
 always a new array; a personal_best step given a workspace writes its memory
-into one of the workspace's two memory buffers, the one its input memory is
-not in.
+into the workspace's one memory set, in place when it was given that set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -83,20 +83,16 @@ class VariantParams:
 
 class Workspace:
     """Scratch arrays of one shape, owned by one run (or one diagnostic loop)
-    and dropped with it: `a`, `b` and `c` for temporaries and `z` for the
-    normal draw. A workspace is not thread-safe; give each thread its own."""
+    and dropped with it: `a`, `b` and `c` for temporaries, `z` for the normal
+    draw and `memory`, made on first use, for personal_best's memory. A
+    workspace is not thread-safe; give each thread its own."""
 
     def __init__(self, shape):
         self.a, self.b, self.c, self.z = (np.empty(shape) for _ in range(4))
-        self.memories = ()
 
-    def spare_memory(self, mem: "PersonalBestMemory") -> "PersonalBestMemory":
-        """The one of this workspace's two memory buffers that `mem` is not,
-        made on first use."""
-        if not self.memories:
-            self.memories = (PersonalBestMemory.empty(self.a.shape),
-                             PersonalBestMemory.empty(self.a.shape))
-        return self.memories[mem is self.memories[0]]
+    @cached_property
+    def memory(self) -> "PersonalBestMemory":
+        return PersonalBestMemory.empty(self.a.shape)
 
 
 def _scratch(ws: Optional[Workspace]):
@@ -138,13 +134,14 @@ class PersonalBestMemory:
 
     def accumulate(self, positions, fvals, beta, dt, out=None) -> "PersonalBestMemory":
         """Add one left-endpoint rectangle of the weighted time integrals;
-        the result is written into the arrays of `out`, a memory other than
-        this one, or into new ones, and returned."""
+        the result is written into the arrays of `out`, which may be this
+        memory, or into new ones, and returned."""
         out = PersonalBestMemory.empty(self.p.shape) if out is None else out
         g = -beta * np.asarray(fvals, dtype=float)
-        scale = np.maximum(self.log_scale, g, out=out.log_scale)
+        scale = np.maximum(self.log_scale, g)
         carry = np.exp(self.log_scale - scale)  # 0 on the very first call
         w = np.exp(g - scale) * dt
+        np.copyto(out.log_scale, scale)  # the old log-scale is read by now
         num = np.multiply(self.scaled_num, carry[:, None], out=out.scaled_num)
         np.add(num, np.multiply(positions, w[:, None], out=out.p), out=num)
         den = np.multiply(self.scaled_den, carry, out=out.scaled_den)
@@ -279,15 +276,15 @@ def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp, ws):
         lam_gate = gate_pair(fx - cp.f_at_v, fp - cp.f_at_v, mode, p.epsilon)
         mu_gate = gate_pair(fx - fp, cp.f_at_v - fp, mode, p.epsilon)
         # drift = dt * (lam_gate * diff + mu_gate * (x - p)); x - p goes into
-        # the p of the memory buffer that accumulate fills next
-        spare = None if ws is None else ws.spare_memory(mem)
+        # the p of the memory that accumulate fills next
+        target = None if ws is None else ws.memory
         drift = np.multiply(lam_gate[:, None], diff, out=b)
-        pull = np.subtract(x, mem.p, out=None if spare is None else spare.p)
+        pull = np.subtract(x, mem.p, out=None if target is None else target.p)
         np.add(drift, np.multiply(mu_gate[:, None], pull, out=pull), out=drift)
         np.multiply(p.dt, drift, out=drift)
         noise = np.multiply(math.sqrt(2.0) * p.sigma * sqrt_dt, diff, out=diff)
         np.multiply(noise, z, out=noise)
-        mem = mem.accumulate(x, fx, p.beta, p.dt, spare)
+        mem = mem.accumulate(x, fx, p.beta, p.dt, target)
         return np.add(np.subtract(x, drift, out=drift), noise), mem
     # sphere: tangential drift and diffusion
     norms_sq = np.add.reduce(np.multiply(x, x, out=b), axis=1)

@@ -275,8 +275,8 @@ def run(config: RunConfig) -> RunResult:
             groups, eps = _groups(config, plan), bp.stop_eps
             all_rows = range(config.n_particles) if bp.update_mode == "full" else None
         ws, mem = Workspace(e.positions.shape), None
-        if p.variant == "personal_best":  # starts in one of the workspace's memory buffers
-            mem = PersonalBestMemory.initial(e, ws.spare_memory(None))
+        if p.variant == "personal_best":  # starts in the workspace's memory, updated in place
+            mem = PersonalBestMemory.initial(e, ws.memory)
         trajectory: List[TrajectoryPoint] = []
         v_prev, cp, status = None, None, "max_steps"
         while (group := next(groups, None)) is not None:

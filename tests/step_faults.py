@@ -7,8 +7,8 @@ Each configuration runs for one step, for two steps and for its full step
 budget; the difference in minor faults (``resource.getrusage``), over the
 extra steps, is the count per step after the first step and after the
 second. The second step can still touch fresh pages once (the allocator
-moves large blocks from mmap to its heap after the first free, and
-personal_best fills its second memory buffer), so both are printed. One
+moves large blocks from mmap to its heap after the first free), so both
+are printed. One
 (N, d) array more or less per run, which the allocator's state can decide,
 reads as about 15 faults per step either way. Faults depend on the C
 library's allocator, so the script checks nothing.

@@ -195,7 +195,7 @@ class TestKernelsMatchTheReference:
         mem = PersonalBestMemory.initial(e) if variant == "personal_best" else None
         ref_e, ref_mem, plain_e, plain_mem = e, mem, e, mem
         ws = Workspace((n, d))
-        for _ in range(4):  # the workspace's memory buffers take turns
+        for _ in range(4):  # the workspace's memory is updated in place
             expected, ref_mem = ref_step(ref_e, f, p, plan, ref_mem, ref_point(ref_e, f, alpha))
             ref_e = Ensemble(expected, ref_e.time + dt, ref_e.step_count + 1)
             plain_e, plain_mem = step(plain_e, f, p, plan, plain_mem)
@@ -402,22 +402,32 @@ def test_kept_states_and_results_do_not_change(variant):
     assert unchanged(kept, copies)
 
 
-def test_workspace_memory_buffers_take_turns_and_spare_the_input():
+def test_workspace_memory_is_updated_in_place_and_spares_the_input():
     f = make_objective("rastrigin", 2)
     plan = RngPlan(3)
     e = init_ensemble(InitSpec("box", low=-2, high=2), 5, 2, plan)
     p = VariantParams(sigma=0.5, variant="personal_best")
     first = PersonalBestMemory.initial(e)
-    copy = snapshot(first.scaled_num, first.scaled_den, first.log_scale, first.p)
+    arrays = (first.scaled_num, first.scaled_den, first.log_scale, first.p)
+    copy = snapshot(*arrays)
     ws = Workspace((5, 2))
-    e, mem1 = step(e, f, p, plan, first, ws=ws)
-    e, mem2 = step(e, f, p, plan, mem1, ws=ws)
-    e, mem3 = step(e, f, p, plan, mem2, ws=ws)
-    assert mem1 is mem3 is ws.memories[0] and mem2 is ws.memories[1]
-    assert unchanged([first.scaled_num, first.scaled_den, first.log_scale, first.p], copy)
-    for m in ws.memories:
-        for a in (m.scaled_num, m.p):
-            assert not np.shares_memory(a, e.positions)
+    mem, kept = first, None
+    for _ in range(3):
+        e, mem = step(e, f, p, plan, mem, ws=ws)
+        assert mem is ws.memory
+        held = (mem.scaled_num, mem.scaled_den, mem.log_scale, mem.p)
+        assert kept is None or all(a is b for a, b in zip(held, kept))
+        assert not any(np.shares_memory(a, e.positions) for a in held)
+        kept = held
+    assert unchanged(arrays, copy)
+
+
+def test_personal_best_run_makes_one_memory_set():
+    config = RunConfig(objective="rastrigin", dimension=2, n_particles=5, max_steps=6,
+                       params=VariantParams(sigma=0.5, variant="personal_best"))
+    with mock.patch.object(PersonalBestMemory, "empty", side_effect=PersonalBestMemory.empty) as made:
+        run(config)
+    assert made.call_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +464,7 @@ def test_workspace_step_allocates_little_more_than_its_positions(variant, integr
                                                                                   ws.a), ws)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        e, mem = one_step(e, mem)  # warm: the memory buffers are made on first use
+        e, mem = one_step(e, mem)  # warm: the memory set is made on first use
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
