@@ -266,14 +266,14 @@ def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp, ws):
     diff = np.subtract(x, cp.v, out=a)
     sqrt_dt = math.sqrt(p.dt)
     if p.variant == "personal_best":
-        # pure Heaviside gates pick the pull toward v or toward the personal
-        # best, whichever has the smaller objective value; mode 'off' falls
-        # back to exact gating, since ungated dual drift would pin particles
-        # in between
+        # pure Heaviside gates pick the pull toward v (rate lam) or toward the
+        # personal best (rate 1), whichever has the smaller objective value;
+        # mode 'off' falls back to exact gating, since ungated dual drift
+        # would pin particles in between
         mode = "exact" if p.heaviside_mode == "off" else p.heaviside_mode
         fx = np.asarray(f(x), dtype=float)
         fp = np.asarray(f(mem.p), dtype=float)
-        lam_gate = gate_pair(fx - cp.f_at_v, fp - cp.f_at_v, mode, p.epsilon)
+        lam_gate = p.lam * gate_pair(fx - cp.f_at_v, fp - cp.f_at_v, mode, p.epsilon)
         mu_gate = gate_pair(fx - fp, cp.f_at_v - fp, mode, p.epsilon)
         # drift = dt * (lam_gate * diff + mu_gate * (x - p)); x - p goes into
         # the p of the memory that accumulate fills next

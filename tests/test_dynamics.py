@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbopt.consensus import weighted_mean
+from cbopt.consensus import ConsensusPoint, weighted_mean
 from cbopt.dynamics import (
     HEAVISIDE_MODES,
     VARIANTS,
@@ -345,6 +345,17 @@ class TestPersonalBestStep:
         # f(v) < f(X^i) = f(p^i) for the outer particles: move toward v only
         expected = e.positions[0, 0] - 0.1 * (e.positions[0, 0] - cp.v[0])
         assert out.positions[0, 0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    def test_consensus_gate_pulls_at_rate_lam(self, lam):
+        # p = X and f(v) < f(X): only the consensus gate is open
+        f = quadratic(2)
+        e = Ensemble(np.array([[1.5, -0.5], [-2.0, 1.0], [0.3, 0.4]]))
+        cp = ConsensusPoint(v=np.array([0.1, -0.2]), f_at_v=float(f(np.array([0.1, -0.2]))))
+        p = VariantParams(lam=lam, sigma=0.0, dt=0.1, variant="personal_best")
+        out, _ = step(e, f, p, RngPlan(0), PersonalBestMemory.initial(e), cp=cp)
+        moved = out.positions - e.positions
+        assert np.allclose(moved, -0.1 * lam * (e.positions - cp.v), rtol=0.0, atol=1e-12)
 
     def test_gates_route_drift_toward_personal_best(self):
         f = quadratic(1)

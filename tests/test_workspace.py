@@ -82,7 +82,7 @@ def ref_step(e, f, p, rng, mem, cp):
         mode = "exact" if p.heaviside_mode == "off" else p.heaviside_mode
         fx = np.asarray(f(x), dtype=float)
         fp = np.asarray(f(mem.p), dtype=float)
-        lam_gate = gate_pair(fx - cp.f_at_v, fp - cp.f_at_v, mode, p.epsilon)
+        lam_gate = p.lam * gate_pair(fx - cp.f_at_v, fp - cp.f_at_v, mode, p.epsilon)
         mu_gate = gate_pair(fx - fp, cp.f_at_v - fp, mode, p.epsilon)
         drift = p.dt * (lam_gate[:, None] * diff + mu_gate[:, None] * (x - mem.p))
         noise = math.sqrt(2.0) * p.sigma * sqrt_dt * diff * z
