@@ -412,6 +412,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _rate_line(label: str, predicted: float, fitted: float, tol: float) -> str:
+    """A fitted rate against its prediction: the error relative to the
+    prediction, or the absolute error where the prediction is 0, within tol."""
+    err, kind = abs(fitted - predicted), "abs_err"
+    if predicted != 0.0:
+        err, kind = err / abs(predicted), "rel_err"
+    verdict = "PASS" if err <= tol else "FAIL"
+    return f"{label} predicted={predicted!r} fitted={fitted!r} {kind}={err!r} tol={tol!r} {verdict}"
+
+
 def _diagnose_moments(config: Optional[RunConfig], seed: int) -> List[str]:
     lam, sigma, d, n, dt = 1.0, 0.3, 10, 10_000, 1e-3
     if config is not None:
@@ -421,12 +431,7 @@ def _diagnose_moments(config: Optional[RunConfig], seed: int) -> List[str]:
     lines = []
     for variant in ("isotropic", "anisotropic"):
         fitted, predicted = diagnostic_frozen_moment(variant, lam, sigma, d, n, dt, 2.0, seed)
-        rel = abs(fitted - predicted) / abs(predicted)
-        verdict = "PASS" if rel <= tol else "FAIL"
-        lines.append(
-            f"moments {variant} predicted={predicted!r} fitted={fitted!r} "
-            f"rel_err={rel!r} tol={tol!r} {verdict}"
-        )
+        lines.append(_rate_line(f"moments {variant}", predicted, fitted, tol))
     return lines
 
 
@@ -434,16 +439,8 @@ def _diagnose_pairwise(config: Optional[RunConfig], seed: int) -> List[str]:
     lam, sigma = 1.0, 0.5
     if config is not None:
         lam, sigma = config.params.lam, config.params.sigma
-    lines = []
     series = diagnostic_pairwise_decay(lam, sigma, 1e-3, 50, 1000, 0.8, seed=seed)
-    fitted = fit_decay_rate(series)
-    predicted = 2.0 * lam - sigma**2
-    rel = abs(fitted - predicted) / abs(predicted)
-    verdict = "PASS" if rel <= 0.03 else "FAIL"
-    lines.append(
-        f"pairwise decay predicted={predicted!r} fitted={fitted!r} "
-        f"rel_err={rel!r} tol=0.03 {verdict}"
-    )
+    lines = [_rate_line("pairwise decay", 2.0 * lam - sigma**2, fit_decay_rate(series), 0.03)]
     growth = diagnostic_pairwise_decay(0.1, 1.0, 1e-3, 50, 1000, 0.5, seed=seed + 1)
     first, last = growth[0][1], growth[-1][1]
     verdict = "PASS" if last > first else "FAIL"

@@ -4,6 +4,7 @@ bench/diagnose surfaces."""
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
+from cbopt import cli
 from cbopt.batching import BatchParams
 from cbopt.cli import SCHEMA, ConfigError, ConfigLoader, main, parse_config
 from cbopt.dynamics import VariantParams
@@ -497,6 +499,34 @@ class TestCmdDiagnose:
         proc = invoke(["diagnose", "moments", "--config", str(path), "--seed", "1"])
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "tol=0.01" in proc.stdout
+
+    def test_moments_suite_with_a_zero_predicted_rate(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            "objective: {name: ackley, dimension: 2}\n"
+            "params: {lambda: 0.0, sigma: 0.0, dt: 0.001}\n"
+            "harness: {n_particles: 1000}\n"
+        )
+        proc = invoke(["diagnose", "moments", "--config", str(path), "--seed", "1"])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert len(lines) == 2
+        assert all("predicted=0.0" in line and " abs_err=" in line and " tol=0.01 " in line
+                   and line.endswith("PASS") for line in lines)
+
+    def test_pairwise_suite_with_a_zero_predicted_rate(self, tmp_path, capsys, monkeypatch):
+        def exact_law(lam, sigma, h, n, replicas, t_final, seed):
+            rate = 2.0 * lam - sigma**2
+            return [(t, math.exp(-rate * t)) for t in np.linspace(0.0, t_final, 9).tolist()]
+
+        monkeypatch.setattr(cli, "diagnostic_pairwise_decay", exact_law)
+        path = tmp_path / "config.yaml"
+        path.write_text("objective: {name: rastrigin, dimension: 4}\n"
+                        "params: {lambda: 0.5, sigma: 1.0}\n")
+        assert main(["diagnose", "pairwise", "--config", str(path)]) == 0
+        decay = capsys.readouterr().out.splitlines()[0]
+        assert "pairwise decay predicted=0.0 " in decay and " abs_err=" in decay
+        assert decay.endswith("tol=0.03 PASS")
 
     def test_variance_suite_passes(self, capsys):
         assert main(["diagnose", "variance", "--seed", "5"]) == 0
