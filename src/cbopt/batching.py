@@ -3,9 +3,12 @@ scoped updates, and the stopping criterion.
 
 Each epoch concatenates the previous remainder with a fresh random
 permutation of all indices, slices off as many size-M batches as fit, and
-carries the leftover (< M indices) into the next epoch. Batches within an
-epoch step in order; consecutive batches with disjoint rows can be passed
-as one (q, M) stack and stepped at once, bit for bit.
+carries the leftover (< M indices) into the next epoch. An epoch is thus
+the multiset R_k + {0..N-1}, not a partition: a carried-over particle can
+sit twice in one batch. It then counts twice in that batch's consensus
+point and, in partial mode, draws two noise rows and keeps its last write.
+Batches within an epoch step in order; consecutive batches with disjoint
+rows can be passed as one (q, M) stack and stepped at once, bit for bit.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ class BatchState:
 def make_batches(
     state: BatchState, n: int, m: int, rng: RngPlan
 ) -> Tuple[List[np.ndarray], BatchState]:
-    """Partition the remainder plus a fresh permutation of 0..n-1 into
+    """Slice the remainder plus a fresh permutation of 0..n-1 into
     q = floor((n + |remainder|)/m) batches of exactly m; leftovers carry over."""
     if m < 1:
         raise ValueError("batch size must be at least 1")

@@ -18,7 +18,7 @@ from cbopt.batching import (
     make_batches,
     stop_check,
 )
-from cbopt.consensus import weighted_mean
+from cbopt.consensus import consensus_from_values, weighted_mean
 from cbopt.dynamics import VariantParams, step
 from cbopt.ensemble import Ensemble, FieldError, InitSpec, RngPlan, STREAM_DIFFUSION, init_ensemble
 from cbopt.objectives import make_objective
@@ -116,6 +116,15 @@ class TestBatchConsensus:
         b = weighted_mean(e, f, 15.0)
         assert np.array_equal(a.v, b.v)
         assert a.f_at_v == b.f_at_v
+
+    def test_repeated_row_counts_twice(self):
+        f = make_objective("ackley", 3)
+        e = init_ensemble(InitSpec("box", low=-2, high=2), 8, 3, RngPlan(7))
+        cp = batch_consensus(e, f, 4.0, [5, 2, 5, 0])
+        positions = e.positions[[0, 2, 5, 5]]  # sorted, row 5 twice
+        expected = consensus_from_values(positions, f(positions), 4.0, f)
+        assert cp.v.tobytes() == expected.v.tobytes() and cp.f_at_v == expected.f_at_v
+        assert cp.v.tobytes() != batch_consensus(e, f, 4.0, [5, 2, 0]).v.tobytes()
 
     def test_symmetric_pair_midpoint(self):
         f = make_objective("ackley", 1)
