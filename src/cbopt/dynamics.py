@@ -7,12 +7,13 @@ update (X - drift) + noise, and checks it once for finiteness. Its kicks are
 pure transforms of (positions, v, z) that the library reuses: `isotropic_kick`
 (noise sigma |X - v| z and a gated drift: original) and `anisotropic_kick`
 (noise sigma (X - v)_k z_k: anisotropic, and common_noise with one draw per
-coordinate shared by all particles). personal_best adds a gated pull toward
-a per-particle memory; sphere takes tangential projections with an Ito
-correction and renormalizes. An exact heaviside gate is a comparison, and
-`gate_pair` builds an exact pair of gates with one conjunction, bitwise what
-their product gives. Per-particle work is independent within a step; the
-consensus reduction is the only synchronization point.
+coordinate shared by all particles). personal_best gates a pull toward v
+(rate lam) against one toward a per-particle memory (rate 1); sphere takes
+tangential projections with an Ito correction and renormalizes. An exact
+heaviside gate is a comparison, and `gate_pair` builds an exact pair of
+gates with one conjunction, bitwise what their product gives. Per-particle
+work is independent within a step; the consensus reduction is the only
+synchronization point.
 
 Kernels write their large temporaries into the scratch they are given: the
 buffers of a `Workspace`, through ufunc ``out=``, with the same operations in
@@ -317,7 +318,8 @@ def step(
     rectangle of its weighted time integrals; the other variants pass it
     through. The sphere variant needs unit-norm rows on entry and returns
     unit-norm rows. `ws`, a workspace of the positions' shape, takes the
-    step's temporaries; the new positions never alias it.
+    step's temporaries and personal_best's memory, `ws.memory`, which holds
+    until the next step; the new positions never alias it.
     """
     new, mem = _update(e, f, p, rng, mem, cp, ws)
     if p.variant == "sphere":
