@@ -142,7 +142,7 @@ class PersonalBestMemory:
         scale = np.maximum(self.log_scale, g)
         carry = np.exp(self.log_scale - scale)  # 0 on the very first call
         w = np.exp(g - scale) * dt
-        np.copyto(out.log_scale, scale)  # the old log-scale is read by now
+        out.log_scale[...] = scale  # the old log-scale is read by now
         num = np.multiply(self.scaled_num, carry[:, None], out=out.scaled_num)
         np.add(num, np.multiply(positions, w[:, None], out=out.p), out=num)
         den = np.multiply(self.scaled_den, carry, out=out.scaled_den)

@@ -8,10 +8,9 @@ budget; the difference in minor faults (``resource.getrusage``), over the
 extra steps, is the count per step after the first step and after the
 second. The second step can still touch fresh pages once (the allocator
 moves large blocks from mmap to its heap after the first free), so both
-are printed. One
-(N, d) array more or less per run, which the allocator's state can decide,
-reads as about 15 faults per step either way. Faults depend on the C
-library's allocator, so the script checks nothing.
+are printed. One (N, d) array more or less per run, which the allocator's
+state can decide, reads as about 15 faults per step either way. Faults
+depend on the C library's allocator, so the script checks nothing.
 """
 
 import resource

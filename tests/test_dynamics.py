@@ -351,11 +351,12 @@ class TestPersonalBestStep:
         # p = X and f(v) < f(X): only the consensus gate is open
         f = quadratic(2)
         e = Ensemble(np.array([[1.5, -0.5], [-2.0, 1.0], [0.3, 0.4]]))
-        cp = ConsensusPoint(v=np.array([0.1, -0.2]), f_at_v=float(f(np.array([0.1, -0.2]))))
+        v = np.array([0.1, -0.2])
+        cp = ConsensusPoint(v, float(f(v)))
         p = VariantParams(lam=lam, sigma=0.0, dt=0.1, variant="personal_best")
         out, _ = step(e, f, p, RngPlan(0), PersonalBestMemory.initial(e), cp=cp)
         moved = out.positions - e.positions
-        assert np.allclose(moved, -0.1 * lam * (e.positions - cp.v), rtol=0.0, atol=1e-12)
+        assert np.allclose(moved, -0.1 * lam * (e.positions - v), rtol=0.0, atol=1e-12)
 
     def test_gates_route_drift_toward_personal_best(self):
         f = quadratic(1)
