@@ -45,9 +45,6 @@ from .harness import (
 )
 from .objectives import ObjectiveFunction, benchmark_names
 
-SUITES = ("moments", "pairwise", "laplace", "variance")
-
-
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key path."""
 
@@ -349,8 +346,7 @@ def cmd_run(args) -> int:
     _write_text(args.out, "trajectory.jsonl", "\n".join(lines) + "\n")
     _write_text(args.out, "summary.json", summary + "\n")
     if args.out is not None:
-        snapshot = Ensemble(result.final_positions, max(result.trajectory[-1].time, 0.0), result.steps)
-        _write_text(args.out, "ensemble.csv", positions_to_csv(snapshot))
+        _write_text(args.out, "ensemble.csv", positions_to_csv(Ensemble(result.final_positions)))
     return 2 if result.terminated_by == "divergence" else 0
 
 
@@ -365,8 +361,12 @@ def cmd_bench(args) -> int:
         configs = [replace(config, params=replace(config.params, variant=v)) for v in variants]
     except FieldError as err:
         raise ConfigError(f"{_key_path(CampaignSpec, 'variants')}: {err}") from None
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(
+        ["objective", "d", "N", "variant", "success_rate", "mean_final_f", "median_steps"]
+    )
     run_lines = []
-    rows = []
     for variant, vconfig in zip(variants, configs):
         results = run_campaign(vconfig, campaign.runs, workers=workers)
         for index, res in enumerate(results):
@@ -388,24 +388,15 @@ def cmd_bench(args) -> int:
                     }
                 )
             )
-        rows.append(
-            (
-                config.objective,
-                config.dimension,
-                config.n_particles,
-                variant,
-                success_rate(results, crit),
-                float(np.mean([r.final_consensus.f_at_v for r in results])),
-                float(np.median([r.steps for r in results])),
-            )
-        )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["objective", "d", "N", "variant", "success_rate", "mean_final_f", "median_steps"]
-    )
-    for row in rows:
-        writer.writerow([row[0], row[1], row[2], row[3], repr(row[4]), repr(row[5]), repr(row[6])])
+        writer.writerow([
+            config.objective,
+            config.dimension,
+            config.n_particles,
+            variant,
+            repr(success_rate(results, crit)),
+            repr(float(np.mean([r.final_consensus.f_at_v for r in results]))),
+            repr(float(np.median([r.steps for r in results]))),
+        ])
     sys.stdout.write(buffer.getvalue())
     _write_text(args.out, "summary.csv", buffer.getvalue())
     _write_text(args.out, "runs.jsonl", "\n".join(run_lines) + "\n")
@@ -448,7 +439,7 @@ def _diagnose_pairwise(config: Optional[RunConfig], seed: int) -> List[str]:
     return lines
 
 
-def _diagnose_laplace(seed: int) -> List[str]:
+def _diagnose_laplace(config: Optional[RunConfig], seed: int) -> List[str]:
     quadratic = ObjectiveFunction(
         name="quadratic", fn=lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1), dimension=1
     )
@@ -466,7 +457,7 @@ def _diagnose_laplace(seed: int) -> List[str]:
     return lines
 
 
-def _diagnose_variance(seed: int) -> List[str]:
+def _diagnose_variance(config: Optional[RunConfig], seed: int) -> List[str]:
     base = RunConfig(
         objective="ackley",
         dimension=5,
@@ -483,6 +474,15 @@ def _diagnose_variance(seed: int) -> List[str]:
     return [f"variance decay_fraction={fraction!r} threshold=0.95 {verdict}"]
 
 
+# suite name -> the suite's lines from the config (None: its defaults) and the seed
+SUITES = {
+    "moments": _diagnose_moments,
+    "pairwise": _diagnose_pairwise,
+    "laplace": _diagnose_laplace,
+    "variance": _diagnose_variance,
+}
+
+
 def cmd_diagnose(args) -> int:
     if args.suite not in SUITES:
         raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
@@ -493,15 +493,7 @@ def cmd_diagnose(args) -> int:
             seed = RngPlan(args.seed).master_seed
         except FieldError as err:
             raise ConfigError(f"--seed {err.reason}") from None
-    if args.suite == "moments":
-        lines = _diagnose_moments(config, seed)
-    elif args.suite == "pairwise":
-        lines = _diagnose_pairwise(config, seed)
-    elif args.suite == "laplace":
-        lines = _diagnose_laplace(seed)
-    else:
-        lines = _diagnose_variance(seed)
-    lines = [f"seed={seed} {line}" for line in lines]  # provenance per record
+    lines = [f"seed={seed} {line}" for line in SUITES[args.suite](config, seed)]  # provenance
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     _write_text(args.out, f"diagnose_{args.suite}.txt", text)
@@ -552,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench": sub.add_parser("bench", help="run a seeded campaign, emit a CSV summary"),
         "diagnose": sub.add_parser("diagnose", help="check a quantitative law, print PASS/FAIL"),
     }
-    commands["diagnose"].add_argument("suite", help="one of: moments pairwise laplace variance")
+    commands["diagnose"].add_argument("suite", help="one of: " + " ".join(SUITES))
     for name, p in commands.items():
         p.add_argument("--config", required=name != "diagnose", help="path to YAML config")
         p.add_argument("--out", default=None, help="directory for output files")

@@ -197,7 +197,7 @@ def _step(e, f, p, plan, integrator, mem, cp, ws=None):
     return advance(e, new, p.dt), mem
 
 
-def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp=None, scratch=None):
+def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp, scratch=None):
     try:
         final_cp = weighted_mean(e, f, alpha, scratch)
         if not trajectory or trajectory[-1].step != e.step_count:
@@ -205,8 +205,6 @@ def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp=None, scrat
     except ValueError:
         # objective overflowed on the final positions: report the last
         # finite consensus point of the diverged run
-        if fallback_cp is None:
-            raise
         final_cp = fallback_cp
     return RunResult(
         trajectory=trajectory,
@@ -322,11 +320,6 @@ def run(config: RunConfig) -> RunResult:
         return _finish(trajectory, e, f, p.alpha, status, t0, config, cp, ws.a)
 
 
-def campaign_seeds(master_seed: int, runs: int) -> List[int]:
-    plan = RngPlan(master_seed)
-    return [plan.run_seed(r) for r in range(runs)]
-
-
 def run_campaign(config: RunConfig, runs: int, workers: int = 1) -> List[RunResult]:
     """Execute `runs` independently seeded copies of `config`.
 
@@ -335,9 +328,8 @@ def run_campaign(config: RunConfig, runs: int, workers: int = 1) -> List[RunResu
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    configs = [
-        replace(config, master_seed=s) for s in campaign_seeds(config.master_seed, runs)
-    ]
+    plan = RngPlan(config.master_seed)
+    configs = [replace(config, master_seed=plan.run_seed(r)) for r in range(runs)]
     # a pool starts all its workers at once, so never ask for more than runs
     workers = min(workers, runs)
     if workers > 1:
