@@ -203,9 +203,9 @@ def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp, scratch=No
         if not trajectory or trajectory[-1].step != e.step_count:
             trajectory.append(_point(e, final_cp))
     except ValueError:
-        # objective overflowed on the final positions: report the last
-        # finite consensus point of the diverged run
-        final_cp = fallback_cp
+        # objective overflowed on the final positions: the run diverged,
+        # whatever its budget; report its last finite consensus point
+        final_cp, status = fallback_cp, "divergence"
     return RunResult(
         trajectory=trajectory,
         final_consensus=final_cp,

@@ -1,5 +1,6 @@
 """Run orchestration, campaign, success-rate, and diagnostics tests."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from cbopt.batching import (
     BatchParams, BatchState, ConstantSchedule, GeometricSchedule, batch_consensus, batch_update,
     make_batches, stop_check,
 )
+from cbopt.cli import main
 from cbopt.dynamics import VARIANTS, DivergenceError, VariantParams, step
 from cbopt.ensemble import Ensemble, FieldError, InitSpec, RngPlan, init_ensemble
 from cbopt.harness import (
@@ -153,6 +155,25 @@ class TestRun:
             result = run(config)
         assert result.terminated_by == "divergence"
         assert np.isfinite(result.final_consensus.v).all()
+
+    def test_unevaluable_final_state_ends_as_divergence_at_any_budget(self, tmp_path, capsys):
+        # the objective overflows at step 54 while the positions stay finite
+        # (up to 3e154); a budget of 54 steps ends on that state too
+        config = small_config(objective="rastrigin", n_particles=5, master_seed=3,
+                              params=VariantParams(sigma=1e3, dt=1.0), max_steps=10_000)
+        free = run(config)
+        assert (free.steps, free.terminated_by) == (54, "divergence")
+        assert np.isfinite(free.final_positions).all()
+        assert_same_run(run(replace(config, max_steps=54)), free)
+        path = tmp_path / "config.yaml"
+        path.write_text("objective: {name: rastrigin, dimension: 2}\n"
+                        "params: {sigma: 1000.0, dt: 1.0}\n"
+                        "harness: {n_particles: 5, init: {kind: box, low: -2.0, high: 2.0}, "
+                        "seed: 3, max_steps: 54}\n")
+        assert main(["run", "--config", str(path)]) == 2
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+        assert (summary["terminated_by"], summary["steps"]) == ("divergence", 54)
+        assert summary["final_v_f"] == free.final_consensus.v.tolist()
 
     def test_all_variants_run(self):
         for variant in ("original", "anisotropic", "common_noise", "personal_best"):
