@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -403,11 +404,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _rate_line(label: str, predicted: float, fitted: float, tol: float) -> str:
-    """A fitted rate against its prediction: the error relative to the
-    prediction, or the absolute error where the prediction is 0, within tol."""
+def _rate_line(label: str, predicted: float, fitted: float, tol: float, lam: float) -> str:
+    """A fitted rate against its prediction 2 lam - sigma^2 d: the error
+    relative to the prediction, or the absolute error where the prediction is
+    0 up to rounding, within 4 ulps of the term 2 lam, within tol."""
     err, kind = abs(fitted - predicted), "abs_err"
-    if predicted != 0.0:
+    if abs(predicted) > 4.0 * math.ulp(2.0 * lam):
         err, kind = err / abs(predicted), "rel_err"
     verdict = "PASS" if err <= tol else "FAIL"
     return f"{label} predicted={predicted!r} fitted={fitted!r} {kind}={err!r} tol={tol!r} {verdict}"
@@ -422,7 +424,7 @@ def _diagnose_moments(config: Optional[RunConfig], seed: int) -> List[str]:
     lines = []
     for variant in ("isotropic", "anisotropic"):
         fitted, predicted = diagnostic_frozen_moment(variant, lam, sigma, d, n, dt, 2.0, seed)
-        lines.append(_rate_line(f"moments {variant}", predicted, fitted, tol))
+        lines.append(_rate_line(f"moments {variant}", predicted, fitted, tol, lam))
     return lines
 
 
@@ -431,7 +433,8 @@ def _diagnose_pairwise(config: Optional[RunConfig], seed: int) -> List[str]:
     if config is not None:
         lam, sigma = config.params.lam, config.params.sigma
     series = diagnostic_pairwise_decay(lam, sigma, 1e-3, 50, 1000, 0.8, seed=seed)
-    lines = [_rate_line("pairwise decay", 2.0 * lam - sigma**2, fit_decay_rate(series), 0.03)]
+    rate = fit_decay_rate(series)
+    lines = [_rate_line("pairwise decay", 2.0 * lam - sigma**2, rate, 0.03, lam)]
     growth = diagnostic_pairwise_decay(0.1, 1.0, 1e-3, 50, 1000, 0.5, seed=seed + 1)
     first, last = growth[0][1], growth[-1][1]
     verdict = "PASS" if last > first else "FAIL"

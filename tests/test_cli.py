@@ -514,6 +514,16 @@ class TestCmdDiagnose:
         assert all("predicted=0.0" in line and " abs_err=" in line and " tol=0.01 " in line
                    and line.endswith("PASS") for line in lines)
 
+    def test_moments_suite_with_a_predicted_rate_zero_up_to_rounding(self, tmp_path, capsys):
+        # 2 * 0.005 - 0.1**2 is -1.7e-18, one ulp of 0.01
+        path = tmp_path / "config.yaml"
+        path.write_text("objective: {name: rastrigin, dimension: 1}\n"
+                        "params: {lambda: 0.005, sigma: 0.1}\n")
+        assert main(["diagnose", "moments", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert all(" abs_err=" in line and line.endswith("tol=0.05 PASS") for line in lines)
+
     def test_pairwise_suite_with_a_zero_predicted_rate(self, tmp_path, capsys, monkeypatch):
         def exact_law(lam, sigma, h, n, replicas, t_final, seed):
             rate = 2.0 * lam - sigma**2
