@@ -1,8 +1,12 @@
 """Weighted consensus mean and Laplace-principle values.
 
 Weights are exp(-alpha * f) normalized to probabilities. The sample minimum
-of f is subtracted inside the exponent first, so all weights lie in (0, 1]
-and no overflow occurs even for alpha of order 1e6 on a bounded f-range.
+of f is subtracted inside the exponent first, so every exponential lies in
+[0, 1], the minimum's being 1. Where alpha (f - min f) passes the float
+range, as it can at alpha up to 1e308, the exponential is 0; where alpha
+min f does, the log-normalizer is -inf or inf and the Laplace value is
+taken as min f - log(mean)/alpha. Neither prints a numpy warning, and only
+these rare calls change numpy's error state.
 `consensus_mean` reduces positions under these weights to the consensus
 point, and `log_normalizer` reduces the same shifted exponentials to the
 Laplace log-normalizer; each works on one ensemble or on a stack of
@@ -43,15 +47,19 @@ def exponentials(fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
     fvals = np.asarray(fvals, dtype=float)
     if fvals.ndim < 1 or fvals.size < 1:
         raise ValueError("fvals must be nonempty along the particle axis")
-    if not np.logical_and.reduce(np.isfinite(fvals), axis=None):
+    fmin = np.minimum.reduce(fvals, axis=-1, keepdims=True)
+    top, low = float(np.maximum.reduce(fvals, axis=None)), float(min(fmin.flat))
+    if not (math.isfinite(top) and math.isfinite(low)):  # a NaN reaches top, -inf low
         raise ValueError("non-finite objective value in weights")
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha < 0.0:
         raise ValueError("alpha must be finite and nonnegative")
-    fmin = np.minimum.reduce(fvals, axis=-1, keepdims=True)
     if alpha == 0.0:  # 0 * inf is NaN where f spans more than the float range
         return np.ones_like(fvals), fmin
-    return np.exp(-alpha * (fvals - fmin)), fmin
+    if math.isfinite(alpha * (top - low)):
+        return np.exp(-alpha * (fvals - fmin)), fmin
+    with np.errstate(over="ignore"):  # an exponent past the float range: its exponential is 0
+        return np.exp(-alpha * (fvals - fmin)), fmin
 
 
 def weights(fvals, alpha) -> np.ndarray:
@@ -77,7 +85,8 @@ def log_normalizer(fvals, alpha):
 
 def _log_mean(shifted, fmin, alpha):
     n = shifted.shape[-1]
-    return -float(alpha) * fmin[..., 0] + np.log(np.add.reduce(shifted, axis=-1) / n)
+    with np.errstate(over="ignore"):  # -alpha min f past the float range is -inf or inf
+        return -float(alpha) * fmin[..., 0] + np.log(np.add.reduce(shifted, axis=-1) / n)
 
 
 def consensus_from_values(
@@ -106,7 +115,10 @@ def laplace_estimate(fvals, alpha) -> Tuple[float, float]:
         raise ValueError("alpha must be positive")
     shifted, fmin = exponentials(fvals, alpha)
     se = np.std(shifted, ddof=1) / (alpha * np.mean(shifted) * np.sqrt(shifted.size))
-    return float(-_log_mean(shifted, fmin, alpha) / alpha), float(se)
+    value = -_log_mean(shifted, fmin, alpha) / alpha
+    if not math.isfinite(value):  # alpha min f overflowed: the same value, unscaled
+        value = fmin[0] - np.log(np.mean(shifted)) / alpha
+    return float(value), float(se)
 
 
 def laplace_value(e: Ensemble, f: ObjectiveFunction, alpha: float) -> float:

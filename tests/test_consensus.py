@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cbopt.consensus import (
-    consensus_from_values, consensus_mean, laplace_value, log_normalizer, weighted_mean, weights,
+    consensus_from_values, consensus_mean, laplace_estimate, laplace_value, log_normalizer,
+    weighted_mean, weights,
 )
 from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.objectives import ObjectiveFunction, make_objective
@@ -163,6 +165,22 @@ class TestLaplaceValue:
         e = Ensemble(np.zeros((3, 1)))
         with pytest.raises(ValueError):
             laplace_value(e, quadratic(1), 0.0)
+
+    def test_alpha_past_the_float_range_warns_nothing(self):
+        # at alpha 1e308 both alpha (f - min f) and alpha min f overflow
+        f = make_objective("ackley", 3)
+        e = init_ensemble(InitSpec("box", low=-2.0, high=2.0), 12, 3, RngPlan(1))
+        fvals, alpha = f(e.positions), 1e308
+        best = int(np.argmin(fvals))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = weights(fvals, alpha), consensus_mean(e.positions, fvals, alpha)
+            cp, log_value = weighted_mean(e, f, alpha), log_normalizer(fvals, alpha)
+            (value, se), at_e = laplace_estimate(fvals, alpha), laplace_value(e, f, alpha)
+        assert w.tolist() == [float(i == best) for i in range(12)]
+        assert np.array_equal(v, e.positions[best]) and np.array_equal(cp.v, v)
+        assert log_value == -math.inf
+        assert value == at_e == pytest.approx(fvals.min(), abs=1e-12) and math.isfinite(se)
 
 
 def _values(shape, bound):
