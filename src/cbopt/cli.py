@@ -405,9 +405,9 @@ def cmd_bench(args) -> int:
 
 
 def _rate_line(label: str, predicted: float, fitted: float, tol: float, lam: float) -> str:
-    """A fitted rate against its prediction 2 lam - sigma^2 d: the error
-    relative to the prediction, or the absolute error where the prediction is
-    0 up to rounding, within 4 ulps of the term 2 lam, within tol."""
+    """A fitted rate against its prediction 2 lam - sigma^2 d, within tol: the
+    error relative to the prediction, or the absolute error where the
+    prediction is 0 up to rounding (within 4 ulps of its term 2 lam)."""
     err, kind = abs(fitted - predicted), "abs_err"
     if abs(predicted) > 4.0 * math.ulp(2.0 * lam):
         err, kind = err / abs(predicted), "rel_err"
@@ -433,8 +433,7 @@ def _diagnose_pairwise(config: Optional[RunConfig], seed: int) -> List[str]:
     if config is not None:
         lam, sigma = config.params.lam, config.params.sigma
     series = diagnostic_pairwise_decay(lam, sigma, 1e-3, 50, 1000, 0.8, seed=seed)
-    rate = fit_decay_rate(series)
-    lines = [_rate_line("pairwise decay", 2.0 * lam - sigma**2, rate, 0.03, lam)]
+    lines = [_rate_line("pairwise decay", 2.0 * lam - sigma**2, fit_decay_rate(series), 0.03, lam)]
     growth = diagnostic_pairwise_decay(0.1, 1.0, 1e-3, 50, 1000, 0.5, seed=seed + 1)
     first, last = growth[0][1], growth[-1][1]
     verdict = "PASS" if last > first else "FAIL"

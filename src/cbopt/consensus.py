@@ -2,11 +2,9 @@
 
 Weights are exp(-alpha * f) normalized to probabilities. The sample minimum
 of f is subtracted inside the exponent first, so every exponential lies in
-[0, 1], the minimum's being 1. Where alpha (f - min f) passes the float
-range, as it can at alpha up to 1e308, the exponential is 0; where alpha
-min f does, the log-normalizer is -inf or inf and the Laplace value is
-taken as min f - log(mean)/alpha. Neither prints a numpy warning, and only
-these rare calls change numpy's error state.
+[0, 1]. The rare calls where alpha (f - min f) or alpha min f passes the
+float range (alpha up to 1e308) ignore the overflow, and only they: the
+exponential is 0, the log-normalizer +-inf, the Laplace value min f - log(mean)/alpha.
 `consensus_mean` reduces positions under these weights to the consensus
 point, and `log_normalizer` reduces the same shifted exponentials to the
 Laplace log-normalizer; each works on one ensemble or on a stack of
@@ -114,10 +112,12 @@ def laplace_estimate(fvals, alpha) -> Tuple[float, float]:
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     shifted, fmin = exponentials(fvals, alpha)
-    se = np.std(shifted, ddof=1) / (alpha * np.mean(shifted) * np.sqrt(shifted.size))
+    mean, root_n = float(np.mean(shifted)), math.sqrt(shifted.size)
+    scale, se = alpha * mean * root_n, np.std(shifted, ddof=1)
+    se = se / scale if math.isfinite(scale) else se / mean / root_n / alpha
     value = -_log_mean(shifted, fmin, alpha) / alpha
     if not math.isfinite(value):  # alpha min f overflowed: the same value, unscaled
-        value = fmin[0] - np.log(np.mean(shifted)) / alpha
+        value = fmin[0] - math.log(mean) / alpha
     return float(value), float(se)
 
 

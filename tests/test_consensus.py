@@ -181,6 +181,11 @@ class TestLaplaceValue:
         assert np.array_equal(v, e.positions[best]) and np.array_equal(cp.v, v)
         assert log_value == -math.inf
         assert value == at_e == pytest.approx(fvals.min(), abs=1e-12) and math.isfinite(se)
+        # with half the values tied at the minimum, alpha mean sqrt(N) overflows too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, se = laplace_estimate(np.repeat([4.25, 5.0], 50), alpha)
+        assert value == 4.25 and se == pytest.approx(math.sqrt(100 / 99) / 10 / alpha, rel=1e-9)
 
 
 def _values(shape, bound):
