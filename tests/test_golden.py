@@ -113,6 +113,9 @@ RUN_CASES = {
               " stop_eps: 1.0e-300, max_epochs: 1000}\n"),
         "divergence", 2,
     ),
+    # N d = 40960 numbers, at least objectives.SHARD_MIN_ELEMENTS: on two or
+    # more CPUs every objective call of the run is evaluated in row shards
+    "anisotropic_large": (_yaml(dimension=40, n=1024, max_steps=30), "max_steps", 0),
     "max_steps": (_yaml(kind="common_noise", max_steps=37), "max_steps", 0),
     "divergence": (
         _yaml(objective="zakharov", dimension=2, sigma=40.0, dt=10.0, max_steps=5000,
