@@ -197,15 +197,22 @@ def _step(e, f, p, plan, integrator, mem, cp, ws=None):
     return advance(e, new, p.dt), mem
 
 
-def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp, scratch=None):
-    try:
-        final_cp = weighted_mean(e, f, alpha, scratch)
-        if not trajectory or trajectory[-1].step != e.step_count:
-            trajectory.append(_point(e, final_cp))
-    except ValueError:
+def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp, scratch=None,
+            evaluable=True):
+    """The run's result; `evaluable` False means the run already failed to
+    evaluate its final positions."""
+    final_cp = None
+    if evaluable:
+        try:
+            final_cp = weighted_mean(e, f, alpha, scratch)
+        except ValueError:
+            pass
+    if final_cp is None:
         # objective overflowed on the final positions: the run diverged,
         # whatever its budget; report its last finite consensus point
         final_cp, status = fallback_cp, "divergence"
+    elif not trajectory or trajectory[-1].step != e.step_count:
+        trajectory.append(_point(e, final_cp))
     return RunResult(
         trajectory=trajectory,
         final_consensus=final_cp,
@@ -317,7 +324,8 @@ def run(config: RunConfig) -> RunResult:
                 status = "stop_criterion"
             if status != "max_steps" or e.step_count >= config.max_steps:
                 break
-        return _finish(trajectory, e, f, p.alpha, status, t0, config, cp, ws.a)
+        return _finish(trajectory, e, f, p.alpha, status, t0, config, cp, ws.a,
+                       evaluable=cps is not None)
 
 
 def run_campaign(config: RunConfig, runs: int, workers: int = 1) -> List[RunResult]:

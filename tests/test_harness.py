@@ -175,6 +175,24 @@ class TestRun:
         assert (summary["terminated_by"], summary["steps"]) == ("divergence", 54)
         assert summary["final_v_f"] == free.final_consensus.v.tolist()
 
+    def test_unevaluable_final_state_is_evaluated_once(self, monkeypatch):
+        # two calls a step (the ensemble and v) for 54 steps, then the one
+        # failed call on the step-54 state, which the result reuses
+        config = small_config(objective="rastrigin", n_particles=5, master_seed=3,
+                              params=VariantParams(sigma=1e3, dt=1.0), max_steps=10_000)
+        expected, calls = run(config), []
+        call = ObjectiveFunction.__call__
+
+        def counted(f, x):
+            calls.append(np.shape(x))
+            return call(f, x)
+
+        monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
+        result = run(config)
+        assert (result.steps, result.terminated_by) == (54, "divergence")
+        assert len(calls) == 2 * 54 + 1
+        assert_same_run(result, expected)
+
     def test_all_variants_run(self):
         for variant in ("original", "anisotropic", "common_noise", "personal_best"):
             config = small_config(
