@@ -44,8 +44,12 @@ def frozen_gbm(positions, v, lam, sigma, gamma, z, ws=None) -> np.ndarray:
     at sigma = 0 this coincides bitwise with split_drift.
     """
     _check_gamma(gamma)
+    try:
+        half_var = 0.5 * sigma**2
+    except OverflowError:  # the IEEE value, as a float64 square gives past the float range
+        half_var = np.inf
     # exponent = (-lam - sigma^2/2) gamma + sigma sqrt(gamma) z
     exponent = np.multiply(sigma * np.sqrt(gamma), z, out=None if ws is None else ws.a)
-    np.exp(np.add((-lam - 0.5 * sigma**2) * gamma, exponent, out=exponent), out=exponent)
+    np.exp(np.add((-lam - half_var) * gamma, exponent, out=exponent), out=exponent)
     t = np.subtract(positions, v, out=None if ws is None else ws.b)
     return np.add(v, np.multiply(t, exponent, out=t))

@@ -341,7 +341,9 @@ class TestCmdRun:
         ("batching: {batch_size: 3, sigma: {kind: geometric, initial: 0.7, decay: 1.0e200}}", 2),
         ("params: {sigma: 1.0e200}", 2),
         ("params: {alpha: 1.0e+308}", 0),  # exp(-alpha (f - min f)) overflows to 0
-    ], ids=["geometric_sigma", "huge_sigma", "huge_alpha"])
+        # sigma^2 / 2 overflows: the exact solution puts every particle on v
+        ("  integrator: frozen\nparams: {sigma: 1.0e200}", 0),
+    ], ids=["geometric_sigma", "huge_sigma", "huge_alpha", "frozen_huge_sigma"])
     def test_overflow_inside_a_run_warns_nothing(self, tmp_path, capsys, tail, code):
         path = tmp_path / "config.yaml"
         path.write_text(f"{MINIMAL}{tail}\nharness: {{n_particles: 12, seed: 7, max_steps: 100}}\n")

@@ -1,6 +1,8 @@
 """Splitting and freezing scheme tests: exactness, moment checks, and the
 never-overshoot guarantees."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,17 @@ class TestFrozenGbm:
         v = np.array([0.5, 0.0])
         out = frozen_gbm(x, v, 1.0, 0.9, 0.1, np.random.default_rng(26).standard_normal(x.shape))
         assert np.array_equal(out[:, 0], [0.5, 0.5])
+
+    def test_sigma_squared_past_the_float_range_lands_on_v(self):
+        # sigma^2 / 2 is inf, so every factor exp(-inf) is 0: the exact
+        # solution's limit, computed without an error or a warning
+        x = np.random.default_rng(29).normal(size=(6, 2)) * 4
+        v = np.array([0.3, -0.7])
+        z = np.random.default_rng(30).standard_normal(x.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = frozen_gbm(x, v, 1.0, 1e200, 0.01, z)
+        assert np.array_equal(out, np.broadcast_to(v, x.shape))
 
     def test_never_crosses_consensus(self):
         rng = np.random.default_rng(27)
