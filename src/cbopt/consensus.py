@@ -107,14 +107,17 @@ def laplace_estimate(fvals, alpha) -> Tuple[float, float]:
     """The Monte Carlo Laplace value -(1/alpha) log((1/N) sum exp(-alpha f_i))
     of (N,) objective values, which tends to min f as alpha grows, and its
     delta-method standard error (the stabilizing shift cancels in its ratio),
-    from one set of shifted exponentials."""
+    from one set of shifted exponentials. One value has no sample spread:
+    its standard error is nan."""
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     shifted, fmin = exponentials(fvals, alpha)
     mean, root_n = float(np.mean(shifted)), math.sqrt(shifted.size)
-    scale, se = alpha * mean * root_n, np.std(shifted, ddof=1)
-    se = se / scale if math.isfinite(scale) else se / mean / root_n / alpha
+    se = math.nan
+    if shifted.size > 1:
+        scale, se = alpha * mean * root_n, np.std(shifted, ddof=1)
+        se = se / scale if math.isfinite(scale) else se / mean / root_n / alpha
     value = -_log_mean(shifted, fmin, alpha) / alpha
     if not math.isfinite(value):  # alpha min f overflowed: the same value, unscaled
         value = fmin[0] - math.log(mean) / alpha

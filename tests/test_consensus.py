@@ -187,6 +187,13 @@ class TestLaplaceValue:
             value, se = laplace_estimate(np.repeat([4.25, 5.0], 50), alpha)
         assert value == 4.25 and se == pytest.approx(math.sqrt(100 / 99) / 10 / alpha, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.5, 30.0, 1e308])
+    def test_one_value_has_a_nan_standard_error_and_warns_nothing(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, se = laplace_estimate([2.5], alpha)
+        assert value == pytest.approx(2.5, rel=1e-15) and math.isnan(se)
+
 
 def _values(shape, bound):
     return arrays(float, shape, elements=st.floats(-bound, bound, allow_nan=False))
