@@ -1,9 +1,10 @@
 """One step kernel for the five consensus-dynamics variants.
 
 `step` advances every variant the same way: it computes the consensus
-point once from the pre-step positions (synchronous update), makes one
-normal draw z keyed by the ensemble's step counter, forms the Euler-Maruyama
-update (X - drift) + noise, and checks it once for finiteness. Its kicks are
+point once from the pre-step positions (synchronous update), takes the
+step's normal draw z from its caller (of `noise_shape`; the run draws it
+keyed by the ensemble's step counter), forms the Euler-Maruyama update
+(X - drift) + noise, and checks it once for finiteness. Its kicks are
 pure transforms of (positions, v, z) that the library reuses: `isotropic_kick`
 (noise sigma |X - v| z and a gated drift: original) and `anisotropic_kick`
 (noise sigma (X - v)_k z_k: anisotropic, and common_noise with one draw per
@@ -33,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .consensus import ConsensusPoint, weighted_mean
-from .ensemble import Ensemble, FieldError, RngPlan, STREAM_DIFFUSION, check_choice
+from .ensemble import Ensemble, FieldError, check_choice
 
 VARIANTS = ("original", "anisotropic", "common_noise", "personal_best", "sphere")
 HEAVISIDE_MODES = ("off", "exact", "regularized")
@@ -84,12 +85,12 @@ class VariantParams:
 
 class Workspace:
     """Scratch arrays of one shape, owned by one run (or one diagnostic loop)
-    and dropped with it: `a`, `b` and `c` for temporaries, `z` for the normal
-    draw and `memory`, made on first use, for personal_best's memory. A
-    workspace is not thread-safe; give each thread its own."""
+    and dropped with it: `a`, `b` and `c` for temporaries and `memory`, made
+    on first use, for personal_best's memory. A workspace is not
+    thread-safe; give each thread its own."""
 
     def __init__(self, shape):
-        self.a, self.b, self.c, self.z = (np.empty(shape) for _ in range(4))
+        self.a, self.b, self.c = (np.empty(shape) for _ in range(3))
 
     @cached_property
     def memory(self) -> "PersonalBestMemory":
@@ -177,6 +178,13 @@ def gate_pair(a, b, mode: str, epsilon: Optional[float] = None):
     return heaviside(a, mode, epsilon) * heaviside(b, mode, epsilon)
 
 
+def noise_shape(p: VariantParams, shape) -> tuple:
+    """Shape of the normal draw z of one p.variant step of positions of
+    `shape`: one number per coordinate, shared by all particles, for
+    common_noise, else one per particle and coordinate."""
+    return tuple(shape[-1:] if p.variant == "common_noise" else shape)
+
+
 def consensus_condition(p: VariantParams, d: int) -> bool:
     """Concentration check: 2 lam > sigma^2 d for the isotropic original
     dynamic; dimension-independent 2 lam > sigma^2 for the component-wise ones."""
@@ -241,19 +249,17 @@ def _tangential(x, y, norms_sq, out=None) -> np.ndarray:
     return np.subtract(y, proj, out=proj)
 
 
-def _update(e, f, p: VariantParams, rng: RngPlan, mem, cp, ws):
-    """Euler-Maruyama update (X - drift) + noise of p.variant, before the
-    sphere renormalization; returns it with the updated personal-best memory.
-    The update is a new array, except the sphere's, which is in `ws`."""
+def _update(e, f, p: VariantParams, z, mem, cp, ws):
+    """Euler-Maruyama update (X - drift) + noise of p.variant with the draw
+    z, before the sphere renormalization; returns it with the updated
+    personal-best memory. The update is a new array, except the sphere's,
+    which is in `ws`."""
     if p.variant == "personal_best" and mem is None:
         raise ValueError("personal_best variant needs a PersonalBestMemory")
     a, b, c = _scratch(ws)
     if cp is None:
         cp = weighted_mean(e, f, p.alpha, a)
     x = e.positions
-    common = p.variant == "common_noise"
-    z = rng.normal_block(STREAM_DIFFUSION, e.step_count, (e.dimension,) if common else x.shape,
-                         out=None if ws is None or common else ws.z)
     if p.variant in ("anisotropic", "common_noise"):
         # a coordinate that matches the consensus stays put; common noise
         # shares one draw per coordinate, so coincident particles stay so
@@ -306,22 +312,24 @@ def step(
     e,
     f,
     p: VariantParams,
-    rng: RngPlan,
+    z,
     mem: Optional[PersonalBestMemory] = None,
     cp: Optional[ConsensusPoint] = None,
     ws: Optional[Workspace] = None,
 ):
-    """Advance one step of p.variant; returns (ensemble, memory).
+    """Advance one step of p.variant with the normal draw z, of
+    `noise_shape(p, e.positions.shape)`; returns (ensemble, memory).
 
-    `cp` defaults to the weighted mean of `e`. `mem` is required by the
-    personal_best variant, which returns it updated by one left-endpoint
-    rectangle of its weighted time integrals; the other variants pass it
-    through. The sphere variant needs unit-norm rows on entry and returns
+    The caller draws z (`harness.run` takes step k's block of the
+    STREAM_DIFFUSION stream), and the step only reads it. `cp` defaults to
+    the weighted mean of `e`. `mem` is required by the personal_best
+    variant, which returns it updated by one left-endpoint rectangle of its
+    weighted time integrals; the other variants pass it through. The sphere variant needs unit-norm rows on entry and returns
     unit-norm rows. `ws`, a workspace of the positions' shape, takes the
     step's temporaries and personal_best's memory, `ws.memory`, which holds
     until the next step; the new positions never alias it.
     """
-    new, mem = _update(e, f, p, rng, mem, cp, ws)
+    new, mem = _update(e, f, p, z, mem, cp, ws)
     if p.variant == "sphere":
         norms = _row_norms(new, None if ws is None else ws.c)
         if np.any(norms < 1e-12):
@@ -330,10 +338,10 @@ def step(
     return advance(e, new, p.dt), mem
 
 
-def sphere_norm_drift(e, f, p, rng: RngPlan, cp: Optional[ConsensusPoint] = None) -> float:
-    """Max | |row| - 1 | of the sphere update before renormalization;
-    first-order consistency makes this O(dt)."""
+def sphere_norm_drift(e, f, p, z, cp: Optional[ConsensusPoint] = None) -> float:
+    """Max | |row| - 1 | of the sphere update with the draw z before
+    renormalization; first-order consistency makes this O(dt)."""
     if p.variant != "sphere":
         raise ValueError("sphere_norm_drift needs the sphere variant")
-    raw, _ = _update(e, f, p, rng, None, cp, None)
+    raw, _ = _update(e, f, p, z, None, cp, None)
     return float(np.max(np.abs(_row_norms(raw) - 1.0)))

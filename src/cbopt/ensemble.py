@@ -12,18 +12,23 @@ A plan builds one Philox generator on first use and repositions it at each
 ``generator(stream, step)`` call by writing the counter block into its
 state, which gives the bits a freshly seeded generator would. The returned
 generator is the plan's own and stays valid only until the plan's next
-``generator`` or ``normal_block`` call, so draw from it before that call,
-and do not share one plan between threads.
+``generator`` or ``normal_block`` call, so draw from it before that call.
+Only one thread calls a plan; `DrawAhead` hands the generator to a helper
+thread to draw a large step's block ahead, and its loop calls the plan
+again only once that draw is done.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from . import objectives
 
 # Stream ids: each (stream, step) pair addresses a disjoint counter block.
 STREAM_INIT = 0
@@ -70,7 +75,9 @@ class RngPlan:
 
         It is the plan's own generator, repositioned on every call: it stays
         valid until the next `generator` or `normal_block` call on this plan,
-        so draw from it before that call and keep the plan to one thread.
+        so draw from it before that call. One thread calls the plan; it may
+        hand the generator to another thread to draw from, and then makes
+        no call on the plan until that draw is done (`DrawAhead`).
         """
         # the cache is not a dataclass field, so ==, hash and repr ignore it
         if "_philox" not in self.__dict__:
@@ -97,6 +104,58 @@ class RngPlan:
         """Independent 64-bit master seed for run ``run_index`` of a campaign."""
         ss = np.random.SeedSequence((int(self.master_seed), int(run_index)))
         return int(ss.generate_state(1, np.uint64)[0])
+
+
+class DrawAhead:
+    """The normal blocks of one stream at the consecutive steps of a loop:
+    `block(step)` gives, bit for bit, `plan.normal_block(stream, step, shape)`
+    in a buffer of its own that holds until the next `block` call.
+
+    A block of objectives.SHARD_MIN_ELEMENTS numbers or more, with two or
+    more usable CPUs and outside a campaign worker (`objectives.threaded`),
+    is drawn one step ahead: handing out block k starts block k+1, up to
+    block end - 1, into a second buffer on the helper pool, so the draw
+    overlaps the caller's step. The calling thread makes every
+    `plan.generator` call, and the helper thread only fills the buffer.
+    While a block is pending the loop owns the plan's generator, so it draws
+    nothing else from the plan until `close`, which waits for the pending
+    block; leaving a ``with`` block closes it. Other blocks are drawn inline.
+    """
+
+    def __init__(self, plan: RngPlan, stream: int, shape, end: int):
+        self.plan, self.stream, self.shape, self.end = plan, stream, tuple(shape), end
+        self.ahead = objectives.threaded(math.prod(self.shape))
+        self.buffers = []  # made on first use: one, and a second to draw ahead into
+        self.pending = None  # (step, future) of the block being drawn ahead
+
+    def block(self, step: int) -> np.ndarray:
+        z = self.close(step)
+        if z is None:
+            if not self.buffers:
+                self.buffers.append(np.empty(self.shape))
+            z = self.plan.normal_block(self.stream, step, self.shape, out=self.buffers[0])
+        if self.ahead and step + 1 < self.end:
+            if len(self.buffers) == 1:
+                self.buffers.append(np.empty(self.shape))
+            spare = self.buffers[z is self.buffers[0]]
+            gen = self.plan.generator(self.stream, step + 1)
+            draw = objectives.executor().submit(gen.standard_normal, self.shape, out=spare)
+            self.pending = (step + 1, draw)
+        return z
+
+    def close(self, step=None):
+        """Wait for the pending block, if any; return it if it is `step`'s."""
+        if self.pending is None:
+            return None
+        (ahead, draw), self.pending = self.pending, None
+        z = draw.result()
+        return z if ahead == step else None
+
+    def __enter__(self) -> "DrawAhead":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 @dataclass

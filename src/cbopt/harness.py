@@ -30,9 +30,10 @@ from .consensus import (
 )
 from .dynamics import (
     VARIANTS, DivergenceError, PersonalBestMemory, VariantParams, Workspace, advance,
-    anisotropic_kick, isotropic_kick, step,
+    anisotropic_kick, isotropic_kick, noise_shape, step,
 )
 from .ensemble import (
+    DrawAhead,
     Ensemble,
     FieldError,
     InitSpec,
@@ -182,13 +183,11 @@ def _point(e: Ensemble, cp: ConsensusPoint) -> TrajectoryPoint:
     )
 
 
-def _step(e, f, p, plan, integrator, mem, cp, ws=None):
-    """Move every particle one step with the configured integrator, its
-    temporaries in the workspace `ws` if given."""
+def _step(e, f, p, z, integrator, mem, cp, ws=None):
+    """Move every particle one step with the configured integrator and the
+    step's normal draw z, its temporaries in the workspace `ws` if given."""
     if integrator == "euler":
-        return step(e, f, p, plan, mem=mem, cp=cp, ws=ws)
-    z = plan.normal_block(STREAM_DIFFUSION, e.step_count, e.positions.shape,
-                          out=None if ws is None else ws.z)
+        return step(e, f, p, z, mem=mem, cp=cp, ws=ws)
     if integrator == "split":
         drifted = split_drift(e.positions, cp.v, p.lam, p.dt, None if ws is None else ws.c)
         new = split_diffusion(drifted, cp.v, p.sigma, p.dt, z, ws)
@@ -264,14 +263,20 @@ def run(config: RunConfig) -> RunResult:
 
     The run owns one `Workspace` of (N, d) buffers for the temporaries of
     its full-ensemble steps and personal_best's memory, made here and
-    dropped on return; no array of the result aliases it.
+    dropped on return; no array of the result aliases it. A plain step k
+    takes its normal draw, the (STREAM_DIFFUSION, k) block, from one
+    `DrawAhead`, which draws a large block one step ahead on a helper
+    thread into a second buffer the run owns; the run waits for that draw
+    on every exit, so no draw is running when it returns or raises.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    p, bp, d = config.params, config.batching, config.dimension
+    plan = RngPlan(config.master_seed)
+    noise = DrawAhead(plan, STREAM_DIFFUSION, noise_shape(p, (config.n_particles, d)),
+                      config.max_steps)
+    with np.errstate(over="ignore", invalid="ignore"), noise:
         f = make_objective(config.objective, config.dimension)
-        plan = RngPlan(config.master_seed)
         e = init_ensemble(config.init, config.n_particles, config.dimension, plan)
         t0 = time.perf_counter()
-        p, bp, d = config.params, config.batching, config.dimension
         if bp is None:
             groups, eps = itertools.repeat((0, 0, None)), config.stop_eps
         else:
@@ -306,7 +311,8 @@ def run(config: RunConfig) -> RunResult:
                     e = batch_update(e, cps if n == q else cps[:n], bp, scope, plan, lam=p.lam, k=k,
                                      theta=theta)
                 elif not stop:  # a plain run stops before its update
-                    e, mem = _step(e, f, p, plan, config.integrator, mem, cps, ws)
+                    z = noise.block(e.step_count)
+                    e, mem = _step(e, f, p, z, config.integrator, mem, cps, ws)
             except (ValueError, DivergenceError) as err:
                 if q > 1:  # one batch at a time: the error surfaces at its batch
                     singles = [(k, theta + j, b) for j, b in enumerate(batch)]
@@ -395,10 +401,10 @@ def diagnostic_frozen_moment(
     second = np.empty(steps + 1)
     kick = isotropic_kick if variant == "isotropic" else anisotropic_kick
     ws = Workspace((n, d))
-    for s in range(steps):
-        second[s] = np.mean(np.sum(np.multiply(e.positions, e.positions, out=ws.a), axis=1))
-        z = plan.normal_block(STREAM_DIFFUSION, s, (n, d), out=ws.z)
-        e = advance(e, kick(e.positions, 0.0, lam, sigma, dt, z, ws=ws), dt)
+    with DrawAhead(plan, STREAM_DIFFUSION, (n, d), steps) as noise:
+        for s in range(steps):
+            second[s] = np.mean(np.sum(np.multiply(e.positions, e.positions, out=ws.a), axis=1))
+            e = advance(e, kick(e.positions, 0.0, lam, sigma, dt, noise.block(s), ws=ws), dt)
     second[steps] = np.mean(np.sum(np.multiply(e.positions, e.positions, out=ws.a), axis=1))
     times = dt * np.arange(steps + 1)
     fitted = fit_decay_rate(np.column_stack([times, second]))

@@ -13,6 +13,9 @@ An ``ObjectiveFunction`` evaluates a stack of ``SHARD_MIN_ELEMENTS`` numbers
 or more in row shards on threads, one per usable CPU; the values are the
 same bits as one whole call as long as ``fn`` maps each point independently
 and is safe to call from several threads (numpy's loops release the GIL).
+The shards and the noise a run draws one step ahead (`ensemble.DrawAhead`)
+share one helper pool per process, made on first use, with a thread for
+each shard and one for the draw.
 """
 
 from __future__ import annotations
@@ -32,10 +35,20 @@ _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _pool = (None, None)  # (pid, executor); a forked child inherits the object, not its threads
 
 
-def _executor() -> ThreadPoolExecutor:
+def threaded(size: int) -> bool:
+    """Whether work on `size` numbers goes to helper threads: it is at least
+    SHARD_MIN_ELEMENTS numbers, two or more CPUs are usable, and this is not
+    a campaign worker, whose runs already fill the CPUs."""
+    return (size >= SHARD_MIN_ELEMENTS and _THREADS >= 2
+            and multiprocessing.parent_process() is None)
+
+
+def executor() -> ThreadPoolExecutor:
+    """The process's helper pool: _THREADS - 1 shard threads and one for a
+    pending draw, so a draw never queues a shard behind it."""
     global _pool
     if _pool[0] != os.getpid():
-        _pool = (os.getpid(), ThreadPoolExecutor(max(1, _THREADS - 1), "cbopt-objective"))
+        _pool = (os.getpid(), ThreadPoolExecutor(_THREADS, "cbopt-helper"))
     return _pool[1]
 
 
@@ -120,11 +133,10 @@ class ObjectiveFunction:
             raise ValueError(
                 f"expected points of dimension {self.dimension}, got shape {x.shape}"
             )
-        if (x.size < SHARD_MIN_ELEMENTS or x.ndim < 2 or min(_THREADS, len(x)) < 2
-                or multiprocessing.parent_process() is not None):
+        if x.ndim < 2 or len(x) < 2 or not threaded(x.size):
             return self.fn(x)
         head, *rest = np.array_split(x, min(_THREADS, len(x)))
-        pool = _executor()  # errstate lives in the context: hand each shard the caller's
+        pool = executor()  # errstate lives in the context: hand each shard the caller's
         futures = [pool.submit(contextvars.copy_context().run, self.fn, s) for s in rest]
         return np.concatenate([self.fn(head), *(f.result() for f in futures)])
 

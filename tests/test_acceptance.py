@@ -19,7 +19,7 @@ import pytest
 from cbopt.batching import BatchState, make_batches
 from cbopt.consensus import weighted_mean, weights
 from cbopt.dynamics import VariantParams, sphere_norm_drift, step
-from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
+from cbopt.ensemble import STREAM_DIFFUSION, Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.harness import (
     RunConfig,
     SuccessCriterion,
@@ -155,14 +155,11 @@ def test_06_sphere_constraint():
     p = VariantParams(lam=1.0, sigma=0.5, dt=0.002, alpha=20.0, variant="sphere")
     worst = 0.0
     for _ in range(1000):
-        e = step(e, f, p, plan)[0]
+        e = step(e, f, p, plan.normal_block(STREAM_DIFFUSION, e.step_count, (50, 3)))[0]
         worst = max(worst, float(np.max(np.abs(np.linalg.norm(e.positions, axis=1) - 1.0))))
-    drift_coarse = sphere_norm_drift(
-        e, f, replace(p, dt=0.004), RngPlan(99)
-    )
-    drift_fine = sphere_norm_drift(
-        e, f, replace(p, dt=0.002), RngPlan(99)
-    )
+    z = RngPlan(99).normal_block(STREAM_DIFFUSION, e.step_count, (50, 3))
+    drift_coarse = sphere_norm_drift(e, f, replace(p, dt=0.004), z)
+    drift_fine = sphere_norm_drift(e, f, replace(p, dt=0.002), z)
     ratio = drift_coarse / drift_fine
     report(
         "6 sphere constraint",

@@ -192,7 +192,7 @@ class TestBatchUpdate:
         e = init_ensemble(InitSpec("box", low=-2, high=2), 8, 3, plan)
         p = VariantParams(lam=1.0, sigma=0.6, dt=0.05, alpha=12.0, variant="anisotropic")
         cp = weighted_mean(e, f, 12.0)
-        stepped = step(e, f, p, plan, cp=cp)[0]
+        stepped = step(e, f, p, plan.normal_block(STREAM_DIFFUSION, 0, (8, 3)), cp=cp)[0]
         bp = BatchParams(
             batch_size=8,
             update_mode="full",

@@ -21,11 +21,17 @@ from cbopt.dynamics import (
     gate_pair,
     heaviside,
     isotropic_kick,
+    noise_shape,
     sphere_norm_drift,
     step,
 )
 from cbopt.ensemble import STREAM_DIFFUSION, Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.objectives import ObjectiveFunction, make_objective
+
+
+def draw(plan, e, p):
+    """The normal block of e's next step, as a run draws it."""
+    return plan.normal_block(STREAM_DIFFUSION, e.step_count, noise_shape(p, e.positions.shape))
 
 
 def quadratic(d):
@@ -149,7 +155,7 @@ class TestOriginalStep:
         p = VariantParams(lam=1.0, sigma=0.8, dt=0.01, alpha=0.0, variant="original")
         cp = weighted_mean(e, f, 0.0)
         assert np.allclose(cp.v, [0.0, 0.0])
-        out = step(e, f, p, RngPlan(0), cp=cp)[0]
+        out = step(e, f, p, draw(RngPlan(0), e, p), cp=cp)[0]
         assert np.array_equal(out.positions[2], pos[2])
 
     def test_sigma_zero_linear_contraction(self):
@@ -159,7 +165,7 @@ class TestOriginalStep:
         e = Ensemble(pos)
         p = VariantParams(lam=0.7, sigma=0.0, dt=0.05, alpha=2.0, variant="original")
         cp = weighted_mean(e, f, 2.0)
-        out = step(e, f, p, RngPlan(0))[0]
+        out = step(e, f, p, draw(RngPlan(0), e, p))[0]
         expected = pos - 0.7 * 0.05 * (pos - cp.v)
         assert np.allclose(out.positions, expected, atol=1e-14)
         assert out.time == pytest.approx(0.05) and out.step_count == 1
@@ -168,7 +174,7 @@ class TestOriginalStep:
         f = quadratic(3)
         e = Ensemble(np.array([[0.5, -1.0, 2.0]]))
         p = VariantParams(lam=1.0, sigma=0.0, dt=0.01, variant="original")
-        out = step(e, f, p, RngPlan(5))[0]
+        out = step(e, f, p, draw(RngPlan(5), e, p))[0]
         assert np.array_equal(out.positions, e.positions)
 
     def test_exact_heaviside_freezes_drift_of_better_particles(self):
@@ -178,7 +184,7 @@ class TestOriginalStep:
             lam=1.0, sigma=0.0, dt=0.1, alpha=0.0, variant="original", heaviside_mode="exact"
         )
         cp = weighted_mean(e, f, 0.0)  # v = 2.55, f(v) > f(0.1)
-        out = step(e, f, p, RngPlan(0), cp=cp)[0]
+        out = step(e, f, p, draw(RngPlan(0), e, p), cp=cp)[0]
         assert out.positions[0, 0] == 0.1  # gate 0: better than v_f, stays
         assert out.positions[1, 0] != 5.0  # gate 1: pulled toward v_f
 
@@ -238,7 +244,7 @@ class TestIsotropicKick:
         gate = 1.0 if mode == "off" else heaviside(f(x) - cp.f_at_v, mode, p.epsilon)[:, None]
         z = plan.normal_block(STREAM_DIFFUSION, 5, x.shape)
         expected = original_update(x, cp.v, p.lam, p.sigma, p.dt, z, gate)
-        assert step(e, f, p, plan, cp=cp)[0].positions.tobytes() == expected.tobytes()
+        assert step(e, f, p, draw(plan, e, p), cp=cp)[0].positions.tobytes() == expected.tobytes()
 
 
 class TestAnisotropicStep:
@@ -247,7 +253,7 @@ class TestAnisotropicStep:
         pos = np.array([[0.0, 2.0], [0.0, -2.0]])  # coordinate 0 equals v_0
         e = Ensemble(pos)
         p = VariantParams(lam=1.0, sigma=1.0, dt=0.01, alpha=0.0, variant="anisotropic")
-        out = step(e, f, p, RngPlan(3))[0]
+        out = step(e, f, p, draw(RngPlan(3), e, p))[0]
         assert np.array_equal(out.positions[:, 0], [0.0, 0.0])
         assert not np.array_equal(out.positions[:, 1], pos[:, 1])
 
@@ -257,8 +263,8 @@ class TestAnisotropicStep:
         e = Ensemble(rng.normal(size=(6, 3)))
         p_a = VariantParams(lam=0.4, sigma=0.0, dt=0.02, alpha=1.0, variant="anisotropic")
         p_o = VariantParams(lam=0.4, sigma=0.0, dt=0.02, alpha=1.0, variant="original")
-        out_a = step(e, f, p_a, RngPlan(0))[0]
-        out_o = step(e, f, p_o, RngPlan(0))[0]
+        out_a = step(e, f, p_a, draw(RngPlan(0), e, p_a))[0]
+        out_o = step(e, f, p_o, draw(RngPlan(0), e, p_o))[0]
         assert np.allclose(out_a.positions, out_o.positions, atol=1e-14)
 
     def test_one_step_law_matches_original_in_1d(self):
@@ -275,8 +281,9 @@ class TestAnisotropicStep:
         )
         cp = weighted_mean(Ensemble(np.zeros((1, 1))), f, 0.0)
         assert np.array_equal(cp.v, v)
-        a = step(Ensemble(start), f, p_orig, RngPlan(21), cp=cp)[0].positions[:, 0]
-        b = step(Ensemble(start), f, p_anis, RngPlan(22), cp=cp)[0].positions[:, 0]
+        e = Ensemble(start)
+        a = step(e, f, p_orig, draw(RngPlan(21), e, p_orig), cp=cp)[0].positions[:, 0]
+        b = step(e, f, p_anis, draw(RngPlan(22), e, p_anis), cp=cp)[0].positions[:, 0]
         assert ks_2samp(a, b).pvalue > 0.01
 
 
@@ -287,7 +294,7 @@ class TestCommonNoiseStep:
         p = VariantParams(lam=1.0, sigma=0.9, dt=0.01, alpha=30.0, variant="common_noise")
         plan = RngPlan(4)
         for _ in range(25):
-            e = step(e, f, p, plan)[0]
+            e = step(e, f, p, draw(plan, e, p))[0]
             assert np.all(e.positions == e.positions[0])
 
     def test_noise_shared_per_coordinate(self):
@@ -295,7 +302,7 @@ class TestCommonNoiseStep:
         pos = np.array([[1.0, 1.0], [3.0, 3.0]])
         e = Ensemble(pos)
         p = VariantParams(lam=0.0, sigma=1.0, dt=1.0, alpha=0.0, variant="common_noise")
-        out = step(e, f, p, RngPlan(6))[0]
+        out = step(e, f, p, draw(RngPlan(6), e, p))[0]
         v = pos.mean(axis=0)
         ratio = (out.positions - pos) / (pos - v)  # recovers z per coordinate
         assert np.allclose(ratio[0], ratio[1], atol=1e-12)
@@ -305,7 +312,7 @@ class TestCommonNoiseStep:
         pos = np.array([[1.0, 0.0], [-1.0, 2.0]])
         e = Ensemble(pos)
         p = VariantParams(lam=1.0, sigma=0.0, dt=0.1, alpha=0.0, variant="common_noise")
-        out = step(e, f, p, RngPlan(0))[0]
+        out = step(e, f, p, draw(RngPlan(0), e, p))[0]
         v = pos.mean(axis=0)
         assert np.allclose(out.positions, pos - 0.1 * (pos - v), atol=1e-14)
 
@@ -325,7 +332,7 @@ class TestPersonalBestStep:
         p = VariantParams(lam=1.0, sigma=0.4, dt=0.01, alpha=0.0, beta=7.0, variant="personal_best")
         visited = [e.positions.copy()]
         for _ in range(10):
-            e, mem = step(e, f, p, plan, mem)
+            e, mem = step(e, f, p, draw(plan, e, p), mem)
             visited.append(e.positions.copy())
         # weights constant: p is the mean of the left endpoints
         expected = np.mean(visited[:-1], axis=0)
@@ -341,7 +348,7 @@ class TestPersonalBestStep:
             lam=1.0, sigma=0.0, dt=0.1, alpha=1e4, beta=1.0, variant="personal_best"
         )
         cp = weighted_mean(e, f, 1e4)  # essentially the particle at 0.05
-        out, _ = step(e, f, p, RngPlan(0), mem, cp=cp)
+        out, _ = step(e, f, p, draw(RngPlan(0), e, p), mem, cp=cp)
         # f(v) < f(X^i) = f(p^i) for the outer particles: move toward v only
         expected = e.positions[0, 0] - 0.1 * (e.positions[0, 0] - cp.v[0])
         assert out.positions[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -354,7 +361,7 @@ class TestPersonalBestStep:
         v = np.array([0.1, -0.2])
         cp = ConsensusPoint(v, float(f(v)))
         p = VariantParams(lam=lam, sigma=0.0, dt=0.1, variant="personal_best")
-        out, _ = step(e, f, p, RngPlan(0), PersonalBestMemory.initial(e), cp=cp)
+        out, _ = step(e, f, p, draw(RngPlan(0), e, p), PersonalBestMemory.initial(e), cp=cp)
         moved = out.positions - e.positions
         assert np.allclose(moved, -0.1 * lam * (e.positions - v), rtol=0.0, atol=1e-12)
 
@@ -374,7 +381,7 @@ class TestPersonalBestStep:
         from cbopt.consensus import ConsensusPoint
 
         cp = ConsensusPoint(v=np.array([0.8]), f_at_v=float(f(np.array([0.8]))))
-        out, _ = step(e, f, p, RngPlan(0), mem, cp=cp)
+        out, _ = step(e, f, p, draw(RngPlan(0), e, p), mem, cp=cp)
         # particle 0: f(p)=0.01 < f(X)=1, f(p) < f(v): mu gate open
         # lam gate: H(f(X)-f(v)) H(f(p)-f(v)) = 1 * 0 = 0
         expected = 1.0 - 0.1 * (1.0 - 0.1)
@@ -388,7 +395,7 @@ class TestPersonalBestStep:
         mem = PersonalBestMemory.initial(e)
         p = VariantParams(lam=1.0, sigma=0.3, dt=0.01, alpha=1.0, beta=50.0, variant="personal_best")
         for _ in range(5):
-            e, mem = step(e, f, p, plan, mem)
+            e, mem = step(e, f, p, draw(plan, e, p), mem)
         assert np.isfinite(mem.p).all()
         assert np.all(mem.scaled_den > 0.0)
 
@@ -400,7 +407,7 @@ class TestSphereStep:
         e = init_ensemble(InitSpec("sphere"), 40, 3, plan)
         p = VariantParams(lam=1.0, sigma=0.5, dt=0.005, alpha=20.0, variant="sphere")
         for _ in range(50):
-            e = step(e, f, p, plan)[0]
+            e = step(e, f, p, draw(plan, e, p))[0]
         norms = np.linalg.norm(e.positions, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
@@ -412,7 +419,7 @@ class TestSphereStep:
         e = Ensemble(np.array([x]))
         p = VariantParams(lam=1.0, sigma=0.7, dt=0.01, alpha=0.0, variant="sphere")
         cp = ConsensusPoint(v=x.copy(), f_at_v=1.0)
-        out = step(e, f, p, RngPlan(11), cp=cp)[0]
+        out = step(e, f, p, draw(RngPlan(11), e, p), cp=cp)[0]
         assert np.allclose(out.positions[0], x, atol=1e-15)
 
     def test_projection_kills_radial_component(self):
@@ -429,7 +436,7 @@ class TestSphereStep:
         drifts = {}
         for dt in (0.01, 0.005):
             p = VariantParams(lam=1.0, sigma=0.5, dt=dt, alpha=20.0, variant="sphere")
-            drifts[dt] = sphere_norm_drift(e, f, p, RngPlan(13))
+            drifts[dt] = sphere_norm_drift(e, f, p, draw(RngPlan(13), e, p))
         ratio = drifts[0.01] / drifts[0.005]
         assert 1.4 <= ratio <= 2.8
 
@@ -438,7 +445,7 @@ class TestSphereStep:
         e = Ensemble(np.array([[0.0, 1.0], [1e-20, 1e-20]]))
         p = VariantParams(variant="sphere")
         with pytest.raises(SingularityError):
-            step(e, f, p, RngPlan(0))
+            step(e, f, p, draw(RngPlan(0), e, p))
 
 
 class TestStepDispatch:
@@ -449,7 +456,7 @@ class TestStepDispatch:
         for variant in ("original", "anisotropic", "common_noise", "sphere"):
             e = Ensemble(np.tile(point, (5, 1)))
             p = VariantParams(lam=1.0, sigma=0.8, dt=0.01, alpha=10.0, variant=variant)
-            out, _ = step(e, f, p, RngPlan(14))
+            out, _ = step(e, f, p, draw(RngPlan(14), e, p))
             assert np.allclose(out.positions, e.positions, atol=1e-12), variant
 
     def test_personal_best_needs_memory(self):
@@ -457,7 +464,7 @@ class TestStepDispatch:
         e = Ensemble(np.zeros((3, 2)))
         p = VariantParams(variant="personal_best")
         with pytest.raises(ValueError):
-            step(e, f, p, RngPlan(0))
+            step(e, f, p, draw(RngPlan(0), e, p))
 
     def test_seed_determinism(self):
         f = make_objective("rastrigin", 4)
@@ -467,7 +474,7 @@ class TestStepDispatch:
             plan = RngPlan(99)
             e = init_ensemble(InitSpec("box", low=-2, high=2), 30, 4, plan)
             for _ in range(20):
-                e, _ = step(e, f, p, plan)
+                e, _ = step(e, f, p, draw(plan, e, p))
             outs.append(e.positions)
         assert np.array_equal(outs[0], outs[1])
 
@@ -476,7 +483,7 @@ class TestStepDispatch:
         e = Ensemble(np.array([[1e300], [-1e300]]))
         p = VariantParams(lam=1e6, sigma=0.0, dt=1e6, alpha=0.0, variant="anisotropic")
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
-            step(e, f, p, RngPlan(0))
+            step(e, f, p, draw(RngPlan(0), e, p))
         assert err.value.step == 0
 
 
@@ -497,7 +504,7 @@ class TestKernelProperties:
         p = VariantParams(lam=1.0, sigma=0.8, dt=0.01, alpha=20.0, variant=variant)
         mem = PersonalBestMemory.initial(e) if variant == "personal_best" else None
         for _ in range(4):
-            out, mem = step(e, f, p, plan, mem)
+            out, mem = step(e, f, p, draw(plan, e, p), mem)
             assert out.positions.shape == (n, d)
             assert np.isfinite(out.positions).all()
             assert out.time == e.time + p.dt and out.step_count == e.step_count + 1

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbopt import harness
+from cbopt import harness, objectives
 from cbopt.dynamics import VariantParams
 from cbopt.ensemble import (
+    STREAM_DIFFUSION,
+    DrawAhead,
     Ensemble,
     InitSpec,
     RngPlan,
@@ -136,6 +138,31 @@ class TestRngPlan:
             RngPlan(-1)
         with pytest.raises(ValueError):
             RngPlan(1 << 64)
+
+
+class TestDrawAhead:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_are_normal_blocks_drawn_ahead_on_two_cpus(self, threads, monkeypatch):
+        monkeypatch.setattr(objectives, "_THREADS", threads)
+        monkeypatch.setattr(objectives, "SHARD_MIN_ELEMENTS", 12)
+        fresh = RngPlan(17)
+        with DrawAhead(RngPlan(17), STREAM_DIFFUSION, (3, 4), end=5) as noise:
+            assert noise.ahead == (threads == 2)
+            # a step that is not the pending one is drawn inline
+            for step in (0, 1, 2, 4, 3, 4):
+                z = noise.block(step)
+                assert (noise.pending is not None) == (threads == 2 and step + 1 < 5)
+                if noise.pending is not None:  # the next block goes into the other buffer
+                    noise.pending[1].result()
+                assert z.tobytes() == fresh.normal_block(STREAM_DIFFUSION, step, (3, 4)).tobytes()
+            noise.block(0)
+        assert noise.pending is None  # leaving the block waits for the pending draw
+        assert len(noise.buffers) == (2 if threads == 2 else 1)
+
+    def test_a_block_below_the_shard_size_is_drawn_inline(self, monkeypatch):
+        monkeypatch.setattr(objectives, "_THREADS", 2)
+        monkeypatch.setattr(objectives, "SHARD_MIN_ELEMENTS", 13)
+        assert not DrawAhead(RngPlan(17), STREAM_DIFFUSION, (3, 4), end=5).ahead
 
 
 class TestInitEnsemble:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,14 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbopt import harness
+from cbopt import harness, objectives
 from cbopt.batching import (
     BatchParams, BatchState, ConstantSchedule, GeometricSchedule, batch_consensus, batch_update,
     make_batches, stop_check,
 )
 from cbopt.cli import main
 from cbopt.dynamics import VARIANTS, DivergenceError, VariantParams, step
-from cbopt.ensemble import Ensemble, FieldError, InitSpec, RngPlan, init_ensemble
+from cbopt.ensemble import (
+    STREAM_DIFFUSION, Ensemble, FieldError, InitSpec, RngPlan, init_ensemble,
+)
 from cbopt.harness import (
     RunConfig,
     SuccessCriterion,
@@ -213,6 +217,113 @@ class TestRun:
         for integrator in ("split", "frozen"):
             result = run(small_config(integrator=integrator, max_steps=2000, record_every=2000))
             assert result.final_consensus.f_at_v < 0.1, integrator
+
+
+def large_config(**overrides):
+    """A plain run whose blocks of 1024 x 32 = 2^15 numbers reach
+    objectives.SHARD_MIN_ELEMENTS, so it draws them one step ahead."""
+    fields = dict(
+        objective="ackley", dimension=32, params=VariantParams(lam=1.0, sigma=0.7, dt=0.01),
+        n_particles=1024, init=InitSpec("box", low=-3.0, high=3.0), max_steps=4,
+        master_seed=3, record_every=1,
+    )
+    return RunConfig(**{**fields, **overrides})
+
+
+class TestDrawAhead:
+    """A run on two or more CPUs draws each large step's noise one step ahead
+    on a helper thread: its result is the inline draw's, bit for bit."""
+
+    @pytest.fixture
+    def traced(self, monkeypatch):
+        """Two usable CPUs at least; records the thread of every
+        RngPlan.generator call and the name and future of every helper task,
+        and slows each draw, so that only a wait for it ends it in time."""
+        monkeypatch.setattr(objectives, "_THREADS", max(objectives._THREADS, 2))
+        generators, tasks = [], []
+        generator, executor = RngPlan.generator, objectives.executor
+
+        def traced_generator(plan, stream, step):
+            generators.append(threading.get_ident())
+            return generator(plan, stream, step)
+
+        def slow(fn, *args, **kwargs):
+            time.sleep(0.05)
+            return fn(*args, **kwargs)
+
+        class Pool:
+            def submit(self, fn, *args, **kwargs):
+                name = getattr(fn, "__name__", "")
+                if name == "standard_normal":
+                    args, fn = (fn, *args), slow
+                tasks.append((name, executor().submit(fn, *args, **kwargs)))
+                return tasks[-1][1]
+
+        monkeypatch.setattr(RngPlan, "generator", traced_generator)
+        monkeypatch.setattr(objectives, "executor", Pool)
+        return generators, tasks
+
+    @staticmethod
+    def ahead_and_inline(config, traced, monkeypatch):
+        """The run with draw-ahead, then forced inline; the draws made ahead
+        and the generator calls of each run."""
+        generators, tasks = traced
+        ahead = run(config)
+        assert all(task.done() for _, task in tasks)  # no draw runs on after `run`
+        draws, calls = sum(name == "standard_normal" for name, _ in tasks), len(generators)
+        assert set(generators) == {threading.get_ident()}
+        monkeypatch.setattr(objectives, "SHARD_MIN_ELEMENTS", 2**62)
+        inline = run(config)
+        assert sum(name == "standard_normal" for name, _ in tasks) == draws  # none ahead
+        return ahead, inline, draws, (calls, len(generators) - calls)
+
+    @pytest.mark.parametrize("variant, integrator", [
+        ("anisotropic", "euler"), ("anisotropic", "split"), ("anisotropic", "frozen"),
+        ("original", "euler"), ("common_noise", "euler"), ("personal_best", "euler"),
+        ("sphere", "euler"),
+    ])
+    def test_steps_match_the_inline_draw_bitwise(self, variant, integrator, traced,
+                                                 monkeypatch):
+        params = VariantParams(lam=1.0, sigma=0.7, dt=0.01, variant=variant,
+                               heaviside_mode="exact" if variant == "original" else "off")
+        init = InitSpec("sphere") if variant == "sphere" else InitSpec("box", low=-3.0, high=3.0)
+        config = large_config(params=params, integrator=integrator, init=init)
+        ahead, inline, draws, calls = self.ahead_and_inline(config, traced, monkeypatch)
+        assert_same_run(ahead, inline)
+        assert ahead.terminated_by == "max_steps"
+        # the init block and one block a step; common noise draws d numbers
+        assert calls == (config.max_steps + 1,) * 2
+        assert draws == (0 if variant == "common_noise" else config.max_steps - 1)
+
+    @pytest.mark.parametrize("overrides, ending, steps", [
+        (dict(stop_eps=1e300), "stop_criterion", 1),
+        (dict(params=VariantParams(sigma=1e300, dt=1.0)), "divergence", 1),
+        (dict(objective="zakharov", params=VariantParams(sigma=1e40, dt=1.0)), "divergence", 2),
+    ], ids=["stop_at_step_1", "kick_diverges", "objective_fails"])
+    def test_early_endings_match_the_inline_draw(self, overrides, ending, steps, traced,
+                                                 monkeypatch):
+        config = large_config(max_steps=6, **overrides)
+        ahead, inline, draws, _ = self.ahead_and_inline(config, traced, monkeypatch)
+        assert (ahead.terminated_by, ahead.steps) == (ending, steps)
+        assert_same_run(ahead, inline)
+        assert draws >= 1  # the block of a step the run never takes was pending
+
+    def test_a_raising_objective_leaves_no_draw_running(self, traced, monkeypatch):
+        points = []
+
+        def failing(x):  # fails on the consensus point of step 1, with block 1 drawn ahead
+            points.append(np.ndim(x))
+            if points.count(1) == 2:
+                raise RuntimeError("objective failed")
+            return objectives.ackley(x)
+
+        monkeypatch.setattr(harness, "make_objective",
+                            lambda name, d: ObjectiveFunction(name, failing, d))
+        with pytest.raises(RuntimeError, match="objective failed"):
+            run(large_config())
+        _, tasks = traced
+        assert any(name == "standard_normal" for name, _ in tasks)
+        assert all(task.done() for _, task in tasks)
 
 
 class TestBatchedRun:
@@ -756,7 +867,7 @@ class TestPairwiseDiagnostic:
 
         manual = [mean_pairwise_sq_dist(e.positions)]
         for _ in range(5):
-            e = step(e, f, p, plan)[0]
+            e = step(e, f, p, plan.normal_block(STREAM_DIFFUSION, e.step_count, (d,)))[0]
             manual.append(mean_pairwise_sq_dist(e.positions))
         assert np.allclose([v for _, v in series], manual, rtol=1e-12, atol=0)
 

@@ -208,7 +208,8 @@ class TestFedDraw:
         p = VariantParams(lam=1.1, sigma=0.9, dt=0.05, alpha=10.0)
         cp = weighted_mean(e, f, p.alpha)
         x = e.positions
-        new, _ = _step(e, f, p, plan, integrator, None, cp)
+        z = plan.normal_block(STREAM_DIFFUSION, 6, x.shape)
+        new, _ = _step(e, f, p, z, integrator, None, cp)
         gen = plan.generator(STREAM_DIFFUSION, 6)
         if integrator == "split":
             expected = split_diffusion_drawing(split_drift(x, cp.v, p.lam, p.dt), cp.v, p.sigma,

@@ -278,17 +278,52 @@ class TestShardedEvaluation:
                 assert a.final_positions.tobytes() == b.final_positions.tobytes()
             print("ok")
         """)
-        src = str(Path(objectives.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        child = subprocess.Popen(
-            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True, start_new_session=True,
-        )
-        try:
-            out, err = child.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(child.pid, signal.SIGKILL)  # the hung campaign workers too
-            child.communicate()
-            pytest.fail("campaign with a shard pool in the parent did not finish in 120 s")
-        assert child.returncode == 0, err
-        assert out.strip() == "ok"
+        assert run_in_own_session(script) == "ok"
+
+    def test_forked_campaign_after_a_draw_ahead_run_matches_in_process(self):
+        # a run that drew its noise ahead on the parent's helper pool, then
+        # campaign workers forked from that parent, which draw inline
+        script = textwrap.dedent("""
+            from cbopt import InitSpec, RunConfig, VariantParams, objectives
+            from cbopt.ensemble import DrawAhead, RngPlan
+            from cbopt.harness import run, run_campaign
+            objectives._THREADS = max(objectives._THREADS, 2)
+            config = RunConfig(
+                objective="ackley", dimension=32,
+                params=VariantParams(lam=1.0, sigma=0.7, alpha=30.0, dt=0.01),
+                n_particles=1024, init=InitSpec("box", low=-3.0, high=3.0),
+                max_steps=3, master_seed=5,
+            )
+            assert DrawAhead(RngPlan(5), 1, (1024, 32), 3).ahead
+            run(config)
+            forked = run_campaign(config, 2, workers=2)
+            local = run_campaign(config, 2, workers=1)
+            for a, b in zip(forked, local):
+                assert a.final_consensus.v.tobytes() == b.final_consensus.v.tobytes()
+                assert a.final_positions.tobytes() == b.final_positions.tobytes()
+            print("ok")
+        """)
+        assert run_in_own_session(script) == "ok"
+
+    def test_import_starts_no_thread(self):
+        script = "import threading, cbopt; print(threading.active_count())"
+        assert run_in_own_session(script) == "1"
+
+
+def run_in_own_session(script, timeout=120):
+    """Stdout of `script` run by a new interpreter in a session of its own,
+    killed with every process it started if it has not ended in `timeout` s."""
+    src = str(Path(objectives.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)  # hung campaign workers too
+        child.communicate()
+        pytest.fail(f"the script did not finish in {timeout} s")
+    assert child.returncode == 0, err
+    return out.strip()

@@ -25,10 +25,12 @@ from cbopt.dynamics import (
     gate_pair,
     heaviside,
     isotropic_kick,
+    noise_shape,
     step,
 )
 from cbopt.ensemble import (
-    STREAM_DIFFUSION, Ensemble, InitSpec, RngPlan, init_ensemble, mean_pairwise_sq_dist,
+    STREAM_DIFFUSION, DrawAhead, Ensemble, InitSpec, RngPlan, init_ensemble,
+    mean_pairwise_sq_dist,
 )
 from cbopt.harness import RunConfig, run
 from cbopt.integrators import frozen_gbm, split_diffusion, split_drift
@@ -63,11 +65,14 @@ def ref_tangential(x, y, norms_sq):
     return y - x * (np.add.reduce(x * y, axis=1) / norms_sq)[:, None]
 
 
-def ref_step(e, f, p, rng, mem, cp):
+def draw(plan, e, p):
+    """The normal block of e's next step, as a run draws it."""
+    return plan.normal_block(STREAM_DIFFUSION, e.step_count, noise_shape(p, e.positions.shape))
+
+
+def ref_step(e, f, p, z, mem, cp):
     """dynamics.step and its update, each temporary a new array."""
     x = e.positions
-    shape = (e.dimension,) if p.variant == "common_noise" else x.shape
-    z = rng.normal_block(STREAM_DIFFUSION, e.step_count, shape)
     if p.variant in ("anisotropic", "common_noise"):
         return ref_anisotropic_kick(x, cp.v, p.lam, p.sigma, p.dt, z), mem
     if p.variant == "original":
@@ -195,11 +200,12 @@ class TestKernelsMatchTheReference:
         mem = PersonalBestMemory.initial(e) if variant == "personal_best" else None
         ref_e, ref_mem, plain_e, plain_mem = e, mem, e, mem
         ws = Workspace((n, d))
-        for _ in range(4):  # the workspace's memory is updated in place
-            expected, ref_mem = ref_step(ref_e, f, p, plan, ref_mem, ref_point(ref_e, f, alpha))
+        for _ in range(4):  # the workspace's memory is updated in place; z is only read
+            z = draw(plan, e, p)
+            expected, ref_mem = ref_step(ref_e, f, p, z, ref_mem, ref_point(ref_e, f, alpha))
             ref_e = Ensemble(expected, ref_e.time + dt, ref_e.step_count + 1)
-            plain_e, plain_mem = step(plain_e, f, p, plan, plain_mem)
-            e, mem = step(e, f, p, plan, mem, ws=ws)
+            plain_e, plain_mem = step(plain_e, f, p, z, plain_mem)
+            e, mem = step(e, f, p, z, mem, ws=ws)
             assert plain_e.positions.tobytes() == e.positions.tobytes() == expected.tobytes()
             if variant == "personal_best":
                 assert memory_bytes(plain_mem) == memory_bytes(mem) == memory_bytes(ref_mem)
@@ -218,9 +224,10 @@ class TestKernelsMatchTheReference:
         plan = RngPlan(seed)
         e = init_ensemble(InitSpec("sphere"), n, d, plan)
         p = VariantParams(sigma=sigma, dt=dt, alpha=1.0, variant="sphere")
-        expected, _ = ref_step(e, f, p, plan, None, ref_point(e, f, p.alpha))
+        z = draw(plan, e, p)
+        expected, _ = ref_step(e, f, p, z, None, ref_point(e, f, p.alpha))
         for ws in (None, Workspace((n, d))):
-            assert step(e, f, p, plan, ws=ws)[0].positions.tobytes() == expected.tobytes()
+            assert step(e, f, p, z, ws=ws)[0].positions.tobytes() == expected.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -261,7 +268,7 @@ class TestKernelsMatchTheReference:
             expected = ref_frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, z)
         ws = Workspace((7, 3))
         for scratch in (None, ws, ws):
-            new, _ = harness._step(e, f, p, plan, integrator, None, cp, scratch)
+            new, _ = harness._step(e, f, p, z, integrator, None, cp, scratch)
             assert new.positions.tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
@@ -383,11 +390,11 @@ def test_kept_states_and_results_do_not_change(variant):
     kept = []
     for k in range(6):
         if k == 2:  # step k's ensemble, and its memory from a step with no workspace
-            e, mem = step(e, f, p, plan, mem)
+            e, mem = step(e, f, p, draw(plan, e, p), mem)
             kept += [e.positions] + ([mem.scaled_num, mem.scaled_den, mem.log_scale, mem.p]
                                       if mem is not None else [])
         else:
-            e, mem = step(e, f, p, plan, mem, ws=ws)
+            e, mem = step(e, f, p, draw(plan, e, p), mem, ws=ws)
             kept.append(e.positions)
     config = RunConfig(objective="ackley", dimension=3, params=p, n_particles=9, init=init,
                        max_steps=8, master_seed=4, record_every=3)
@@ -396,7 +403,7 @@ def test_kept_states_and_results_do_not_change(variant):
     kept += [point.v for point in result.trajectory] + [point.mean for point in result.trajectory]
     copies = snapshot(*kept)
     for _ in range(3):
-        e, mem = step(e, f, p, plan, mem, ws=ws)
+        e, mem = step(e, f, p, draw(plan, e, p), mem, ws=ws)
     run(replace(config, master_seed=5))
     run(config)
     assert unchanged(kept, copies)
@@ -413,7 +420,7 @@ def test_workspace_memory_is_updated_in_place_and_spares_the_input():
     ws = Workspace((5, 2))
     mem, kept = first, None
     for _ in range(3):
-        e, mem = step(e, f, p, plan, mem, ws=ws)
+        e, mem = step(e, f, p, draw(plan, e, p), mem, ws=ws)
         assert mem is ws.memory
         held = (mem.scaled_num, mem.scaled_den, mem.log_scale, mem.p)
         assert kept is None or all(a is b for a, b in zip(held, kept))
@@ -458,12 +465,14 @@ def test_workspace_step_allocates_little_more_than_its_positions(variant, integr
     e = init_ensemble(init, n, d, plan)
     mem = PersonalBestMemory.initial(e) if variant == "personal_best" else None
     ws = Workspace((n, d))
+    # as a run draws: on two or more CPUs each block but the last starts the next
+    noise = DrawAhead(plan, STREAM_DIFFUSION, noise_shape(p, (n, d)), 3)
 
     def one_step(e, mem):
-        return harness._step(e, f, p, plan, integrator, mem, harness.weighted_mean(e, f, p.alpha,
-                                                                                  ws.a), ws)
+        cp = harness.weighted_mean(e, f, p.alpha, ws.a)
+        return harness._step(e, f, p, noise.block(e.step_count), integrator, mem, cp, ws)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), noise:
         e, mem = one_step(e, mem)  # warm: the memory set is made on first use
         tracemalloc.start()
         try:
