@@ -2,9 +2,9 @@
 
 `step` advances every variant the same way: it computes the consensus
 point once from the pre-step positions (synchronous update), takes the
-step's normal draw z from its caller (of `noise_shape`; the run draws it
-keyed by the ensemble's step counter), forms the Euler-Maruyama update
-(X - drift) + noise, and checks it once for finiteness. Its kicks are
+step's normal draw z, of `noise_shape`, from its caller, forms the
+Euler-Maruyama update (X - drift) + noise, and checks it once for
+finiteness. Its kicks are
 pure transforms of (positions, v, z) that the library reuses: `isotropic_kick`
 (noise sigma |X - v| z and a gated drift: original) and `anisotropic_kick`
 (noise sigma (X - v)_k z_k: anisotropic, and common_noise with one draw per
@@ -324,10 +324,11 @@ def step(
     STREAM_DIFFUSION stream), and the step only reads it. `cp` defaults to
     the weighted mean of `e`. `mem` is required by the personal_best
     variant, which returns it updated by one left-endpoint rectangle of its
-    weighted time integrals; the other variants pass it through. The sphere variant needs unit-norm rows on entry and returns
-    unit-norm rows. `ws`, a workspace of the positions' shape, takes the
-    step's temporaries and personal_best's memory, `ws.memory`, which holds
-    until the next step; the new positions never alias it.
+    weighted time integrals; the other variants pass it through. The sphere
+    variant needs unit-norm rows on entry and returns unit-norm rows. `ws`,
+    a workspace of the positions' shape, takes the step's temporaries and
+    personal_best's memory, `ws.memory`, which holds until the next step;
+    the new positions never alias it.
     """
     new, mem = _update(e, f, p, z, mem, cp, ws)
     if p.variant == "sphere":

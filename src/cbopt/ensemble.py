@@ -107,19 +107,16 @@ class RngPlan:
 
 
 class DrawAhead:
-    """The normal blocks of one stream at the consecutive steps of a loop:
-    `block(step)` gives, bit for bit, `plan.normal_block(stream, step, shape)`
-    in a buffer of its own that holds until the next `block` call.
+    """The normal blocks of one stream at a loop's consecutive steps:
+    `block(step)` gives `plan.normal_block(stream, step, shape)`, bit for
+    bit, in a buffer of its own that holds until the next `block` call.
 
-    A block of objectives.SHARD_MIN_ELEMENTS numbers or more, with two or
-    more usable CPUs and outside a campaign worker (`objectives.threaded`),
-    is drawn one step ahead: handing out block k starts block k+1, up to
-    block end - 1, into a second buffer on the helper pool, so the draw
-    overlaps the caller's step. The calling thread makes every
-    `plan.generator` call, and the helper thread only fills the buffer.
-    While a block is pending the loop owns the plan's generator, so it draws
-    nothing else from the plan until `close`, which waits for the pending
-    block; leaving a ``with`` block closes it. Other blocks are drawn inline.
+    Where `objectives.threaded` allows (the rule of the objective shards),
+    handing out block k starts block k+1, up to block end - 1, into a second
+    buffer on the helper pool, so the draw overlaps the caller's step. The
+    calling thread makes every `plan.generator` call and the helper thread
+    only fills the buffer; while a block is pending the loop draws nothing
+    else from the plan. `close`, or leaving a ``with`` block, waits for it.
     """
 
     def __init__(self, plan: RngPlan, stream: int, shape, end: int):
