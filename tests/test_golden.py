@@ -115,6 +115,7 @@ RUN_CASES = {
     ),
     # N d = 40960 numbers, at least objectives.SHARD_MIN_ELEMENTS: on two or
     # more CPUs every objective call of the run is evaluated in row shards
+    # and each step's noise block is drawn one step ahead on a helper thread
     "anisotropic_large": (_yaml(dimension=40, n=1024, max_steps=30), "max_steps", 0),
     "max_steps": (_yaml(kind="common_noise", max_steps=37), "max_steps", 0),
     "divergence": (
