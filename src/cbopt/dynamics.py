@@ -16,12 +16,11 @@ gates with one conjunction, bitwise what their product gives. Per-particle
 work is independent within a step; the consensus reduction is the only
 synchronization point.
 
-Kernels write their large temporaries into the scratch they are given: the
-buffers of a `Workspace`, through ufunc ``out=``, with the same operations in
-the same order as the formulas, so the bits do not depend on it. Given no
-workspace, each ufunc allocates its own array. The returned positions are
-always a new array; a personal_best step given a workspace writes its memory
-into the workspace's one memory set, in place when it was given that set.
+Kernels write their large temporaries through ufunc ``out=`` into the
+`Workspace` they are given, or `step` makes, in the formulas' order, so the
+bits are those of fresh arrays. The returned positions are always a new
+array; a personal_best step writes its memory into the workspace's one
+memory set, in place when it was given that set.
 """
 
 from __future__ import annotations
@@ -84,23 +83,21 @@ class VariantParams:
 
 
 class Workspace:
-    """Scratch arrays of one shape, owned by one run (or one diagnostic loop)
-    and dropped with it: `a`, `b` and `c` for temporaries and `memory`, made
-    on first use, for personal_best's memory. A workspace is not
-    thread-safe; give each thread its own."""
+    """Scratch arrays of one shape, owned by one run, loop or call and dropped
+    with it: `a` and `b` for temporaries, and, made on first use, `c` (which
+    only the sphere update and the split integrator read) and personal_best's
+    `memory`. A workspace is not thread-safe; give each thread its own."""
 
     def __init__(self, shape):
-        self.a, self.b, self.c = (np.empty(shape) for _ in range(3))
+        self.a, self.b = np.empty(shape), np.empty(shape)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return np.empty(self.a.shape)
 
     @cached_property
     def memory(self) -> "PersonalBestMemory":
         return PersonalBestMemory.empty(self.a.shape)
-
-
-def _scratch(ws: Optional[Workspace]):
-    """The buffers a, b and c of `ws`, or three None: a ufunc given out=None
-    allocates its own array."""
-    return (None, None, None) if ws is None else (ws.a, ws.b, ws.c)
 
 
 @dataclass
@@ -134,11 +131,10 @@ class PersonalBestMemory:
         n, d = shape
         return cls(np.empty((n, d)), np.empty(n), np.empty(n), np.empty((n, d)))
 
-    def accumulate(self, positions, fvals, beta, dt, out=None) -> "PersonalBestMemory":
+    def accumulate(self, positions, fvals, beta, dt, out) -> "PersonalBestMemory":
         """Add one left-endpoint rectangle of the weighted time integrals;
         the result is written into the arrays of `out`, which may be this
-        memory, or into new ones, and returned."""
-        out = PersonalBestMemory.empty(self.p.shape) if out is None else out
+        memory, and returned."""
         g = -beta * np.asarray(fvals, dtype=float)
         scale = np.maximum(self.log_scale, g)
         carry = np.exp(self.log_scale - scale)  # 0 on the very first call
@@ -193,36 +189,34 @@ def consensus_condition(p: VariantParams, d: int) -> bool:
     return 2.0 * p.lam > p.sigma**2
 
 
-def _row_norms(x, out=None) -> np.ndarray:
+def _row_norms(x, out) -> np.ndarray:
     """|x| over the last axis, as np.linalg.norm computes it; `out` holds x*x."""
     return np.sqrt(np.add.reduce(np.multiply(x, x, out=out), axis=-1))
 
 
-def isotropic_kick(positions, v, lam, sigma, dt, z, gate=1.0, ws=None) -> np.ndarray:
+def isotropic_kick(positions, v, lam, sigma, dt, z, ws, gate=1.0) -> np.ndarray:
     """Isotropic Euler-Maruyama update toward a given consensus point v, its
     noise scaled by |X - v| over the last axis: the original variant's step
     (sigma with its sqrt(2), gate its Heaviside factor) and the frozen-moment
     diagnostic's (v = 0). Computes
     positions - lam * dt * diff * gate + sigma * sqrt(dt) * |diff| * z
-    with diff = positions - v, its temporaries in `ws`."""
-    a, b, _ = _scratch(ws)
-    diff = np.subtract(positions, v, out=a)
-    dist = _row_norms(diff, b)[..., None]
-    drift = np.multiply(np.multiply(lam * dt, diff, out=b), gate, out=b)
+    with diff = positions - v, its temporaries in the workspace `ws`."""
+    diff = np.subtract(positions, v, out=ws.a)
+    dist = _row_norms(diff, ws.b)[..., None]
+    drift = np.multiply(np.multiply(lam * dt, diff, out=ws.b), gate, out=ws.b)
     noise = np.multiply(sigma * np.sqrt(dt) * dist, z, out=diff)
     return np.add(np.subtract(positions, drift, out=drift), noise)
 
 
-def anisotropic_kick(positions, v, lam, sigma, dt, z, ws=None) -> np.ndarray:
+def anisotropic_kick(positions, v, lam, sigma, dt, z, ws) -> np.ndarray:
     """Component-wise Euler-Maruyama update toward a given consensus point
     v: the step of the anisotropic and common_noise variants, random batches
     (a stack too, with `sigma` and `dt` per ensemble), the pairwise replica
     sweep and the frozen-moment diagnostic (v = 0). Computes
     positions - lam * dt * diff + sigma * sqrt(dt) * diff * z
-    with diff = positions - v, its temporaries in `ws`."""
-    a, b, _ = _scratch(ws)
-    diff = np.subtract(positions, v, out=a)
-    drift = np.multiply(lam * dt, diff, out=b)
+    with diff = positions - v, its temporaries in the workspace `ws`."""
+    diff = np.subtract(positions, v, out=ws.a)
+    drift = np.multiply(lam * dt, diff, out=ws.b)
     noise = np.multiply(np.multiply(sigma * np.sqrt(dt), diff, out=diff), z, out=diff)
     return np.add(np.subtract(positions, drift, out=drift), noise)
 
@@ -241,7 +235,7 @@ def advance(e: Ensemble, positions: np.ndarray, dt: float) -> Ensemble:
     return nxt
 
 
-def _tangential(x, y, norms_sq, out=None) -> np.ndarray:
+def _tangential(x, y, norms_sq, out) -> np.ndarray:
     """Row-wise projection onto the tangent space of the sphere at x:
     P(x) y = y - x (x.y)/|x|^2, written into `out`."""
     xy = np.multiply(x, y, out=out)
@@ -251,14 +245,13 @@ def _tangential(x, y, norms_sq, out=None) -> np.ndarray:
 
 def _update(e, f, p: VariantParams, z, mem, cp, ws):
     """Euler-Maruyama update (X - drift) + noise of p.variant with the draw
-    z, before the sphere renormalization; returns it with the updated
-    personal-best memory. The update is a new array, except the sphere's,
-    which is in `ws`."""
+    z, before the sphere renormalization, its temporaries in the workspace
+    `ws`; returns it with the updated personal-best memory, `ws.memory`. The
+    update is a new array, except the sphere's, which is in `ws`."""
     if p.variant == "personal_best" and mem is None:
         raise ValueError("personal_best variant needs a PersonalBestMemory")
-    a, b, c = _scratch(ws)
     if cp is None:
-        cp = weighted_mean(e, f, p.alpha, a)
+        cp = weighted_mean(e, f, p.alpha, ws.a)
     x = e.positions
     if p.variant in ("anisotropic", "common_noise"):
         # a coordinate that matches the consensus stays put; common noise
@@ -269,8 +262,8 @@ def _update(e, f, p: VariantParams, z, mem, cp, ws):
         if p.heaviside_mode != "off":  # f(x) first: the kick's temporaries add no peak memory
             fx = np.asarray(f(x), dtype=float)
             gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
-        return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, gate, ws), mem
-    diff = np.subtract(x, cp.v, out=a)
+        return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, ws, gate), mem
+    diff = np.subtract(x, cp.v, out=ws.a)
     sqrt_dt = math.sqrt(p.dt)
     if p.variant == "personal_best":
         # pure Heaviside gates pick the pull toward v (rate lam) or toward the
@@ -284,22 +277,21 @@ def _update(e, f, p: VariantParams, z, mem, cp, ws):
         mu_gate = gate_pair(fx - fp, cp.f_at_v - fp, mode, p.epsilon)
         # drift = dt * (lam_gate * diff + mu_gate * (x - p)); x - p goes into
         # the p of the memory that accumulate fills next
-        target = None if ws is None else ws.memory
-        drift = np.multiply(lam_gate[:, None], diff, out=b)
-        pull = np.subtract(x, mem.p, out=None if target is None else target.p)
+        drift = np.multiply(lam_gate[:, None], diff, out=ws.b)
+        pull = np.subtract(x, mem.p, out=ws.memory.p)
         np.add(drift, np.multiply(mu_gate[:, None], pull, out=pull), out=drift)
         np.multiply(p.dt, drift, out=drift)
         noise = np.multiply(math.sqrt(2.0) * p.sigma * sqrt_dt, diff, out=diff)
         np.multiply(noise, z, out=noise)
-        mem = mem.accumulate(x, fx, p.beta, p.dt, target)
+        mem = mem.accumulate(x, fx, p.beta, p.dt, ws.memory)
         return np.add(np.subtract(x, drift, out=drift), noise), mem
     # sphere: tangential drift and diffusion
-    norms_sq = np.add.reduce(np.multiply(x, x, out=b), axis=1)
+    norms_sq = np.add.reduce(np.multiply(x, x, out=ws.b), axis=1)
     if np.any(norms_sq < 1e-24):
         raise SingularityError("particle at the origin: projection undefined")
-    dist_sq = np.add.reduce(np.multiply(diff, diff, out=b), axis=1)
-    drift = np.multiply(p.lam * p.dt, _tangential(x, diff, norms_sq, b), out=b)
-    noise = _tangential(x, z, norms_sq, c)
+    dist_sq = np.add.reduce(np.multiply(diff, diff, out=ws.b), axis=1)
+    drift = np.multiply(p.lam * p.dt, _tangential(x, diff, norms_sq, ws.b), out=ws.b)
+    noise = _tangential(x, z, norms_sq, ws.c)
     np.multiply(p.sigma * sqrt_dt * np.sqrt(dist_sq)[:, None], noise, out=noise)
     # Ito correction along the outward normal: grad|x|=x/|x|, lap|x|=(d-1)/|x|
     curvature = dist_sq * (e.dimension - 1.0) / norms_sq
@@ -328,11 +320,12 @@ def step(
     variant needs unit-norm rows on entry and returns unit-norm rows. `ws`,
     a workspace of the positions' shape, takes the step's temporaries and
     personal_best's memory, `ws.memory`, which holds until the next step;
-    the new positions never alias it.
+    the new positions never alias it. Given none, the step makes its own.
     """
+    ws = Workspace(e.positions.shape) if ws is None else ws
     new, mem = _update(e, f, p, z, mem, cp, ws)
     if p.variant == "sphere":
-        norms = _row_norms(new, None if ws is None else ws.c)
+        norms = _row_norms(new, ws.c)
         if np.any(norms < 1e-12):
             raise SingularityError("renormalization hit the origin")
         new = new / norms[:, None]
@@ -344,5 +337,5 @@ def sphere_norm_drift(e, f, p, z, cp: Optional[ConsensusPoint] = None) -> float:
     renormalization; first-order consistency makes this O(dt)."""
     if p.variant != "sphere":
         raise ValueError("sphere_norm_drift needs the sphere variant")
-    raw, _ = _update(e, f, p, z, None, cp, None)
-    return float(np.max(np.abs(_row_norms(raw) - 1.0)))
+    raw, _ = _update(e, f, p, z, None, cp, Workspace(e.positions.shape))
+    return float(np.max(np.abs(_row_norms(raw, raw) - 1.0)))  # raw is scratch: square it in place

@@ -183,20 +183,20 @@ def _point(e: Ensemble, cp: ConsensusPoint) -> TrajectoryPoint:
     )
 
 
-def _step(e, f, p, z, integrator, mem, cp, ws=None):
+def _step(e, f, p, z, integrator, mem, cp, ws):
     """Move every particle one step with the configured integrator and the
-    step's normal draw z, its temporaries in the workspace `ws` if given."""
+    step's normal draw z, its temporaries in the workspace `ws`."""
     if integrator == "euler":
         return step(e, f, p, z, mem=mem, cp=cp, ws=ws)
     if integrator == "split":
-        drifted = split_drift(e.positions, cp.v, p.lam, p.dt, None if ws is None else ws.c)
+        drifted = split_drift(e.positions, cp.v, p.lam, p.dt, ws.c)
         new = split_diffusion(drifted, cp.v, p.sigma, p.dt, z, ws)
     else:
         new = frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, z, ws)
     return advance(e, new, p.dt), mem
 
 
-def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp, scratch=None,
+def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp, scratch,
             evaluable=True):
     """The run's result; `evaluable` False means the run already failed to
     evaluate its final positions."""
@@ -283,7 +283,7 @@ def run(config: RunConfig) -> RunResult:
             if bp.sigma_schedule is None:
                 bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
             groups, eps = _groups(config, plan), bp.stop_eps
-            all_rows = range(config.n_particles) if bp.update_mode == "full" else None
+            full_scope = range(config.n_particles) if bp.update_mode == "full" else None
         ws, mem = Workspace(e.positions.shape), None
         if p.variant == "personal_best":  # starts in the workspace's memory, updated in place
             mem = PersonalBestMemory.initial(e, ws.memory)
@@ -307,7 +307,7 @@ def run(config: RunConfig) -> RunResult:
                             break
                         prev = v
                 if batch is not None:
-                    scope = (batch if n == q else batch[:n]) if all_rows is None else all_rows
+                    scope = (batch if n == q else batch[:n]) if full_scope is None else full_scope
                     e = batch_update(e, cps if n == q else cps[:n], bp, scope, plan, lam=p.lam, k=k,
                                      theta=theta)
                 elif not stop:  # a plain run stops before its update

@@ -6,14 +6,16 @@ the component-wise noise kick, while the freezing scheme applies the exact
 per-coordinate geometric-Brownian-motion solution in one shot. All three
 functions are pure per-row transforms of (positions, v, z), safe under any
 data-parallel split; none draws: the caller passes the step's normal draw z.
-Each writes its temporaries, in the formula's order, through ufunc ``out=``
-into the scratch it is given (`split_drift` its result into `out`, the
-others into the workspace's `a` and `b`) and allocates what it is not given.
+Each writes its temporaries, in the formula's order, through ufunc ``out=``:
+`split_drift` its result into `out`, as a ufunc does, the others into the
+`dynamics.Workspace` they are given, or make when given none.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .dynamics import Workspace
 
 
 def _check_gamma(gamma: float) -> None:
@@ -32,7 +34,8 @@ def split_drift(positions, v, lam, gamma, out=None) -> np.ndarray:
 def split_diffusion(positions, v, sigma, gamma, z, ws=None) -> np.ndarray:
     """Component-wise noise kick sigma*sqrt(gamma)*(X - v)_k * z_k after the drift solve."""
     _check_gamma(gamma)
-    t = np.subtract(positions, v, out=None if ws is None else ws.a)
+    ws = Workspace(np.shape(positions)) if ws is None else ws
+    t = np.subtract(positions, v, out=ws.a)
     np.multiply(np.multiply(sigma * np.sqrt(gamma), t, out=t), z, out=t)
     return np.add(positions, t)
 
@@ -44,12 +47,13 @@ def frozen_gbm(positions, v, lam, sigma, gamma, z, ws=None) -> np.ndarray:
     at sigma = 0 this coincides bitwise with split_drift.
     """
     _check_gamma(gamma)
+    ws = Workspace(np.shape(positions)) if ws is None else ws
     try:
         half_var = 0.5 * sigma**2
     except OverflowError:  # the IEEE value, as a float64 square gives past the float range
         half_var = np.inf
     # exponent = (-lam - sigma^2/2) gamma + sigma sqrt(gamma) z
-    exponent = np.multiply(sigma * np.sqrt(gamma), z, out=None if ws is None else ws.a)
+    exponent = np.multiply(sigma * np.sqrt(gamma), z, out=ws.a)
     np.exp(np.add((-lam - half_var) * gamma, exponent, out=exponent), out=exponent)
-    t = np.subtract(positions, v, out=None if ws is None else ws.b)
+    t = np.subtract(positions, v, out=ws.b)
     return np.add(v, np.multiply(t, exponent, out=t))

@@ -17,6 +17,7 @@ from cbopt.dynamics import (
     PersonalBestMemory,
     SingularityError,
     VariantParams,
+    Workspace,
     consensus_condition,
     gate_pair,
     heaviside,
@@ -226,10 +227,11 @@ class TestIsotropicKick:
         fx = rng.integers(-2, 3, size=n) * 0.5  # ties with f(v) = 0 hit the exact gate's edge
         gate = 1.0 if mode == "off" else heaviside(fx, mode, epsilon)[:, None]
         expected = original_update(x, v, lam, sigma, dt, z, gate)
-        kicked = isotropic_kick(x, v, lam, math.sqrt(2.0) * sigma, dt, z, gate)
+        ws = Workspace(x.shape)
+        kicked = isotropic_kick(x, v, lam, math.sqrt(2.0) * sigma, dt, z, ws, gate)
         assert kicked.tobytes() == expected.tobytes()
         expected = frozen_moment_update(x, lam, sigma, dt, z)
-        assert isotropic_kick(x, 0.0, lam, sigma, dt, z).tobytes() == expected.tobytes()
+        assert isotropic_kick(x, 0.0, lam, sigma, dt, z, ws).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", HEAVISIDE_MODES)
     def test_original_step_equals_the_former_update_bytewise(self, mode):

@@ -433,7 +433,7 @@ def per_batch_run(config):
         v_prev = cp.v
         if e.step_count >= config.max_steps:
             break
-    return harness._finish(trajectory, e, f, p.alpha, status, 0.0, config, fallback_cp=cp)
+    return harness._finish(trajectory, e, f, p.alpha, status, 0.0, config, cp, None)
 
 
 def assert_same_run(result, expected):
