@@ -196,16 +196,9 @@ def _step(e, f, p, z, integrator, mem, cp, ws):
     return advance(e, new, p.dt), mem
 
 
-def _finish(trajectory, e, f, alpha, status, t0, config, fallback_cp, scratch,
-            evaluable=True):
-    """The run's result; `evaluable` False means the run already failed to
-    evaluate its final positions."""
-    final_cp = None
-    if evaluable:
-        try:
-            final_cp = weighted_mean(e, f, alpha, scratch)
-        except ValueError:
-            pass
+def _finish(trajectory, e, final_cp, status, t0, config, fallback_cp):
+    """The run's result; `final_cp` is the consensus point of e's positions,
+    or None where the objective is not finite on them."""
     if final_cp is None:
         # objective overflowed on the final positions: the run diverged,
         # whatever its budget; report its last finite consensus point
@@ -291,6 +284,7 @@ def run(config: RunConfig) -> RunResult:
         v_prev, cp, status = None, None, "max_steps"
         while (group := next(groups, None)) is not None:
             k, theta, batch = group
+            at = e.step_count  # cps will be the point of this state, or of a batch of it
             q, cps = 1 if batch is None or batch.ndim == 1 else len(batch), None
             try:
                 if batch is None:
@@ -330,8 +324,13 @@ def run(config: RunConfig) -> RunResult:
                 status = "stop_criterion"
             if status != "max_steps" or e.step_count >= config.max_steps:
                 break
-        return _finish(trajectory, e, f, p.alpha, status, t0, config, cp, ws.a,
-                       evaluable=cps is not None)
+        # cps is the final point where it is the full point of a state that did not move
+        if cps is not None and (batch is not None or e.step_count != at):
+            try:
+                cps = weighted_mean(e, f, p.alpha, ws.a)
+            except ValueError:  # the objective is not finite on the final positions
+                cps = None
+        return _finish(trajectory, e, cps, status, t0, config, cp)
 
 
 def run_campaign(config: RunConfig, runs: int, workers: int = 1) -> List[RunResult]:

@@ -197,6 +197,31 @@ class TestRun:
         assert len(calls) == 2 * 54 + 1
         assert_same_run(result, expected)
 
+    @pytest.mark.parametrize("overrides, ending", [
+        (dict(dimension=3, master_seed=7, stop_eps=1e-20), "stop_criterion"),
+        (dict(master_seed=3, params=VariantParams(sigma=1e300, dt=1.0)), "divergence"),
+    ], ids=["stop_rule", "kick_diverges"])
+    def test_unmoved_final_state_reuses_the_loops_point(self, overrides, ending, monkeypatch):
+        # two calls (the ensemble and v) for step 0 and two for step 1, whose
+        # update does not happen; the final state is the step-1 state
+        config = small_config(n_particles=12, max_steps=60, **overrides)
+        calls, call = [], ObjectiveFunction.__call__
+
+        def counted(f, x):
+            calls.append(np.shape(x))
+            return call(f, x)
+
+        monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
+        result = run(config)
+        assert (result.terminated_by, result.steps) == (ending, 1)
+        assert len(calls) == 4
+        f = make_objective("ackley", config.dimension)
+        with np.errstate(over="ignore"):  # as the run evaluates: x * x overflows at 1e300
+            again = weighted_mean(Ensemble(result.final_positions, step_count=1), f, 30.0)
+        assert result.final_consensus.v.tobytes() == again.v.tobytes()
+        assert result.final_consensus.f_at_v == again.f_at_v
+        assert result.trajectory[-1].step == 1
+
     def test_all_variants_run(self):
         for variant in ("original", "anisotropic", "common_noise", "personal_best"):
             config = small_config(
@@ -433,7 +458,11 @@ def per_batch_run(config):
         v_prev = cp.v
         if e.step_count >= config.max_steps:
             break
-    return harness._finish(trajectory, e, f, p.alpha, status, 0.0, config, cp, None)
+    try:
+        final_cp = weighted_mean(e, f, p.alpha)
+    except ValueError:
+        final_cp = None
+    return harness._finish(trajectory, e, final_cp, status, 0.0, config, cp)
 
 
 def assert_same_run(result, expected):
