@@ -203,6 +203,8 @@ class InitSpec:
                 raise FieldError(name, "must be finite")
         if self.kind == "box" and not self.low <= self.high:
             raise FieldError("low", "must not exceed high")
+        if self.kind == "box" and not np.isfinite(self.high - self.low):
+            raise FieldError("high", "minus low must be finite")
         if self.kind == "gaussian" and not self.variance > 0:
             raise FieldError("variance", "must be positive")
 

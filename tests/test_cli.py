@@ -436,6 +436,9 @@ class TestCmdBench:
         ("harness: {init: {kind: gaussian, mean: [1.0, 2.0, 3.0]}}\n", ["run"],
          "harness.init.mean"),
         ("harness: {init: {kind: box, low: -.inf}}\n", ["run"], "harness.init.low"),
+        # numpy's uniform draws from no box whose width high - low overflows
+        ("harness: {init: {kind: box, low: -1.0e308, high: 1.0e308}}\n", ["run"],
+         "harness.init.high"),
     ],
 )
 def test_config_error_names_key_without_traceback(tmp_path, yaml_tail, argv, key_path):

@@ -14,6 +14,7 @@ from cbopt.ensemble import (
     STREAM_DIFFUSION,
     DrawAhead,
     Ensemble,
+    FieldError,
     InitSpec,
     RngPlan,
     init_ensemble,
@@ -203,6 +204,13 @@ class TestInitEnsemble:
             InitSpec("triangle")
         with pytest.raises(ValueError):
             init_ensemble(InitSpec("box"), 0, 3, RngPlan(0))
+
+    def test_box_wider_than_the_float_range_names_high(self):
+        with pytest.raises(FieldError) as err:
+            InitSpec("box", low=-1.0e308, high=1.0e308)  # high - low overflows to inf
+        assert err.value.field == "high"
+        e = init_ensemble(InitSpec("box", low=-8.0e307, high=8.0e307), 50, 2, RngPlan(6))
+        assert np.isfinite(e.positions).all() and np.abs(e.positions).max() <= 8.0e307
 
 
 class TestEnsembleType:
