@@ -2,6 +2,7 @@
 updates, and the stopping rule."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,16 +139,17 @@ class TestBatchConsensus:
         with pytest.raises(ValueError):
             batch_consensus(e, f, 1.0, [])
 
-    @pytest.mark.parametrize("batch", [[-1, 3], [0, 4]])
+    @pytest.mark.parametrize("batch", [[-1, 3], [0, 4], [[0, 1], [2, 4]]])
     def test_out_of_range_indices_rejected(self, batch):
-        # numpy would wrap -1 to the last row and raise a bare IndexError for 4
+        # numpy would wrap -1 to the last row and raise a bare IndexError for 4,
+        # in one batch or in a (q, M) stack
         f = make_objective("ackley", 2)
         e = init_ensemble(InitSpec("box", low=-2, high=2), 4, 2, RngPlan(5))
-        with pytest.raises(ValueError, match=rf"batch \[{batch[0]}, {batch[1]}\]"):
+        with pytest.raises(ValueError, match=re.escape(f"batch {batch} ")):
             batch_consensus(e, f, 1.0, batch)
         cp = batch_consensus(e, f, 1.0, [0, 3])
         bp = BatchParams(batch_size=2, sigma_schedule=ConstantSchedule(0.5))
-        with pytest.raises(ValueError, match=rf"batch \[{batch[0]}, {batch[1]}\]"):
+        with pytest.raises(ValueError, match=re.escape(f"batch {batch} ")):
             batch_update(e, cp, bp, batch, RngPlan(5), lam=1.0)
 
 

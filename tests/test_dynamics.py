@@ -145,6 +145,11 @@ class TestConsensusCondition:
     def test_boundary_excluded(self):
         p = VariantParams(lam=1.0, sigma=math.sqrt(2.0), variant="anisotropic")
         assert consensus_condition(p, 1) is False
+        # exact equality in floats: 2 lam = sigma^2, and 2 lam = sigma^2 d
+        p = VariantParams(lam=0.5, sigma=1.0, variant="anisotropic")
+        assert consensus_condition(p, 1) is False
+        p = VariantParams(lam=1.5, sigma=1.0, variant="original")
+        assert consensus_condition(p, 3) is False
 
 
 class TestOriginalStep:
@@ -526,6 +531,12 @@ class TestFrozenMomentLaws:
         fitted, predicted = diagnostic_frozen_moment("isotropic", 1.0, 0.3, 10, 2000, 1e-3, 1.0, 31)
         assert predicted == pytest.approx(1.1)
         assert abs(fitted - predicted) / predicted <= 0.05
+
+    def test_needs_1000_particles(self):
+        from cbopt.harness import diagnostic_frozen_moment
+
+        with pytest.raises(ValueError, match="1000 particles"):
+            diagnostic_frozen_moment("anisotropic", 1.0, 0.3, 10, 999, 1e-3, 1.0, 31)
 
     def test_anisotropic_rate(self):
         from cbopt.harness import diagnostic_frozen_moment

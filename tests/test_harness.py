@@ -685,10 +685,18 @@ class TestSuccessRate:
         assert all(b >= a for a, b in zip(rates, rates[1:]))
         assert rates[-1] == 1.0
 
+    def test_infinity_norm(self):
+        crit = SuccessCriterion(target=np.zeros(2), tolerance=0.25)
+        assert crit.met(np.array([0.2, -0.2])) is True
+        assert crit.met(np.array([0.25, -0.1])) is True  # at exactly the tolerance
+        assert crit.met(np.array([0.3, 0.0])) is False
+
     def test_euclidean_norm(self):
         crit = SuccessCriterion(target=np.zeros(2), tolerance=1.0, norm="euclidean")
         assert crit.met(np.array([0.6, 0.6])) is True
         assert crit.met(np.array([0.8, 0.8])) is False
+        crit = SuccessCriterion(target=np.zeros(2), tolerance=5.0, norm="euclidean")
+        assert crit.met(np.array([3.0, -4.0])) is True  # |(3, -4)| = 5 exactly
 
     def test_dimension_mismatch(self):
         result = run(small_config(max_steps=5))
