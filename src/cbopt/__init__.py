@@ -18,7 +18,7 @@ from .batching import (
     make_batches,
     stop_check,
 )
-from .consensus import ConsensusPoint, laplace_value, weighted_mean, weights
+from .consensus import ConsensusPoint, weighted_mean, weights
 from .dynamics import (
     DivergenceError,
     PersonalBestMemory,
@@ -36,7 +36,6 @@ from .ensemble import (
     init_ensemble,
     mean_pairwise_sq_dist,
     moments,
-    positions_from_csv,
     positions_to_csv,
 )
 from .harness import (
@@ -44,10 +43,8 @@ from .harness import (
     RunResult,
     SuccessCriterion,
     diagnostic_frozen_moment,
-    diagnostic_laplace,
     diagnostic_pairwise_decay,
     fit_decay_rate,
-    laplace_standard_error,
     run,
     run_campaign,
     success_rate,

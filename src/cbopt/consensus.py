@@ -122,8 +122,3 @@ def laplace_estimate(fvals, alpha) -> Tuple[float, float]:
     if not math.isfinite(value):  # alpha min f overflowed: the same value, unscaled
         value = fmin[0] - math.log(mean) / alpha
     return float(value), float(se)
-
-
-def laplace_value(e: Ensemble, f: ObjectiveFunction, alpha: float) -> float:
-    """The Monte Carlo Laplace value of the ensemble's positions (`laplace_estimate`)."""
-    return laplace_estimate(f(e.positions), alpha)[0]

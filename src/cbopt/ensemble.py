@@ -256,8 +256,3 @@ def positions_to_csv(e: Ensemble) -> str:
     for row in e.positions:
         writer.writerow([repr(float(v)) for v in row])
     return out.getvalue()
-
-
-def positions_from_csv(text: str) -> np.ndarray:
-    rows = list(csv.reader(io.StringIO(text)))
-    return np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)

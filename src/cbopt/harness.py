@@ -411,13 +411,6 @@ def diagnostic_frozen_moment(
     return fitted, predicted
 
 
-def diagnostic_laplace(
-    f: ObjectiveFunction, init: InitSpec, alphas: Sequence[float], n: int, seed: int
-) -> List[Tuple[float, float]]:
-    """Monte Carlo Laplace values on one fixed sample, per alpha."""
-    return [(a, value) for a, value, _ in laplace_table(f, init, alphas, n, seed)]
-
-
 def laplace_table(
     f: ObjectiveFunction, init: InitSpec, alphas: Sequence[float], n: int, seed: int
 ) -> List[Tuple[float, float, float]]:
@@ -428,11 +421,6 @@ def laplace_table(
         raise ValueError("alphas must be positive and increasing")
     fvals = f(init_ensemble(init, n, f.dimension, RngPlan(seed)).positions)
     return [(a, *laplace_estimate(fvals, a)) for a in alphas]
-
-
-def laplace_standard_error(e: Ensemble, f: ObjectiveFunction, alpha: float) -> float:
-    """Delta-method standard error of the Monte Carlo Laplace value (`laplace_estimate`)."""
-    return laplace_estimate(f(e.positions), alpha)[1]
 
 
 def diagnostic_pairwise_decay(

@@ -25,7 +25,7 @@ import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -107,7 +107,7 @@ def wavy(x):
 
 @dataclass(frozen=True)
 class ObjectiveFunction:
-    """Deterministic map R^d -> R with optional known-minimizer metadata.
+    """Deterministic map R^d -> R of points of dimension ``dimension``.
 
     Objectives hold no mutable state, so one instance may be evaluated from
     any number of workers concurrently. ``fn`` must map each point of a stack
@@ -118,9 +118,6 @@ class ObjectiveFunction:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     dimension: int
-    minimizer: Optional[np.ndarray] = None
-    minimum: Optional[float] = None
-    search_box: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -141,13 +138,7 @@ class ObjectiveFunction:
         return np.concatenate([self.fn(head), *(f.result() for f in futures)])
 
 
-_BENCHMARKS: dict = {
-    "ackley": (ackley, (-32.768, 32.768)),
-    "rastrigin": (rastrigin, (-5.12, 5.12)),
-    "griewank": (griewank, (-600.0, 600.0)),
-    "zakharov": (zakharov, (-5.0, 10.0)),
-    "wavy": (wavy, (-np.pi, np.pi)),
-}
+_BENCHMARKS = {fn.__name__: fn for fn in (ackley, rastrigin, griewank, zakharov, wavy)}
 
 
 def benchmark_names() -> list:
@@ -157,16 +148,9 @@ def benchmark_names() -> list:
 def make_objective(name: str, dimension: int) -> ObjectiveFunction:
     """Look up a benchmark by name; every benchmark has its minimum 0 at 0."""
     try:
-        fn, box = _BENCHMARKS[name]
+        fn = _BENCHMARKS[name]
     except KeyError:
         raise ValueError(
             f"unknown objective {name!r}; choose from {benchmark_names()}"
         ) from None
-    return ObjectiveFunction(
-        name=name,
-        fn=fn,
-        dimension=dimension,
-        minimizer=np.zeros(dimension),
-        minimum=0.0,
-        search_box=box,
-    )
+    return ObjectiveFunction(name=name, fn=fn, dimension=dimension)

@@ -24,10 +24,9 @@ from cbopt.harness import (
     RunConfig,
     SuccessCriterion,
     diagnostic_frozen_moment,
-    diagnostic_laplace,
     diagnostic_pairwise_decay,
     fit_decay_rate,
-    laplace_standard_error,
+    laplace_table,
     run_campaign,
     success_rate,
 )
@@ -106,16 +105,14 @@ def test_04_laplace_principle():
     )
     init = InitSpec("gaussian", mean=0.0, variance=1.0)
     seed, n = 17, 100_000
-    rows = diagnostic_laplace(quadratic, init, [1.0, 10.0, 100.0], n, seed)
-    e = init_ensemble(init, n, 1, RngPlan(seed))
+    rows = laplace_table(quadratic, init, [1.0, 10.0, 100.0], n, seed)
     ok = True
     details = []
-    for alpha, value in rows:
+    for alpha, value, se in rows:
         closed = math.log1p(2.0 * alpha) / (2.0 * alpha)
-        se = laplace_standard_error(e, quadratic, alpha)
         ok = ok and abs(value - closed) <= 3.0 * se
         details.append(f"a={alpha:g}: |{value:.6f}-{closed:.6f}|<={3 * se:.2e}")
-    values = [v for _, v in rows]
+    values = [v for _, v, _ in rows]
     monotone = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     report("4 laplace principle", ok and monotone, "; ".join(details) + f"; monotone={monotone}")
 

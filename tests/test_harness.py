@@ -25,10 +25,9 @@ from cbopt.harness import (
     RunConfig,
     SuccessCriterion,
     diagnostic_frozen_moment,
-    diagnostic_laplace,
     diagnostic_pairwise_decay,
     fit_decay_rate,
-    laplace_standard_error,
+    laplace_table,
     run,
     run_campaign,
     success_rate,
@@ -836,30 +835,27 @@ class TestFrozenMomentDiagnostic:
 class TestLaplaceDiagnostic:
     def test_constant_landscape(self):
         const = ObjectiveFunction("const", lambda x: np.full(np.shape(x)[:-1], 2.5), 2)
-        rows = diagnostic_laplace(const, InitSpec("gaussian"), [1.0, 10.0], 500, 3)
-        for _, value in rows:
+        rows = laplace_table(const, InitSpec("gaussian"), [1.0, 10.0], 500, 3)
+        for _, value, _ in rows:
             assert value == pytest.approx(2.5, abs=1e-12)
 
     def test_gaussian_closed_form_within_3se(self):
         quad = ObjectiveFunction("quad", lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1), 1)
-        init = InitSpec("gaussian")
-        rows = diagnostic_laplace(quad, init, [1.0, 10.0, 100.0], 100_000, 17)
-        e = init_ensemble(init, 100_000, 1, RngPlan(17))
-        for alpha, value in rows:
+        rows = laplace_table(quad, InitSpec("gaussian"), [1.0, 10.0, 100.0], 100_000, 17)
+        for alpha, value, se in rows:
             closed = math.log1p(2 * alpha) / (2 * alpha)
-            se = laplace_standard_error(e, quad, alpha)
             assert abs(value - closed) <= 3 * se
 
     def test_nonincreasing_on_fixed_sample(self):
         quad = ObjectiveFunction("quad", lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1), 1)
-        rows = diagnostic_laplace(quad, InitSpec("gaussian"), [1.0, 5.0, 25.0, 125.0], 2000, 4)
-        values = [v for _, v in rows]
+        rows = laplace_table(quad, InitSpec("gaussian"), [1.0, 5.0, 25.0, 125.0], 2000, 4)
+        values = [v for _, v, _ in rows]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_alpha_validation(self):
         quad = ObjectiveFunction("quad", lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1), 1)
         with pytest.raises(ValueError):
-            diagnostic_laplace(quad, InitSpec("gaussian"), [2.0, 1.0], 100, 0)
+            laplace_table(quad, InitSpec("gaussian"), [2.0, 1.0], 100, 0)
 
 
 class TestVarianceDecayDiagnostic:
