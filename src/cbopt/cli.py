@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from .batching import UPDATE_MODES, BatchParams, ConstantSchedule, GeometricSchedule
-from .dynamics import HEAVISIDE_MODES, VARIANTS, VariantParams
+from .dynamics import HEAVISIDE_MODES, VARIANTS, DivergenceError, SingularityError, VariantParams
 from .ensemble import INIT_KINDS, Ensemble, FieldError, InitSpec, RngPlan, positions_to_csv
 from .harness import (
     INTEGRATORS,
@@ -562,6 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its exit code. A config error, and a run that
+    cannot start or go on (an initial state the objective is not finite on,
+    a sphere particle at the origin), print one line to stderr and nothing
+    to stdout."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
@@ -572,3 +576,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
+    except (DivergenceError, SingularityError) as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return 2

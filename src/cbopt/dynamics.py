@@ -40,15 +40,21 @@ HEAVISIDE_MODES = ("off", "exact", "regularized")
 
 
 class DivergenceError(RuntimeError):
-    """A step produced non-finite coordinates; carries the failing step index."""
+    """A run met non-finite numbers at a step: by default the coordinates
+    that step produced; carries the step index. Its args are (step, what),
+    so a copy unpickled from a campaign worker keeps its message."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite particle coordinates after step {step}")
-        self.step = step
+    def __init__(self, step: int, what: str = "non-finite particle coordinates after step"):
+        super().__init__(step, what)
+        self.step, self.what = step, what
+
+    def __str__(self) -> str:
+        return f"{self.what} {self.step}"
 
 
 class SingularityError(RuntimeError):
-    """The sphere projection was evaluated at (or renormalization hit) the origin."""
+    """The sphere projection was evaluated at (or renormalization hit) the
+    origin; the message names the step."""
 
 
 @dataclass(frozen=True)
@@ -288,7 +294,8 @@ def _update(e, f, p: VariantParams, z, mem, cp, ws):
     # sphere: tangential drift and diffusion
     norms_sq = np.add.reduce(np.multiply(x, x, out=ws.b), axis=1)
     if np.any(norms_sq < 1e-24):
-        raise SingularityError("particle at the origin: projection undefined")
+        raise SingularityError(f"particle at the origin at step {e.step_count}: "
+                               "projection undefined")
     dist_sq = np.add.reduce(np.multiply(diff, diff, out=ws.b), axis=1)
     drift = np.multiply(p.lam * p.dt, _tangential(x, diff, norms_sq, ws.b), out=ws.b)
     noise = _tangential(x, z, norms_sq, ws.c)
@@ -317,7 +324,10 @@ def step(
     the weighted mean of `e`. `mem` is required by the personal_best
     variant, which returns it updated by one left-endpoint rectangle of its
     weighted time integrals; the other variants pass it through. The sphere
-    variant needs unit-norm rows on entry and returns unit-norm rows. `ws`,
+    variant returns unit-norm rows, and its update assumes unit-norm rows on
+    entry: rows off the sphere, as a sphere run from a box or gaussian init
+    starts, take one step of the formulas and are then projected onto the
+    sphere by the renormalization. `ws`,
     a workspace of the positions' shape, takes the step's temporaries and
     personal_best's memory, `ws.memory`, which holds until the next step;
     the new positions never alias it. Given none, the step makes its own.
@@ -327,7 +337,7 @@ def step(
     if p.variant == "sphere":
         norms = _row_norms(new, ws.c)
         if np.any(norms < 1e-12):
-            raise SingularityError("renormalization hit the origin")
+            raise SingularityError(f"renormalization hit the origin at step {e.step_count}")
         new = new / norms[:, None]
     return advance(e, new, p.dt), mem
 

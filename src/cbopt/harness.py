@@ -246,6 +246,8 @@ def _groups(config, plan):
 
 def run(config: RunConfig) -> RunResult:
     """Execute one run until the stop criterion, the step budget, or divergence.
+    A run that cannot evaluate its initial state, or the first batch of it,
+    raises DivergenceError at step 0 instead, since it has no point to report.
 
     A plain run moves every particle once per iteration and tests
     `config.stop_eps` before the update. A batched run moves one batch per
@@ -312,8 +314,10 @@ def run(config: RunConfig) -> RunResult:
                     singles = [(k, theta + j, b) for j, b in enumerate(batch)]
                     groups = itertools.chain(singles, groups)
                     continue
-                if isinstance(err, ValueError) and (cps is not None or cp is None):
-                    raise  # not a divergence, or not even the initial state is evaluable
+                if isinstance(err, ValueError) and cps is not None:
+                    raise  # not a divergence
+                if cp is None and cps is None:  # not even the initial state is evaluable
+                    raise DivergenceError(at, "non-finite objective values before step") from err
                 status = "divergence"
                 if cps is None:  # the objective is not finite at the batch
                     break

@@ -452,6 +452,26 @@ def test_config_error_names_key_without_traceback(tmp_path, yaml_tail, argv, key
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("objective, variant, low, line", [
+    ("griewank", "anisotropic", 1.0e300, "DivergenceError: non-finite objective values before step 0"),
+    ("zakharov", "anisotropic", 1.0e100, "DivergenceError: non-finite objective values before step 0"),
+    ("ackley", "sphere", 0.0,
+     "SingularityError: particle at the origin at step 0: projection undefined"),
+], ids=["griewank", "zakharov", "sphere_at_origin"])
+@pytest.mark.parametrize("command, threads", [("run", "1"), ("bench", "1"), ("bench", "2")])
+def test_run_that_cannot_start_exits_two_with_one_line(
+        tmp_path, objective, variant, low, line, command, threads):
+    # the objective is not finite on the initial box, or the sphere step
+    # meets a particle at the origin; a campaign worker's error keeps its message
+    path = tmp_path / "config.yaml"
+    path.write_text(f"objective: {{name: {objective}, dimension: 2}}\n"
+                    f"variant: {{kind: {variant}}}\n"
+                    f"harness: {{n_particles: 12, seed: 1, max_steps: 5, campaign: {{runs: 2}},\n"
+                    f"  init: {{kind: box, low: {-low!r}, high: {low!r}}}}}\n")
+    proc = invoke([command, "--config", str(path)], env={"CBO_THREADS": threads})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+
+
 @pytest.mark.parametrize("argv", [["bench", "--config"], ["diagnose", "laplace", "--config"]])
 def test_record_every_is_a_usage_error_outside_run(tmp_path, argv):
     path = tmp_path / "bench.yaml"

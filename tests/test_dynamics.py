@@ -2,6 +2,7 @@
 laws, the sphere constraint, and divergence guards."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -451,8 +452,17 @@ class TestSphereStep:
         f = constant(2)
         e = Ensemble(np.array([[0.0, 1.0], [1e-20, 1e-20]]))
         p = VariantParams(variant="sphere")
-        with pytest.raises(SingularityError):
+        with pytest.raises(SingularityError, match=r"^particle at the origin at step 0: "):
             step(e, f, p, draw(RngPlan(0), e, p))
+
+    def test_renormalization_near_the_origin_raises_singularity(self):
+        # with z = 0 the drift is tangential, here 0, and the Ito correction
+        # 2 dt x leaves (1 - 2 dt) x: a row of norm about 1e-13 at dt just below 0.5
+        e = Ensemble(np.array([[1.0, 0.0]]))
+        p = VariantParams(lam=1.0, sigma=1.0, dt=0.5 - 5e-14, variant="sphere")
+        cp = ConsensusPoint(np.array([-1.0, 0.0]), 1.0)
+        with pytest.raises(SingularityError, match=r"^renormalization hit the origin at step 0$"):
+            step(e, constant(2), p, np.zeros((1, 2)), cp=cp)
 
 
 class TestStepDispatch:
@@ -492,6 +502,13 @@ class TestStepDispatch:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
             step(e, f, p, draw(RngPlan(0), e, p))
         assert err.value.step == 0
+
+    def test_divergence_error_pickles_with_its_message(self):
+        # a campaign worker's error reaches the parent through pickle
+        for err in (DivergenceError(3), DivergenceError(0, "non-finite objective values before step")):
+            copy = pickle.loads(pickle.dumps(err))
+            assert (type(copy), copy.step, str(copy)) == (DivergenceError, err.step, str(err))
+        assert str(DivergenceError(3)) == "non-finite particle coordinates after step 3"
 
 
 class TestKernelProperties:

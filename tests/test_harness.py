@@ -196,6 +196,16 @@ class TestRun:
         assert len(calls) == 2 * 54 + 1
         assert_same_run(result, expected)
 
+    @pytest.mark.parametrize("batching", [None, BatchParams(batch_size=3)], ids=["plain", "batched"])
+    def test_unevaluable_initial_state_raises_divergence_at_step_zero(self, batching):
+        # griewank's quadratic term overflows on a box of +-1e300; the batched
+        # run's first epoch is one group, retried one batch at a time
+        config = small_config(objective="griewank", n_particles=12, master_seed=1, max_steps=5,
+                              init=InitSpec("box", low=-1e300, high=1e300), batching=batching)
+        with pytest.raises(DivergenceError) as err:
+            run(config)
+        assert (err.value.step, str(err.value)) == (0, "non-finite objective values before step 0")
+
     @pytest.mark.parametrize("overrides, ending", [
         (dict(dimension=3, master_seed=7, stop_eps=1e-20), "stop_criterion"),
         (dict(master_seed=3, params=VariantParams(sigma=1e300, dt=1.0)), "divergence"),
@@ -437,9 +447,9 @@ def per_batch_run(config):
     for k, theta, batch in batches():
         try:
             cp = batch_consensus(e, f, p.alpha, batch)
-        except ValueError:
+        except ValueError as err:
             if cp is None:
-                raise
+                raise DivergenceError(0, "non-finite objective values before step") from err
             status = "divergence"
             break
         if e.step_count % config.record_every == 0:
