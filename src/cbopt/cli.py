@@ -299,10 +299,22 @@ def _workers() -> int:
         raise ConfigError("CBO_THREADS must be an integer") from None
 
 
-def _write_text(out_dir: Optional[str], filename: str, text: str) -> None:
+def _make_out_dir(out_dir: Optional[str]) -> None:
+    """Make the --out directory, if given, once the config is checked and
+    before any work, so that neither a config error nor a path that cannot
+    be a directory leaves output behind."""
     if out_dir is None:
         return
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out {out_dir!r}: {err.strerror}") from None
+
+
+def _write_text(out_dir: Optional[str], filename: str, text: str) -> None:
+    """Write `filename` into `out_dir`, which `_make_out_dir` made, if it is given."""
+    if out_dir is None:
+        return
     with open(os.path.join(out_dir, filename), "w") as handle:
         handle.write(text)
 
@@ -313,6 +325,7 @@ def _write_text(out_dir: Optional[str], filename: str, text: str) -> None:
 
 def cmd_run(args) -> int:
     config, _, config_hash = load_config(args.config, args)
+    _make_out_dir(args.out)
     result = run(config)
     lines = []
     for pt in result.trajectory:
@@ -362,6 +375,7 @@ def cmd_bench(args) -> int:
         configs = [replace(config, params=replace(config.params, variant=v)) for v in variants]
     except FieldError as err:
         raise ConfigError(f"{_key_path(CampaignSpec, 'variants')}: {err}") from None
+    _make_out_dir(args.out)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
@@ -495,6 +509,7 @@ def cmd_diagnose(args) -> int:
             seed = RngPlan(args.seed).master_seed
         except FieldError as err:
             raise ConfigError(f"--seed {err.reason}") from None
+    _make_out_dir(args.out)
     lines = [f"seed={seed} {line}" for line in SUITES[args.suite](config, seed)]  # provenance
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)

@@ -439,13 +439,18 @@ class TestCmdBench:
         # numpy's uniform draws from no box whose width high - low overflows
         ("harness: {init: {kind: box, low: -1.0e308, high: 1.0e308}}\n", ["run"],
          "harness.init.high"),
+        # --out at an existing file, here the config: no directory, and no work done
+        ("", ["run", "--out", "CONFIG"], "--out"),
+        ("harness: {campaign: {runs: 1}}\n", ["bench", "--out", "CONFIG"], "--out"),
+        ("", ["diagnose", "laplace", "--out", "CONFIG"], "--out"),
     ],
 )
 def test_config_error_names_key_without_traceback(tmp_path, yaml_tail, argv, key_path):
     if yaml_tail is not None:
         path = tmp_path / "config.yaml"
         path.write_text(MINIMAL + yaml_tail)
-        argv = argv[:1] + ["--config", str(path)] + argv[1:]
+        argv = argv[:1] + ["--config", str(path)] + [str(path) if a == "CONFIG" else a
+                                                     for a in argv[1:]]
     proc = invoke(argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"config error: {key_path} "), proc.stderr
