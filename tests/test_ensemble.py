@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +190,19 @@ class TestInitEnsemble:
         e = init_ensemble(InitSpec("sphere"), 100, 3, RngPlan(5))
         norms = np.linalg.norm(e.positions, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
+
+    def test_degenerate_sphere_draw_raises_without_warning(self):
+        # a normal draw of an exact zero row has probability 0: a stubbed plan makes one
+        draw = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 0.0]])
+
+        class ZeroRowPlan:
+            def generator(self, stream, step):
+                return types.SimpleNamespace(standard_normal=lambda shape: draw)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^degenerate sphere draw$"):
+                init_ensemble(InitSpec("sphere"), 2, 3, ZeroRowPlan())
 
     def test_determinism(self):
         a = init_ensemble(InitSpec("box", low=-1, high=1), 64, 6, RngPlan(42))
