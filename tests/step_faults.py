@@ -1,21 +1,26 @@
-"""Minor page faults per step after the first step, for each configuration
-of the benchmark's single_large_n workload (N=2000, d=50, ackley), and for
-its anisotropic configuration run in random batches of M=500 (gamma 0.01)
-in partial and in full mode.
+"""Minor page faults per step inside one run, for each configuration of the
+benchmark's single_large_n workload (N=2000, d=50, ackley), and for its
+anisotropic configuration run in random batches of M=500 (gamma 0.01) in
+partial and in full mode.
 
     python tests/step_faults.py
 
-Each configuration runs for one step, for two steps and for its full step
-budget; the difference in minor faults (``resource.getrusage``), over the
-extra steps, is the count per step after the first step and after the
-second. The second step can still touch fresh pages once (the allocator
-moves large blocks from mmap to its heap after the first free), so both
-are printed. One (N, d) array more or less per run, which the allocator's
-state can decide, reads as about 15 faults per step either way. A batched
-step allocates its kick's temporaries, and in partial mode a copy of the
-positions, per call, so its count is the baseline that owning those
-buffers would bring to about 0. Faults depend on the C library's
-allocator, so the script checks nothing.
+The run loop computes a consensus point at the start of every step, through
+the `harness` globals `weighted_mean` (a plain step, and the final state)
+and `batch_consensus` (a batch, or a group of batches). The script wraps
+both and reads the process's minor faults (``resource.getrusage``) at each
+call, beside the step count of the ensemble the call is given. The faults
+between two calls belong to the steps between them: one plain step, or the
+members of a group of batches, which step at once and share its faults
+evenly. Each configuration runs once to warm up (imports, the objective's
+threads, the heap) and once measured. The columns are the mean faults per
+step over the steps from step 1 and from step 2 on; a group counts in a
+column when its first member does. The second step can still touch fresh
+pages once (the allocator moves large blocks from mmap to its heap after
+the first free), so both are printed. A batched step allocates its kick's
+temporaries, and in partial mode a copy of the positions, per call, so its
+count is the baseline that owning those buffers would bring to about 0.
+Faults depend on the C library's allocator, so the script checks nothing.
 """
 
 import resource
@@ -29,11 +34,36 @@ from workloads import WORKLOADS  # noqa: E402  (puts this checkout's src first)
 from cbopt import harness  # noqa: E402
 from cbopt.batching import BatchParams, ConstantSchedule  # noqa: E402
 
+STEP_STARTS = ("weighted_mean", "batch_consensus")
 
-def faults_of(config) -> int:
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    harness.run(config)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+def stretches(config):
+    """(first step, steps, faults) of each stretch of one run of `config`
+    between two consensus calls of its loop."""
+    samples = []
+
+    def sampled(fn):
+        def call(e, *args, **kwargs):
+            samples.append((e.step_count, resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+            return fn(e, *args, **kwargs)
+        return call
+
+    originals = {name: getattr(harness, name) for name in STEP_STARTS}
+    try:
+        for name, fn in originals.items():
+            setattr(harness, name, sampled(fn))
+        harness.run(config)
+    finally:
+        for name, fn in originals.items():
+            setattr(harness, name, fn)
+    return [(k, last - k, after - before)
+            for (k, before), (last, after) in zip(samples, samples[1:]) if last > k]
+
+
+def per_step(stretches, first: int) -> float:
+    """Mean faults per step over the stretches that start at `first` or later."""
+    kept = [(steps, faults) for k, steps, faults in stretches if k >= first]
+    return sum(faults for _, faults in kept) / sum(steps for steps, _ in kept)
 
 
 def configurations():
@@ -49,13 +79,12 @@ def configurations():
 
 
 def main() -> None:
-    print(f"{'configuration':24s} {'after step 1':>12s} {'after step 2':>12s}")
+    print(f"{'configuration':24s} {'from step 1':>12s} {'from step 2':>12s}")
     for label, config in configurations():
-        faults_of(config)  # warm-up: imports, the objective's threads, the heap
-        full = faults_of(config)
-        per_step = [(full - faults_of(replace(config, max_steps=k))) / (config.max_steps - k)
-                    for k in (1, 2)]
-        print(f"{label:24s} {per_step[0]:12.1f} {per_step[1]:12.1f}")
+        stretches(config)  # warm-up: imports, the objective's threads, the heap
+        measured = stretches(config)
+        print(f"{label:24s} {per_step(measured, 1):12.1f} {per_step(measured, 2):12.1f}")
+
 
 if __name__ == "__main__":
     main()
