@@ -18,9 +18,9 @@ synchronization point.
 
 Kernels write their large temporaries through ufunc ``out=`` into the
 `Workspace` they are given, or `step` makes, in the formulas' order, so the
-bits are those of fresh arrays. The returned positions are always a new
-array; a personal_best step writes its memory into the workspace's one
-memory set, in place when it was given that set.
+bits are those of fresh arrays. A step returns only the new ensemble, whose
+positions are always a new array; a personal_best step updates the one
+`PersonalBestMemory` it is given in place.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ class VariantParams:
 class Workspace:
     """Scratch arrays of one shape, owned by one run, loop or call and dropped
     with it: `a` and `b` for temporaries, and, made on first use, `c` (which
-    only the sphere update and the split integrator read) and personal_best's
-    `memory`. A workspace is not thread-safe; give each thread its own."""
+    only the sphere update and the split integrator read). A workspace holds
+    no state from one step to the next and is not thread-safe; give each
+    thread its own."""
 
     def __init__(self, shape):
         self.a, self.b = np.empty(shape), np.empty(shape)
@@ -101,15 +102,12 @@ class Workspace:
     def c(self) -> np.ndarray:
         return np.empty(self.a.shape)
 
-    @cached_property
-    def memory(self) -> "PersonalBestMemory":
-        return PersonalBestMemory.empty(self.a.shape)
-
 
 @dataclass
 class PersonalBestMemory:
     """Exponentially weighted time-averages approximating each particle's
-    best visited point.
+    best visited point: the one memory set of a personal_best run, which
+    `initial` makes and every step updates in place.
 
     The running integrals are stored scaled by exp(-log_scale), where
     log_scale is the per-particle running max of -beta*f, so the weights
@@ -122,36 +120,24 @@ class PersonalBestMemory:
     p: np.ndarray  # (N, d) current personal-best estimates
 
     @classmethod
-    def initial(cls, e: Ensemble, out=None) -> "PersonalBestMemory":
-        """No weight yet, and p at the positions; written into the arrays of
-        `out` if given."""
-        out = cls.empty(e.positions.shape) if out is None else out
-        out.scaled_num.fill(0.0)
-        out.scaled_den.fill(0.0)
-        out.log_scale.fill(-np.inf)
-        np.copyto(out.p, e.positions)
-        return out
+    def initial(cls, e: Ensemble) -> "PersonalBestMemory":
+        """A new memory set of e's shape: no weight yet, and p at the positions."""
+        n, d = e.positions.shape
+        return cls(np.zeros((n, d)), np.zeros(n), np.full(n, -np.inf), e.positions.copy())
 
-    @classmethod
-    def empty(cls, shape) -> "PersonalBestMemory":
-        n, d = shape
-        return cls(np.empty((n, d)), np.empty(n), np.empty(n), np.empty((n, d)))
-
-    def accumulate(self, positions, fvals, beta, dt, out) -> "PersonalBestMemory":
-        """Add one left-endpoint rectangle of the weighted time integrals;
-        the result is written into the arrays of `out`, which may be this
-        memory, and returned."""
+    def accumulate(self, positions, fvals, beta, dt) -> None:
+        """Add one left-endpoint rectangle of the weighted time integrals, in
+        place; p is only written, so it may hold scratch on entry."""
         g = -beta * np.asarray(fvals, dtype=float)
         scale = np.maximum(self.log_scale, g)
         carry = np.exp(self.log_scale - scale)  # 0 on the very first call
         w = np.exp(g - scale) * dt
-        out.log_scale[...] = scale  # the old log-scale is read by now
-        num = np.multiply(self.scaled_num, carry[:, None], out=out.scaled_num)
-        np.add(num, np.multiply(positions, w[:, None], out=out.p), out=num)
-        den = np.multiply(self.scaled_den, carry, out=out.scaled_den)
+        self.log_scale[...] = scale  # the old log-scale is read by now
+        num = np.multiply(self.scaled_num, carry[:, None], out=self.scaled_num)
+        np.add(num, np.multiply(positions, w[:, None], out=self.p), out=num)
+        den = np.multiply(self.scaled_den, carry, out=self.scaled_den)
         np.add(den, w, out=den)
-        np.divide(num, den[:, None], out=out.p)
-        return out
+        np.divide(num, den[:, None], out=self.p)
 
 
 def heaviside(x, mode: str, epsilon: Optional[float] = None):
@@ -252,8 +238,8 @@ def _tangential(x, y, norms_sq, out) -> np.ndarray:
 def _update(e, f, p: VariantParams, z, mem, cp, ws):
     """Euler-Maruyama update (X - drift) + noise of p.variant with the draw
     z, before the sphere renormalization, its temporaries in the workspace
-    `ws`; returns it with the updated personal-best memory, `ws.memory`. The
-    update is a new array, except the sphere's, which is in `ws`."""
+    `ws`; personal_best's memory `mem` is updated in place. The update is a
+    new array, except the sphere's, which is in `ws`."""
     if p.variant == "personal_best" and mem is None:
         raise ValueError("personal_best variant needs a PersonalBestMemory")
     if cp is None:
@@ -262,13 +248,13 @@ def _update(e, f, p: VariantParams, z, mem, cp, ws):
     if p.variant in ("anisotropic", "common_noise"):
         # a coordinate that matches the consensus stays put; common noise
         # shares one draw per coordinate, so coincident particles stay so
-        return anisotropic_kick(x, cp.v, p.lam, p.sigma, p.dt, z, ws), mem
+        return anisotropic_kick(x, cp.v, p.lam, p.sigma, p.dt, z, ws)
     if p.variant == "original":
         gate = 1.0
         if p.heaviside_mode != "off":  # f(x) first: the kick's temporaries add no peak memory
             fx = np.asarray(f(x), dtype=float)
             gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
-        return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, ws, gate), mem
+        return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, ws, gate)
     diff = np.subtract(x, cp.v, out=ws.a)
     sqrt_dt = math.sqrt(p.dt)
     if p.variant == "personal_best":
@@ -282,15 +268,15 @@ def _update(e, f, p: VariantParams, z, mem, cp, ws):
         lam_gate = p.lam * gate_pair(fx - cp.f_at_v, fp - cp.f_at_v, mode, p.epsilon)
         mu_gate = gate_pair(fx - fp, cp.f_at_v - fp, mode, p.epsilon)
         # drift = dt * (lam_gate * diff + mu_gate * (x - p)); x - p goes into
-        # the p of the memory that accumulate fills next
+        # mem.p, which is read by now and which accumulate refills next
         drift = np.multiply(lam_gate[:, None], diff, out=ws.b)
-        pull = np.subtract(x, mem.p, out=ws.memory.p)
+        pull = np.subtract(x, mem.p, out=mem.p)
         np.add(drift, np.multiply(mu_gate[:, None], pull, out=pull), out=drift)
         np.multiply(p.dt, drift, out=drift)
         noise = np.multiply(math.sqrt(2.0) * p.sigma * sqrt_dt, diff, out=diff)
         np.multiply(noise, z, out=noise)
-        mem = mem.accumulate(x, fx, p.beta, p.dt, ws.memory)
-        return np.add(np.subtract(x, drift, out=drift), noise), mem
+        mem.accumulate(x, fx, p.beta, p.dt)
+        return np.add(np.subtract(x, drift, out=drift), noise)
     # sphere: tangential drift and diffusion
     norms_sq = np.add.reduce(np.multiply(x, x, out=ws.b), axis=1)
     if np.any(norms_sq < 1e-24):
@@ -304,7 +290,7 @@ def _update(e, f, p: VariantParams, z, mem, cp, ws):
     curvature = dist_sq * (e.dimension - 1.0) / norms_sq
     correction = np.multiply(0.5 * p.sigma**2 * p.dt * curvature[:, None], x, out=diff)
     new = np.add(np.subtract(x, drift, out=drift), noise, out=drift)
-    return np.subtract(new, correction, out=new), mem
+    return np.subtract(new, correction, out=new)
 
 
 def step(
@@ -315,31 +301,31 @@ def step(
     mem: Optional[PersonalBestMemory] = None,
     cp: Optional[ConsensusPoint] = None,
     ws: Optional[Workspace] = None,
-):
+) -> Ensemble:
     """Advance one step of p.variant with the normal draw z, of
-    `noise_shape(p, e.positions.shape)`; returns (ensemble, memory).
+    `noise_shape(p, e.positions.shape)`; returns the new ensemble.
 
     The caller draws z (`harness.run` takes step k's block of the
     STREAM_DIFFUSION stream), and the step only reads it. `cp` defaults to
     the weighted mean of `e`. `mem` is required by the personal_best
-    variant, which returns it updated by one left-endpoint rectangle of its
-    weighted time integrals; the other variants pass it through. The sphere
-    variant returns unit-norm rows, and its update assumes unit-norm rows on
-    entry: rows off the sphere, as a sphere run from a box or gaussian init
-    starts, take one step of the formulas and are then projected onto the
-    sphere by the renormalization. `ws`,
-    a workspace of the positions' shape, takes the step's temporaries and
-    personal_best's memory, `ws.memory`, which holds until the next step;
-    the new positions never alias it. Given none, the step makes its own.
+    variant: the run's one memory set, `PersonalBestMemory.initial(e)` at
+    the start, which each step updates in place by one left-endpoint
+    rectangle of its weighted time integrals; the other variants ignore it.
+    The sphere variant returns unit-norm rows, and its update assumes
+    unit-norm rows on entry: rows off the sphere, as a sphere run from a box
+    or gaussian init starts, take one step of the formulas and are then
+    projected onto the sphere by the renormalization. `ws`, a workspace of
+    the positions' shape, takes the step's temporaries; given none, the step
+    makes its own. The new positions alias neither `mem` nor `ws`.
     """
     ws = Workspace(e.positions.shape) if ws is None else ws
-    new, mem = _update(e, f, p, z, mem, cp, ws)
+    new = _update(e, f, p, z, mem, cp, ws)
     if p.variant == "sphere":
         norms = _row_norms(new, ws.c)
         if np.any(norms < 1e-12):
             raise SingularityError(f"renormalization hit the origin at step {e.step_count}")
         new = new / norms[:, None]
-    return advance(e, new, p.dt), mem
+    return advance(e, new, p.dt)
 
 
 def sphere_norm_drift(e, f, p, z, cp: Optional[ConsensusPoint] = None) -> float:
@@ -347,5 +333,5 @@ def sphere_norm_drift(e, f, p, z, cp: Optional[ConsensusPoint] = None) -> float:
     renormalization; first-order consistency makes this O(dt)."""
     if p.variant != "sphere":
         raise ValueError("sphere_norm_drift needs the sphere variant")
-    raw, _ = _update(e, f, p, z, None, cp, Workspace(e.positions.shape))
+    raw = _update(e, f, p, z, None, cp, Workspace(e.positions.shape))
     return float(np.max(np.abs(_row_norms(raw, raw) - 1.0)))  # raw is scratch: square it in place

@@ -183,9 +183,10 @@ def _point(e: Ensemble, cp: ConsensusPoint) -> TrajectoryPoint:
     )
 
 
-def _step(e, f, p, z, integrator, mem, cp, ws):
+def _step(e, f, p, z, integrator, mem, cp, ws) -> Ensemble:
     """Move every particle one step with the configured integrator and the
-    step's normal draw z, its temporaries in the workspace `ws`."""
+    step's normal draw z, its temporaries in the workspace `ws`; returns the
+    new ensemble. personal_best's memory `mem` is updated in place."""
     if integrator == "euler":
         return step(e, f, p, z, mem=mem, cp=cp, ws=ws)
     if integrator == "split":
@@ -193,7 +194,7 @@ def _step(e, f, p, z, integrator, mem, cp, ws):
         new = split_diffusion(drifted, cp.v, p.sigma, p.dt, z, ws)
     else:
         new = frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, z, ws)
-    return advance(e, new, p.dt), mem
+    return advance(e, new, p.dt)
 
 
 def _finish(trajectory, e, final_cp, status, t0, config, fallback_cp):
@@ -257,8 +258,9 @@ def run(config: RunConfig) -> RunResult:
     outputs and errors of one batch at a time.
 
     The run owns one `Workspace` of (N, d) buffers for the temporaries of
-    its full-ensemble steps and personal_best's memory, made here and
-    dropped on return; no array of the result aliases it. A plain step k
+    its full-ensemble steps and, for personal_best, one `PersonalBestMemory`
+    that every step updates in place; both are made here and dropped on
+    return, and no array of the result aliases them. A plain step k
     takes its normal draw, the (STREAM_DIFFUSION, k) block, from one
     `DrawAhead`, which draws a large block one step ahead on a helper
     thread into a second buffer the run owns; the run waits for that draw
@@ -279,9 +281,8 @@ def run(config: RunConfig) -> RunResult:
                 bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
             groups, eps = _groups(config, plan), bp.stop_eps
             full_scope = range(config.n_particles) if bp.update_mode == "full" else None
-        ws, mem = Workspace(e.positions.shape), None
-        if p.variant == "personal_best":  # starts in the workspace's memory, updated in place
-            mem = PersonalBestMemory.initial(e, ws.memory)
+        ws = Workspace(e.positions.shape)
+        mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
         trajectory: List[TrajectoryPoint] = []
         v_prev, cp, status = None, None, "max_steps"
         while (group := next(groups, None)) is not None:
@@ -308,7 +309,7 @@ def run(config: RunConfig) -> RunResult:
                                      theta=theta)
                 elif not stop:  # a plain run stops before its update
                     z = noise.block(e.step_count)
-                    e, mem = _step(e, f, p, z, config.integrator, mem, cps, ws)
+                    e = _step(e, f, p, z, config.integrator, mem, cps, ws)
             except (ValueError, DivergenceError) as err:
                 if q > 1:  # one batch at a time: the error surfaces at its batch
                     singles = [(k, theta + j, b) for j, b in enumerate(batch)]

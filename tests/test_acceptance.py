@@ -152,7 +152,7 @@ def test_06_sphere_constraint():
     p = VariantParams(lam=1.0, sigma=0.5, dt=0.002, alpha=20.0, variant="sphere")
     worst = 0.0
     for _ in range(1000):
-        e = step(e, f, p, plan.normal_block(STREAM_DIFFUSION, e.step_count, (50, 3)))[0]
+        e = step(e, f, p, plan.normal_block(STREAM_DIFFUSION, e.step_count, (50, 3)))
         worst = max(worst, float(np.max(np.abs(np.linalg.norm(e.positions, axis=1) - 1.0))))
     z = RngPlan(99).normal_block(STREAM_DIFFUSION, e.step_count, (50, 3))
     drift_coarse = sphere_norm_drift(e, f, replace(p, dt=0.004), z)

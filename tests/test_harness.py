@@ -910,7 +910,7 @@ class TestPairwiseDiagnostic:
 
         manual = [mean_pairwise_sq_dist(e.positions)]
         for _ in range(5):
-            e = step(e, f, p, plan.normal_block(STREAM_DIFFUSION, e.step_count, (d,)))[0]
+            e = step(e, f, p, plan.normal_block(STREAM_DIFFUSION, e.step_count, (d,)))
             manual.append(mean_pairwise_sq_dist(e.positions))
         assert np.allclose([v for _, v in series], manual, rtol=1e-12, atol=0)
 

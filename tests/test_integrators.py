@@ -209,7 +209,7 @@ class TestFedDraw:
         cp = weighted_mean(e, f, p.alpha)
         x = e.positions
         z = plan.normal_block(STREAM_DIFFUSION, 6, x.shape)
-        new, _ = _step(e, f, p, z, integrator, None, cp, Workspace(x.shape))
+        new = _step(e, f, p, z, integrator, None, cp, Workspace(x.shape))
         gen = plan.generator(STREAM_DIFFUSION, 6)
         if integrator == "split":
             expected = split_diffusion_drawing(split_drift(x, cp.v, p.lam, p.dt), cp.v, p.sigma,

@@ -198,15 +198,16 @@ class TestKernelsMatchTheReference:
         e = init_ensemble(init, n, d, plan)
         p = VariantParams(lam=lam, sigma=sigma, dt=dt, alpha=alpha, beta=beta, epsilon=0.3,
                           variant=variant, heaviside_mode=mode)
-        mem = PersonalBestMemory.initial(e) if variant == "personal_best" else None
-        ref_e, ref_mem, plain_e, plain_mem = e, mem, e, mem
+        ref_mem, plain_mem, mem = (PersonalBestMemory.initial(e) if variant == "personal_best"
+                                   else None for _ in range(3))
+        ref_e, plain_e = e, e
         ws = Workspace((n, d))
-        for _ in range(4):  # the workspace's memory is updated in place; z is only read
+        for _ in range(4):  # each step updates its own memory set in place; z is only read
             z = draw(plan, e, p)
             expected, ref_mem = ref_step(ref_e, f, p, z, ref_mem, ref_point(ref_e, f, alpha))
             ref_e = Ensemble(expected, ref_e.time + dt, ref_e.step_count + 1)
-            plain_e, plain_mem = step(plain_e, f, p, z, plain_mem)
-            e, mem = step(e, f, p, z, mem, ws=ws)
+            plain_e = step(plain_e, f, p, z, plain_mem)
+            e = step(e, f, p, z, mem, ws=ws)
             assert plain_e.positions.tobytes() == e.positions.tobytes() == expected.tobytes()
             if variant == "personal_best":
                 assert memory_bytes(plain_mem) == memory_bytes(mem) == memory_bytes(ref_mem)
@@ -228,7 +229,7 @@ class TestKernelsMatchTheReference:
         z = draw(plan, e, p)
         expected, _ = ref_step(e, f, p, z, None, ref_point(e, f, p.alpha))
         for ws in (None, Workspace((n, d))):
-            assert step(e, f, p, z, ws=ws)[0].positions.tobytes() == expected.tobytes()
+            assert step(e, f, p, z, ws=ws).positions.tobytes() == expected.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -269,7 +270,7 @@ class TestKernelsMatchTheReference:
             expected = ref_frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, z)
         ws = Workspace((7, 3))
         for _ in range(2):  # a fresh workspace, then a used one
-            new, _ = harness._step(e, f, p, z, integrator, None, cp, ws)
+            new = harness._step(e, f, p, z, integrator, None, cp, ws)
             assert new.positions.tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
@@ -389,14 +390,9 @@ def test_kept_states_and_results_do_not_change(variant):
     mem = PersonalBestMemory.initial(e) if variant == "personal_best" else None
     ws = Workspace((9, 3))
     kept = []
-    for k in range(6):
-        if k == 2:  # step k's ensemble, and its memory from a step with no workspace
-            e, mem = step(e, f, p, draw(plan, e, p), mem)
-            kept += [e.positions] + ([mem.scaled_num, mem.scaled_den, mem.log_scale, mem.p]
-                                      if mem is not None else [])
-        else:
-            e, mem = step(e, f, p, draw(plan, e, p), mem, ws=ws)
-            kept.append(e.positions)
+    for k in range(6):  # step 2 without a workspace; the memory is updated in place
+        e = step(e, f, p, draw(plan, e, p), mem, ws=None if k == 2 else ws)
+        kept.append(e.positions)
     config = RunConfig(objective="ackley", dimension=3, params=p, n_particles=9, init=init,
                        max_steps=8, master_seed=4, record_every=3)
     result = run(config)
@@ -404,36 +400,33 @@ def test_kept_states_and_results_do_not_change(variant):
     kept += [point.v for point in result.trajectory] + [point.mean for point in result.trajectory]
     copies = snapshot(*kept)
     for _ in range(3):
-        e, mem = step(e, f, p, draw(plan, e, p), mem, ws=ws)
+        e = step(e, f, p, draw(plan, e, p), mem, ws=ws)
     run(replace(config, master_seed=5))
     run(config)
     assert unchanged(kept, copies)
 
 
-def test_workspace_memory_is_updated_in_place_and_spares_the_input():
+def test_personal_best_memory_is_updated_in_place():
     f = make_objective("rastrigin", 2)
     plan = RngPlan(3)
     e = init_ensemble(InitSpec("box", low=-2, high=2), 5, 2, plan)
     p = VariantParams(sigma=0.5, variant="personal_best")
-    first = PersonalBestMemory.initial(e)
-    arrays = (first.scaled_num, first.scaled_den, first.log_scale, first.p)
-    copy = snapshot(*arrays)
+    mem = PersonalBestMemory.initial(e)
+    kept = (mem.scaled_num, mem.scaled_den, mem.log_scale, mem.p)
     ws = Workspace((5, 2))
-    mem, kept = first, None
     for _ in range(3):
-        e, mem = step(e, f, p, draw(plan, e, p), mem, ws=ws)
-        assert mem is ws.memory
+        copy = snapshot(*kept)
+        e = step(e, f, p, draw(plan, e, p), mem, ws=ws)
         held = (mem.scaled_num, mem.scaled_den, mem.log_scale, mem.p)
-        assert kept is None or all(a is b for a, b in zip(held, kept))
-        assert not any(np.shares_memory(a, e.positions) for a in held)
-        kept = held
-    assert unchanged(arrays, copy)
+        assert all(a is b for a, b in zip(held, kept)) and not unchanged(held, copy)
+        assert not any(np.shares_memory(a, b) for a in held for b in (e.positions, ws.a, ws.b))
 
 
 def test_personal_best_run_makes_one_memory_set():
     config = RunConfig(objective="rastrigin", dimension=2, n_particles=5, max_steps=6,
                        params=VariantParams(sigma=0.5, variant="personal_best"))
-    with mock.patch.object(PersonalBestMemory, "empty", side_effect=PersonalBestMemory.empty) as made:
+    with mock.patch.object(PersonalBestMemory, "initial",
+                           side_effect=PersonalBestMemory.initial) as made:
         run(config)
     assert made.call_count == 1
 
@@ -469,16 +462,16 @@ def test_workspace_step_allocates_little_more_than_its_positions(variant, integr
     # as a run draws: on two or more CPUs each block but the last starts the next
     noise = DrawAhead(plan, STREAM_DIFFUSION, noise_shape(p, (n, d)), 3)
 
-    def one_step(e, mem):
+    def one_step(e):
         cp = harness.weighted_mean(e, f, p.alpha, ws.a)
         return harness._step(e, f, p, noise.block(e.step_count), integrator, mem, cp, ws)
 
     with np.errstate(over="ignore", invalid="ignore"), noise:
-        e, mem = one_step(e, mem)  # warm: the memory set is made on first use
+        e = one_step(e)  # warm: the workspace's c is made on first use
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            e, mem = one_step(e, mem)
+            e = one_step(e)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
