@@ -405,7 +405,8 @@ def diagnostic_frozen_moment(
     second = np.empty(steps + 1)
     kick = isotropic_kick if variant == "isotropic" else anisotropic_kick
     ws = Workspace((n, d))
-    with DrawAhead(plan, STREAM_DIFFUSION, (n, d), steps) as noise:
+    noise = DrawAhead(plan, STREAM_DIFFUSION, (n, d), steps)
+    with np.errstate(over="ignore", invalid="ignore"), noise:
         for s in range(steps):
             second[s] = np.mean(np.sum(np.multiply(e.positions, e.positions, out=ws.a), axis=1))
             e = advance(e, kick(e.positions, 0.0, lam, sigma, dt, noise.block(s), ws=ws), dt)
@@ -445,6 +446,8 @@ def diagnostic_pairwise_decay(
 
     All replicas advance in one vectorized sweep; each replica draws its own
     shared-per-coordinate noise, matching the common_noise step exactly.
+    Like `run`, a state the objective is not finite on, or a step whose mean
+    squared distance is not finite, raises DivergenceError naming the step.
     """
     if replicas < 1 or n < 2:
         raise ValueError("need at least one replica of at least two particles")
@@ -455,10 +458,16 @@ def diagnostic_pairwise_decay(
     series = np.empty(steps + 1)
     ws = Workspace(positions.shape)
     series[0] = np.mean(mean_pairwise_sq_dist(positions, ws.a))
-    for s in range(steps):
-        v = consensus_mean(positions, f(positions), alpha, ws.a)  # (replicas, d)
-        z = plan.normal_block(STREAM_DIFFUSION, s, (replicas, d))
-        positions = anisotropic_kick(positions, v[:, None, :], lam, sigma, h, z[:, None, :], ws)
-        series[s + 1] = np.mean(mean_pairwise_sq_dist(positions, ws.a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(steps):
+            try:
+                v = consensus_mean(positions, f(positions), alpha, ws.a)  # (replicas, d)
+            except ValueError as err:
+                raise DivergenceError(s, "non-finite objective values before step") from err
+            z = plan.normal_block(STREAM_DIFFUSION, s, (replicas, d))
+            positions = anisotropic_kick(positions, v[:, None, :], lam, sigma, h, z[:, None, :], ws)
+            series[s + 1] = np.mean(mean_pairwise_sq_dist(positions, ws.a))
+            if not np.isfinite(series[s + 1]):
+                raise DivergenceError(s, "non-finite pairwise distances after step")
     times = h * np.arange(steps + 1)
     return list(zip(times.tolist(), series.tolist()))

@@ -568,6 +568,18 @@ class TestCmdDiagnose:
         assert "pairwise decay predicted=0.0 " in decay and " abs_err=" in decay
         assert decay.endswith("tol=0.03 PASS")
 
+    @pytest.mark.parametrize("suite, line", [
+        ("moments", "DivergenceError: non-finite particle coordinates after step 1"),
+        ("pairwise", "DivergenceError: non-finite pairwise distances after step 0"),
+    ])
+    def test_diverging_suite_exits_two_with_one_line(self, tmp_path, capsys, suite, line):
+        path = tmp_path / "config.yaml"
+        path.write_text(MINIMAL + "params: {sigma: 1.0e200}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["diagnose", suite, "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+
     def test_variance_suite_passes(self, capsys):
         assert main(["diagnose", "variance", "--seed", "5"]) == 0
         out = capsys.readouterr().out

@@ -4,6 +4,7 @@ import json
 import math
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -913,6 +914,15 @@ class TestPairwiseDiagnostic:
             e = step(e, f, p, plan.normal_block(STREAM_DIFFUSION, e.step_count, (d,)))
             manual.append(mean_pairwise_sq_dist(e.positions))
         assert np.allclose([v for _, v in series], manual, rtol=1e-12, atol=0)
+
+    def test_objective_overflow_names_the_step(self):
+        # the drift scales every distance by -999 a step, and zakharov's
+        # fourth power overflows while the squared distances are finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                diagnostic_pairwise_decay(1e6, 0.0, 1e-3, 5, 2, 0.1, objective="zakharov")
+        assert str(err.value) == "non-finite objective values before step 26"
 
     def test_decay_rate_short(self):
         series = diagnostic_pairwise_decay(1.0, 0.5, 1e-3, 20, 200, 0.5, seed=31)
