@@ -429,6 +429,9 @@ def _rate_line(label: str, predicted: float, fitted: float, tol: float, lam: flo
     return f"{label} predicted={predicted!r} fitted={fitted!r} {kind}={err!r} tol={tol!r} {verdict}"
 
 
+MOMENTS_T = 2.0  # the moments suite fits its rates over [0, MOMENTS_T]
+
+
 def _diagnose_moments(config: Optional[RunConfig], seed: int) -> List[str]:
     lam, sigma, d, n, dt = 1.0, 0.3, 10, 10_000, 1e-3
     if config is not None:
@@ -437,7 +440,8 @@ def _diagnose_moments(config: Optional[RunConfig], seed: int) -> List[str]:
     tol = 0.01 if sigma == 0.0 else 0.05
     lines = []
     for variant in ("isotropic", "anisotropic"):
-        fitted, predicted = diagnostic_frozen_moment(variant, lam, sigma, d, n, dt, 2.0, seed)
+        fitted, predicted = diagnostic_frozen_moment(variant, lam, sigma, d, n, dt, MOMENTS_T,
+                                                     seed)
         lines.append(_rate_line(f"moments {variant}", predicted, fitted, tol, lam))
     return lines
 
@@ -509,6 +513,10 @@ def cmd_diagnose(args) -> int:
             seed = RngPlan(args.seed).master_seed
         except FieldError as err:
             raise ConfigError(f"--seed {err.reason}") from None
+    if args.suite == "moments" and config is not None and round(MOMENTS_T / config.params.dt) < 2:
+        # the fit needs 3 points: round(2 / dt) >= 2 steps, so dt <= 4/3
+        raise ConfigError(f"{_key_path(VariantParams, 'dt')} must be at most 4/3 for the moments "
+                          f"suite, which fits its rates over t = 0 to {MOMENTS_T!r}")
     _make_out_dir(args.out)
     lines = [f"seed={seed} {line}" for line in SUITES[args.suite](config, seed)]  # provenance
     text = "\n".join(lines) + "\n"

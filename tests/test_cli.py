@@ -443,6 +443,9 @@ class TestCmdBench:
         ("", ["run", "--out", "CONFIG"], "--out"),
         ("harness: {campaign: {runs: 1}}\n", ["bench", "--out", "CONFIG"], "--out"),
         ("", ["diagnose", "laplace", "--out", "CONFIG"], "--out"),
+        # round(2.0 / 1.5) is one step of the moments fit, too few; named
+        # before --out is made, so before any work
+        ("params: {dt: 1.5}\n", ["diagnose", "moments", "--out", "CONFIG"], "params.dt"),
     ],
 )
 def test_config_error_names_key_without_traceback(tmp_path, yaml_tail, argv, key_path):
