@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cbopt.consensus import ConsensusPoint, weighted_mean
@@ -19,6 +19,7 @@ from cbopt.dynamics import (
     SingularityError,
     VariantParams,
     Workspace,
+    anisotropic_kick,
     consensus_condition,
     gate_pair,
     heaviside,
@@ -537,6 +538,85 @@ class TestKernelProperties:
             e = out
         if n == 1:  # v = X: drift and noise vanish
             assert np.max(np.abs(e.positions - start)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 8),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.0, 3.0),
+        sigma=st.floats(0.0, 2.0),
+        dt=st.floats(1e-4, 0.1),
+        isotropic=st.booleans(),
+    )
+    def test_kicks_are_translation_equivariant(self, n, d, seed, lam, sigma, dt, isotropic):
+        # the tolerances of the consensus reduction's translation property
+        rng = np.random.default_rng(seed)
+        x, v, shift = rng.uniform(-10, 10, (n, d)), rng.uniform(-10, 10, d), rng.uniform(-10, 10, d)
+        z, gate = rng.standard_normal((n, d)), rng.uniform(0.0, 1.0, (n, 1))
+        ws = Workspace((n, d))
+
+        def kick(x, v):
+            if isotropic:
+                return isotropic_kick(x, v, lam, sigma, dt, z, ws, gate)
+            return anisotropic_kick(x, v, lam, sigma, dt, z, ws)
+
+        scale = 1e-12 * (1.0 + np.max(np.abs(x)) + np.max(np.abs(shift)))
+        np.testing.assert_allclose(kick(x + shift, v + shift), kick(x, v) + shift, rtol=1e-12,
+                                   atol=scale)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        variant=st.sampled_from(["original", "anisotropic", "common_noise", "personal_best"]),
+        n=st.integers(1, 8),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.0, 3.0),
+        sigma=st.floats(0.0, 2.0),
+        dt=st.floats(1e-4, 0.1),
+        alpha=st.floats(0.0, 10.0),
+    )
+    def test_step_is_translation_equivariant(self, variant, n, d, seed, lam, sigma, dt, alpha):
+        # positions and shift on a grid of 1/1024, so x + shift and its
+        # preimage are exact and the objective agrees bitwise at the
+        # particles; at v it differs by rounding, which a regularized gate
+        # passes on continuously. The sphere has no translation symmetry.
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2048, 2049, (n, d)) / 1024.0
+        shift = rng.integers(-10240, 10241, d) / 1024.0
+        base = make_objective("rastrigin", d)
+        p = VariantParams(lam=lam, sigma=sigma, dt=dt, alpha=alpha, epsilon=1.0,
+                          heaviside_mode="regularized", variant=variant)
+        outs = []
+        for c in (np.zeros(d), shift):
+            f = ObjectiveFunction("shifted", lambda y, c=c: base.fn(np.asarray(y, float) - c), d)
+            e = Ensemble(x + c)
+            mem = PersonalBestMemory.initial(e) if variant == "personal_best" else None
+            outs.append(step(e, f, p, draw(RngPlan(seed), e, p), mem).positions)
+        scale = 1e-12 * (1.0 + np.max(np.abs(x)) + np.max(np.abs(shift)))
+        np.testing.assert_allclose(outs[1], outs[0] + shift, rtol=1e-12, atol=scale)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 8),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        low=st.floats(-5.0, 5.0),
+        width=st.floats(0.01, 10.0),
+        lam=st.floats(0.0, 3.0),
+        sigma=st.floats(0.0, 2.0),
+        dt=st.floats(1e-4, 0.1),
+        alpha=st.floats(0.0, 50.0),
+    )
+    def test_sphere_step_from_any_box_gives_unit_rows(self, n, d, seed, low, width, lam, sigma,
+                                                      dt, alpha):
+        plan = RngPlan(seed)
+        e = init_ensemble(InitSpec("box", low=low, high=low + width), n, d, plan)
+        # a row at the origin has no tangent space
+        assume(np.min(np.linalg.norm(e.positions, axis=1)) > 1e-6)
+        p = VariantParams(lam=lam, sigma=sigma, dt=dt, alpha=alpha, variant="sphere")
+        out = step(e, make_objective("ackley", d), p, draw(plan, e, p))
+        assert np.max(np.abs(np.linalg.norm(out.positions, axis=1) - 1.0)) <= 1e-12
 
 
 class TestFrozenMomentLaws:
