@@ -16,11 +16,12 @@ gates with one conjunction, bitwise what their product gives. Per-particle
 work is independent within a step; the consensus reduction is the only
 synchronization point.
 
-Kernels write their large temporaries through ufunc ``out=`` into the
-`Workspace` they are given, or `step` makes, in the formulas' order, so the
-bits are those of fresh arrays. A step returns only the new ensemble, whose
-positions are always a new array; a personal_best step updates the one
-`PersonalBestMemory` it is given in place.
+Kernels write their large temporaries through ufunc ``out=``, in the
+formulas' order, so the bits are those of fresh arrays: the first into the
+`Workspace` they are given, or `step` makes, the second into the update's
+result, a new array each kernel allocates once. A step returns only the new
+ensemble, whose positions are always a new array; a personal_best step
+updates the one `PersonalBestMemory` it is given in place.
 """
 
 from __future__ import annotations
@@ -90,13 +91,13 @@ class VariantParams:
 
 class Workspace:
     """Scratch arrays of one shape, owned by one run, loop or call and dropped
-    with it: `a` and `b` for temporaries, and, made on first use, `c` (which
-    only the sphere update and the split integrator read). A workspace holds
-    no state from one step to the next and is not thread-safe; give each
-    thread its own."""
+    with it: `a` for a kernel's first temporary (its second is the update's
+    own result array), and, made on first use, `c` (which only the sphere
+    update and the split integrator read). A workspace holds no state from
+    one step to the next and is not thread-safe; give each thread its own."""
 
     def __init__(self, shape):
-        self.a, self.b = np.empty(shape), np.empty(shape)
+        self.a = np.empty(shape)
 
     @cached_property
     def c(self) -> np.ndarray:
@@ -192,12 +193,14 @@ def isotropic_kick(positions, v, lam, sigma, dt, z, ws, gate=1.0) -> np.ndarray:
     (sigma with its sqrt(2), gate its Heaviside factor) and the frozen-moment
     diagnostic's (v = 0). Computes
     positions - lam * dt * diff * gate + sigma * sqrt(dt) * |diff| * z
-    with diff = positions - v, its temporaries in the workspace `ws`."""
+    with diff = positions - v in the workspace `ws`; the result, a new array,
+    holds the drift first."""
     diff = np.subtract(positions, v, out=ws.a)
-    dist = _row_norms(diff, ws.b)[..., None]
-    drift = np.multiply(np.multiply(lam * dt, diff, out=ws.b), gate, out=ws.b)
+    new = np.empty(diff.shape)
+    dist = _row_norms(diff, new)[..., None]
+    drift = np.multiply(np.multiply(lam * dt, diff, out=new), gate, out=new)
     noise = np.multiply(sigma * np.sqrt(dt) * dist, z, out=diff)
-    return np.add(np.subtract(positions, drift, out=drift), noise)
+    return np.add(np.subtract(positions, drift, out=drift), noise, out=drift)
 
 
 def anisotropic_kick(positions, v, lam, sigma, dt, z, ws) -> np.ndarray:
@@ -206,11 +209,12 @@ def anisotropic_kick(positions, v, lam, sigma, dt, z, ws) -> np.ndarray:
     (a stack too, with `sigma` and `dt` per ensemble), the pairwise replica
     sweep and the frozen-moment diagnostic (v = 0). Computes
     positions - lam * dt * diff + sigma * sqrt(dt) * diff * z
-    with diff = positions - v, its temporaries in the workspace `ws`."""
+    with diff = positions - v in the workspace `ws`; the result, a new array,
+    holds the drift first."""
     diff = np.subtract(positions, v, out=ws.a)
-    drift = np.multiply(lam * dt, diff, out=ws.b)
+    drift = np.multiply(lam * dt, diff)
     noise = np.multiply(np.multiply(sigma * np.sqrt(dt), diff, out=diff), z, out=diff)
-    return np.add(np.subtract(positions, drift, out=drift), noise)
+    return np.add(np.subtract(positions, drift, out=drift), noise, out=drift)
 
 
 def advance(e: Ensemble, positions: np.ndarray, dt: float) -> Ensemble:
@@ -237,9 +241,9 @@ def _tangential(x, y, norms_sq, out) -> np.ndarray:
 
 def _update(e, f, p: VariantParams, z, mem, cp, ws):
     """Euler-Maruyama update (X - drift) + noise of p.variant with the draw
-    z, before the sphere renormalization, its temporaries in the workspace
-    `ws`; personal_best's memory `mem` is updated in place. The update is a
-    new array, except the sphere's, which is in `ws`."""
+    z, before the sphere renormalization, as a new array; its temporaries
+    are in the workspace `ws` and the update itself. personal_best's memory
+    `mem` is updated in place."""
     if p.variant == "personal_best" and mem is None:
         raise ValueError("personal_best variant needs a PersonalBestMemory")
     if cp is None:
@@ -269,21 +273,22 @@ def _update(e, f, p: VariantParams, z, mem, cp, ws):
         mu_gate = gate_pair(fx - fp, cp.f_at_v - fp, mode, p.epsilon)
         # drift = dt * (lam_gate * diff + mu_gate * (x - p)); x - p goes into
         # mem.p, which is read by now and which accumulate refills next
-        drift = np.multiply(lam_gate[:, None], diff, out=ws.b)
+        drift = np.multiply(lam_gate[:, None], diff)
         pull = np.subtract(x, mem.p, out=mem.p)
         np.add(drift, np.multiply(mu_gate[:, None], pull, out=pull), out=drift)
         np.multiply(p.dt, drift, out=drift)
         noise = np.multiply(math.sqrt(2.0) * p.sigma * sqrt_dt, diff, out=diff)
         np.multiply(noise, z, out=noise)
         mem.accumulate(x, fx, p.beta, p.dt)
-        return np.add(np.subtract(x, drift, out=drift), noise)
+        return np.add(np.subtract(x, drift, out=drift), noise, out=drift)
     # sphere: tangential drift and diffusion
-    norms_sq = np.add.reduce(np.multiply(x, x, out=ws.b), axis=1)
+    new = np.multiply(x, x)
+    norms_sq = np.add.reduce(new, axis=1)
     if np.any(norms_sq < 1e-24):
         raise SingularityError(f"particle at the origin at step {e.step_count}: "
                                "projection undefined")
-    dist_sq = np.add.reduce(np.multiply(diff, diff, out=ws.b), axis=1)
-    drift = np.multiply(p.lam * p.dt, _tangential(x, diff, norms_sq, ws.b), out=ws.b)
+    dist_sq = np.add.reduce(np.multiply(diff, diff, out=new), axis=1)
+    drift = np.multiply(p.lam * p.dt, _tangential(x, diff, norms_sq, new), out=new)
     noise = _tangential(x, z, norms_sq, ws.c)
     np.multiply(p.sigma * sqrt_dt * np.sqrt(dist_sq)[:, None], noise, out=noise)
     # Ito correction along the outward normal: grad|x|=x/|x|, lap|x|=(d-1)/|x|
@@ -315,8 +320,10 @@ def step(
     unit-norm rows on entry: rows off the sphere, as a sphere run from a box
     or gaussian init starts, take one step of the formulas and are then
     projected onto the sphere by the renormalization. `ws`, a workspace of
-    the positions' shape, takes the step's temporaries; given none, the step
-    makes its own. The new positions alias neither `mem` nor `ws`.
+    the positions' shape, takes the step's first temporaries; given none,
+    the step makes its own. The new positions are the update, a new array
+    that holds its second temporary first and aliases neither `mem` nor
+    `ws`; the sphere renormalizes it in place.
     """
     ws = Workspace(e.positions.shape) if ws is None else ws
     new = _update(e, f, p, z, mem, cp, ws)
@@ -324,7 +331,7 @@ def step(
         norms = _row_norms(new, ws.c)
         if np.any(norms < 1e-12):
             raise SingularityError(f"renormalization hit the origin at step {e.step_count}")
-        new = new / norms[:, None]
+        np.divide(new, norms[:, None], out=new)
     return advance(e, new, p.dt)
 
 

@@ -111,12 +111,17 @@ class DrawAhead:
     `block(step)` gives `plan.normal_block(stream, step, shape)`, bit for
     bit, in a buffer of its own that holds until the next `block` call.
 
-    Where `objectives.threaded` allows (the rule of the objective shards),
-    handing out block k starts block k+1, up to block end - 1, into a second
-    buffer on the helper pool, so the draw overlaps the caller's step. The
-    calling thread makes every `plan.generator` call and the helper thread
-    only fills the buffer; while a block is pending the loop draws nothing
-    else from the plan. `close`, or leaving a ``with`` block, waits for it.
+    Where `objectives.threaded` allows (the rule of the objective chunks'
+    helpers), handing out block k starts block k+1, up to block end - 1, into
+    a second buffer on the helper pool, so the draw overlaps the caller's
+    step. The draw takes one of the pool's threads, one per spare CPU, which
+    it shares with the objective's chunk helpers: a helper queued behind it
+    is cancelled by its call, which evaluates the chunks itself. The calling
+    thread makes every `plan.generator` call and the helper thread only fills
+    the buffer; while a block is pending the loop draws nothing else from the
+    plan. `close`, or leaving a ``with`` block, waits for it. A loop that
+    ends before block end - 1 has drawn one block it never uses, the known
+    cost of drawing ahead.
     """
 
     def __init__(self, plan: RngPlan, stream: int, shape, end: int):
@@ -228,11 +233,13 @@ def init_ensemble(dist: InitSpec, n: int, d: int, rng: RngPlan) -> Ensemble:
     return Ensemble(positions=positions, time=0.0, step_count=0)
 
 
-def moments(e: Ensemble):
-    """Empirical mean and half mean squared spread, ``(1/(2N)) sum |X - E|^2``."""
+def moments(e: Ensemble, scratch=None):
+    """Empirical mean and half mean squared spread, ``(1/(2N)) sum |X - E|^2``;
+    `scratch`, an array of the positions' shape, holds the centered positions
+    and their squares if given (a run passes its workspace's `a`)."""
     mean = e.positions.mean(axis=0)
-    centered = e.positions - mean
-    variance = 0.5 * float(np.mean(np.sum(centered * centered, axis=1)))
+    centered = np.subtract(e.positions, mean, out=scratch)
+    variance = 0.5 * float(np.mean(np.sum(np.multiply(centered, centered, out=centered), axis=1)))
     return mean, variance
 
 

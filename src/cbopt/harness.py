@@ -171,8 +171,8 @@ class RunResult:
     final_positions: np.ndarray = None
 
 
-def _point(e: Ensemble, cp: ConsensusPoint) -> TrajectoryPoint:
-    mean, variance = moments(e)
+def _point(e: Ensemble, cp: ConsensusPoint, scratch) -> TrajectoryPoint:
+    mean, variance = moments(e, scratch)
     return TrajectoryPoint(
         step=e.step_count,
         time=e.time,
@@ -197,15 +197,15 @@ def _step(e, f, p, z, integrator, mem, cp, ws) -> Ensemble:
     return advance(e, new, p.dt)
 
 
-def _finish(trajectory, e, final_cp, status, t0, config, fallback_cp):
+def _finish(trajectory, e, final_cp, status, t0, config, fallback_cp, scratch):
     """The run's result; `final_cp` is the consensus point of e's positions,
-    or None where the objective is not finite on them."""
+    or None where the objective is not finite on them (`scratch` as in `moments`)."""
     if final_cp is None:
         # objective overflowed on the final positions: the run diverged,
         # whatever its budget; report its last finite consensus point
         final_cp, status = fallback_cp, "divergence"
     elif not trajectory or trajectory[-1].step != e.step_count:
-        trajectory.append(_point(e, final_cp))
+        trajectory.append(_point(e, final_cp, scratch))
     return RunResult(
         trajectory=trajectory,
         final_consensus=final_cp,
@@ -257,10 +257,11 @@ def run(config: RunConfig) -> RunResult:
     `_groups` steps at once, or one batch at a time if it fails, with the
     outputs and errors of one batch at a time.
 
-    The run owns one `Workspace` of (N, d) buffers for the temporaries of
-    its full-ensemble steps and, for personal_best, one `PersonalBestMemory`
-    that every step updates in place; both are made here and dropped on
-    return, and no array of the result aliases them. A plain step k
+    The run owns one `Workspace` of (N, d) scratch for its full-ensemble
+    steps and for `moments` at recorded steps and at the final point, and,
+    for personal_best, one `PersonalBestMemory` that every step updates in
+    place; both are made here and dropped on return, and no array of the
+    result aliases them. A plain step k
     takes its normal draw, the (STREAM_DIFFUSION, k) block, from one
     `DrawAhead`, which draws a large block one step ahead on a helper
     thread into a second buffer the run owns; the run waits for that draw
@@ -295,7 +296,7 @@ def run(config: RunConfig) -> RunResult:
                 else:  # a stack of q > 1 batches gives a stacked point: cps[j] is batch j's
                     cps = batch_consensus(e, f, p.alpha, batch)
                 first = cps if q == 1 else cps[0]
-                record = _point(e, first) if e.step_count % config.record_every == 0 else None
+                record = _point(e, first, ws.a) if e.step_count % config.record_every == 0 else None
                 n, stop, prev = q, False, v_prev
                 if eps is not None:  # the stop rule, batch by batch
                     for n, v in enumerate((cps.v,) if q == 1 else cps.v, 1):
@@ -335,7 +336,7 @@ def run(config: RunConfig) -> RunResult:
                 cps = weighted_mean(e, f, p.alpha, ws.a)
             except ValueError:  # the objective is not finite on the final positions
                 cps = None
-        return _finish(trajectory, e, cps, status, t0, config, cp)
+        return _finish(trajectory, e, cps, status, t0, config, cp, ws.a)
 
 
 def run_campaign(config: RunConfig, runs: int, workers: int = 1) -> List[RunResult]:

@@ -7,8 +7,9 @@ per-coordinate geometric-Brownian-motion solution in one shot. All three
 functions are pure per-row transforms of (positions, v, z), safe under any
 data-parallel split; none draws: the caller passes the step's normal draw z.
 Each writes its temporaries, in the formula's order, through ufunc ``out=``:
-`split_drift` its result into `out`, as a ufunc does, the others into the
-`dynamics.Workspace` they are given, or make when given none.
+`split_drift` its result into `out`, as a ufunc does, the others their first
+temporary into the `dynamics.Workspace` they are given, or make when given
+none, and `frozen_gbm` its second into its result, a new array.
 """
 
 from __future__ import annotations
@@ -55,5 +56,5 @@ def frozen_gbm(positions, v, lam, sigma, gamma, z, ws=None) -> np.ndarray:
     # exponent = (-lam - sigma^2/2) gamma + sigma sqrt(gamma) z
     exponent = np.multiply(sigma * np.sqrt(gamma), z, out=ws.a)
     np.exp(np.add((-lam - half_var) * gamma, exponent, out=exponent), out=exponent)
-    t = np.subtract(positions, v, out=ws.b)
-    return np.add(v, np.multiply(t, exponent, out=t))
+    t = np.subtract(positions, v)
+    return np.add(v, np.multiply(t, exponent, out=t), out=t)

@@ -9,18 +9,19 @@ Each call writes its elementwise steps, in the formula's order, through ufunc
 ``out=`` into one or two arrays of its own, never into a run's workspace, so
 calls from several threads share nothing.
 
-An ``ObjectiveFunction`` evaluates a stack of ``SHARD_MIN_ELEMENTS`` numbers
-or more in row shards on threads, one per usable CPU; the values are the
-same bits as one whole call as long as ``fn`` maps each point independently
-and is safe to call from several threads (numpy's loops release the GIL).
-The shards and the noise a run draws one step ahead (`ensemble.DrawAhead`)
-share one helper pool per process, made on first use, with a thread for
-each shard and one for the draw.
+An ``ObjectiveFunction`` evaluates a stack of more than ``SHARD_MIN_ELEMENTS``
+numbers in row chunks of at most that many, on helper threads too where
+`threaded` allows; the values are the same bits as one whole call as long
+as ``fn`` maps each point independently and is safe to call from several
+threads (numpy's loops release the GIL). The chunk helpers and the noise a
+run draws one step ahead (`ensemble.DrawAhead`) share one helper pool per
+process, made on first use, with a thread per spare CPU.
 """
 
 from __future__ import annotations
 
 import contextvars
+import math
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-SHARD_MIN_ELEMENTS = 2**15  # a thread hand-off pays for itself from about 8k-32k numbers
+SHARD_MIN_ELEMENTS = 2**15  # the chunk size; a thread hand-off pays for itself from 8k-32k numbers
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _pool = (None, None)  # (pid, executor); a forked child inherits the object, not its threads
@@ -44,11 +45,12 @@ def threaded(size: int) -> bool:
 
 
 def executor() -> ThreadPoolExecutor:
-    """The process's helper pool: _THREADS - 1 shard threads and one for a
-    pending draw, so a draw never queues a shard behind it."""
+    """The process's helper pool: one thread per spare CPU (_THREADS - 1, and
+    at least one), which chunk helpers and a pending draw share; with the
+    calling thread that makes one cbopt thread per usable CPU."""
     global _pool
     if _pool[0] != os.getpid():
-        _pool = (os.getpid(), ThreadPoolExecutor(_THREADS, "cbopt-helper"))
+        _pool = (os.getpid(), ThreadPoolExecutor(max(1, _THREADS - 1), "cbopt-helper"))
     return _pool[1]
 
 
@@ -112,7 +114,7 @@ class ObjectiveFunction:
     Objectives hold no mutable state, so one instance may be evaluated from
     any number of workers concurrently. ``fn`` must map each point of a stack
     independently and be thread-safe: large stacks are evaluated in row
-    shards on threads, except in campaign workers, whose runs fill the CPUs.
+    chunks, on helper threads too where `threaded` allows.
     """
 
     name: str
@@ -124,18 +126,45 @@ class ObjectiveFunction:
             raise ValueError("dimension must be at least 1")
 
     def __call__(self, x):
-        """Evaluate at one point ``(d,)`` or a stack of points ``(..., d)``."""
+        """Evaluate at one point ``(d,)`` or a stack of points ``(..., d)``.
+
+        A stack of more than SHARD_MIN_ELEMENTS numbers goes to ``fn`` in
+        chunks of as many leading-axis rows as hold at most that many
+        numbers (one row at least). The caller and, where `threaded` allows,
+        one helper task per spare CPU take chunks from one iterator. Once it
+        is empty the call cancels each helper still queued (behind a pending
+        draw, say) and waits for those running, so none runs on after the
+        call, and a helper's error is raised here.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.dimension:
             raise ValueError(
                 f"expected points of dimension {self.dimension}, got shape {x.shape}"
             )
-        if x.ndim < 2 or len(x) < 2 or not threaded(x.size):
+        rows = max(1, SHARD_MIN_ELEMENTS // max(1, math.prod(x.shape[1:])))
+        if x.ndim < 2 or len(x) <= rows:
             return self.fn(x)
-        head, *rest = np.array_split(x, min(_THREADS, len(x)))
-        pool = executor()  # errstate lives in the context: hand each shard the caller's
-        futures = [pool.submit(contextvars.copy_context().run, self.fn, s) for s in rest]
-        return np.concatenate([self.fn(head), *(f.result() for f in futures)])
+        values = [None] * -(-len(x) // rows)
+        todo = iter(range(len(values)))  # its next() is one C call: atomic under the GIL
+
+        def pull():
+            for i in todo:
+                values[i] = self.fn(x[i * rows:(i + 1) * rows])
+
+        helpers = []
+        if threaded(x.size):  # errstate lives in the context: hand each helper the caller's
+            pool = executor()
+            helpers = [pool.submit(contextvars.copy_context().run, pull)
+                       for _ in range(min(_THREADS, len(values)) - 1)]
+        try:
+            pull()
+        finally:
+            for _ in todo:  # a chunk failed here: the helpers take no more
+                pass
+            for helper in helpers:
+                if not helper.cancel():
+                    helper.result()
+        return np.concatenate(values)
 
 
 _BENCHMARKS = {fn.__name__: fn for fn in (ackley, rastrigin, griewank, zakharov, wavy)}

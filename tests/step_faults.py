@@ -1,7 +1,7 @@
-"""Minor page faults per step inside one run, for each configuration of the
-benchmark's single_large_n workload (N=2000, d=50, ackley), and for its
-anisotropic configuration run in random batches of M=500 (gamma 0.01) in
-partial and in full mode.
+"""Minor page faults per step inside one run, and the run's allocation peak,
+for each configuration of the benchmark's single_large_n workload (N=2000,
+d=50, ackley), and for its anisotropic configuration run in random batches
+of M=500 (gamma 0.01) in partial and in full mode.
 
     python tests/step_faults.py
 
@@ -20,11 +20,15 @@ pages once (the allocator moves large blocks from mmap to its heap after
 the first free), so both are printed. A batched step allocates its kick's
 temporaries, and in partial mode a copy of the positions, per call, so its
 count is the baseline that owning those buffers would bring to about 0.
-Faults depend on the C library's allocator, so the script checks nothing.
+The last column is the traced allocation peak (``tracemalloc``) of one more
+run, in units of N d 8 bytes: the working set of (N, d) arrays a run holds
+at once, helper threads' allocations included. Faults depend on the C
+library's allocator, so the script checks nothing.
 """
 
 import resource
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -66,6 +70,16 @@ def per_step(stretches, first: int) -> float:
     return sum(faults for _, faults in kept) / sum(steps for steps, _ in kept)
 
 
+def peak(config) -> float:
+    """Traced allocation peak of one run of `config`, in N d 8 bytes."""
+    tracemalloc.start()
+    try:
+        harness.run(config)
+        return tracemalloc.get_traced_memory()[1] / (config.n_particles * config.dimension * 8)
+    finally:
+        tracemalloc.stop()
+
+
 def configurations():
     """(label, config) of every single_large_n call, then the batched runs;
     a stop_eps of 1e-300 keeps them to their step budget."""
@@ -79,11 +93,12 @@ def configurations():
 
 
 def main() -> None:
-    print(f"{'configuration':24s} {'from step 1':>12s} {'from step 2':>12s}")
+    print(f"{'configuration':24s} {'from step 1':>12s} {'from step 2':>12s} {'peak (N d 8)':>13s}")
     for label, config in configurations():
         stretches(config)  # warm-up: imports, the objective's threads, the heap
         measured = stretches(config)
-        print(f"{label:24s} {per_step(measured, 1):12.1f} {per_step(measured, 2):12.1f}")
+        print(f"{label:24s} {per_step(measured, 1):12.1f} {per_step(measured, 2):12.1f} "
+              f"{peak(config):13.2f}")
 
 
 if __name__ == "__main__":

@@ -154,6 +154,13 @@ class TestLaplaceValue:
             se = np.std(w, ddof=1) / (alpha * np.mean(w) * np.sqrt(w.size))
             assert abs(laplace_estimate(fvals, alpha)[0] - closed) <= 3.0 * se
 
+    def test_standard_error_uses_the_sample_spread(self):
+        # ddof 1: on four values the population spread is sqrt(3/4) of it
+        fvals, alpha = np.array([0.3, 1.1, 0.7, 2.0]), 2.0
+        w = np.exp(-alpha * (fvals - fvals.min()))
+        expected = np.std(w, ddof=1) / (alpha * np.mean(w) * np.sqrt(w.size))
+        assert laplace_estimate(fvals, alpha)[1] == pytest.approx(expected, rel=1e-12)
+
     def test_monotone_in_alpha(self):
         f = quadratic(1)
         e = init_ensemble(InitSpec("gaussian"), 5_000, 1, RngPlan(11))

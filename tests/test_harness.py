@@ -454,7 +454,7 @@ def per_batch_run(config):
             status = "divergence"
             break
         if e.step_count % config.record_every == 0:
-            trajectory.append(harness._point(e, cp))
+            trajectory.append(harness._point(e, cp, None))
         stop = v_prev is not None and stop_check(v_prev, cp.v, config.dimension, bp.stop_eps)
         scope = batch if all_rows is None else all_rows
         try:
@@ -472,7 +472,7 @@ def per_batch_run(config):
         final_cp = weighted_mean(e, f, p.alpha)
     except ValueError:
         final_cp = None
-    return harness._finish(trajectory, e, final_cp, status, 0.0, config, cp)
+    return harness._finish(trajectory, e, final_cp, status, 0.0, config, cp, None)
 
 
 def assert_same_run(result, expected):

@@ -1,5 +1,6 @@
 """Benchmark objective tests: independent scalar oracles, origin values,
-nonnegativity on the search boxes, multimodality, and sharded evaluation."""
+nonnegativity on the search boxes, multimodality, and chunked evaluation
+and its scheduling on the helper pool."""
 
 import math
 import os
@@ -7,6 +8,8 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbopt import InitSpec, RunConfig, VariantParams, objectives
+from cbopt.ensemble import STREAM_DIFFUSION, DrawAhead, RngPlan
 from cbopt.harness import run
 from cbopt.objectives import (
     ObjectiveFunction,
@@ -214,8 +218,8 @@ class TestUfuncReductions:
 
 
 class TestShardedEvaluation:
-    """A stack of SHARD_MIN_ELEMENTS numbers or more is evaluated in row
-    shards on threads; the values must be the whole call's, bit for bit."""
+    """A stack of more than SHARD_MIN_ELEMENTS numbers is evaluated in row
+    chunks, on threads too; the values must be the whole call's, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -233,6 +237,10 @@ class TestShardedEvaluation:
             sharded = obj(x)
         assert sharded.shape == whole.shape == shape[:-1]
         assert sharded.tobytes() == whole.tobytes()
+
+    def test_one_point_of_many_coordinates_is_evaluated_whole(self):
+        x = np.full(objectives.SHARD_MIN_ELEMENTS + 1, 0.5)
+        assert make_objective("rastrigin", x.size)(x) == rastrigin(x)
 
     def test_shards_keep_the_callers_errstate(self):
         # numpy's error state is per thread; the overflowing row is in the last shard
@@ -317,6 +325,125 @@ class TestShardedEvaluation:
     def test_import_starts_no_thread(self):
         script = "import threading, cbopt; print(threading.active_count())"
         assert run_in_own_session(script) == "1"
+
+
+class TestChunkScheduling:
+    """The chunks of a large call go to the caller and to one helper task per
+    spare CPU, on the pool a pending draw shares: the call cancels a helper
+    queued behind that draw instead of waiting, and leaves none running."""
+
+    @pytest.fixture
+    def tasks(self, monkeypatch):
+        """Two usable CPUs and a pool of their own, with one thread; records
+        every task, and holds each draw until the returned event is set (or
+        10 s pass), so that the draw is pending for as long as a test needs."""
+        monkeypatch.setattr(objectives, "_THREADS", 2)
+        monkeypatch.setattr(objectives, "_pool", (None, None))
+        executor, tasks, release = objectives.executor, [], threading.Event()
+
+        def held(fn, *args, **kwargs):
+            release.wait(10)
+            return fn(*args, **kwargs)
+
+        class Pool:
+            def submit(self, fn, *args, **kwargs):
+                if getattr(fn, "__name__", "") == "standard_normal":
+                    args, fn = (fn, *args), held
+                tasks.append(executor().submit(fn, *args, **kwargs))
+                return tasks[-1]
+
+        monkeypatch.setattr(objectives, "executor", Pool)
+        yield tasks, release
+        release.set()
+        executor().shutdown()
+
+    @staticmethod
+    def points():
+        return np.random.default_rng(3).uniform(-3.0, 3.0, (2000, 50))
+
+    def test_a_call_does_not_wait_for_a_helper_queued_behind_a_draw(self, tasks):
+        tasks, release = tasks
+        x, f = self.points(), make_objective("ackley", 50)
+        noise = DrawAhead(RngPlan(5), STREAM_DIFFUSION, (1024, 32), end=2)
+        try:
+            noise.block(0)  # starts block 1 on the pool's one thread, where it is held
+            (draw,) = tasks
+            values = f(x)
+            pending, helpers = not draw.done(), tasks[1:]
+            assert helpers and all(helper.cancelled() for helper in helpers)
+        finally:
+            release.set()
+            noise.close()
+        assert pending  # the call returned before the draw ended
+        assert values.tobytes() == ackley(x).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2000, 50), (3, 700, 50)])
+    def test_helpers_take_chunks_and_none_runs_on(self, tasks, shape):
+        tasks, _ = tasks
+        x, calls = np.random.default_rng(4).uniform(-3.0, 3.0, shape), []
+
+        def recorded(points):
+            calls.append((threading.get_ident(), points.shape))
+            time.sleep(0.01)  # the helper starts while the caller holds a chunk
+            return ackley(points)
+
+        values = ObjectiveFunction("ackley", recorded, 50)(x)
+        assert tasks and all(task.done() for task in tasks)
+        assert values.tobytes() == ackley(x).tobytes()
+        assert len({thread for thread, _ in calls}) == 2
+        assert sum(shape[0] for _, shape in calls) == len(x)
+        # at most SHARD_MIN_ELEMENTS numbers a chunk, or one row of more
+        assert all(math.prod(shape) <= objectives.SHARD_MIN_ELEMENTS or shape[0] == 1
+                   for _, shape in calls)
+
+    def test_a_helper_chunk_error_is_raised_by_the_call(self, tasks):
+        tasks, _ = tasks
+        caller = threading.get_ident()
+
+        def failing(points):
+            if threading.get_ident() != caller:
+                raise RuntimeError("helper chunk failed")
+            time.sleep(0.05)  # leaves a chunk to the helper
+            return ackley(points)
+
+        with pytest.raises(RuntimeError, match="helper chunk failed"):
+            ObjectiveFunction("failing", failing, 50)(self.points())
+        assert tasks and all(task.done() for task in tasks)
+
+    def test_a_stack_of_one_chunk_goes_to_fn_whole(self, tasks):
+        tasks, _ = tasks
+        x, calls = np.ones((1024, 32)), []  # SHARD_MIN_ELEMENTS numbers
+        ObjectiveFunction("ackley", lambda points: calls.append(points) or ackley(points), 32)(x)
+        assert len(calls) == 1 and calls[0] is x and not tasks
+
+    def test_every_chunk_is_taken_once_under_contention(self, monkeypatch):
+        # more threads than CPUs and a short switch interval: a chunk taken
+        # twice or never would change the calls or the values
+        monkeypatch.setattr(objectives, "_THREADS", 4)
+        monkeypatch.setattr(objectives, "_pool", (None, None))
+        monkeypatch.setattr(objectives, "SHARD_MIN_ELEMENTS", 50)  # 200 chunks of 10 rows
+        x, calls = np.random.default_rng(6).uniform(-3.0, 3.0, (2000, 5)), []
+        obj = ObjectiveFunction("ackley", lambda points: calls.append(len(points)) or ackley(points), 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                calls.clear()
+                assert obj(x).tobytes() == ackley(x).tobytes()
+                assert calls == [10] * 200
+        finally:
+            sys.setswitchinterval(interval)
+            objectives.executor().shutdown()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_pool_has_one_thread_per_spare_cpu(self, threads, monkeypatch):
+        monkeypatch.setattr(objectives, "_THREADS", threads)
+        monkeypatch.setattr(objectives, "_pool", (None, None))
+        pool = objectives.executor()
+        try:
+            assert pool._max_workers == max(1, threads - 1)
+        finally:
+            pool.shutdown()
 
 
 def run_in_own_session(script, timeout=120):

@@ -2,7 +2,8 @@
 replaced give (copies of which are kept here as the reference), with a
 fresh workspace and a used one, and where an entry point makes its own; no
 result of a run aliases a buffer; and a step with a workspace allocates
-little more than its new positions."""
+little more than its new positions, and a whole run holds at least 1.5 (N, d)
+arrays fewer at its peak than before the kernels reused their results."""
 
 import math
 import tracemalloc
@@ -419,7 +420,7 @@ def test_personal_best_memory_is_updated_in_place():
         e = step(e, f, p, draw(plan, e, p), mem, ws=ws)
         held = (mem.scaled_num, mem.scaled_den, mem.log_scale, mem.p)
         assert all(a is b for a, b in zip(held, kept)) and not unchanged(held, copy)
-        assert not any(np.shares_memory(a, b) for a in held for b in (e.positions, ws.a, ws.b))
+        assert not any(np.shares_memory(a, b) for a in held for b in (e.positions, ws.a))
 
 
 def test_personal_best_run_makes_one_memory_set():
@@ -476,3 +477,44 @@ def test_workspace_step_allocates_little_more_than_its_positions(variant, integr
         finally:
             tracemalloc.stop()
     assert (peak - start) / (n * d * 8) <= 2.5
+
+
+# ---------------------------------------------------------------------------
+# allocation peak of one whole run
+
+
+# Whole-run peaks, in N d 8 bytes, of the single_large_n configurations when
+# every kernel wrote its second temporary into a second workspace buffer,
+# the sphere renormalized into a new array and `moments` made its own
+# centered arrays (2 threads, 4 steps; the same at 14).
+WHOLE_RUN_PEAK_BEFORE = {
+    ("anisotropic", "euler"): 7.03,
+    ("anisotropic", "split"): 8.03,
+    ("anisotropic", "frozen"): 7.03,
+    ("original", "euler"): 7.03,
+    ("common_noise", "euler"): 5.03,
+    ("personal_best", "euler"): 9.07,
+    ("sphere", "euler"): 8.03,
+}
+
+
+@pytest.mark.parametrize("variant, integrator", LARGE_N)
+def test_whole_run_peak_holds_fewer_arrays(variant, integrator, monkeypatch):
+    # the kernels' results are their second temporaries and `moments` writes
+    # into the run's workspace: at least 1.5 (N, d) arrays fewer at the peak
+    n, d = 2000, 50
+    monkeypatch.setattr(objectives, "_THREADS", 2)  # draw ahead, two chunks in flight
+    init = InitSpec("sphere") if variant == "sphere" else InitSpec("box", low=-3, high=3)
+    params = VariantParams(lam=1.0, sigma=0.7, alpha=30.0, dt=0.01, variant=variant,
+                           heaviside_mode="exact" if variant == "original" else "off")
+    config = RunConfig(objective="ackley", dimension=d, params=params, integrator=integrator,
+                       n_particles=n, init=init, max_steps=4, master_seed=9,
+                       record_every=100_000)
+    run(config)  # warm: the helper pool's thread
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * d * 8) <= WHOLE_RUN_PEAK_BEFORE[variant, integrator] - 1.5
