@@ -21,7 +21,6 @@ process, made on first use, with a thread per spare CPU.
 from __future__ import annotations
 
 import contextvars
-import math
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -141,9 +140,9 @@ class ObjectiveFunction:
             raise ValueError(
                 f"expected points of dimension {self.dimension}, got shape {x.shape}"
             )
-        rows = max(1, SHARD_MIN_ELEMENTS // max(1, math.prod(x.shape[1:])))
-        if x.ndim < 2 or len(x) <= rows:
+        if x.ndim < 2 or x.size <= SHARD_MIN_ELEMENTS:
             return self.fn(x)
+        rows = max(1, SHARD_MIN_ELEMENTS // (x.size // len(x)))
         values = [None] * -(-len(x) // rows)
         todo = iter(range(len(values)))  # its next() is one C call: atomic under the GIL
 

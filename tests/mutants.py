@@ -68,7 +68,8 @@ MUTANTS = (
     # the probe's shard guard (len(x) < 2 to < 1) is gone with the shards;
     # its place is the guard that keeps one point whole
     Mutant("objectives", "ObjectiveFunction: one point whole, ndim < 2 to < 1",
-           "if x.ndim < 2 or len(x) <= rows:", "if x.ndim < 1 or len(x) <= rows:"),
+           "if x.ndim < 2 or x.size <= SHARD_MIN_ELEMENTS:",
+           "if x.ndim < 1 or x.size <= SHARD_MIN_ELEMENTS:"),
     Mutant("batching", "stop_check: <= to <", "/ d <= eps)", "/ d < eps)"),
     Mutant("harness", "fit_decay_rate: 3-point guard to 2",
            "arr.shape[0] < 3", "arr.shape[0] < 2"),
@@ -86,7 +87,7 @@ MUTANTS = (
            "workers = min(workers, runs)", "workers = workers"),
     # the guards of the chunked objective calls
     Mutant("objectives", "ObjectiveFunction: no one-chunk short-circuit",
-           "if x.ndim < 2 or len(x) <= rows:", "if x.ndim < 2:"),
+           "if x.ndim < 2 or x.size <= SHARD_MIN_ELEMENTS:", "if x.ndim < 2:"),
     Mutant("objectives", "ObjectiveFunction: wait for a queued helper too",
            "if not helper.cancel():", "if True:"),
     Mutant("objectives", "ObjectiveFunction: no wait for a running helper",

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-import time
 from pathlib import Path
 from unittest import mock
 
@@ -381,10 +380,14 @@ class TestChunkScheduling:
     def test_helpers_take_chunks_and_none_runs_on(self, tasks, shape):
         tasks, _ = tasks
         x, calls = np.random.default_rng(4).uniform(-3.0, 3.0, shape), []
+        caller, helped = threading.get_ident(), threading.Event()
 
         def recorded(points):
             calls.append((threading.get_ident(), points.shape))
-            time.sleep(0.01)  # the helper starts while the caller holds a chunk
+            if threading.get_ident() == caller:
+                helped.wait(5)  # holds the caller's first chunk until a helper has one
+            else:
+                helped.set()
             return ackley(points)
 
         values = ObjectiveFunction("ackley", recorded, 50)(x)
@@ -398,12 +401,13 @@ class TestChunkScheduling:
 
     def test_a_helper_chunk_error_is_raised_by_the_call(self, tasks):
         tasks, _ = tasks
-        caller = threading.get_ident()
+        caller, helped = threading.get_ident(), threading.Event()
 
         def failing(points):
             if threading.get_ident() != caller:
+                helped.set()
                 raise RuntimeError("helper chunk failed")
-            time.sleep(0.05)  # leaves a chunk to the helper
+            helped.wait(5)  # leaves a chunk to the helper
             return ackley(points)
 
         with pytest.raises(RuntimeError, match="helper chunk failed"):
