@@ -96,7 +96,7 @@ class BatchState:
     def __post_init__(self):
         remainder = np.asarray(self.remainder, dtype=np.int64)
         object.__setattr__(self, "remainder", remainder)
-        if remainder.ndim != 1 or len(np.unique(remainder)) != remainder.size:
+        if remainder.ndim != 1 or len(set(remainder.tolist())) != remainder.size:
             raise ValueError("remainder must be a duplicate-free index vector")
 
     @classmethod

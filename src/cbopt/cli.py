@@ -250,6 +250,17 @@ def _make(owner, document: dict):
     return made
 
 
+def _yaml_message(err: yaml.YAMLError) -> str:
+    """PyYAML's message on one line: each part with its line and column, and
+    none of the source lines and carets it prints under them."""
+    message = str(err)
+    if isinstance(err, yaml.MarkedYAMLError):
+        parts = [(err.context, err.context_mark), (err.problem, err.problem_mark)]
+        message = ": ".join(f"{text} (line {mark.line + 1}, column {mark.column + 1})"
+                            if mark else text for text, mark in parts if text)
+    return " ".join(message.split())
+
+
 def parse_config(raw: bytes, args=None):
     """Parse config bytes into (RunConfig, CampaignSpec or None). The flags
     given in `args` are written over their keys first, so a flag and its
@@ -257,7 +268,7 @@ def parse_config(raw: bytes, args=None):
     try:
         document = yaml.load(raw, Loader=ConfigLoader)
     except yaml.YAMLError as err:
-        raise ConfigError(f"invalid YAML: {err}") from None
+        raise ConfigError(f"invalid YAML: {_yaml_message(err)}") from None
     document = {} if document is None else document
     if not isinstance(document, dict):
         raise ConfigError("config must be a mapping")
@@ -287,8 +298,15 @@ def _jsonline(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _number(value):
+    """A float for a JSON line: null where it is not finite, since JSON has
+    no inf or NaN."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _floats(values) -> list:
-    return [float(v) for v in np.asarray(values).ravel()]
+    return [_number(v) for v in np.asarray(values).ravel()]
 
 
 def _workers() -> int:
@@ -335,11 +353,11 @@ def cmd_run(args) -> int:
                     "config_sha256": config_hash,
                     "master_seed": config.master_seed,
                     "step": pt.step,
-                    "time": float(pt.time),
+                    "time": _number(pt.time),
                     "v_f": _floats(pt.v),
-                    "f_at_v": float(pt.f_at_v),
+                    "f_at_v": _number(pt.f_at_v),
                     "E": _floats(pt.mean),
-                    "V": float(pt.variance),
+                    "V": _number(pt.variance),
                 }
             )
         )
@@ -351,7 +369,7 @@ def cmd_run(args) -> int:
                 "terminated_by": result.terminated_by,
                 "steps": result.steps,
                 "final_v_f": _floats(result.final_consensus.v),
-                "final_f": float(result.final_consensus.f_at_v),
+                "final_f": _number(result.final_consensus.f_at_v),
             },
         }
     )
@@ -397,7 +415,7 @@ def cmd_bench(args) -> int:
                         "variant": variant,
                         "steps": res.steps,
                         "terminated_by": res.terminated_by,
-                        "final_f": float(res.final_consensus.f_at_v),
+                        "final_f": _number(res.final_consensus.f_at_v),
                         "final_v_f": _floats(res.final_consensus.v),
                         "success": crit.met(res.final_consensus.v),
                     }

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -351,7 +350,8 @@ def run_campaign(config: RunConfig, runs: int, workers: int = 1) -> List[RunResu
     configs = [replace(config, master_seed=plan.run_seed(r)) for r in range(runs)]
     # a pool starts all its workers at once, so never ask for more than runs
     workers = min(workers, runs)
-    if workers > 1:
+    if workers > 1:  # only a pool loads multiprocessing: in-process campaigns import none of it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, configs))
     return [run(c) for c in configs]

@@ -21,13 +21,15 @@ process, made on first use, with a thread per spare CPU.
 from __future__ import annotations
 
 import contextvars
-import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 SHARD_MIN_ELEMENTS = 2**15  # the chunk size; a thread hand-off pays for itself from 8k-32k numbers
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -38,17 +40,21 @@ _pool = (None, None)  # (pid, executor); a forked child inherits the object, not
 def threaded(size: int) -> bool:
     """Whether work on `size` numbers goes to helper threads: it is at least
     SHARD_MIN_ELEMENTS numbers, two or more CPUs are usable, and this is not
-    a campaign worker, whose runs already fill the CPUs."""
+    a campaign worker, whose runs already fill the CPUs. A process that never
+    imported multiprocessing is no pool's child, so the rule imports nothing."""
+    mp = sys.modules.get("multiprocessing")
     return (size >= SHARD_MIN_ELEMENTS and _THREADS >= 2
-            and multiprocessing.parent_process() is None)
+            and (mp is None or mp.parent_process() is None))
 
 
 def executor() -> ThreadPoolExecutor:
     """The process's helper pool: one thread per spare CPU (_THREADS - 1, and
     at least one), which chunk helpers and a pending draw share; with the
-    calling thread that makes one cbopt thread per usable CPU."""
+    calling thread that makes one cbopt thread per usable CPU. The first
+    call imports the thread pool, so a process that never threads loads none."""
     global _pool
     if _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
         _pool = (os.getpid(), ThreadPoolExecutor(max(1, _THREADS - 1), "cbopt-helper"))
     return _pool[1]
 

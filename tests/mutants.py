@@ -14,8 +14,9 @@ it runs too, and a kill shows the reason wrong. A mutant takes 1 to 25 s
 and the whole list about two minutes (2 vCPU).
 
 The list holds the guards and boundaries the goldens cannot pin, since
-they pin arithmetic: the 14 mutants of a first probe, and the guards of
-the chunked objective calls. The script is a measure, not a gate:
+they pin arithmetic: the 14 mutants of a first probe, the guards of the
+chunked objective calls, and four guards of the batch remainder, the
+worker rule of the helper threads and the CLI's output and null keys. The script is a measure, not a gate:
 a survivor that is not equivalent asks for a test that fails on it.
 """
 
@@ -35,6 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # beside the dynamics they check
 MODULE_TESTS = {
     "batching": ("test_batching.py",),
+    "cli": ("test_cli.py",),
     "consensus": ("test_consensus.py",),
     "dynamics": ("test_dynamics.py", "test_workspace.py"),
     "ensemble": ("test_ensemble.py",),
@@ -98,6 +100,15 @@ MUTANTS = (
            "for _ in todo:  # a chunk failed here", "for _ in ():  # a chunk failed here",
            equivalent="the helpers evaluate the chunks left and the call then raises the "
                       "same error; only their time is lost"),
+    # guards beside the imports made at first use, and the CLI lines they came with
+    Mutant("batching", "BatchState: no duplicate check on the remainder",
+           " or len(set(remainder.tolist())) != remainder.size:", ":"),
+    Mutant("objectives", "threaded: a campaign worker threads too",
+           "and (mp is None or mp.parent_process() is None))", "and True)"),
+    Mutant("cli", "_check_keys: a null value is kept",
+           "            del node[name]", "            pass"),
+    Mutant("cli", "_number: a non-finite float is written as is",
+           "return value if math.isfinite(value) else None", "return value"),
 )
 
 

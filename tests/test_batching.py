@@ -103,6 +103,26 @@ class TestMakeBatches:
             BatchParams(batch_size=3, gamma_schedule=GeometricSchedule(0.1, 1e-200), max_epochs=3)
 
 
+class TestBatchState:
+    def test_repeated_index_rejected(self):
+        with pytest.raises(ValueError, match="duplicate-free"):
+            BatchState(remainder=np.array([4, 7, 4]), epoch=1)
+        with pytest.raises(ValueError, match="duplicate-free"):
+            BatchState(remainder=np.array([[1, 2]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 12) | st.integers(-2**63, 2**63 - 1), max_size=16))
+    def test_accepts_exactly_what_the_unique_rule_accepts(self, indices):
+        remainder = np.array(indices, dtype=np.int64)
+        distinct = len(np.unique(remainder)) == remainder.size
+        try:
+            state = BatchState(remainder=remainder)
+        except ValueError:
+            assert not distinct
+        else:
+            assert distinct and np.array_equal(state.remainder, remainder)
+
+
 class TestBatchConsensus:
     def test_singleton_batch(self):
         f = make_objective("ackley", 2)

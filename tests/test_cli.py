@@ -460,6 +460,79 @@ def test_config_error_names_key_without_traceback(tmp_path, yaml_tail, argv, key
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("text, argv, env, expected", [
+    # a null value counts as an absent key, a null section too: a flag then makes the section
+    (MINIMAL + "harness: {max_steps: 5, seed: null, init: {low: null}}\noutput: null\n",
+     ["run", "--record-every", "2"], {}, MINIMAL + "harness: {max_steps: 5, init: {}}\n"),
+    ("- objective\n- variant\n", ["run"], {}, "config error: config must be a mapping"),
+    (MINIMAL + "params: 0.5\n", ["run"], {}, "config error: params must be a mapping"),
+    (MINIMAL + "batching: {batch_size: 2, gamma: {kind: linear, value: 0.1}}\n", ["run"], {},
+     "config error: batching.gamma.kind must be one of ['constant', 'geometric']"),
+    (MINIMAL + "batching: {batch_size: 2, sigma: {kind: constant, value: 0.1, rate: 2}}\n",
+     ["run"], {}, "config error: unknown key: batching.sigma.rate"),
+    (MINIMAL + "harness: {n_particles: 12.5}\n", ["run"], {},
+     "config error: harness.n_particles must be an integer"),
+    (MINIMAL + "harness: {init: {kind: gaussian, low: -1.0}}\n", ["run"], {},
+     "config error: unknown key: harness.init.low"),
+    (BENCH, ["bench"], {"CBO_THREADS": "two"}, "config error: CBO_THREADS must be an integer"),
+], ids=["null_is_absent", "document", "section", "schedule_kind", "schedule_key", "integer",
+        "init_kind", "cbo_threads"])
+def test_config_lines_no_other_test_reaches(
+        tmp_path, capsys, monkeypatch, text, argv, env, expected):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    code = main([argv[0], "--config", str(path), *argv[1:]])
+    out, err = capsys.readouterr()
+    if expected.startswith("config error:"):
+        assert (code, out, err) == (1, "", expected + "\n")
+        return
+    path.write_text(expected)
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == code == 0
+    records = [[dict(json.loads(line), config_sha256=None) for line in stdout.splitlines()]
+               for stdout in (out, capsys.readouterr().out)]  # the same but for the file's hash
+    assert err == "" and records[0] == records[1] and len(records[0]) > 1
+
+
+@pytest.mark.parametrize("raw, marks", [
+    (b"params:\n  sigma: [1, 2\n", ["(line 2, column 10)", "(line 3, column 1)"]),
+    (b"objective: {name: ackley}\n dimension: 2\n", ["(line 1, column 1)", "(line 2, column 2)"]),
+    (b"objective: \xff\n", ["position 11"]),
+], ids=["flow_sequence", "mapping_value", "undecodable"])
+def test_invalid_yaml_is_one_config_error_line(tmp_path, capsys, raw, marks):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(raw)
+    assert main(["run", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: invalid YAML: ")
+    assert len(err.splitlines()) == 1, err
+    assert all(mark in err for mark in marks), err
+
+
+def strict_json(line):
+    """json.loads that rejects the Infinity, -Infinity and NaN that RFC 8259 lacks."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
+def test_non_finite_floats_are_written_as_null(tmp_path, capsys):
+    # sigma 1e100 at dt 1: the variance of finite positions overflows from step 2
+    path = tmp_path / "config.yaml"
+    path.write_text("objective: {name: ackley, dimension: 2}\n"
+                    "params: {sigma: 1.0e100, dt: 1.0}\n"
+                    "harness: {n_particles: 12, seed: 3, campaign: {runs: 2}}\n"
+                    "output: {record_every: 1}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    records = [strict_json(line) for line in capsys.readouterr().out.splitlines()]
+    assert records[-1]["summary"]["terminated_by"] == "divergence"
+    assert [r["V"] is None for r in records[:-1]] == [False, False, True, True]
+    assert main(["bench", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    runs = (tmp_path / "out" / "runs.jsonl").read_text().splitlines()
+    assert [strict_json(line)["terminated_by"] for line in runs] == ["divergence"] * 2
+
+
 @pytest.mark.parametrize("objective, variant, low, line", [
     ("griewank", "anisotropic", 1.0e300, "DivergenceError: non-finite objective values before step 0"),
     ("zakharov", "anisotropic", 1.0e100, "DivergenceError: non-finite objective values before step 0"),

@@ -1,5 +1,6 @@
 """Run orchestration, campaign, success-rate, and diagnostics tests."""
 
+import concurrent.futures
 import json
 import math
 import threading
@@ -774,7 +775,8 @@ class TestCampaign:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # run_campaign imports the pool from concurrent.futures when it forks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         config = small_config(max_steps=10)
         serial = run_campaign(config, 3)
         pooled = run_campaign(config, 3, workers=64)

@@ -325,6 +325,43 @@ class TestShardedEvaluation:
         script = "import threading, cbopt; print(threading.active_count())"
         assert run_in_own_session(script) == "1"
 
+    def test_campaign_workers_never_thread(self):
+        # the rule imports no multiprocessing to tell; a pool's child is a worker
+        script = textwrap.dedent("""
+            import sys
+            from cbopt import objectives
+            objectives._THREADS = max(objectives._THREADS, 2)
+            alone = objectives.threaded(2**20)
+            assert "multiprocessing" not in sys.modules
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(1) as pool:
+                worker = pool.submit(objectives.threaded, 2**20).result()
+            print(alone, objectives.threaded(2**20), worker)
+        """)
+        assert run_in_own_session(script) == "True True False"
+
+    def test_runs_that_neither_fork_nor_thread_import_no_pool(self):
+        # a new interpreter, since pytest has loaded some of these modules
+        script = textwrap.dedent("""
+            import sys
+            from dataclasses import replace
+            from cbopt import BatchParams, InitSpec, RunConfig, VariantParams
+            from cbopt.harness import run, run_campaign
+            config = RunConfig(
+                objective="rastrigin", dimension=3,
+                params=VariantParams(lam=1.0, sigma=0.7, alpha=30.0, dt=0.01),
+                n_particles=20, init=InitSpec("box", low=-3.0, high=3.0),
+                max_steps=20, master_seed=5,
+            )
+            run(config)
+            for mode in ("partial", "full"):
+                run(replace(config, batching=BatchParams(batch_size=7, update_mode=mode)))
+            run_campaign(config, 2, workers=1)
+            print(sorted({"numpy.ma", "multiprocessing", "concurrent.futures.process",
+                          "concurrent.futures.thread"} & set(sys.modules)))
+        """)
+        assert run_in_own_session(script) == "[]"
+
 
 class TestChunkScheduling:
     """The chunks of a large call go to the caller and to one helper task per
