@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .consensus import ConsensusPoint, consensus_from_values
-from .dynamics import Workspace, advance, anisotropic_kick
+from .dynamics import advance, anisotropic_kick
 from .ensemble import (
     Ensemble, FieldError, RngPlan, STREAM_DIFFUSION, STREAM_PERMUTATION, check_choice,
 )
@@ -183,12 +183,12 @@ def batch_update(
         gamma, sigma = np.reshape(gammas, (q, 1, 1)), np.reshape(sigmas, (q, 1, 1))
         v, z = v.v[:, None], np.stack(
             [rng.normal_block(STREAM_DIFFUSION, e.step_count + j, shape) for j in range(q)])
-    # each kick's workspace is made for the call and dropped when it returns
+    # each kick's scratch is made for the call and dropped when it returns
     if full:
-        new = anisotropic_kick(e.positions, v, lam, sigma, gamma, z, Workspace(z.shape))
+        new = anisotropic_kick(e.positions, v, lam, sigma, gamma, z, np.empty(z.shape))
         return advance(e, new, gamma)
     new = e.positions.copy()
-    new[rows] = anisotropic_kick(e.positions[rows], v, lam, sigma, gamma, z, Workspace(z.shape))
+    new[rows] = anisotropic_kick(e.positions[rows], v, lam, sigma, gamma, z, np.empty(z.shape))
     if q == 1:
         return advance(e, new, gamma)
     out = advance(e, new, gammas[0])

@@ -18,17 +18,17 @@ synchronization point.
 
 Kernels write their large temporaries through ufunc ``out=``, in the
 formulas' order, so the bits are those of fresh arrays: the first into the
-`Workspace` they are given, or `step` makes, the second into the update's
-result, a new array each kernel allocates once. A step returns only the new
-ensemble, whose positions are always a new array; a personal_best step
-updates the one `PersonalBestMemory` it is given in place.
+`scratch` array of the positions' shape they are given, or `step` makes,
+the second into the update's result, a new array each kernel allocates
+once; the sphere update reuses the two again once each is read. A step
+returns only the new ensemble, whose positions are always a new array; a
+personal_best step updates the one `PersonalBestMemory` it is given in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -87,21 +87,6 @@ class VariantParams:
                 raise FieldError(name, "must be finite and positive")
         check_choice("heaviside_mode", self.heaviside_mode, HEAVISIDE_MODES)
         check_choice("variant", self.variant, VARIANTS)
-
-
-class Workspace:
-    """Scratch arrays of one shape, owned by one run, loop or call and dropped
-    with it: `a` for a kernel's first temporary (its second is the update's
-    own result array), and, made on first use, `c` (which only the sphere
-    update and the split integrator read). A workspace holds no state from
-    one step to the next and is not thread-safe; give each thread its own."""
-
-    def __init__(self, shape):
-        self.a = np.empty(shape)
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        return np.empty(self.a.shape)
 
 
 @dataclass
@@ -187,15 +172,15 @@ def _row_norms(x, out) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.multiply(x, x, out=out), axis=-1))
 
 
-def isotropic_kick(positions, v, lam, sigma, dt, z, ws, gate=1.0) -> np.ndarray:
+def isotropic_kick(positions, v, lam, sigma, dt, z, scratch, gate=1.0) -> np.ndarray:
     """Isotropic Euler-Maruyama update toward a given consensus point v, its
     noise scaled by |X - v| over the last axis: the original variant's step
     (sigma with its sqrt(2), gate its Heaviside factor) and the frozen-moment
     diagnostic's (v = 0). Computes
     positions - lam * dt * diff * gate + sigma * sqrt(dt) * |diff| * z
-    with diff = positions - v in the workspace `ws`; the result, a new array,
-    holds the drift first."""
-    diff = np.subtract(positions, v, out=ws.a)
+    with diff = positions - v in `scratch`, an array of the positions' shape;
+    the result, a new array, holds the drift first."""
+    diff = np.subtract(positions, v, out=scratch)
     new = np.empty(diff.shape)
     dist = _row_norms(diff, new)[..., None]
     drift = np.multiply(np.multiply(lam * dt, diff, out=new), gate, out=new)
@@ -203,15 +188,15 @@ def isotropic_kick(positions, v, lam, sigma, dt, z, ws, gate=1.0) -> np.ndarray:
     return np.add(np.subtract(positions, drift, out=drift), noise, out=drift)
 
 
-def anisotropic_kick(positions, v, lam, sigma, dt, z, ws) -> np.ndarray:
+def anisotropic_kick(positions, v, lam, sigma, dt, z, scratch) -> np.ndarray:
     """Component-wise Euler-Maruyama update toward a given consensus point
     v: the step of the anisotropic and common_noise variants, random batches
     (a stack too, with `sigma` and `dt` per ensemble), the pairwise replica
     sweep and the frozen-moment diagnostic (v = 0). Computes
     positions - lam * dt * diff + sigma * sqrt(dt) * diff * z
-    with diff = positions - v in the workspace `ws`; the result, a new array,
-    holds the drift first."""
-    diff = np.subtract(positions, v, out=ws.a)
+    with diff = positions - v in `scratch`, an array of the positions' shape;
+    the result, a new array, holds the drift first."""
+    diff = np.subtract(positions, v, out=scratch)
     drift = np.multiply(lam * dt, diff)
     noise = np.multiply(np.multiply(sigma * np.sqrt(dt), diff, out=diff), z, out=diff)
     return np.add(np.subtract(positions, drift, out=drift), noise, out=drift)
@@ -239,27 +224,27 @@ def _tangential(x, y, norms_sq, out) -> np.ndarray:
     return np.subtract(y, proj, out=proj)
 
 
-def _update(e, f, p: VariantParams, z, mem, cp, ws):
+def _update(e, f, p: VariantParams, z, mem, cp, scratch):
     """Euler-Maruyama update (X - drift) + noise of p.variant with the draw
     z, before the sphere renormalization, as a new array; its temporaries
-    are in the workspace `ws` and the update itself. personal_best's memory
-    `mem` is updated in place."""
+    are in `scratch` and the update itself. personal_best's memory `mem` is
+    updated in place."""
     if p.variant == "personal_best" and mem is None:
         raise ValueError("personal_best variant needs a PersonalBestMemory")
     if cp is None:
-        cp = weighted_mean(e, f, p.alpha, ws.a)
+        cp = weighted_mean(e, f, p.alpha, scratch)
     x = e.positions
     if p.variant in ("anisotropic", "common_noise"):
         # a coordinate that matches the consensus stays put; common noise
         # shares one draw per coordinate, so coincident particles stay so
-        return anisotropic_kick(x, cp.v, p.lam, p.sigma, p.dt, z, ws)
+        return anisotropic_kick(x, cp.v, p.lam, p.sigma, p.dt, z, scratch)
     if p.variant == "original":
         gate = 1.0
         if p.heaviside_mode != "off":  # f(x) first: the kick's temporaries add no peak memory
             fx = np.asarray(f(x), dtype=float)
             gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
-        return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, ws, gate)
-    diff = np.subtract(x, cp.v, out=ws.a)
+        return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, scratch, gate)
+    diff = np.subtract(x, cp.v, out=scratch)
     sqrt_dt = math.sqrt(p.dt)
     if p.variant == "personal_best":
         # pure Heaviside gates pick the pull toward v (rate lam) or toward the
@@ -289,12 +274,13 @@ def _update(e, f, p: VariantParams, z, mem, cp, ws):
                                "projection undefined")
     dist_sq = np.add.reduce(np.multiply(diff, diff, out=new), axis=1)
     drift = np.multiply(p.lam * p.dt, _tangential(x, diff, norms_sq, new), out=new)
-    noise = _tangential(x, z, norms_sq, ws.c)
+    noise = _tangential(x, z, norms_sq, diff)  # diff is read by now
     np.multiply(p.sigma * sqrt_dt * np.sqrt(dist_sq)[:, None], noise, out=noise)
-    # Ito correction along the outward normal: grad|x|=x/|x|, lap|x|=(d-1)/|x|
-    curvature = dist_sq * (e.dimension - 1.0) / norms_sq
-    correction = np.multiply(0.5 * p.sigma**2 * p.dt * curvature[:, None], x, out=diff)
     new = np.add(np.subtract(x, drift, out=drift), noise, out=drift)
+    # Ito correction along the outward normal: grad|x|=x/|x|, lap|x|=(d-1)/|x|;
+    # it goes into the noise's buffer, which is read by now
+    curvature = dist_sq * (e.dimension - 1.0) / norms_sq
+    correction = np.multiply(0.5 * p.sigma**2 * p.dt * curvature[:, None], x, out=noise)
     return np.subtract(new, correction, out=new)
 
 
@@ -305,7 +291,7 @@ def step(
     z,
     mem: Optional[PersonalBestMemory] = None,
     cp: Optional[ConsensusPoint] = None,
-    ws: Optional[Workspace] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> Ensemble:
     """Advance one step of p.variant with the normal draw z, of
     `noise_shape(p, e.positions.shape)`; returns the new ensemble.
@@ -319,16 +305,16 @@ def step(
     The sphere variant returns unit-norm rows, and its update assumes
     unit-norm rows on entry: rows off the sphere, as a sphere run from a box
     or gaussian init starts, take one step of the formulas and are then
-    projected onto the sphere by the renormalization. `ws`, a workspace of
-    the positions' shape, takes the step's first temporaries; given none,
-    the step makes its own. The new positions are the update, a new array
-    that holds its second temporary first and aliases neither `mem` nor
-    `ws`; the sphere renormalizes it in place.
+    projected onto the sphere by the renormalization. `scratch`, an array
+    of the positions' shape, takes the step's first temporaries; given
+    none, the step makes its own. The new positions are the update, a new
+    array that holds its second temporary first and aliases neither `mem`
+    nor `scratch`; the sphere renormalizes it in place.
     """
-    ws = Workspace(e.positions.shape) if ws is None else ws
-    new = _update(e, f, p, z, mem, cp, ws)
-    if p.variant == "sphere":
-        norms = _row_norms(new, ws.c)
+    scratch = np.empty(e.positions.shape) if scratch is None else scratch
+    new = _update(e, f, p, z, mem, cp, scratch)
+    if p.variant == "sphere":  # the Ito correction in scratch is consumed by now
+        norms = _row_norms(new, scratch)
         if np.any(norms < 1e-12):
             raise SingularityError(f"renormalization hit the origin at step {e.step_count}")
         np.divide(new, norms[:, None], out=new)
@@ -340,5 +326,5 @@ def sphere_norm_drift(e, f, p, z, cp: Optional[ConsensusPoint] = None) -> float:
     renormalization; first-order consistency makes this O(dt)."""
     if p.variant != "sphere":
         raise ValueError("sphere_norm_drift needs the sphere variant")
-    raw = _update(e, f, p, z, None, cp, Workspace(e.positions.shape))
+    raw = _update(e, f, p, z, None, cp, np.empty(e.positions.shape))
     return float(np.max(np.abs(_row_norms(raw, raw) - 1.0)))  # raw is scratch: square it in place

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import objectives
 from .batching import (
     BatchParams,
     BatchState,
@@ -28,7 +29,7 @@ from .consensus import (
     ConsensusPoint, consensus_mean, laplace_estimate, weighted_mean,
 )
 from .dynamics import (
-    VARIANTS, DivergenceError, PersonalBestMemory, VariantParams, Workspace, advance,
+    VARIANTS, DivergenceError, PersonalBestMemory, VariantParams, advance,
     anisotropic_kick, isotropic_kick, noise_shape, step,
 )
 from .ensemble import (
@@ -182,17 +183,18 @@ def _point(e: Ensemble, cp: ConsensusPoint, scratch) -> TrajectoryPoint:
     )
 
 
-def _step(e, f, p, z, integrator, mem, cp, ws) -> Ensemble:
+def _step(e, f, p, z, integrator, mem, cp, scratch) -> Ensemble:
     """Move every particle one step with the configured integrator and the
-    step's normal draw z, its temporaries in the workspace `ws`; returns the
-    new ensemble. personal_best's memory `mem` is updated in place."""
+    step's normal draw z, its first temporary in `scratch`, an array of the
+    positions' shape; returns the new ensemble. personal_best's memory `mem`
+    is updated in place."""
     if integrator == "euler":
-        return step(e, f, p, z, mem=mem, cp=cp, ws=ws)
+        return step(e, f, p, z, mem=mem, cp=cp, scratch=scratch)
     if integrator == "split":
-        drifted = split_drift(e.positions, cp.v, p.lam, p.dt, ws.c)
-        new = split_diffusion(drifted, cp.v, p.sigma, p.dt, z, ws)
+        drifted = split_drift(e.positions, cp.v, p.lam, p.dt, scratch)
+        new = split_diffusion(drifted, cp.v, p.sigma, p.dt, z)
     else:
-        new = frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, z, ws)
+        new = frozen_gbm(e.positions, cp.v, p.lam, p.sigma, p.dt, z, scratch)
     return advance(e, new, p.dt)
 
 
@@ -256,15 +258,15 @@ def run(config: RunConfig) -> RunResult:
     `_groups` steps at once, or one batch at a time if it fails, with the
     outputs and errors of one batch at a time.
 
-    The run owns one `Workspace` of (N, d) scratch for its full-ensemble
-    steps and for `moments` at recorded steps and at the final point, and,
-    for personal_best, one `PersonalBestMemory` that every step updates in
-    place; both are made here and dropped on return, and no array of the
-    result aliases them. A plain step k
-    takes its normal draw, the (STREAM_DIFFUSION, k) block, from one
-    `DrawAhead`, which draws a large block one step ahead on a helper
-    thread into a second buffer the run owns; the run waits for that draw
-    on every exit, so no draw is running when it returns or raises.
+    The run owns one (N, d) scratch array, which its full-ensemble steps
+    (the split integrator's drift solve too) and `moments` at recorded
+    steps and at the final point write into, and, for personal_best, one
+    `PersonalBestMemory` that every step updates in place; both are made
+    here and dropped on return, and no array of the result aliases them. A
+    plain step k takes its normal draw, the (STREAM_DIFFUSION, k) block,
+    from one `DrawAhead`, which draws a large block one step ahead on a
+    helper thread into a second buffer the run owns; the run waits for that
+    draw on every exit, so no draw is running when it returns or raises.
     """
     p, bp, d = config.params, config.batching, config.dimension
     plan = RngPlan(config.master_seed)
@@ -281,7 +283,7 @@ def run(config: RunConfig) -> RunResult:
                 bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
             groups, eps = _groups(config, plan), bp.stop_eps
             full_scope = range(config.n_particles) if bp.update_mode == "full" else None
-        ws = Workspace(e.positions.shape)
+        scratch = np.empty(e.positions.shape)
         mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
         trajectory: List[TrajectoryPoint] = []
         v_prev, cp, status = None, None, "max_steps"
@@ -291,11 +293,12 @@ def run(config: RunConfig) -> RunResult:
             q, cps = 1 if batch is None or batch.ndim == 1 else len(batch), None
             try:
                 if batch is None:
-                    cps = weighted_mean(e, f, p.alpha, ws.a)
+                    cps = weighted_mean(e, f, p.alpha, scratch)
                 else:  # a stack of q > 1 batches gives a stacked point: cps[j] is batch j's
                     cps = batch_consensus(e, f, p.alpha, batch)
                 first = cps if q == 1 else cps[0]
-                record = _point(e, first, ws.a) if e.step_count % config.record_every == 0 else None
+                recorded = e.step_count % config.record_every == 0
+                record = _point(e, first, scratch) if recorded else None
                 n, stop, prev = q, False, v_prev
                 if eps is not None:  # the stop rule, batch by batch
                     for n, v in enumerate((cps.v,) if q == 1 else cps.v, 1):
@@ -309,7 +312,7 @@ def run(config: RunConfig) -> RunResult:
                                      theta=theta)
                 elif not stop:  # a plain run stops before its update
                     z = noise.block(e.step_count)
-                    e = _step(e, f, p, z, config.integrator, mem, cps, ws)
+                    e = _step(e, f, p, z, config.integrator, mem, cps, scratch)
             except (ValueError, DivergenceError) as err:
                 if q > 1:  # one batch at a time: the error surfaces at its batch
                     singles = [(k, theta + j, b) for j, b in enumerate(batch)]
@@ -332,24 +335,26 @@ def run(config: RunConfig) -> RunResult:
         # cps is the final point where it is the full point of a state that did not move
         if cps is not None and (batch is not None or e.step_count != at):
             try:
-                cps = weighted_mean(e, f, p.alpha, ws.a)
+                cps = weighted_mean(e, f, p.alpha, scratch)
             except ValueError:  # the objective is not finite on the final positions
                 cps = None
-        return _finish(trajectory, e, cps, status, t0, config, cp, ws.a)
+        return _finish(trajectory, e, cps, status, t0, config, cp, scratch)
 
 
 def run_campaign(config: RunConfig, runs: int, workers: int = 1) -> List[RunResult]:
     """Execute `runs` independently seeded copies of `config`.
 
     Results come back in seed order whatever the worker count, so any
-    aggregation downstream is reproducible.
+    aggregation downstream is reproducible. At most `workers` processes run
+    them, and no more than there are runs or usable CPUs.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     plan = RngPlan(config.master_seed)
     configs = [replace(config, master_seed=plan.run_seed(r)) for r in range(runs)]
-    # a pool starts all its workers at once, so never ask for more than runs
-    workers = min(workers, runs)
+    # a pool starts all its workers at once, so never ask for more than
+    # runs, nor for more processes than the process has usable CPUs
+    workers = min(workers, runs, objectives._THREADS)
     if workers > 1:  # only a pool loads multiprocessing: in-process campaigns import none of it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -405,13 +410,13 @@ def diagnostic_frozen_moment(
     steps = int(round(t_final / dt))
     second = np.empty(steps + 1)
     kick = isotropic_kick if variant == "isotropic" else anisotropic_kick
-    ws = Workspace((n, d))
+    scratch = np.empty((n, d))
     noise = DrawAhead(plan, STREAM_DIFFUSION, (n, d), steps)
     with np.errstate(over="ignore", invalid="ignore"), noise:
         for s in range(steps):
-            second[s] = np.mean(np.sum(np.multiply(e.positions, e.positions, out=ws.a), axis=1))
-            e = advance(e, kick(e.positions, 0.0, lam, sigma, dt, noise.block(s), ws=ws), dt)
-    second[steps] = np.mean(np.sum(np.multiply(e.positions, e.positions, out=ws.a), axis=1))
+            second[s] = np.mean(np.sum(np.multiply(e.positions, e.positions, out=scratch), axis=1))
+            e = advance(e, kick(e.positions, 0.0, lam, sigma, dt, noise.block(s), scratch), dt)
+    second[steps] = np.mean(np.sum(np.multiply(e.positions, e.positions, out=scratch), axis=1))
     times = dt * np.arange(steps + 1)
     fitted = fit_decay_rate(np.column_stack([times, second]))
     predicted = 2.0 * lam - (sigma**2 * d if variant == "isotropic" else sigma**2)
@@ -457,17 +462,18 @@ def diagnostic_pairwise_decay(
     positions = plan.generator(STREAM_INIT, 0).standard_normal((replicas, n, d))
     steps = int(round(t_final / h))
     series = np.empty(steps + 1)
-    ws = Workspace(positions.shape)
-    series[0] = np.mean(mean_pairwise_sq_dist(positions, ws.a))
+    scratch = np.empty(positions.shape)
+    series[0] = np.mean(mean_pairwise_sq_dist(positions, scratch))
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(steps):
             try:
-                v = consensus_mean(positions, f(positions), alpha, ws.a)  # (replicas, d)
+                v = consensus_mean(positions, f(positions), alpha, scratch)  # (replicas, d)
             except ValueError as err:
                 raise DivergenceError(s, "non-finite objective values before step") from err
             z = plan.normal_block(STREAM_DIFFUSION, s, (replicas, d))
-            positions = anisotropic_kick(positions, v[:, None, :], lam, sigma, h, z[:, None, :], ws)
-            series[s + 1] = np.mean(mean_pairwise_sq_dist(positions, ws.a))
+            positions = anisotropic_kick(positions, v[:, None, :], lam, sigma, h, z[:, None, :],
+                                         scratch)
+            series[s + 1] = np.mean(mean_pairwise_sq_dist(positions, scratch))
             if not np.isfinite(series[s + 1]):
                 raise DivergenceError(s, "non-finite pairwise distances after step")
     times = h * np.arange(steps + 1)

@@ -15,8 +15,10 @@ and the whole list about two minutes (2 vCPU).
 
 The list holds the guards and boundaries the goldens cannot pin, since
 they pin arithmetic: the 14 mutants of a first probe, the guards of the
-chunked objective calls, and four guards of the batch remainder, the
-worker rule of the helper threads and the CLI's output and null keys. The script is a measure, not a gate:
+chunked objective calls, four guards of the batch remainder, the worker
+rule of the helper threads and the CLI's output and null keys; and the two
+buffer reuses of the sphere step's tail, which the goldens pin as well. The
+script is a measure, not a gate:
 a survivor that is not equivalent asks for a test that fails on it.
 """
 
@@ -86,7 +88,7 @@ MUTANTS = (
     Mutant("harness", "_groups: no cut at the step budget",
            "or step == config.max_steps):", "):"),
     Mutant("harness", "run_campaign: no worker cap",
-           "workers = min(workers, runs)", "workers = workers"),
+           "workers = min(workers, runs, objectives._THREADS)", "workers = workers"),
     # the guards of the chunked objective calls
     Mutant("objectives", "ObjectiveFunction: no one-chunk short-circuit",
            "if x.ndim < 2 or x.size <= SHARD_MIN_ELEMENTS:", "if x.ndim < 2:"),
@@ -109,6 +111,11 @@ MUTANTS = (
            "            del node[name]", "            pass"),
     Mutant("cli", "_number: a non-finite float is written as is",
            "return value if math.isfinite(value) else None", "return value"),
+    # the sphere step's tail, which reuses buffers the step already holds
+    Mutant("dynamics", "sphere update: the Ito correction written over the drift buffer",
+           "curvature[:, None], x, out=noise)", "curvature[:, None], x, out=new)"),
+    Mutant("dynamics", "sphere renormalization: squares into the new positions",
+           "norms = _row_norms(new, scratch)", "norms = _row_norms(new, new)"),
 )
 
 

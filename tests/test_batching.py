@@ -297,3 +297,19 @@ class TestStopCheck:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             stop_check(np.zeros(1), np.zeros(1), 1, 0.0)
+
+
+def test_direct_calls_reach_the_argument_guards():
+    # guards that a config cannot reach, since its checks come first
+    plan = RngPlan(0)
+    with pytest.raises(ValueError, match="^batch size must be at least 1$"):
+        make_batches(BatchState.fresh(), 4, 0, plan)
+    e = Ensemble(np.zeros((4, 2)))
+    v = weighted_mean(e, make_objective("ackley", 2), 1.0)
+    unresolved = BatchParams(batch_size=2)
+    with pytest.raises(ValueError, match="^sigma_schedule must be resolved before batch_update$"):
+        batch_update(e, v, unresolved, [0, 1], plan, lam=1.0)
+    # a schedule callable, which BatchParams cannot check ahead
+    negative = BatchParams(batch_size=2, sigma_schedule=lambda k, theta: -1.0)
+    with pytest.raises(ValueError, match="^sigma schedule must yield nonnegative noise scales$"):
+        batch_update(e, v, negative, [0, 1], plan, lam=1.0)

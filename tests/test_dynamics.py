@@ -18,7 +18,6 @@ from cbopt.dynamics import (
     PersonalBestMemory,
     SingularityError,
     VariantParams,
-    Workspace,
     anisotropic_kick,
     consensus_condition,
     gate_pair,
@@ -234,11 +233,11 @@ class TestIsotropicKick:
         fx = rng.integers(-2, 3, size=n) * 0.5  # ties with f(v) = 0 hit the exact gate's edge
         gate = 1.0 if mode == "off" else heaviside(fx, mode, epsilon)[:, None]
         expected = original_update(x, v, lam, sigma, dt, z, gate)
-        ws = Workspace(x.shape)
-        kicked = isotropic_kick(x, v, lam, math.sqrt(2.0) * sigma, dt, z, ws, gate)
+        scratch = np.empty(x.shape)
+        kicked = isotropic_kick(x, v, lam, math.sqrt(2.0) * sigma, dt, z, scratch, gate)
         assert kicked.tobytes() == expected.tobytes()
         expected = frozen_moment_update(x, lam, sigma, dt, z)
-        assert isotropic_kick(x, 0.0, lam, sigma, dt, z, ws).tobytes() == expected.tobytes()
+        assert isotropic_kick(x, 0.0, lam, sigma, dt, z, scratch).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", HEAVISIDE_MODES)
     def test_original_step_equals_the_former_update_bytewise(self, mode):
@@ -554,12 +553,12 @@ class TestKernelProperties:
         rng = np.random.default_rng(seed)
         x, v, shift = rng.uniform(-10, 10, (n, d)), rng.uniform(-10, 10, d), rng.uniform(-10, 10, d)
         z, gate = rng.standard_normal((n, d)), rng.uniform(0.0, 1.0, (n, 1))
-        ws = Workspace((n, d))
+        scratch = np.empty((n, d))
 
         def kick(x, v):
             if isotropic:
-                return isotropic_kick(x, v, lam, sigma, dt, z, ws, gate)
-            return anisotropic_kick(x, v, lam, sigma, dt, z, ws)
+                return isotropic_kick(x, v, lam, sigma, dt, z, scratch, gate)
+            return anisotropic_kick(x, v, lam, sigma, dt, z, scratch)
 
         scale = 1e-12 * (1.0 + np.max(np.abs(x)) + np.max(np.abs(shift)))
         np.testing.assert_allclose(kick(x + shift, v + shift), kick(x, v) + shift, rtol=1e-12,
@@ -643,3 +642,10 @@ class TestFrozenMomentLaws:
         )
         assert predicted == pytest.approx(1.91)
         assert abs(fitted - predicted) / predicted <= 0.05
+
+
+def test_sphere_norm_drift_needs_the_sphere_variant():
+    e = Ensemble(np.eye(3))
+    p = VariantParams(variant="anisotropic")
+    with pytest.raises(ValueError, match="^sphere_norm_drift needs the sphere variant$"):
+        sphere_norm_drift(e, make_objective("ackley", 3), p, np.zeros((3, 3)))

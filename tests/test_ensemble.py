@@ -317,3 +317,9 @@ class TestCsvRoundTrip:
         header, *rows = text.splitlines()
         assert header == "x0,x1,x2"
         assert np.array_equal([[float(v) for v in row.split(",")] for row in rows], e.positions)
+
+
+@pytest.mark.parametrize("time, steps", [(-1.0, 0), (0.0, -1)])
+def test_ensemble_rejects_a_negative_clock(time, steps):
+    with pytest.raises(ValueError, match="^time and step_count must be nonnegative$"):
+        Ensemble(np.zeros((2, 2)), time=time, step_count=steps)

@@ -777,6 +777,7 @@ class TestCampaign:
 
         # run_campaign imports the pool from concurrent.futures when it forks
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(objectives, "_THREADS", 64)  # as many CPUs as workers asked
         config = small_config(max_steps=10)
         serial = run_campaign(config, 3)
         pooled = run_campaign(config, 3, workers=64)
@@ -786,6 +787,14 @@ class TestCampaign:
             assert np.array_equal(a.final_positions, b.final_positions)
         run_campaign(config, 1, workers=64)
         assert pools == [3]  # one run stays in this process
+        monkeypatch.setattr(objectives, "_THREADS", 2)  # and no more workers than CPUs
+        capped = run_campaign(config, 3, workers=64)
+        assert pools == [3, 2]
+        for a, b in zip(serial, capped):
+            assert np.array_equal(a.final_positions, b.final_positions)
+        monkeypatch.setattr(objectives, "_THREADS", 1)
+        run_campaign(config, 3, workers=64)
+        assert pools == [3, 2]  # one CPU stays in this process
 
 
 class TestNoLogNormalizer:
@@ -930,3 +939,15 @@ class TestPairwiseDiagnostic:
         series = diagnostic_pairwise_decay(1.0, 0.5, 1e-3, 20, 200, 0.5, seed=31)
         fitted = fit_decay_rate(series)
         assert fitted == pytest.approx(1.75, rel=0.08)
+
+
+def test_direct_calls_reach_the_argument_guards():
+    # public entry points check their own arguments; the CLI checks its keys first
+    with pytest.raises(FieldError) as err:
+        small_config(stop_eps=0.0)
+    assert (err.value.field, err.value.reason) == ("stop_eps", "must be positive when given")
+    with pytest.raises(ValueError, match="^runs must be at least 1$"):
+        run_campaign(small_config(max_steps=1), 0)
+    for replicas, n in ((0, 5), (3, 1)):
+        with pytest.raises(ValueError, match="^need at least one replica of at least two particles$"):
+            diagnostic_pairwise_decay(1.0, 0.5, 0.01, n, replicas, 0.1)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbopt.consensus import weighted_mean
-from cbopt.dynamics import VariantParams, Workspace
+from cbopt.dynamics import VariantParams
 from cbopt.ensemble import STREAM_DIFFUSION, Ensemble, RngPlan
 from cbopt.harness import _step
 from cbopt.integrators import frozen_gbm, split_diffusion, split_drift
@@ -209,7 +209,7 @@ class TestFedDraw:
         cp = weighted_mean(e, f, p.alpha)
         x = e.positions
         z = plan.normal_block(STREAM_DIFFUSION, 6, x.shape)
-        new = _step(e, f, p, z, integrator, None, cp, Workspace(x.shape))
+        new = _step(e, f, p, z, integrator, None, cp, np.empty(x.shape))
         gen = plan.generator(STREAM_DIFFUSION, 6)
         if integrator == "split":
             expected = split_diffusion_drawing(split_drift(x, cp.v, p.lam, p.dt), cp.v, p.sigma,

@@ -504,3 +504,8 @@ def run_in_own_session(script, timeout=120):
         pytest.fail(f"the script did not finish in {timeout} s")
     assert child.returncode == 0, err
     return out.strip()
+
+
+def test_objective_function_needs_a_dimension():
+    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+        ObjectiveFunction("zero", lambda x: np.zeros(np.shape(x)[:-1]), 0)
