@@ -6,7 +6,7 @@ permutation of all indices, slices off as many size-M batches as fit, and
 carries the leftover (< M indices) into the next epoch. An epoch is thus
 the multiset R_k + {0..N-1}, not a partition: a carried-over particle can
 sit twice in one batch. It then counts twice in that batch's consensus
-point and, in partial mode, draws two noise rows and keeps its last write.
+point and, in partial mode, takes two noise rows and keeps its last write.
 Batches within an epoch step in order; consecutive batches with disjoint
 rows can be passed as one (q, M) stack and stepped at once, bit for bit.
 """
@@ -20,9 +20,7 @@ import numpy as np
 
 from .consensus import ConsensusPoint, consensus_from_values
 from .dynamics import advance, anisotropic_kick
-from .ensemble import (
-    Ensemble, FieldError, RngPlan, STREAM_DIFFUSION, STREAM_PERMUTATION, check_choice,
-)
+from .ensemble import Ensemble, FieldError, RngPlan, STREAM_PERMUTATION, check_choice
 from .objectives import ObjectiveFunction
 
 UPDATE_MODES = ("partial", "full")
@@ -101,7 +99,7 @@ class BatchState:
 
     @classmethod
     def fresh(cls) -> "BatchState":
-        return cls(remainder=np.empty(0, dtype=np.int64), epoch=0)
+        return cls(remainder=np.zeros(0, dtype=np.int64), epoch=0)
 
 
 def make_batches(
@@ -153,44 +151,40 @@ def batch_update(
     v: ConsensusPoint,
     bp: BatchParams,
     scope,
-    rng: RngPlan,
+    z,
+    scratch,
     *,
     lam: float,
-    k: int = 0,
-    theta: int = 0,
+    k: int,
+    theta: int,
 ) -> Ensemble:
-    """Anisotropic kick with step size gamma_{k,theta} and noise scale
-    sigma_{k,theta}, applied only to the rows in `scope`; everything else is
-    left bit-identical. Advances the clock by gamma.
+    """Anisotropic kick with step size gamma_{k,theta}, noise scale
+    sigma_{k,theta} and the normal draw z, applied only to the rows in
+    `scope`; everything else is left bit-identical. Advances the clock by
+    gamma. The kick's first temporary goes into `scratch`, an array of z's
+    shape; the caller draws z (`harness.run` takes step e.step_count's block).
 
     Scope indices are sorted, so noise rows attach to particles in index
     order whatever order the batch came in, and a repeated row takes the
     last write. `range(N)` is the full scope: it kicks the whole array with
-    the same (N, d) draw, bit for bit, with no sort, gather, copy or scatter.
-    A (q, M) stack of disjoint scopes with a stacked `v` is q calls in a row,
-    bit for bit: member j takes theta + j and step e.step_count + j."""
+    an (N, d) z, bit for bit, with no sort, gather, copy or scatter.
+    A (q, M) stack of disjoint scopes with a stacked `v` and a (q, M, d) z
+    is q calls in a row, bit for bit: member j takes theta + j and z[j]."""
     if bp.sigma_schedule is None:
         raise ValueError("sigma_schedule must be resolved before batch_update")
     full = isinstance(scope, range) and scope == range(e.n_particles)
     rows = None if full else _sorted_rows(scope, e.n_particles)
     q = len(rows) if not full and rows.ndim > 1 else 1
-    shape = (e.n_particles if full else rows.shape[-1], e.dimension)
+    gammas, sigmas = zip(*[_coefficients(bp, k, theta + j) for j in range(q)])
     if q == 1:  # one batch: scalar coefficients cost least
-        (gamma, sigma), v = _coefficients(bp, k, theta), v.v
-        z = rng.normal_block(STREAM_DIFFUSION, e.step_count, shape)
+        (gamma,), (sigma,), v = gammas, sigmas, v.v
     else:
-        gammas, sigmas = zip(*[_coefficients(bp, k, theta + j) for j in range(q)])
         gamma, sigma = np.reshape(gammas, (q, 1, 1)), np.reshape(sigmas, (q, 1, 1))
-        v, z = v.v[:, None], np.stack(
-            [rng.normal_block(STREAM_DIFFUSION, e.step_count + j, shape) for j in range(q)])
-    # each kick's scratch is made for the call and dropped when it returns
+        v = v.v[:, None]
     if full:
-        new = anisotropic_kick(e.positions, v, lam, sigma, gamma, z, np.empty(z.shape))
-        return advance(e, new, gamma)
+        return advance(e, anisotropic_kick(e.positions, v, lam, sigma, gamma, z, scratch), gamma)
     new = e.positions.copy()
-    new[rows] = anisotropic_kick(e.positions[rows], v, lam, sigma, gamma, z, np.empty(z.shape))
-    if q == 1:
-        return advance(e, new, gamma)
+    new[rows] = anisotropic_kick(e.positions[rows], v, lam, sigma, gamma, z, scratch)
     out = advance(e, new, gammas[0])
     for gamma in gammas[1:]:  # the clock advances member by member
         out.time, out.step_count = out.time + gamma, out.step_count + 1

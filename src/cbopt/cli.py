@@ -50,6 +50,11 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key path."""
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main returns 1: argparse's exit 2 is a diverged run's code
+        raise argparse.ArgumentError(None, message)
+
+
 # ---------------------------------------------------------------------------
 # config schema: readers check the type of one YAML value and convert it
 
@@ -522,8 +527,6 @@ SUITES = {
 
 
 def cmd_diagnose(args) -> int:
-    if args.suite not in SUITES:
-        raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     config = load_config(args.config, args)[0] if args.config is not None else None
     seed = config.master_seed if config else _default(_FLAGS["--seed"][0])
     if config is None and args.seed is not None:  # no config to check the flag against
@@ -569,13 +572,13 @@ def _defaults_help() -> str:
         default = "" if key.read is VariantParams else _shown(_default(key))
         lines.append(f"  {key.path:<27}{default:<12} {'; '.join(notes)}".rstrip())
     return "\n".join(lines) + (
-        "\n\nexit codes: 0 ok, 1 config error, 2 divergence, 3 diagnostic FAIL.\n"
+        "\n\nexit codes: 0 ok, 1 usage or config error, 2 divergence, 3 diagnostic FAIL.\n"
         "CBO_THREADS caps campaign workers without affecting results.\n"
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cbopt",
         description="Consensus-based optimization runner and diagnostics",
         epilog=_defaults_help(),
@@ -587,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench": sub.add_parser("bench", help="run a seeded campaign, emit a CSV summary"),
         "diagnose": sub.add_parser("diagnose", help="check a quantitative law, print PASS/FAIL"),
     }
-    commands["diagnose"].add_argument("suite", help="one of: " + " ".join(SUITES))
+    commands["diagnose"].add_argument("suite", choices=list(SUITES))
     for name, p in commands.items():
         p.add_argument("--config", required=name != "diagnose", help="path to YAML config")
         p.add_argument("--out", default=None, help="directory for output files")
@@ -603,17 +606,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; its exit code. A config error, and a run that
-    cannot start or go on (an initial state the objective is not finite on,
-    a sphere particle at the origin), print one line to stderr and nothing
-    to stdout."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; its exit code. A usage or config error, and a run
+    that cannot start or go on (an initial state the objective is not finite
+    on, a sphere particle at the origin), print one line to stderr and
+    nothing to stdout."""
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return cmd_run(args)
         if args.command == "bench":
             return cmd_bench(args)
         return cmd_diagnose(args)
+    except argparse.ArgumentError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

@@ -236,7 +236,7 @@ def init_ensemble(dist: InitSpec, n: int, d: int, rng: RngPlan) -> Ensemble:
 def moments(e: Ensemble, scratch=None):
     """Empirical mean and half mean squared spread, ``(1/(2N)) sum |X - E|^2``;
     `scratch`, an array of the positions' shape, holds the centered positions
-    and their squares if given (a run passes its workspace's `a`)."""
+    and their squares if given (a run passes its scratch array)."""
     mean = e.positions.mean(axis=0)
     centered = np.subtract(e.positions, mean, out=scratch)
     variance = 0.5 * float(np.mean(np.sum(np.multiply(centered, centered, out=centered), axis=1)))

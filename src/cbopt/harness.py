@@ -223,7 +223,8 @@ def _groups(config, plan):
     one batch, or in partial mode a (q, M) stack of consecutive batches of an
     epoch with disjoint rows, ended before a batch that touches its rows,
     before a recorded step and at the step budget. A batch that shares a row
-    with the one before it goes alone: its point may repeat and stop the run."""
+    with the one before it goes alone, since its point may repeat and stop
+    the run, and so does one that deals a row twice: a stack has at most N rows."""
     bp = config.batching
     state, step, last = BatchState.fresh(), 0, set()
     for k in range(bp.max_epochs):
@@ -238,7 +239,7 @@ def _groups(config, plan):
                           or step == config.max_steps):
                 cuts.append(theta)
             if cuts[-1] == theta:  # a stack starts here
-                alone, held = not rows.isdisjoint(last), set()
+                alone, held = not rows.isdisjoint(last) or len(rows) < bp.batch_size, set()
             held |= rows
             last, step = rows, step + 1
         cuts.append(len(batches))
@@ -258,20 +259,20 @@ def run(config: RunConfig) -> RunResult:
     `_groups` steps at once, or one batch at a time if it fails, with the
     outputs and errors of one batch at a time.
 
-    The run owns one (N, d) scratch array, which its full-ensemble steps
-    (the split integrator's drift solve too) and `moments` at recorded
-    steps and at the final point write into, and, for personal_best, one
-    `PersonalBestMemory` that every step updates in place; both are made
-    here and dropped on return, and no array of the result aliases them. A
-    plain step k takes its normal draw, the (STREAM_DIFFUSION, k) block,
-    from one `DrawAhead`, which draws a large block one step ahead on a
-    helper thread into a second buffer the run owns; the run waits for that
-    draw on every exit, so no draw is running when it returns or raises.
+    The run owns one (N, d) scratch array, which every step (a batch's kick
+    in its head) and `moments` at recorded steps and at the final point
+    write into, and, for personal_best, one `PersonalBestMemory` that every
+    step updates in place; both are made here and dropped on return, and no
+    array of the result aliases them. Step k takes its normal draw, the
+    (STREAM_DIFFUSION, k) block, from one `DrawAhead`, which draws a large
+    block one step ahead on a helper thread into a second buffer the run
+    owns; the run waits for that draw on every exit, so no draw is running
+    when it returns or raises.
     """
     p, bp, d = config.params, config.batching, config.dimension
     plan = RngPlan(config.master_seed)
-    noise = DrawAhead(plan, STREAM_DIFFUSION, noise_shape(p, (config.n_particles, d)),
-                      config.max_steps)
+    rows = config.n_particles if bp is None or bp.update_mode == "full" else bp.batch_size
+    noise = DrawAhead(plan, STREAM_DIFFUSION, noise_shape(p, (rows, d)), config.max_steps)
     with np.errstate(over="ignore", invalid="ignore"), noise:
         f = make_objective(config.objective, config.dimension)
         e = init_ensemble(config.init, config.n_particles, config.dimension, plan)
@@ -281,7 +282,8 @@ def run(config: RunConfig) -> RunResult:
         else:
             if bp.sigma_schedule is None:
                 bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
-            groups, eps = _groups(config, plan), bp.stop_eps
+            # the deal has a plan of its own: a block drawn ahead holds the run's generator
+            groups, eps = _groups(config, RngPlan(config.master_seed)), bp.stop_eps
             full_scope = range(config.n_particles) if bp.update_mode == "full" else None
         scratch = np.empty(e.positions.shape)
         mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
@@ -306,10 +308,14 @@ def run(config: RunConfig) -> RunResult:
                         if stop:
                             break
                         prev = v
-                if batch is not None:
+                if batch is not None:  # member j of a stack takes block e.step_count + j
                     scope = (batch if n == q else batch[:n]) if full_scope is None else full_scope
-                    e = batch_update(e, cps if n == q else cps[:n], bp, scope, plan, lam=p.lam, k=k,
-                                     theta=theta)
+                    z = noise.block(e.step_count) if q == 1 else np.empty((n, *noise.shape))
+                    for j in range(n if q > 1 else 0):  # copied: a block's buffer is reused
+                        z[j] = noise.block(e.step_count + j)
+                    head = scratch[: z.size // d].reshape(z.shape)  # a stack has at most N rows
+                    e = batch_update(e, cps if n == q else cps[:n], bp, scope, z, head, lam=p.lam,
+                                     k=k, theta=theta)
                 elif not stop:  # a plain run stops before its update
                     z = noise.block(e.step_count)
                     e = _step(e, f, p, z, config.integrator, mem, cps, scratch)
@@ -464,13 +470,14 @@ def diagnostic_pairwise_decay(
     series = np.empty(steps + 1)
     scratch = np.empty(positions.shape)
     series[0] = np.mean(mean_pairwise_sq_dist(positions, scratch))
-    with np.errstate(over="ignore", invalid="ignore"):
+    noise = DrawAhead(plan, STREAM_DIFFUSION, (replicas, d), steps)
+    with np.errstate(over="ignore", invalid="ignore"), noise:
         for s in range(steps):
             try:
                 v = consensus_mean(positions, f(positions), alpha, scratch)  # (replicas, d)
             except ValueError as err:
                 raise DivergenceError(s, "non-finite objective values before step") from err
-            z = plan.normal_block(STREAM_DIFFUSION, s, (replicas, d))
+            z = noise.block(s)
             positions = anisotropic_kick(positions, v[:, None, :], lam, sigma, h, z[:, None, :],
                                          scratch)
             series[s + 1] = np.mean(mean_pairwise_sq_dist(positions, scratch))

@@ -6,8 +6,8 @@ shape ``(d,)`` or a stack of points of shape ``(..., d)`` and reduces over
 the trailing axis, so ensembles can be evaluated in one vectorized call.
 Sums, means and products call the ufunc reductions the ndarray methods wrap.
 Each call writes its elementwise steps, in the formula's order, through ufunc
-``out=`` into one or two arrays of its own, never into a run's workspace, so
-calls from several threads share nothing.
+``out=`` into one or two arrays of its own, never into a run's scratch
+array, so calls from several threads share nothing.
 
 An ``ObjectiveFunction`` evaluates a stack of more than ``SHARD_MIN_ELEMENTS``
 numbers in row chunks of at most that many, on helper threads too where

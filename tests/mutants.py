@@ -16,10 +16,11 @@ and the whole list about two minutes (2 vCPU).
 The list holds the guards and boundaries the goldens cannot pin, since
 they pin arithmetic: the 14 mutants of a first probe, the guards of the
 chunked objective calls, four guards of the batch remainder, the worker
-rule of the helper threads and the CLI's output and null keys; and the two
-buffer reuses of the sphere step's tail, which the goldens pin as well. The
-script is a measure, not a gate:
-a survivor that is not equivalent asks for a test that fails on it.
+rule of the helper threads and the CLI's output and null keys; the two
+buffer reuses of the sphere step's tail, which the goldens pin as well; and
+the plan and the blocks of a batched run's draws. The script is a measure,
+not a gate: a survivor that is not equivalent asks for a test that fails
+on it.
 """
 
 import os
@@ -116,6 +117,11 @@ MUTANTS = (
            "curvature[:, None], x, out=noise)", "curvature[:, None], x, out=new)"),
     Mutant("dynamics", "sphere renormalization: squares into the new positions",
            "norms = _row_norms(new, scratch)", "norms = _row_norms(new, new)"),
+    # the one draw site of a batched run
+    Mutant("harness", "run: the deal draws from the noise's plan",
+           "_groups(config, RngPlan(config.master_seed))", "_groups(config, plan)"),
+    Mutant("harness", "run: every member of a stack takes the block of its first step",
+           "z[j] = noise.block(e.step_count + j)", "z[j] = noise.block(e.step_count)"),
 )
 
 

@@ -17,12 +17,13 @@ threads, the heap) and once measured. The columns are the mean faults per
 step over the steps from step 1 and from step 2 on; a group counts in a
 column when its first member does. The second step can still touch fresh
 pages once (the allocator moves large blocks from mmap to its heap after
-the first free), so both are printed. A batched step allocates its kick's
-temporaries, and in partial mode a copy of the positions, per call, so its
-count is the baseline that owning those buffers would bring to about 0.
-The last column is the traced allocation peak (``tracemalloc``) of one more
-run, in units of N d 8 bytes: the working set of (N, d) arrays a run holds
-at once, helper threads' allocations included. Faults depend on the C
+the first free), so both are printed. A batched step takes its noise from
+the run's draw and writes its kick's first temporary into the run's
+scratch array; in partial mode it still copies the whole positions, since
+every step returns a new array. The last column is the traced allocation
+peak (``tracemalloc``) of one more run, in units of N d 8 bytes: the
+working set of (N, d) arrays a run holds at once, helper threads'
+allocations included. Faults depend on the C
 library's allocator, so the script checks nothing.
 """
 

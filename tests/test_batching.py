@@ -170,7 +170,14 @@ class TestBatchConsensus:
         cp = batch_consensus(e, f, 1.0, [0, 3])
         bp = BatchParams(batch_size=2, sigma_schedule=ConstantSchedule(0.5))
         with pytest.raises(ValueError, match=re.escape(f"batch {batch} ")):
-            batch_update(e, cp, bp, batch, RngPlan(5), lam=1.0)
+            batch_update(e, cp, bp, batch, *drawn(e, batch, RngPlan(5)), lam=1.0, k=0, theta=0)
+
+
+def drawn(e, scope, plan):
+    """The z a run draws for a batch update of `scope` at e's step, one row
+    per scope index, and a scratch array of its shape."""
+    shape = (np.size(scope), e.dimension)
+    return plan.normal_block(STREAM_DIFFUSION, e.step_count, shape), np.empty(shape)
 
 
 def gathered_update(e, v, scope, plan, lam, sigma, gamma):
@@ -195,7 +202,8 @@ class TestBatchUpdate:
             gamma_schedule=ConstantSchedule(1.0),  # gamma = 1/lam
             sigma_schedule=ConstantSchedule(0.0),
         )
-        out = batch_update(e, cp, bp, [0, 1, 2], RngPlan(7), lam=1.0)
+        out = batch_update(e, cp, bp, [0, 1, 2], *drawn(e, [0, 1, 2], RngPlan(7)), lam=1.0,
+                           k=0, theta=0)
         assert np.allclose(out.positions[:3], np.tile(cp.v, (3, 1)), atol=1e-14)
 
     def test_partial_leaves_rest_bit_identical(self):
@@ -203,7 +211,8 @@ class TestBatchUpdate:
         e = init_ensemble(InitSpec("box", low=-2, high=2), 10, 4, RngPlan(8))
         cp = batch_consensus(e, f, 5.0, [1, 5])
         bp = BatchParams(batch_size=2, sigma_schedule=ConstantSchedule(0.5))
-        out = batch_update(e, cp, bp, [1, 5], RngPlan(8), lam=1.0)
+        out = batch_update(e, cp, bp, [1, 5], *drawn(e, [1, 5], RngPlan(8)), lam=1.0, k=0,
+                           theta=0)
         untouched = [i for i in range(10) if i not in (1, 5)]
         assert np.array_equal(out.positions[untouched], e.positions[untouched])
         assert not np.array_equal(out.positions[[1, 5]], e.positions[[1, 5]])
@@ -221,7 +230,8 @@ class TestBatchUpdate:
             gamma_schedule=ConstantSchedule(0.05),
             sigma_schedule=ConstantSchedule(0.6),
         )
-        batched = batch_update(e, cp, bp, np.arange(8), plan, lam=1.0)
+        batched = batch_update(e, cp, bp, np.arange(8), *drawn(e, np.arange(8), plan), lam=1.0,
+                               k=0, theta=0)
         assert np.array_equal(stepped.positions, batched.positions)
         assert batched.time == stepped.time
 
@@ -248,7 +258,7 @@ class TestBatchUpdate:
         if form == "shuffled":
             rows = data.draw(st.permutations(rows))
         scope = rows if form == "list" else np.array(rows)
-        out = batch_update(e, cp, bp, scope, plan, lam=1.3)
+        out = batch_update(e, cp, bp, scope, *drawn(e, scope, plan), lam=1.3, k=0, theta=0)
         expected = gathered_update(e, cp.v, np.array(rows), plan, 1.3, sigma, gamma)
         assert out.positions.tobytes() == expected.tobytes()
         assert out.time == e.time + gamma and out.step_count == e.step_count + 1
@@ -259,7 +269,7 @@ class TestBatchUpdate:
         cp = batch_consensus(e, make_objective("ackley", 3), 5.0, [0, 1, 2])
         bp = BatchParams(batch_size=5, sigma_schedule=ConstantSchedule(0.8))
         scope = [4, 0, 2, 0, 3]  # N indices from 0 to N-1, row 0 twice, row 1 absent
-        out = batch_update(e, cp, bp, scope, plan, lam=1.0)
+        out = batch_update(e, cp, bp, scope, *drawn(e, scope, plan), lam=1.0, k=0, theta=0)
         expected = gathered_update(e, cp.v, np.array(scope), plan, 1.0, 0.8, 0.01)
         assert out.positions.tobytes() == expected.tobytes()
         assert np.array_equal(out.positions[1], e.positions[1])
@@ -278,7 +288,8 @@ class TestBatchUpdate:
             gamma_schedule=GeometricSchedule(initial=0.2, decay=0.5),
             sigma_schedule=ConstantSchedule(0.0),
         )
-        out = batch_update(e, cp, bp, [0, 1], RngPlan(10), lam=1.0, k=2)
+        out = batch_update(e, cp, bp, [0, 1], *drawn(e, [0, 1], RngPlan(10)), lam=1.0, k=2,
+                           theta=0)
         assert out.time == pytest.approx(0.05)  # 0.2 * 0.5**2
         assert out.step_count == 1
 
@@ -308,8 +319,8 @@ def test_direct_calls_reach_the_argument_guards():
     v = weighted_mean(e, make_objective("ackley", 2), 1.0)
     unresolved = BatchParams(batch_size=2)
     with pytest.raises(ValueError, match="^sigma_schedule must be resolved before batch_update$"):
-        batch_update(e, v, unresolved, [0, 1], plan, lam=1.0)
+        batch_update(e, v, unresolved, [0, 1], *drawn(e, [0, 1], plan), lam=1.0, k=0, theta=0)
     # a schedule callable, which BatchParams cannot check ahead
     negative = BatchParams(batch_size=2, sigma_schedule=lambda k, theta: -1.0)
     with pytest.raises(ValueError, match="^sigma schedule must yield nonnegative noise scales$"):
-        batch_update(e, v, negative, [0, 1], plan, lam=1.0)
+        batch_update(e, v, negative, [0, 1], *drawn(e, [0, 1], plan), lam=1.0, k=0, theta=0)

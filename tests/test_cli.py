@@ -558,9 +558,30 @@ def test_record_every_is_a_usage_error_outside_run(tmp_path, argv):
     path = tmp_path / "bench.yaml"
     path.write_text(BENCH)
     proc = invoke([*argv, str(path), "--record-every", "5"])
-    assert proc.returncode == 2
+    assert proc.returncode == 1
     assert "unrecognized arguments: --record-every 5" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "c.yaml", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["run", "--config", "c.yaml", "--update-mode", "bogus"],
+     "argument --update-mode: invalid choice"),
+    (["run"], "the following arguments are required: --config"),
+    ([], "the following arguments are required: command"),
+    (["diagnose", "spectral"], "argument suite: invalid choice: 'spectral'"),
+])
+def test_usage_errors_return_1_with_one_line(argv, message, capsys):
+    # argparse would exit 2, the code of a diverged run, and raise SystemExit in-process
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage error: {message}") and err.count("\n") == 1, err
+
+
+def test_help_still_exits_0_in_process(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0 and "config defaults" in capsys.readouterr().out
 
 
 class TestCmdDiagnose:

@@ -5,12 +5,12 @@ budgets (N <= 8, max_steps <= 20, runs <= 2) with every warning an error.
 
 Properties: `main` returns 0, 1, 2 or 3 and raises nothing; exit 1 writes
 one `config error:` line that names a SCHEMA path (or the section or
-unknown key it drew), or `--out`; exit 0 or 2 writes the same stdout bytes
-when called again; every stdout line of `run` is strict JSON. Values that
-argparse itself rejects (a flag of the wrong type) are not drawn: argparse
-ends those with its usage message. No draw raised when the fuzz was
-written, here or in 9000 more examples at three random seeds; an input
-that does, once mended, goes in as an `@example`."""
+unknown key it drew), or `--out`, or one `usage error:` line that names a
+flag argparse rejected (a value of the wrong type or an unknown choice);
+exit 0 or 2 writes the same stdout bytes when called again; every stdout
+line of `run` is strict JSON. No draw raised when the fuzz was written,
+here or in 9000 more examples at three random seeds; an input that does,
+once mended, goes in as an `@example`."""
 
 import contextlib
 import io
@@ -134,6 +134,15 @@ FLAG_VALUES = {
     "--max-epochs": st.sampled_from(["1", "3", "0", "-1", str(2**64 + 1)]),
     "--record-every": st.sampled_from(["1", "3", "0", "-1", str(2**64 + 1)]),
 }
+# values argparse rejects: the wrong type, or not one of the choices
+REJECTED = {
+    "--seed": ["abc", "1.5"],
+    "--stop-eps": ["x", ""],
+    "--batch-size": ["2.5"],
+    "--update-mode": ["bogus", "Full"],
+    "--max-epochs": ["1e3"],
+    "--record-every": ["one"],
+}
 
 
 @st.composite
@@ -141,7 +150,8 @@ def flags(draw, command):
     argv = []
     for flag, keys in cli._FLAGS.items():
         if command in keys[0].commands and draw(st.integers(0, 5)) == 5:
-            argv += [flag, draw(FLAG_VALUES[flag])]
+            rejected = draw(st.integers(0, 4)) == 4
+            argv += [flag, draw(st.sampled_from(REJECTED[flag]) if rejected else FLAG_VALUES[flag])]
     if draw(st.integers(0, 7)) == 7:
         argv += ["--out", draw(st.sampled_from(["CONFIG", "OUT"]))]
     return argv
@@ -185,6 +195,12 @@ def test_config_fuzz(command, drawn, data):
             {"CONFIG": str(config), "OUT": str(Path(tmp) / "out")}.get(a, a) for a in argv_flags]
         code, out, err = call(argv)
         assert code in (0, 1, 2, 3), (code, err)
+        rejected = [flag for flag, value in zip(argv, argv[1:]) if value in REJECTED.get(flag, ())]
+        if code == 1 and err.startswith("usage error: "):
+            assert out == "" and err.count("\n") == 1 and rejected, err
+            assert err.startswith(f"usage error: argument {rejected[0]}: "), err
+            return
+        assert not rejected, (code, err)
         if code == 1:
             assert out == "" and err.startswith("config error: ") and err.count("\n") == 1, err
             assert names_a_path(err[len("config error: "):], unknown), err

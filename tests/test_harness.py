@@ -331,6 +331,23 @@ class TestDrawAhead:
         assert calls == (config.max_steps + 1,) * 2
         assert draws == (0 if variant == "common_noise" else config.max_steps - 1)
 
+    @pytest.mark.parametrize("n, m, mode, record_every", [
+        (1024, 512, "full", 100),  # (N, d) blocks, epoch 1 starts at step 2
+        (2048, 1024, "partial", 1),  # (M, d) blocks, every batch alone
+        (2048, 1024, "partial", 100),  # epoch 0 is one stack of two members
+    ], ids=["full", "partial_single", "partial_stack"])
+    def test_batched_steps_match_the_inline_draw_bitwise(self, n, m, mode, record_every, traced,
+                                                         monkeypatch):
+        # an epoch's deal comes while the block of its first step is pending
+        config = large_config(n_particles=n, max_steps=4, record_every=record_every,
+                              batching=BatchParams(batch_size=m, update_mode=mode,
+                                                   stop_eps=1e-300))
+        ahead, inline, draws, calls = self.ahead_and_inline(config, traced, monkeypatch)
+        assert_same_run(ahead, inline)
+        assert_same_run(ahead, per_batch_run(config))
+        assert ahead.terminated_by == "max_steps"
+        assert draws == config.max_steps - 1 and calls[0] == calls[1]
+
     @pytest.mark.parametrize("overrides, ending, steps", [
         (dict(stop_eps=1e300), "stop_criterion", 1),
         (dict(params=VariantParams(sigma=1e300, dt=1.0)), "divergence", 1),
@@ -458,8 +475,9 @@ def per_batch_run(config):
             trajectory.append(harness._point(e, cp, None))
         stop = v_prev is not None and stop_check(v_prev, cp.v, config.dimension, bp.stop_eps)
         scope = batch if all_rows is None else all_rows
+        z = plan.normal_block(STREAM_DIFFUSION, e.step_count, (scope.size, config.dimension))
         try:
-            e = batch_update(e, cp, bp, scope, plan, lam=p.lam, k=k, theta=theta)
+            e = batch_update(e, cp, bp, scope, z, np.empty(z.shape), lam=p.lam, k=k, theta=theta)
         except DivergenceError:
             status = "divergence"
             break
@@ -635,6 +653,15 @@ class TestGroupedBatches:
         # 13 = 3 x 4 + 1: batch 0 of every later epoch carries a leftover row,
         # which the epoch's permutation deals again in a later batch
         config = batched_config(13, 4, max_steps=60, batching=dict(max_epochs=30))
+        assert_same_run(run(config), per_batch_run(config))
+
+    def test_a_batch_that_deals_a_row_twice_goes_alone(self):
+        # 5 = 2 x 2 + 1: at seed 4 epoch 1 deals [2, 2], [3, 1], [0, 4], three
+        # disjoint batches of 6 rows; a stack of all three would not fit the
+        # head of the run's (N, d) scratch array, so [2, 2] steps alone
+        config = batched_config(5, 2, master_seed=4, max_steps=5)
+        groups = harness._groups(config, RngPlan(config.master_seed))
+        assert [np.shape(batch) for _, _, batch in groups][:3] == [(2, 2), (2,), (2, 2)]
         assert_same_run(run(config), per_batch_run(config))
 
 
