@@ -52,9 +52,9 @@ class GeometricSchedule:
 class BatchParams:
     """Batch size, update scope, schedules, and the stopping tolerance.
 
-    sigma_schedule None means "reuse the dynamics' sigma", resolved by the
-    run driver. The fields of a constant or geometric schedule fix the sign
-    of all its values; other callables are checked as `batch_update` runs.
+    sigma_schedule None means the dynamics' sigma, which `batch_update` is
+    given. The fields of a constant or geometric schedule fix the sign of
+    all its values; other callables are checked as `batch_update` runs.
     """
 
     batch_size: int
@@ -155,14 +155,16 @@ def batch_update(
     scratch,
     *,
     lam: float,
+    sigma: float,
     k: int,
     theta: int,
 ) -> Ensemble:
     """Anisotropic kick with step size gamma_{k,theta}, noise scale
-    sigma_{k,theta} and the normal draw z, applied only to the rows in
-    `scope`; everything else is left bit-identical. Advances the clock by
-    gamma. The kick's first temporary goes into `scratch`, an array of z's
-    shape; the caller draws z (`harness.run` takes step e.step_count's block).
+    sigma_{k,theta} (the dynamics' `sigma` where `bp` has no sigma schedule)
+    and the normal draw z, applied only to the rows in `scope`; everything
+    else is left bit-identical. Advances the clock by gamma. The kick's first
+    temporary goes into `scratch`, an array of z's shape; the caller draws z
+    (`harness.run` takes step e.step_count's block).
 
     Scope indices are sorted, so noise rows attach to particles in index
     order whatever order the batch came in, and a repeated row takes the
@@ -170,12 +172,10 @@ def batch_update(
     an (N, d) z, bit for bit, with no sort, gather, copy or scatter.
     A (q, M) stack of disjoint scopes with a stacked `v` and a (q, M, d) z
     is q calls in a row, bit for bit: member j takes theta + j and z[j]."""
-    if bp.sigma_schedule is None:
-        raise ValueError("sigma_schedule must be resolved before batch_update")
     full = isinstance(scope, range) and scope == range(e.n_particles)
     rows = None if full else _sorted_rows(scope, e.n_particles)
     q = len(rows) if not full and rows.ndim > 1 else 1
-    gammas, sigmas = zip(*[_coefficients(bp, k, theta + j) for j in range(q)])
+    gammas, sigmas = zip(*[_coefficients(bp, sigma, k, theta + j) for j in range(q)])
     if q == 1:  # one batch: scalar coefficients cost least
         (gamma,), (sigma,), v = gammas, sigmas, v.v
     else:
@@ -191,9 +191,10 @@ def batch_update(
     return out
 
 
-def _coefficients(bp: BatchParams, k: int, theta: int) -> Tuple[float, float]:
+def _coefficients(bp: BatchParams, sigma: float, k: int, theta: int) -> Tuple[float, float]:
     """The checked gamma_{k,theta} and sigma_{k,theta} of one batch."""
-    gamma, sigma = float(bp.gamma_schedule(k, theta)), float(bp.sigma_schedule(k, theta))
+    gamma, schedule = float(bp.gamma_schedule(k, theta)), bp.sigma_schedule
+    sigma = float(sigma if schedule is None else schedule(k, theta))
     if not gamma > 0.0:
         raise ValueError("gamma schedule must yield positive step sizes")
     if sigma < 0.0:

@@ -13,13 +13,13 @@ A plan builds one Philox generator on first use and repositions it at each
 state, which gives the bits a freshly seeded generator would. The returned
 generator is the plan's own and stays valid only until the plan's next
 ``generator`` or ``normal_block`` call, so draw from it before that call.
-Only one thread calls a plan; `DrawAhead` hands the generator to a helper
-thread to draw a large step's block ahead, and its loop calls the plan
-again only once that draw is done.
+Only one thread calls a plan; a `DrawAhead` that draws blocks ahead on a
+helper thread draws them from a copy of the plan, with its own generator.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
@@ -116,17 +116,18 @@ class DrawAhead:
     a second buffer on the helper pool, so the draw overlaps the caller's
     step. The draw takes one of the pool's threads, one per spare CPU, which
     it shares with the objective's chunk helpers: a helper queued behind it
-    is cancelled by its call, which evaluates the chunks itself. The calling
-    thread makes every `plan.generator` call and the helper thread only fills
-    the buffer; while a block is pending the loop draws nothing else from the
-    plan. `close`, or leaving a ``with`` block, waits for it. A loop that
-    ends before block end - 1 has drawn one block it never uses, the known
-    cost of drawing ahead.
+    is cancelled by its call, which evaluates the chunks itself. Drawing
+    ahead, it draws from a copy of `plan` with its own generator, which only
+    the calling thread repositions, so the caller may draw from `plan` while
+    a block is pending. `close`, or leaving a ``with`` block, waits for it.
+    A loop that ends before block end - 1 has drawn one block it never uses,
+    the known cost of drawing ahead.
     """
 
     def __init__(self, plan: RngPlan, stream: int, shape, end: int):
-        self.plan, self.stream, self.shape, self.end = plan, stream, tuple(shape), end
+        self.stream, self.shape, self.end = stream, tuple(shape), end
         self.ahead = objectives.threaded(math.prod(self.shape))
+        self.plan = copy.copy(plan) if self.ahead else plan  # a copy builds its own generator
         self.buffers = []  # made on first use: one, and a second to draw ahead into
         self.pending = None  # (step, future) of the block being drawn ahead
 

@@ -19,7 +19,6 @@ from . import objectives
 from .batching import (
     BatchParams,
     BatchState,
-    ConstantSchedule,
     batch_consensus,
     batch_update,
     make_batches,
@@ -263,11 +262,12 @@ def run(config: RunConfig) -> RunResult:
     in its head) and `moments` at recorded steps and at the final point
     write into, and, for personal_best, one `PersonalBestMemory` that every
     step updates in place; both are made here and dropped on return, and no
-    array of the result aliases them. Step k takes its normal draw, the
-    (STREAM_DIFFUSION, k) block, from one `DrawAhead`, which draws a large
-    block one step ahead on a helper thread into a second buffer the run
-    owns; the run waits for that draw on every exit, so no draw is running
-    when it returns or raises.
+    array of the result aliases them. Every draw comes from the run's one
+    plan: the initial positions, a batched run's deal and, through one
+    `DrawAhead`, step k's normal draw, the (STREAM_DIFFUSION, k) block. The
+    `DrawAhead` draws a large block one step ahead on a helper thread, from
+    a copy of the plan, into a second buffer the run owns; the run waits for
+    that draw on every exit, so no draw is running when it returns or raises.
     """
     p, bp, d = config.params, config.batching, config.dimension
     plan = RngPlan(config.master_seed)
@@ -280,10 +280,7 @@ def run(config: RunConfig) -> RunResult:
         if bp is None:
             groups, eps = itertools.repeat((0, 0, None)), config.stop_eps
         else:
-            if bp.sigma_schedule is None:
-                bp = replace(bp, sigma_schedule=ConstantSchedule(p.sigma))
-            # the deal has a plan of its own: a block drawn ahead holds the run's generator
-            groups, eps = _groups(config, RngPlan(config.master_seed)), bp.stop_eps
+            groups, eps = _groups(config, plan), bp.stop_eps
             full_scope = range(config.n_particles) if bp.update_mode == "full" else None
         scratch = np.empty(e.positions.shape)
         mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
@@ -315,7 +312,7 @@ def run(config: RunConfig) -> RunResult:
                         z[j] = noise.block(e.step_count + j)
                     head = scratch[: z.size // d].reshape(z.shape)  # a stack has at most N rows
                     e = batch_update(e, cps if n == q else cps[:n], bp, scope, z, head, lam=p.lam,
-                                     k=k, theta=theta)
+                                     sigma=p.sigma, k=k, theta=theta)
                 elif not stop:  # a plain run stops before its update
                     z = noise.block(e.step_count)
                     e = _step(e, f, p, z, config.integrator, mem, cps, scratch)

@@ -169,6 +169,7 @@ class ObjectiveFunction:
             for helper in helpers:
                 if not helper.cancel():
                     helper.result()
+            x = None  # a cancelled helper's queued task holds `pull` until a thread takes it
         return np.concatenate(values)
 
 

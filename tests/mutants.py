@@ -17,10 +17,10 @@ The list holds the guards and boundaries the goldens cannot pin, since
 they pin arithmetic: the 14 mutants of a first probe, the guards of the
 chunked objective calls, four guards of the batch remainder, the worker
 rule of the helper threads and the CLI's output and null keys; the two
-buffer reuses of the sphere step's tail, which the goldens pin as well; and
-the plan and the blocks of a batched run's draws. The script is a measure,
-not a gate: a survivor that is not equivalent asks for a test that fails
-on it.
+buffer reuses of the sphere step's tail, which the goldens pin as well;
+the plan a draw ahead draws from and the blocks of a batched run's draws;
+and the release of a chunked call's input. The script is a measure, not a
+gate: a survivor that is not equivalent asks for a test that fails on it.
 """
 
 import os
@@ -36,13 +36,13 @@ from typing import NamedTuple, Optional
 ROOT = Path(__file__).resolve().parents[1]
 
 # the test files of each module; the diagnostics of `harness` are tested
-# beside the dynamics they check
+# beside the dynamics they check, and `ensemble`'s draws ahead in runs
 MODULE_TESTS = {
     "batching": ("test_batching.py",),
     "cli": ("test_cli.py",),
     "consensus": ("test_consensus.py",),
     "dynamics": ("test_dynamics.py", "test_workspace.py"),
-    "ensemble": ("test_ensemble.py",),
+    "ensemble": ("test_ensemble.py", "test_harness.py"),
     "harness": ("test_harness.py", "test_dynamics.py"),
     "objectives": ("test_objectives.py",),
 }
@@ -117,11 +117,14 @@ MUTANTS = (
            "curvature[:, None], x, out=noise)", "curvature[:, None], x, out=new)"),
     Mutant("dynamics", "sphere renormalization: squares into the new positions",
            "norms = _row_norms(new, scratch)", "norms = _row_norms(new, new)"),
-    # the one draw site of a batched run
-    Mutant("harness", "run: the deal draws from the noise's plan",
-           "_groups(config, RngPlan(config.master_seed))", "_groups(config, plan)"),
+    # the one plan of a run, and the blocks of a batched run's draws
+    Mutant("ensemble", "DrawAhead draws ahead from its caller's plan",
+           "copy.copy(plan) if self.ahead else plan", "plan"),
     Mutant("harness", "run: every member of a stack takes the block of its first step",
            "z[j] = noise.block(e.step_count + j)", "z[j] = noise.block(e.step_count)"),
+    # a chunked call's input, which a cancelled helper's queued task would hold
+    Mutant("objectives", "ObjectiveFunction: the input is not released",
+           "x = None  # a cancelled helper", "pass  # a cancelled helper"),
 )
 
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbopt import harness, objectives
+from cbopt.batching import BatchParams, ConstantSchedule
 from cbopt.dynamics import VariantParams
 from cbopt.ensemble import (
     STREAM_DIFFUSION,
@@ -121,6 +122,27 @@ class TestRngPlan:
         )
         assert harness.run(config).steps == 50
         assert len(built) <= 1
+
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    def test_batched_run_builds_one_philox(self, mode, monkeypatch):
+        # the benchmark's random_batch runs: the deal and the blocks share the run's plan
+        built, philox = [], np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *args, **kwargs: built.append(kwargs)
+                            or philox(*args, **kwargs))
+        config = harness.RunConfig(
+            objective="rastrigin",
+            dimension=10,
+            params=VariantParams(lam=1.0, sigma=0.7, alpha=30.0, dt=0.01),
+            batching=BatchParams(batch_size=10, update_mode=mode,
+                                 gamma_schedule=ConstantSchedule(0.1)),
+            n_particles=200,
+            init=InitSpec("box", low=-2.0, high=2.0),
+            max_steps=200,
+            master_seed=3,
+            record_every=100_000,
+        )
+        assert harness.run(config).steps > 20  # more than one epoch dealt
+        assert len(built) == 1
 
     def test_used_plan_compares_hashes_and_pickles_like_a_fresh_one(self):
         plan, fresh = RngPlan(41), RngPlan(41)

@@ -21,7 +21,8 @@ from cbopt.batching import (
 from cbopt.cli import main
 from cbopt.dynamics import VARIANTS, DivergenceError, VariantParams, step
 from cbopt.ensemble import (
-    STREAM_DIFFUSION, Ensemble, FieldError, InitSpec, RngPlan, init_ensemble,
+    STREAM_DIFFUSION, STREAM_PERMUTATION, DrawAhead, Ensemble, FieldError, InitSpec, RngPlan,
+    init_ensemble,
 )
 from cbopt.harness import (
     RunConfig,
@@ -378,6 +379,16 @@ class TestDrawAhead:
         assert any(name == "standard_normal" for name, _ in tasks)
         assert all(task.done() for _, task in tasks)
 
+    def test_draws_from_the_callers_plan_leave_a_pending_block_alone(self, traced):
+        # as a batched run deals an epoch from its one plan while a block is pending
+        plan, shape = RngPlan(5), (1024, 32)
+        with DrawAhead(plan, STREAM_DIFFUSION, shape, end=2) as noise:
+            noise.block(0)
+            assert noise.pending is not None  # block 1, its draw slowed
+            plan.generator(STREAM_PERMUTATION, 0).permutation(200)
+            z = noise.block(1)
+        assert z.tobytes() == RngPlan(5).normal_block(STREAM_DIFFUSION, 1, shape).tobytes()
+
 
 class TestBatchedRun:
     def test_batched_full_budget(self):
@@ -477,7 +488,8 @@ def per_batch_run(config):
         scope = batch if all_rows is None else all_rows
         z = plan.normal_block(STREAM_DIFFUSION, e.step_count, (scope.size, config.dimension))
         try:
-            e = batch_update(e, cp, bp, scope, z, np.empty(z.shape), lam=p.lam, k=k, theta=theta)
+            e = batch_update(e, cp, bp, scope, z, np.empty(z.shape), lam=p.lam, sigma=p.sigma,
+                             k=k, theta=theta)
         except DivergenceError:
             status = "divergence"
             break

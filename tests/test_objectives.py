@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -456,6 +457,16 @@ class TestChunkScheduling:
         x, calls = np.ones((1024, 32)), []  # SHARD_MIN_ELEMENTS numbers
         ObjectiveFunction("ackley", lambda points: calls.append(points) or ackley(points), 32)(x)
         assert len(calls) == 1 and calls[0] is x and not tasks
+
+    def test_a_call_keeps_no_reference_to_its_input(self, tasks):
+        # a helper cancelled behind a busy thread stays queued until that thread is free
+        _, release = tasks
+        objectives.executor().submit(release.wait, 10)
+        x = self.points()
+        kept = weakref.ref(x)
+        make_objective("ackley", 50)(x)
+        del x
+        assert kept() is None
 
     def test_every_chunk_is_taken_once_under_contention(self, monkeypatch):
         # more threads than CPUs and a short switch interval: a chunk taken
