@@ -5,7 +5,8 @@ diffuse proportionally to their distance from it. The package provides the
 isotropic original dynamic, the component-wise and common-noise variants,
 a personal-best variant, a sphere-constrained variant, random-batch
 updates, anti-overshoot integrators, and a diagnostics harness for the
-quantitative laws the dynamics obey.
+quantitative laws the dynamics obey. Every update rule, the exact
+splitting and freezing solvers included, lives in `cbopt.dynamics`.
 """
 
 from .batching import (
@@ -25,8 +26,11 @@ from .dynamics import (
     SingularityError,
     VariantParams,
     consensus_condition,
+    frozen_gbm,
     heaviside,
     sphere_norm_drift,
+    split_diffusion,
+    split_drift,
     step,
 )
 from .ensemble import (
@@ -49,7 +53,6 @@ from .harness import (
     run_campaign,
     success_rate,
 )
-from .integrators import frozen_gbm, split_diffusion, split_drift
 from .objectives import (
     ObjectiveFunction,
     ackley,

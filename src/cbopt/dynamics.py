@@ -1,28 +1,40 @@
-"""One step kernel for the five consensus-dynamics variants.
+"""Every update rule of the consensus dynamics: one step kernel for the
+five variants and the two exact solvers of the component-wise dynamic.
 
 `step` advances every variant the same way: it computes the consensus
 point once from the pre-step positions (synchronous update), takes the
 step's normal draw z, of `noise_shape`, from its caller, forms the
 Euler-Maruyama update (X - drift) + noise, and checks it once for
-finiteness. Its kicks are
-pure transforms of (positions, v, z) that the library reuses: `isotropic_kick`
+finiteness. Its kicks, which the library reuses, are `isotropic_kick`
 (noise sigma |X - v| z and a gated drift: original) and `anisotropic_kick`
 (noise sigma (X - v)_k z_k: anisotropic, and common_noise with one draw per
 coordinate shared by all particles). personal_best gates a pull toward v
 (rate lam) against one toward a per-particle memory (rate 1); sphere takes
 tangential projections with an Ito correction and renormalizes. An exact
 heaviside gate is a comparison, and `gate_pair` builds an exact pair of
-gates with one conjunction, bitwise what their product gives. Per-particle
-work is independent within a step; the consensus reduction is the only
-synchronization point.
+gates with one conjunction, bitwise what their product gives.
+
+The exact solvers hold the consensus point fixed over one interval of
+length gamma: the splitting scheme solves the drift ODE exactly
+(`split_drift`) and then applies the component-wise noise kick
+(`split_diffusion`); the freezing scheme applies the exact per-coordinate
+geometric-Brownian-motion solution in one shot (`frozen_gbm`). The kicks
+and the solvers are pure per-row transforms of (positions, v, z), safe
+under any data-parallel split, and none draws: the caller passes the
+step's normal draw z. The consensus reduction is the only synchronization
+point.
 
 Kernels write their large temporaries through ufunc ``out=``, in the
 formulas' order, so the bits are those of fresh arrays: the first into the
-`scratch` array of the positions' shape they are given, or `step` makes,
-the second into the update's result, a new array each kernel allocates
-once; the sphere update reuses the two again once each is read. A step
-returns only the new ensemble, whose positions are always a new array; a
-personal_best step updates the one `PersonalBestMemory` it is given in place.
+`scratch` array of the positions' shape they are given, or `step` and
+`frozen_gbm` make when given none, the second into the update's result, a
+new array each kernel allocates once; the sphere update reuses the two
+again once each is read. Each half of the splitting scheme has one
+temporary: `split_drift` writes it, its result, into `out`, as a ufunc
+does, and `split_diffusion` into its result, a new array.
+A step returns only the new ensemble, whose positions are always a new
+array; a personal_best step updates the one `PersonalBestMemory` it is
+given in place.
 """
 
 from __future__ import annotations
@@ -200,6 +212,47 @@ def anisotropic_kick(positions, v, lam, sigma, dt, z, scratch) -> np.ndarray:
     drift = np.multiply(lam * dt, diff)
     noise = np.multiply(np.multiply(sigma * np.sqrt(dt), diff, out=diff), z, out=diff)
     return np.add(np.subtract(positions, drift, out=drift), noise, out=drift)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not gamma > 0.0:
+        raise ValueError("gamma must be positive")
+
+
+def split_drift(positions, v, lam, gamma, out=None) -> np.ndarray:
+    """Exact contraction toward v: X -> v + (X - v) exp(-lam*gamma)."""
+    _check_gamma(gamma)
+    t = np.subtract(positions, v, out=out)
+    np.multiply(t, np.exp(-lam * gamma), out=t)
+    return np.add(v, t, out=t)
+
+
+def split_diffusion(positions, v, sigma, gamma, z) -> np.ndarray:
+    """Component-wise noise kick sigma*sqrt(gamma)*(X - v)_k * z_k after the
+    drift solve, as a new array that holds the kick first."""
+    _check_gamma(gamma)
+    t = np.subtract(positions, v)
+    np.multiply(np.multiply(sigma * np.sqrt(gamma), t, out=t), z, out=t)
+    return np.add(positions, t, out=t)
+
+
+def frozen_gbm(positions, v, lam, sigma, gamma, z, scratch=None) -> np.ndarray:
+    """Exact per-coordinate GBM solution with the consensus point held at v.
+
+    The exponential factor is positive, so no coordinate ever crosses v;
+    at sigma = 0 this coincides bitwise with split_drift.
+    """
+    _check_gamma(gamma)
+    scratch = np.empty(np.shape(positions)) if scratch is None else scratch
+    try:
+        half_var = 0.5 * sigma**2
+    except OverflowError:  # the IEEE value, as a float64 square gives past the float range
+        half_var = np.inf
+    # exponent = (-lam - sigma^2/2) gamma + sigma sqrt(gamma) z
+    exponent = np.multiply(sigma * np.sqrt(gamma), z, out=scratch)
+    np.exp(np.add((-lam - half_var) * gamma, exponent, out=exponent), out=exponent)
+    t = np.subtract(positions, v)
+    return np.add(v, np.multiply(t, exponent, out=t), out=t)
 
 
 def advance(e: Ensemble, positions: np.ndarray, dt: float) -> Ensemble:

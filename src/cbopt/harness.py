@@ -29,7 +29,8 @@ from .consensus import (
 )
 from .dynamics import (
     VARIANTS, DivergenceError, PersonalBestMemory, VariantParams, advance,
-    anisotropic_kick, isotropic_kick, noise_shape, step,
+    anisotropic_kick, frozen_gbm, isotropic_kick, noise_shape, split_diffusion,
+    split_drift, step,
 )
 from .ensemble import (
     DrawAhead,
@@ -44,7 +45,6 @@ from .ensemble import (
     mean_pairwise_sq_dist,
     moments,
 )
-from .integrators import frozen_gbm, split_diffusion, split_drift
 from .objectives import ObjectiveFunction, benchmark_names, make_objective
 
 INTEGRATORS = ("euler", "split", "frozen")

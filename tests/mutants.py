@@ -19,8 +19,10 @@ chunked objective calls, four guards of the batch remainder, the worker
 rule of the helper threads and the CLI's output and null keys; the two
 buffer reuses of the sphere step's tail, which the goldens pin as well;
 the plan a draw ahead draws from and the blocks of a batched run's draws;
-and the release of a chunked call's input. The script is a measure, not a
-gate: a survivor that is not equivalent asks for a test that fails on it.
+the release of a chunked call's input; and the exact solvers' gamma guard
+and overflow value, and a run's integrator dispatch. The script is a
+measure, not a gate: a survivor that is not equivalent asks for a test
+that fails on it.
 """
 
 import os
@@ -36,12 +38,13 @@ from typing import NamedTuple, Optional
 ROOT = Path(__file__).resolve().parents[1]
 
 # the test files of each module; the diagnostics of `harness` are tested
-# beside the dynamics they check, and `ensemble`'s draws ahead in runs
+# beside the dynamics they check, `ensemble`'s draws ahead in runs, and the
+# exact solvers of `dynamics` on their own
 MODULE_TESTS = {
     "batching": ("test_batching.py",),
     "cli": ("test_cli.py",),
     "consensus": ("test_consensus.py",),
-    "dynamics": ("test_dynamics.py", "test_workspace.py"),
+    "dynamics": ("test_dynamics.py", "test_kernels.py", "test_integrators.py"),
     "ensemble": ("test_ensemble.py", "test_harness.py"),
     "harness": ("test_harness.py", "test_dynamics.py"),
     "objectives": ("test_objectives.py",),
@@ -125,6 +128,13 @@ MUTANTS = (
     # a chunked call's input, which a cancelled helper's queued task would hold
     Mutant("objectives", "ObjectiveFunction: the input is not released",
            "x = None  # a cancelled helper", "pass  # a cancelled helper"),
+    # the exact solvers and their dispatch
+    Mutant("dynamics", "_check_gamma: not gamma > 0.0 to gamma < 0.0",
+           "if not gamma > 0.0:", "if gamma < 0.0:"),
+    Mutant("dynamics", "frozen_gbm: half_var = np.inf to half_var = 0.0",
+           "half_var = np.inf", "half_var = 0.0"),
+    Mutant("harness", "_step: integrator == \"split\" to !=",
+           'if integrator == "split":', 'if integrator != "split":'),
 )
 
 

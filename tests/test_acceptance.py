@@ -18,7 +18,7 @@ import pytest
 
 from cbopt.batching import BatchState, make_batches
 from cbopt.consensus import weighted_mean, weights
-from cbopt.dynamics import VariantParams, sphere_norm_drift, step
+from cbopt.dynamics import VariantParams, frozen_gbm, sphere_norm_drift, split_drift, step
 from cbopt.ensemble import STREAM_DIFFUSION, Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.harness import (
     RunConfig,
@@ -30,7 +30,6 @@ from cbopt.harness import (
     run_campaign,
     success_rate,
 )
-from cbopt.integrators import frozen_gbm, split_drift
 from cbopt.objectives import ObjectiveFunction, make_objective
 
 

@@ -255,6 +255,30 @@ class TestRun:
             result = run(small_config(integrator=integrator, max_steps=2000, record_every=2000))
             assert result.final_consensus.f_at_v < 0.1, integrator
 
+    @pytest.mark.parametrize("integrator, called", [
+        ("euler", {"step": 3}),
+        ("split", {"split_drift": 3, "split_diffusion": 3}),
+        ("frozen", {"frozen_gbm": 3}),
+    ])
+    def test_run_calls_each_kernel_through_harness_globals(self, monkeypatch, integrator, called):
+        # the benchmark times the kernels by wrapping these names in harness's
+        # globals: a kernel imported but called some other way would go untimed
+        config = small_config(integrator=integrator, max_steps=3, record_every=3)
+        expected = run(config).final_positions
+        counts = dict.fromkeys(("step", "split_drift", "split_diffusion", "frozen_gbm"), 0)
+
+        def counting(name, kernel):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return kernel(*args, **kwargs)
+            return counted
+
+        for name in counts:
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        result = run(config)
+        assert counts == {**dict.fromkeys(counts, 0), **called}
+        assert result.final_positions.tobytes() == expected.tobytes()
+
 
 def large_config(**overrides):
     """A plain run whose blocks of 1024 x 32 = 2^15 numbers reach

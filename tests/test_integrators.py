@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbopt.consensus import weighted_mean
-from cbopt.dynamics import VariantParams
+from cbopt.dynamics import VariantParams, frozen_gbm, split_diffusion, split_drift
 from cbopt.ensemble import STREAM_DIFFUSION, Ensemble, RngPlan
 from cbopt.harness import _step
-from cbopt.integrators import frozen_gbm, split_diffusion, split_drift
 from cbopt.objectives import make_objective
 
 

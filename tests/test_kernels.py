@@ -24,10 +24,13 @@ from cbopt.dynamics import (
     PersonalBestMemory,
     VariantParams,
     anisotropic_kick,
+    frozen_gbm,
     gate_pair,
     heaviside,
     isotropic_kick,
     noise_shape,
+    split_diffusion,
+    split_drift,
     step,
 )
 from cbopt.ensemble import (
@@ -35,7 +38,6 @@ from cbopt.ensemble import (
     mean_pairwise_sq_dist,
 )
 from cbopt.harness import RunConfig, run
-from cbopt.integrators import frozen_gbm, split_diffusion, split_drift
 from cbopt.objectives import make_objective
 
 # ---------------------------------------------------------------------------
@@ -467,7 +469,7 @@ LARGE_N = [
 
 
 @pytest.mark.parametrize("variant, integrator", LARGE_N)
-def test_workspace_step_allocates_little_more_than_its_positions(variant, integrator):
+def test_step_allocates_little_more_than_its_positions(variant, integrator):
     # the single_large_n configurations: N=2000, d=50; the objective may
     # shard its rows on threads, whose allocations are traced too
     n, d = 2000, 50
