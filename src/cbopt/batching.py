@@ -142,8 +142,7 @@ def batch_consensus(
     if batch.size == 0:
         raise ValueError("empty batch")
     positions = e.positions[batch]
-    fvals = np.asarray(f(positions), dtype=float)
-    return consensus_from_values(positions, fvals, alpha, f)
+    return consensus_from_values(positions, f(positions), alpha, f)
 
 
 def batch_update(

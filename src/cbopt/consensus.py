@@ -12,6 +12,9 @@ replicas, and each caller computes only the one it reads. `laplace_estimate`
 takes the Laplace value and its standard error from one set of exponentials.
 Reductions use numpy's index-ascending pairwise sums, which keeps results
 identical no matter how the f-evaluations were scheduled across workers.
+Each entry point converts the values it is given to float64 once, and
+`weighted_mean` takes them from the objective, which returns float64; the
+three (..., N) temporaries of the weights are one array, written in place.
 """
 
 from __future__ import annotations
@@ -42,28 +45,38 @@ def exponentials(fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
     """exp(-alpha (f_i - min f)) over the last axis of `fvals`, and the
     minima min f of shape (..., 1): the weights up to their normalization,
     and the shift of the exponent."""
-    fvals = np.asarray(fvals, dtype=float)
+    return _exponentials(np.asarray(fvals, dtype=float), float(alpha))
+
+
+def _exponentials(fvals, alpha):
+    """`exponentials` of float64 values, in one new array; alpha is any
+    real number, checked here with one comparison."""
     if fvals.ndim < 1 or fvals.size < 1:
         raise ValueError("fvals must be nonempty along the particle axis")
     fmin = np.minimum.reduce(fvals, axis=-1, keepdims=True)
-    top, low = float(np.maximum.reduce(fvals, axis=None)), float(min(fmin.flat))
+    top = float(np.maximum.reduce(fvals, axis=None))
+    low = fmin.item(0) if fmin.size == 1 else float(min(fmin.flat))
     if not (math.isfinite(top) and math.isfinite(low)):  # a NaN reaches top, -inf low
         raise ValueError("non-finite objective value in weights")
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
+    if not 0.0 <= alpha < math.inf:  # a NaN fails it too
         raise ValueError("alpha must be finite and nonnegative")
     if alpha == 0.0:  # 0 * inf is NaN where f spans more than the float range
         return np.ones_like(fvals), fmin
     if math.isfinite(alpha * (top - low)):
-        return np.exp(-alpha * (fvals - fmin)), fmin
+        return _shifted_exp(fvals, fmin, alpha), fmin
     with np.errstate(over="ignore"):  # an exponent past the float range: its exponential is 0
-        return np.exp(-alpha * (fvals - fmin)), fmin
+        return _shifted_exp(fvals, fmin, alpha), fmin
+
+
+def _shifted_exp(fvals, fmin, alpha):
+    t = np.subtract(fvals, fmin)
+    return np.exp(np.multiply(-alpha, t, out=t), out=t)
 
 
 def weights(fvals, alpha) -> np.ndarray:
     """Normalized weights proportional to exp(-alpha * f_i)."""
     shifted, _ = exponentials(fvals, alpha)
-    return shifted / np.add.reduce(shifted, axis=-1, keepdims=True)
+    return np.divide(shifted, np.add.reduce(shifted, axis=-1, keepdims=True), out=shifted)
 
 
 def consensus_mean(positions, fvals, alpha, scratch=None) -> np.ndarray:
@@ -71,8 +84,14 @@ def consensus_mean(positions, fvals, alpha, scratch=None) -> np.ndarray:
     ensemble in a (..., N, d) stack with (..., N) values; v has shape (..., d).
     `scratch`, an array of the positions' shape, holds the weighted product
     if given."""
-    product = np.multiply(weights(fvals, alpha)[..., None], positions, out=scratch)
-    return np.add.reduce(product, axis=-2)
+    return _mean(positions, np.asarray(fvals, dtype=float), float(alpha), scratch)
+
+
+def _mean(positions, fvals, alpha, scratch):
+    """`consensus_mean` of float64 values; its weights are normalized in place."""
+    shifted, _ = _exponentials(fvals, alpha)
+    w = np.divide(shifted, np.add.reduce(shifted, axis=-1, keepdims=True), out=shifted)
+    return np.add.reduce(np.multiply(w[..., None], positions, out=scratch), axis=-2)
 
 
 def log_normalizer(fvals, alpha):
@@ -92,15 +111,14 @@ def consensus_from_values(
 ) -> ConsensusPoint:
     """Build the consensus point, or a stacked one, from precomputed objective
     values (`scratch` as in `consensus_mean`)."""
-    v = consensus_mean(positions, fvals, alpha, scratch)
-    f_at_v = np.asarray(f(v), dtype=float).tolist() if v.ndim > 1 else float(f(v))
-    return ConsensusPoint(v, f_at_v)
+    v = _mean(positions, np.asarray(fvals, dtype=float), alpha, scratch)
+    return ConsensusPoint(v, f(v).tolist() if v.ndim > 1 else float(f(v)))
 
 
 def weighted_mean(e: Ensemble, f: ObjectiveFunction, alpha: float, scratch=None) -> ConsensusPoint:
     """Consensus point of the full ensemble (`scratch` as in `consensus_mean`)."""
-    fvals = np.asarray(f(e.positions), dtype=float)
-    return consensus_from_values(e.positions, fvals, alpha, f, scratch)
+    v = _mean(e.positions, f(e.positions), alpha, scratch)
+    return ConsensusPoint(v, float(f(v)))
 
 
 def laplace_estimate(fvals, alpha) -> Tuple[float, float]:

@@ -11,8 +11,8 @@ finiteness. Its kicks, which the library reuses, are `isotropic_kick`
 coordinate shared by all particles). personal_best gates a pull toward v
 (rate lam) against one toward a per-particle memory (rate 1); sphere takes
 tangential projections with an Ito correction and renormalizes. An exact
-heaviside gate is a comparison, and `gate_pair` builds an exact pair of
-gates with one conjunction, bitwise what their product gives.
+heaviside gate is a comparison; personal_best's exact gates take
+comparisons of the objective values and one difference (`_exact_gates`).
 
 The exact solvers hold the consensus point fixed over one interval of
 length gamma: the splitting scheme solves the drift ODE exactly
@@ -126,10 +126,12 @@ class PersonalBestMemory:
     def accumulate(self, positions, fvals, beta, dt) -> None:
         """Add one left-endpoint rectangle of the weighted time integrals, in
         place; p is only written, so it may hold scratch on entry."""
-        g = -beta * np.asarray(fvals, dtype=float)
+        g = np.multiply(-beta, fvals)
         scale = np.maximum(self.log_scale, g)
-        carry = np.exp(self.log_scale - scale)  # 0 on the very first call
-        w = np.exp(g - scale) * dt
+        carry = np.subtract(self.log_scale, scale)
+        np.exp(carry, out=carry)  # 0 on the very first call
+        w = np.exp(np.subtract(g, scale, out=g), out=g)
+        np.multiply(w, dt, out=w)
         self.log_scale[...] = scale  # the old log-scale is read by now
         num = np.multiply(self.scaled_num, carry[:, None], out=self.scaled_num)
         np.add(num, np.multiply(positions, w[:, None], out=self.p), out=num)
@@ -156,11 +158,7 @@ def heaviside(x, mode: str, epsilon: Optional[float] = None):
 
 
 def gate_pair(a, b, mode: str, epsilon: Optional[float] = None):
-    """heaviside(a) * heaviside(b) in `mode`, bit for bit, for float arrays."""
-    if mode == "exact":  # two comparisons and one conjunction, in place
-        both = a >= 0.0
-        both &= b >= 0.0
-        return both.astype(float)
+    """heaviside(a) * heaviside(b) in `mode`."""
     return heaviside(a, mode, epsilon) * heaviside(b, mode, epsilon)
 
 
@@ -184,6 +182,12 @@ def _row_norms(x, out) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.multiply(x, x, out=out), axis=-1))
 
 
+def _sqrt(dt):
+    """sqrt(dt): a float's by `math`, bit for bit what numpy gives, and a
+    stack's (q, 1, 1) step sizes by numpy."""
+    return math.sqrt(dt) if type(dt) is float else np.sqrt(dt)
+
+
 def isotropic_kick(positions, v, lam, sigma, dt, z, scratch, gate=1.0) -> np.ndarray:
     """Isotropic Euler-Maruyama update toward a given consensus point v, its
     noise scaled by |X - v| over the last axis: the original variant's step
@@ -196,7 +200,7 @@ def isotropic_kick(positions, v, lam, sigma, dt, z, scratch, gate=1.0) -> np.nda
     new = np.empty(diff.shape)
     dist = _row_norms(diff, new)[..., None]
     drift = np.multiply(np.multiply(lam * dt, diff, out=new), gate, out=new)
-    noise = np.multiply(sigma * np.sqrt(dt) * dist, z, out=diff)
+    noise = np.multiply(sigma * _sqrt(dt) * dist, z, out=diff)
     return np.add(np.subtract(positions, drift, out=drift), noise, out=drift)
 
 
@@ -210,7 +214,7 @@ def anisotropic_kick(positions, v, lam, sigma, dt, z, scratch) -> np.ndarray:
     the result, a new array, holds the drift first."""
     diff = np.subtract(positions, v, out=scratch)
     drift = np.multiply(lam * dt, diff)
-    noise = np.multiply(np.multiply(sigma * np.sqrt(dt), diff, out=diff), z, out=diff)
+    noise = np.multiply(np.multiply(sigma * _sqrt(dt), diff, out=diff), z, out=diff)
     return np.add(np.subtract(positions, drift, out=drift), noise, out=drift)
 
 
@@ -277,6 +281,23 @@ def _tangential(x, y, norms_sq, out) -> np.ndarray:
     return np.subtract(y, proj, out=proj)
 
 
+def _exact_gates(fx, fp, fv):
+    """The exact personal-best gates H(fx - fv) H(fp - fv) and
+    H(fx - fp) H(fv - fp) as booleans, from comparisons and one difference,
+    gap = fp - fv, whose negation is fv - fp bit for bit.
+
+    a >= b gives what a - b >= 0 gives except where a and b are the same
+    infinity, and there the gate's other factor is false too unless that
+    infinity is -inf. So these are the gates of the differences wherever
+    f(x) is not -inf; the consensus step has found f(x) finite."""
+    gap = np.subtract(fp, fv)
+    toward_v = fx >= fv
+    toward_v &= gap >= 0.0
+    toward_p = fx >= fp
+    toward_p &= gap <= 0.0
+    return toward_v, toward_p
+
+
 def _update(e, f, p: VariantParams, z, mem, cp, scratch):
     """Euler-Maruyama update (X - drift) + noise of p.variant with the draw
     z, before the sphere renormalization, as a new array; its temporaries
@@ -294,8 +315,7 @@ def _update(e, f, p: VariantParams, z, mem, cp, scratch):
     if p.variant == "original":
         gate = 1.0
         if p.heaviside_mode != "off":  # f(x) first: the kick's temporaries add no peak memory
-            fx = np.asarray(f(x), dtype=float)
-            gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
+            gate = heaviside(f(x) - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
         return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, scratch, gate)
     diff = np.subtract(x, cp.v, out=scratch)
     sqrt_dt = math.sqrt(p.dt)
@@ -304,11 +324,13 @@ def _update(e, f, p: VariantParams, z, mem, cp, scratch):
         # personal best (rate 1), whichever has the smaller objective value;
         # mode 'off' falls back to exact gating, since ungated dual drift
         # would pin particles in between
-        mode = "exact" if p.heaviside_mode == "off" else p.heaviside_mode
-        fx = np.asarray(f(x), dtype=float)
-        fp = np.asarray(f(mem.p), dtype=float)
-        lam_gate = p.lam * gate_pair(fx - cp.f_at_v, fp - cp.f_at_v, mode, p.epsilon)
-        mu_gate = gate_pair(fx - fp, cp.f_at_v - fp, mode, p.epsilon)
+        fx, fp, fv = f(x), f(mem.p), cp.f_at_v
+        if p.heaviside_mode == "regularized":
+            lam_gate = p.lam * gate_pair(fx - fv, fp - fv, "regularized", p.epsilon)
+            mu_gate = gate_pair(fx - fp, fv - fp, "regularized", p.epsilon)
+        else:  # 'off' and 'exact'
+            lam_gate, mu_gate = _exact_gates(fx, fp, fv)
+            lam_gate = float(p.lam) * lam_gate
         # drift = dt * (lam_gate * diff + mu_gate * (x - p)); x - p goes into
         # mem.p, which is read by now and which accumulate refills next
         drift = np.multiply(lam_gate[:, None], diff)

@@ -132,7 +132,7 @@ class DrawAhead:
         self.pending = None  # (step, future) of the block being drawn ahead
 
     def block(self, step: int) -> np.ndarray:
-        z = self.close(step)
+        z = None if self.pending is None else self.close(step)
         if z is None:
             if not self.buffers:
                 self.buffers.append(np.empty(self.shape))

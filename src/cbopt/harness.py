@@ -188,7 +188,7 @@ def _step(e, f, p, z, integrator, mem, cp, scratch) -> Ensemble:
     positions' shape; returns the new ensemble. personal_best's memory `mem`
     is updated in place."""
     if integrator == "euler":
-        return step(e, f, p, z, mem=mem, cp=cp, scratch=scratch)
+        return step(e, f, p, z, mem, cp, scratch)
     if integrator == "split":
         drifted = split_drift(e.positions, cp.v, p.lam, p.dt, scratch)
         new = split_diffusion(drifted, cp.v, p.sigma, p.dt, z)
@@ -270,9 +270,10 @@ def run(config: RunConfig) -> RunResult:
     that draw on every exit, so no draw is running when it returns or raises.
     """
     p, bp, d = config.params, config.batching, config.dimension
+    every, budget, integrator = config.record_every, config.max_steps, config.integrator
     plan = RngPlan(config.master_seed)
     rows = config.n_particles if bp is None or bp.update_mode == "full" else bp.batch_size
-    noise = DrawAhead(plan, STREAM_DIFFUSION, noise_shape(p, (rows, d)), config.max_steps)
+    noise = DrawAhead(plan, STREAM_DIFFUSION, noise_shape(p, (rows, d)), budget)
     with np.errstate(over="ignore", invalid="ignore"), noise:
         f = make_objective(config.objective, config.dimension)
         e = init_ensemble(config.init, config.n_particles, config.dimension, plan)
@@ -296,7 +297,7 @@ def run(config: RunConfig) -> RunResult:
                 else:  # a stack of q > 1 batches gives a stacked point: cps[j] is batch j's
                     cps = batch_consensus(e, f, p.alpha, batch)
                 first = cps if q == 1 else cps[0]
-                recorded = e.step_count % config.record_every == 0
+                recorded = e.step_count % every == 0
                 record = _point(e, first, scratch) if recorded else None
                 n, stop, prev = q, False, v_prev
                 if eps is not None:  # the stop rule, batch by batch
@@ -315,7 +316,7 @@ def run(config: RunConfig) -> RunResult:
                                      sigma=p.sigma, k=k, theta=theta)
                 elif not stop:  # a plain run stops before its update
                     z = noise.block(e.step_count)
-                    e = _step(e, f, p, z, config.integrator, mem, cps, scratch)
+                    e = _step(e, f, p, z, integrator, mem, cps, scratch)
             except (ValueError, DivergenceError) as err:
                 if q > 1:  # one batch at a time: the error surfaces at its batch
                     singles = [(k, theta + j, b) for j, b in enumerate(batch)]
@@ -333,7 +334,7 @@ def run(config: RunConfig) -> RunResult:
             cp, v_prev = cps if q == 1 else cps[n - 1], prev
             if stop and status == "max_steps":
                 status = "stop_criterion"
-            if status != "max_steps" or e.step_count >= config.max_steps:
+            if status != "max_steps" or e.step_count >= budget:
                 break
         # cps is the final point where it is the full point of a state that did not move
         if cps is not None and (batch is not None or e.step_count != at):

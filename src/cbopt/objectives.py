@@ -7,7 +7,9 @@ the trailing axis, so ensembles can be evaluated in one vectorized call.
 Sums, means and products call the ufunc reductions the ndarray methods wrap.
 Each call writes its elementwise steps, in the formula's order, through ufunc
 ``out=`` into one or two arrays of its own, never into a run's scratch
-array, so calls from several threads share nothing.
+array, so calls from several threads share nothing. A constant that
+multiplies or offsets the points is a read-only 0-d float64 array, which a
+ufunc takes as an operand faster than a Python float, with the same bits.
 
 An ``ObjectiveFunction`` evaluates a stack of more than ``SHARD_MIN_ELEMENTS``
 numbers in row chunks of at most that many, on helper threads too where
@@ -31,6 +33,7 @@ import numpy as np
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
+_FLOAT = np.dtype(float)
 SHARD_MIN_ELEMENTS = 2**15  # the chunk size; a thread hand-off pays for itself from 8k-32k numbers
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -59,6 +62,15 @@ def executor() -> ThreadPoolExecutor:
     return _pool[1]
 
 
+def _constant(value) -> np.ndarray:
+    c = np.array(value, dtype=float)
+    c.flags.writeable = False
+    return c
+
+
+_TWO_PI, _TEN, _MINUS_HALF = _constant(2.0 * np.pi), _constant(10.0), _constant(-0.5)
+
+
 def _as_points(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] == 0:
@@ -71,7 +83,7 @@ def ackley(x):
     x = _as_points(x)
     t = x * x
     rms = np.sqrt(np.add.reduce(t, axis=-1) / x.shape[-1])
-    np.cos(np.multiply(2.0 * np.pi, x, out=t), out=t)
+    np.cos(np.multiply(_TWO_PI, x, out=t), out=t)
     cos_mean = np.add.reduce(t, axis=-1) / x.shape[-1]
     return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + np.e
 
@@ -79,9 +91,9 @@ def ackley(x):
 def rastrigin(x):
     """Rastrigin function: quadratic bowl with a cosine lattice of minima."""
     x = _as_points(x)  # sum of x^2 - 10 cos(2 pi x) + 10
-    t, u = x * x, np.multiply(2.0 * np.pi, x)
-    np.multiply(10.0, np.cos(u, out=u), out=u)
-    return np.add.reduce(np.add(np.subtract(t, u, out=t), 10.0, out=t), axis=-1)
+    t, u = x * x, np.multiply(_TWO_PI, x)
+    np.multiply(_TEN, np.cos(u, out=u), out=u)
+    return np.add.reduce(np.add(np.subtract(t, u, out=t), _TEN, out=t), axis=-1)
 
 
 def griewank(x):
@@ -107,7 +119,7 @@ def wavy(x):
     # Canonical form with frequency k = 10; the mean of cos(kx)*exp(-x^2/2)
     # is damped away from the origin, giving many shallow local minima.
     x = _as_points(x)  # 1 - mean of cos(10 x) exp(-x^2 / 2)
-    t, u = np.multiply(10.0, x), np.multiply(-0.5, x)
+    t, u = np.multiply(_TEN, x), np.multiply(_MINUS_HALF, x)
     np.exp(np.multiply(u, x, out=u), out=u)
     return 1.0 - np.add.reduce(np.multiply(np.cos(t, out=t), u, out=t), axis=-1) / x.shape[-1]
 
@@ -131,7 +143,10 @@ class ObjectiveFunction:
             raise ValueError("dimension must be at least 1")
 
     def __call__(self, x):
-        """Evaluate at one point ``(d,)`` or a stack of points ``(..., d)``.
+        """Evaluate at one point ``(d,)`` or a stack of points ``(..., d)``:
+        float64 values of the leading shape, a numpy float for one point. The
+        points and the values are converted here once, and callers use the
+        values as they are.
 
         A stack of more than SHARD_MIN_ELEMENTS numbers goes to ``fn`` in
         chunks of as many leading-axis rows as hold at most that many
@@ -147,7 +162,7 @@ class ObjectiveFunction:
                 f"expected points of dimension {self.dimension}, got shape {x.shape}"
             )
         if x.ndim < 2 or x.size <= SHARD_MIN_ELEMENTS:
-            return self.fn(x)
+            return _floats(self.fn(x))
         rows = max(1, SHARD_MIN_ELEMENTS // (x.size // len(x)))
         values = [None] * -(-len(x) // rows)
         todo = iter(range(len(values)))  # its next() is one C call: atomic under the GIL
@@ -170,7 +185,15 @@ class ObjectiveFunction:
                 if not helper.cancel():
                     helper.result()
             x = None  # a cancelled helper's queued task holds `pull` until a thread takes it
-        return np.concatenate(values)
+        return _floats(np.concatenate(values))
+
+
+def _floats(values):
+    """An objective's values as float64, converted here once for every caller:
+    an ndarray, or a numpy float for one point."""
+    if type(values) is np.float64 or type(values) is np.ndarray and values.dtype is _FLOAT:
+        return values
+    return np.asarray(values, dtype=float)[()]
 
 
 _BENCHMARKS = {fn.__name__: fn for fn in (ackley, rastrigin, griewank, zakharov, wavy)}

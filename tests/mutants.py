@@ -20,7 +20,10 @@ rule of the helper threads and the CLI's output and null keys; the two
 buffer reuses of the sphere step's tail, which the goldens pin as well;
 the plan a draw ahead draws from and the blocks of a batched run's draws;
 the release of a chunked call's input; and the exact solvers' gamma guard
-and overflow value, and a run's integrator dispatch. The script is a
+and overflow value, and a run's integrator dispatch; and the guards of the
+lean small step: the alpha and non-finite checks of the weights, the one
+conversion of an objective's values, the pending draw, the square root of
+a stack's step sizes and personal_best's exact gates. The script is a
 measure, not a gate: a survivor that is not equivalent asks for a test
 that fails on it.
 """
@@ -135,6 +138,23 @@ MUTANTS = (
            "half_var = np.inf", "half_var = 0.0"),
     Mutant("harness", "_step: integrator == \"split\" to !=",
            'if integrator == "split":', 'if integrator != "split":'),
+    # the guards of the lean small step: checks, conversions and exact gates
+    Mutant("consensus", "_exponentials: alpha < inf to <= inf",
+           "if not 0.0 <= alpha < math.inf:", "if not 0.0 <= alpha <= math.inf:"),
+    Mutant("consensus", "_exponentials: a stack's least minimum from its first ensemble",
+           "fmin.item(0) if fmin.size == 1 else", "fmin.item(0) if True else"),
+    Mutant("objectives", "_floats: an ndarray of any dtype passes unconverted",
+           "and values.dtype is _FLOAT:", "and True:"),
+    Mutant("ensemble", "DrawAhead.block: the pending block is never taken",
+           "z = None if self.pending is None else self.close(step)", "z = None"),
+    Mutant("dynamics", "_sqrt: math.sqrt for a stack's step sizes too",
+           "math.sqrt(dt) if type(dt) is float else", "math.sqrt(dt) if True else"),
+    Mutant("dynamics", "_exact_gates: fx >= fv to >",
+           "toward_v = fx >= fv", "toward_v = fx > fv"),
+    Mutant("dynamics", "_exact_gates: gap <= 0 to <",
+           "toward_p &= gap <= 0.0", "toward_p &= gap < 0.0"),
+    Mutant("dynamics", "personal_best: exact mode takes the regularized gates",
+           'if p.heaviside_mode == "regularized":', 'if p.heaviside_mode != "off":'),
 )
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cbopt.consensus import (
-    consensus_from_values, consensus_mean, laplace_estimate, log_normalizer, weighted_mean,
-    weights,
+    consensus_from_values, consensus_mean, exponentials, laplace_estimate, log_normalizer,
+    weighted_mean, weights,
 )
 from cbopt.ensemble import Ensemble, InitSpec, RngPlan, init_ensemble
 from cbopt.objectives import ObjectiveFunction, make_objective
@@ -60,6 +60,8 @@ class TestWeights:
             weights(np.array([1.0]), -1.0)
         with pytest.raises(ValueError):
             weights(np.array([1.0]), np.inf)
+        with pytest.raises(ValueError):  # -inf in a later ensemble of a stack
+            weights(np.array([[0.0, 1.0], [-np.inf, 2.0]]), 1.0)
 
 
 class TestWeightedMean:
@@ -324,3 +326,48 @@ class TestStackedPoint:
         copy = pickle.loads(pickle.dumps(cps))
         assert copy.v.tobytes() == cps.v.tobytes()
         assert type(copy.f_at_v) is list and float_bytes(copy.f_at_v) == float_bytes(cps.f_at_v)
+
+
+class TestOneConversion:
+    """Each entry point converts what it is given to float64 once, and the
+    values are those of its float64 copy, as they were when every layer
+    converted again: a list, an int array, float32 values, one particle and
+    an int alpha."""
+
+    POSITIONS = [[1, -2], [0, 3], [2, 2], [-1, 0]]
+
+    @pytest.mark.parametrize("fvals", [
+        [3, 1, 2, 5], np.array([3, 1, 2, 5]), np.array([3.1, 1.7, 2.2, 5.9], dtype=np.float32),
+    ], ids=["list", "int", "float32"])
+    @pytest.mark.parametrize("alpha", [0.7, 2])
+    def test_exponentials_weights_and_consensus_mean(self, fvals, alpha):
+        want = np.asarray(fvals, dtype=float)
+        got = exponentials(fvals, alpha) + (weights(fvals, alpha),
+                                            consensus_mean(self.POSITIONS, fvals, alpha))
+        expected = exponentials(want, float(alpha)) + (
+            weights(want, float(alpha)),
+            consensus_mean(np.array(self.POSITIONS, dtype=float), want, float(alpha)))
+        for a, b in zip(got, expected):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+    def test_one_particle(self):
+        shifted, fmin = exponentials([4], 3.0)
+        assert shifted.tolist() == [1.0] and fmin.tolist() == [4.0]
+        assert weights([4], 3.0).tolist() == [1.0]
+        assert consensus_mean([[1, 2]], [4], 3.0).tolist() == [1.0, 2.0]
+
+    def test_objective_values_that_are_not_float64(self):
+        # the values come back converted from the call, so the consensus is
+        # what float64 values of the same numbers give
+        def counts(x):
+            return np.sum(np.asarray(x) > 0.0, axis=-1)  # int values
+
+        as_ints = ObjectiveFunction("ints", counts, 2)
+        as_floats = ObjectiveFunction("floats", lambda x: counts(x).astype(float), 2)
+        e = Ensemble(np.array(self.POSITIONS, dtype=float))
+        got, want = weighted_mean(e, as_ints, 1.5), weighted_mean(e, as_floats, 1.5)
+        assert got.v.tobytes() == want.v.tobytes() and got.f_at_v == want.f_at_v
+        stacked = np.array([self.POSITIONS[:2], self.POSITIONS[2:]], dtype=float)
+        got = consensus_from_values(stacked, counts(stacked).tolist(), 1.5, as_ints)
+        want = consensus_from_values(stacked, counts(stacked).astype(float), 1.5, as_floats)
+        assert got.v.tobytes() == want.v.tobytes() and got.f_at_v == want.f_at_v

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbopt import harness, objectives
+from cbopt import dynamics, harness, objectives
 from cbopt.consensus import ConsensusPoint, consensus_mean, weighted_mean, weights
 from cbopt.dynamics import (
     HEAVISIDE_MODES,
@@ -38,7 +38,7 @@ from cbopt.ensemble import (
     mean_pairwise_sq_dist,
 )
 from cbopt.harness import RunConfig, run
-from cbopt.objectives import make_objective
+from cbopt.objectives import ObjectiveFunction, make_objective
 
 # ---------------------------------------------------------------------------
 # the expressions as they were written before the kernels took a scratch array
@@ -214,6 +214,30 @@ class TestKernelsMatchTheReference:
             assert plain_e.positions.tobytes() == e.positions.tobytes() == expected.tobytes()
             if variant == "personal_best":
                 assert memory_bytes(plain_mem) == memory_bytes(mem) == memory_bytes(ref_mem)
+
+    @pytest.mark.parametrize("mode", HEAVISIDE_MODES)
+    @pytest.mark.parametrize("f_at_v", [math.inf, -math.inf, math.nan, 0.25, 1.5])
+    def test_personal_best_gates_at_ties_and_non_finite_values(self, mode, f_at_v):
+        # f is the first coordinate, so the rows pick f(x), f(p) and f(v):
+        # f(x) ties f(v) at 0.25 and f(p) at rows 1 and 9; f(p) is +-inf, NaN,
+        # a tie with f(v) at 0.25 and 1.5, and a finite value on either side
+        f = ObjectiveFunction("first", lambda x: np.array(x[..., 0]), 2)
+        fx = np.array([0.25, 1.5, -2.0, 0.25, 3.0, 0.25, 1.5, -1.0, 0.5, -3.0])
+        fp = np.array([math.inf, 1.5, math.nan, -math.inf, 0.25, 1.5, 9.0, -7.0, 0.25, -3.0])
+        e = Ensemble(np.column_stack([fx, np.linspace(-1.0, 1.0, fx.size)]), 0.5, 3)
+        p = VariantParams(lam=1.3, sigma=0.8, dt=0.05, epsilon=0.3, variant="personal_best",
+                          heaviside_mode=mode)
+        cp = ConsensusPoint(np.array([0.1, -0.2]), f_at_v)
+        z = np.random.default_rng(7).standard_normal(e.positions.shape)
+        mem = PersonalBestMemory.initial(e)
+        mem.p[:, 0], mem.p[:, 1] = fp, 0.5  # the pull x - p is not 0 at a tie
+        ref_mem = PersonalBestMemory(*snapshot(mem.scaled_num, mem.scaled_den, mem.log_scale,
+                                               mem.p))
+        with np.errstate(invalid="ignore"):  # inf - inf and NaN rows: NaN positions
+            expected, ref_mem = ref_step(e, f, p, z, ref_mem, cp)
+            new = dynamics._update(e, f, p, z, mem, cp, np.empty(e.positions.shape))
+        assert new.tobytes() == expected.tobytes()
+        assert memory_bytes(mem) == memory_bytes(ref_mem)
 
     @settings(max_examples=150, deadline=None)
     @given(

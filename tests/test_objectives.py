@@ -520,3 +520,36 @@ def run_in_own_session(script, timeout=120):
 def test_objective_function_needs_a_dimension():
     with pytest.raises(ValueError, match="^dimension must be at least 1$"):
         ObjectiveFunction("zero", lambda x: np.zeros(np.shape(x)[:-1]), 0)
+
+
+class TestOneConversion:
+    """ObjectiveFunction converts the points and the values once: points that
+    are not float64 arrays give what their float64 copies give, bit for bit,
+    and a function's values come back as float64, a numpy float for one point."""
+
+    POINTS = [[1, -2, 3], [0, 1, 2]]
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_points(self, name):
+        f = make_objective(name, 3)
+        as_float32 = np.array(self.POINTS, dtype=np.float32) / 3
+        for x in (self.POINTS, np.array(self.POINTS), as_float32, self.POINTS[0]):
+            got, want = f(x), f(np.asarray(x, dtype=float))
+            assert type(got) is type(want)
+            assert np.asarray(got).dtype == np.float64
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert type(f(self.POINTS[0])) is np.float64
+
+    @pytest.mark.parametrize("values", [
+        lambda x: np.sum(x > 0.0, axis=-1),
+        lambda x: np.sum(x, axis=-1).tolist(),
+        lambda x: np.sum(x, axis=-1).astype(np.float32),
+    ], ids=["int", "list", "float32"])
+    def test_values(self, values):
+        f = ObjectiveFunction("values", values, 3)
+        x = np.array(self.POINTS, dtype=float)
+        got = f(x)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.tobytes() == np.asarray(values(x), dtype=float).tobytes()
+        one = f(x[0])
+        assert type(one) is np.float64 and one == float(np.asarray(values(x[0])))
