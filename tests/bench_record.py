@@ -80,7 +80,8 @@ def unpack(rev: str, into: Path) -> None:
 
 
 def spread(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                      else values * 3)
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
