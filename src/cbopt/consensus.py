@@ -12,9 +12,10 @@ replicas, and each caller computes only the one it reads. `laplace_estimate`
 takes the Laplace value and its standard error from one set of exponentials.
 Reductions use numpy's index-ascending pairwise sums, which keeps results
 identical no matter how the f-evaluations were scheduled across workers.
-Each entry point converts the values it is given to float64 once, and
-`weighted_mean` takes them from the objective, which returns float64; the
-three (..., N) temporaries of the weights are one array, written in place.
+Each entry point converts the values it is given to float64 once (values
+an `ObjectiveFunction` returns are float64 already, and pass after a type
+test); the three (..., N) temporaries of the weights are one array,
+written in place.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Tuple
 import numpy as np
 
 from .ensemble import Ensemble
-from .objectives import ObjectiveFunction
+from .objectives import ObjectiveFunction, _floats
 
 
 @dataclass(frozen=True)
@@ -112,12 +113,12 @@ def consensus_from_values(
     """Build the consensus point, or a stacked one, from precomputed objective
     values (`scratch` as in `consensus_mean`)."""
     v = _mean(positions, np.asarray(fvals, dtype=float), alpha, scratch)
-    return ConsensusPoint(v, f(v).tolist() if v.ndim > 1 else float(f(v)))
+    return ConsensusPoint(v, _floats(f(v)).tolist() if v.ndim > 1 else float(f(v)))
 
 
 def weighted_mean(e: Ensemble, f: ObjectiveFunction, alpha: float, scratch=None) -> ConsensusPoint:
     """Consensus point of the full ensemble (`scratch` as in `consensus_mean`)."""
-    v = _mean(e.positions, f(e.positions), alpha, scratch)
+    v = _mean(e.positions, _floats(f(e.positions)), alpha, scratch)
     return ConsensusPoint(v, float(f(v)))
 
 

@@ -289,7 +289,7 @@ def _exact_gates(fx, fp, fv):
     a >= b gives what a - b >= 0 gives except where a and b are the same
     infinity, and there the gate's other factor is false too unless that
     infinity is -inf. So these are the gates of the differences wherever
-    f(x) is not -inf; the consensus step has found f(x) finite."""
+    f(x) is not -inf, which `step` assumes."""
     gap = np.subtract(fp, fv)
     toward_v = fx >= fv
     toward_v &= gap >= 0.0
@@ -373,7 +373,11 @@ def step(
 
     The caller draws z (`harness.run` takes step k's block of the
     STREAM_DIFFUSION stream), and the step only reads it. `cp` defaults to
-    the weighted mean of `e`. `mem` is required by the personal_best
+    the weighted mean of `e`, which raises unless f is finite at every
+    particle. A `cp` the caller gives skips that check, and the step then
+    assumes f(x) is not -inf at any particle: personal_best's exact gates
+    compare f(x) with f(v) and f(p), which is what the heaviside of their
+    differences gives everywhere else. `mem` is required by the personal_best
     variant: the run's one memory set, `PersonalBestMemory.initial(e)` at
     the start, which each step updates in place by one left-endpoint
     rectangle of its weighted time integrals; the other variants ignore it.

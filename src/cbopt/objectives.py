@@ -189,8 +189,8 @@ class ObjectiveFunction:
 
 
 def _floats(values):
-    """An objective's values as float64, converted here once for every caller:
-    an ndarray, or a numpy float for one point."""
+    """An objective's values as float64, an ndarray or a numpy float for one
+    point: float64 values pass after a type test, others are converted."""
     if type(values) is np.float64 or type(values) is np.ndarray and values.dtype is _FLOAT:
         return values
     return np.asarray(values, dtype=float)[()]

@@ -1,19 +1,19 @@
 """Record the benchmark of this checkout in one JSON file, and optionally
 compare it with a parent revision in alternating pairs.
 
-    python tests/bench_record.py --out BENCH_<pr>.json [--seed 1] [--seconds 15]
-        [--workloads NAME ...] [--parent REV --pairs K]
+    python tests/bench_record.py --out BENCH_<pr>.json [--seed 1] [--parent REV --pairs K]
 
-Every workload runs once through ``perfbench/run.py`` at ``--trace 0`` and
-once at ``--trace 1``; the file holds each job's record verbatim (what
-run.py writes to ``perfbench/out/<workload>.trace<0|1>.json``), the git
-revision and the golden math fingerprint of ``tests/test_golden.py``.
+Every workload of ``BENCHMARK.json`` runs through ``perfbench/run.py`` for
+the benchmark's ``run_seconds``, once at ``--trace 0`` and once at
+``--trace 1``; the file holds each job's record verbatim (what run.py
+writes to ``perfbench/out/<workload>.trace<0|1>.json``), the git revision
+and the golden math fingerprint of ``tests/test_golden.py``.
 
 With ``--parent REV --pairs K`` the committed files of REV are unpacked
-into a temporary directory (``git archive``, offline; ``TMPDIR`` picks
-where) and each workload runs K pairs of ``--trace 0`` jobs, one process
-each, parent first in odd pairs and change first in even ones, since the
-order inside a pair moves a timing by several percent. For each
+into a temporary directory (``git archive`` piped to ``tar``, offline;
+``TMPDIR`` picks where) and each workload runs K pairs of ``--trace 0``
+jobs, one process each, parent first in odd pairs and change first in even
+ones, since the order inside a pair moves a timing by several percent. For each
 end-to-end metric of ``BENCHMARK.json`` the file holds both sides' values,
 medians and quartiles, the change/parent ratio of the medians and the
 number of pairs the change won in the metric's better direction, and it
@@ -30,7 +30,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -38,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+SECONDS = SPEC["run_seconds"]
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -57,10 +57,10 @@ def fingerprint() -> str:
     return math_fingerprint()
 
 
-def job(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def job(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench/run.py process in `checkout`; its record, as run.py wrote it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
@@ -71,12 +71,12 @@ def job(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
 
 def unpack(rev: str, into: Path) -> None:
     """The committed files of `rev` in `into`."""
-    archive = into / "rev.tar"
-    with archive.open("wb") as out:
-        subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=out)
-    with tarfile.open(archive) as tar:
-        tar.extractall(into / "tree", filter="data")
-    archive.unlink()
+    into.mkdir()
+    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {rev} exited {archive.returncode}")
 
 
 def spread(values: list) -> dict:
@@ -101,13 +101,12 @@ def compare(parent: list, change: list) -> dict:
     return out
 
 
-def pairs(parent_tree: Path, workload: str, seed: int, seconds: float, k: int) -> dict:
+def pairs(parent_tree: Path, workload: str, seed: int, k: int) -> dict:
     sides = {"parent": [], "change": []}
     for i in range(1, k + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
-            sides[side].append(job(parent_tree if side == "parent" else ROOT, workload, seed,
-                                   seconds, 0))
+            sides[side].append(job(parent_tree if side == "parent" else ROOT, workload, seed, 0))
         print(f"# {workload} pair {i}/{k}: runs_per_s parent "
               f"{sides['parent'][-1]['metrics']['runs_per_s']['value']:.4g} change "
               f"{sides['change'][-1]['metrics']['runs_per_s']['value']:.4g}", flush=True)
@@ -123,8 +122,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     parser.add_argument("--parent", help="revision to compare with, in alternating pairs")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
@@ -140,21 +137,22 @@ def main(argv=None) -> int:
         "command": ["python", "tests/bench_record.py",
                     *(argv if argv is not None else sys.argv[1:])],
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "records": {},
     }
-    for workload in args.workloads:
-        record["records"][workload] = {f"trace{t}": job(ROOT, workload, args.seed, args.seconds, t)
+    for workload in WORKLOADS:
+        record["records"][workload] = {f"trace{t}": job(ROOT, workload, args.seed, t)
                                        for t in (0, 1)}
         print(f"# {workload} recorded", flush=True)
     if args.parent is not None:
         with tempfile.TemporaryDirectory(prefix="cbopt-parent-") as tmp:
-            unpack(args.parent, Path(tmp))
             record["parent"] = {"rev": args.parent, "commit": git("rev-parse", args.parent),
                                 "workloads": {}}
-            for workload in args.workloads:
+            tree = Path(tmp) / "tree"
+            unpack(args.parent, tree)
+            for workload in WORKLOADS:
                 record["parent"]["workloads"][workload] = pairs(
-                    Path(tmp) / "tree", workload, args.seed, args.seconds, args.pairs)
+                    tree, workload, args.seed, args.pairs)
     record["elapsed_s"] = round(time.time() - started, 1)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, result in record.get("parent", {}).get("workloads", {}).items():

@@ -22,10 +22,10 @@ the plan a draw ahead draws from and the blocks of a batched run's draws;
 the release of a chunked call's input; and the exact solvers' gamma guard
 and overflow value, and a run's integrator dispatch; and the guards of the
 lean small step: the alpha and non-finite checks of the weights, the one
-conversion of an objective's values, the pending draw, the square root of
-a stack's step sizes and personal_best's exact gates. The script is a
-measure, not a gate: a survivor that is not equivalent asks for a test
-that fails on it.
+conversion of an objective's values and that of a plain function's, the
+pending draw, the square root of a stack's step sizes and personal_best's
+exact gates. The script is a measure, not a gate: a survivor that is not
+equivalent asks for a test that fails on it.
 """
 
 import os
@@ -151,6 +151,10 @@ MUTANTS = (
            "math.sqrt(dt) if type(dt) is float else", "math.sqrt(dt) if True else"),
     Mutant("dynamics", "_exact_gates: fx >= fv to >",
            "toward_v = fx >= fv", "toward_v = fx > fv"),
+    Mutant("dynamics", "_exact_gates: fx >= fp to >",
+           "toward_p = fx >= fp", "toward_p = fx > fp"),
+    Mutant("consensus", "weighted_mean: a plain function's values are not converted",
+           "_mean(e.positions, _floats(f(e.positions)),", "_mean(e.positions, f(e.positions),"),
     Mutant("dynamics", "_exact_gates: gap <= 0 to <",
            "toward_p &= gap <= 0.0", "toward_p &= gap < 0.0"),
     Mutant("dynamics", "personal_best: exact mode takes the regularized gates",

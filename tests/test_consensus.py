@@ -356,18 +356,25 @@ class TestOneConversion:
         assert weights([4], 3.0).tolist() == [1.0]
         assert consensus_mean([[1, 2]], [4], 3.0).tolist() == [1.0, 2.0]
 
-    def test_objective_values_that_are_not_float64(self):
-        # the values come back converted from the call, so the consensus is
-        # what float64 values of the same numbers give
+    @pytest.mark.parametrize("kind", ["objective", "function", "list"])
+    def test_objective_values_that_are_not_float64(self, kind):
+        # an ObjectiveFunction converts the values it returns, and the
+        # consensus entry points convert those of a plain function (int
+        # values, or lists of them), so the consensus is what float64
+        # values of the same numbers give
         def counts(x):
-            return np.sum(np.asarray(x) > 0.0, axis=-1)  # int values
+            n = np.sum(np.asarray(x) > 0.0, axis=-1)  # int values, or an int for one point
+            return n.tolist() if kind == "list" else n
 
-        as_ints = ObjectiveFunction("ints", counts, 2)
-        as_floats = ObjectiveFunction("floats", lambda x: counts(x).astype(float), 2)
+        def as_floats(x):
+            return np.asarray(counts(x), dtype=float)
+
+        f = ObjectiveFunction("ints", counts, 2) if kind == "objective" else counts
         e = Ensemble(np.array(self.POSITIONS, dtype=float))
-        got, want = weighted_mean(e, as_ints, 1.5), weighted_mean(e, as_floats, 1.5)
+        got, want = weighted_mean(e, f, 1.5), weighted_mean(e, as_floats, 1.5)
         assert got.v.tobytes() == want.v.tobytes() and got.f_at_v == want.f_at_v
         stacked = np.array([self.POSITIONS[:2], self.POSITIONS[2:]], dtype=float)
-        got = consensus_from_values(stacked, counts(stacked).tolist(), 1.5, as_ints)
-        want = consensus_from_values(stacked, counts(stacked).astype(float), 1.5, as_floats)
+        got = consensus_from_values(stacked, counts(stacked), 1.5, f)
+        want = consensus_from_values(stacked, as_floats(stacked), 1.5, as_floats)
         assert got.v.tobytes() == want.v.tobytes() and got.f_at_v == want.f_at_v
+        assert all(type(value) is float for value in got.f_at_v)

@@ -220,10 +220,16 @@ class TestKernelsMatchTheReference:
     def test_personal_best_gates_at_ties_and_non_finite_values(self, mode, f_at_v):
         # f is the first coordinate, so the rows pick f(x), f(p) and f(v):
         # f(x) ties f(v) at 0.25 and f(p) at rows 1 and 9; f(p) is +-inf, NaN,
-        # a tie with f(v) at 0.25 and 1.5, and a finite value on either side
-        f = ObjectiveFunction("first", lambda x: np.array(x[..., 0]), 2)
-        fx = np.array([0.25, 1.5, -2.0, 0.25, 3.0, 0.25, 1.5, -1.0, 0.5, -3.0])
-        fp = np.array([math.inf, 1.5, math.nan, -math.inf, 0.25, 1.5, 9.0, -7.0, 0.25, -3.0])
+        # a tie with f(v) at 0.25 and 1.5, and a finite value on either side;
+        # in the last two rows f(x) is +inf (f overflows at x = 1e300), tying
+        # f(v) = +inf and f(p) (step assumes f(x) is not -inf)
+        def first(x):
+            return np.where(abs(x[..., 0]) < 1e300, x[..., 0], 1e10 * x[..., 0])
+
+        f = ObjectiveFunction("first", first, 2)
+        fx = np.array([0.25, 1.5, -2.0, 0.25, 3.0, 0.25, 1.5, -1.0, 0.5, -3.0, 1e300, 1e300])
+        fp = np.array([math.inf, 1.5, math.nan, -math.inf, 0.25, 1.5, 9.0, -7.0, 0.25, -3.0,
+                       0.25, 1e300])
         e = Ensemble(np.column_stack([fx, np.linspace(-1.0, 1.0, fx.size)]), 0.5, 3)
         p = VariantParams(lam=1.3, sigma=0.8, dt=0.05, epsilon=0.3, variant="personal_best",
                           heaviside_mode=mode)
@@ -233,11 +239,26 @@ class TestKernelsMatchTheReference:
         mem.p[:, 0], mem.p[:, 1] = fp, 0.5  # the pull x - p is not 0 at a tie
         ref_mem = PersonalBestMemory(*snapshot(mem.scaled_num, mem.scaled_den, mem.log_scale,
                                                mem.p))
-        with np.errstate(invalid="ignore"):  # inf - inf and NaN rows: NaN positions
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and NaN rows: NaN positions
             expected, ref_mem = ref_step(e, f, p, z, ref_mem, cp)
             new = dynamics._update(e, f, p, z, mem, cp, np.empty(e.positions.shape))
         assert new.tobytes() == expected.tobytes()
         assert memory_bytes(mem) == memory_bytes(ref_mem)
+
+    def test_exact_gates_of_every_order(self):
+        # every triple of -inf, -1.5, 0, 1.5, +inf and NaN with f(x) not -inf,
+        # as step assumes: the gates are the heaviside products of the
+        # differences, also where two values are +inf or -inf and their
+        # difference is NaN
+        values = [-math.inf, -1.5, 0.0, 1.5, math.inf, math.nan]
+        fx, fp = (np.array(t) for t in zip(*[(a, b) for a in values[1:] for b in values]))
+        for fv in values:
+            with np.errstate(invalid="ignore"):
+                toward_v, toward_p = dynamics._exact_gates(fx, fp, fv)
+                want_v = gate_pair(fx - fv, fp - fv, "exact")
+                want_p = gate_pair(fx - fp, fv - fp, "exact")
+            assert toward_v.tolist() == (want_v == 1.0).tolist()
+            assert toward_p.tolist() == (want_p == 1.0).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(
