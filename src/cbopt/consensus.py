@@ -12,10 +12,12 @@ replicas, and each caller computes only the one it reads. `laplace_estimate`
 takes the Laplace value and its standard error from one set of exponentials.
 Reductions use numpy's index-ascending pairwise sums, which keeps results
 identical no matter how the f-evaluations were scheduled across workers.
-Each entry point converts the values it is given to float64 once (values
-an `ObjectiveFunction` returns are float64 already, and pass after a type
-test); the three (..., N) temporaries of the weights are one array,
-written in place.
+One function per quantity, each built on the one before: `exponentials`,
+`weights`, `consensus_mean`, `consensus_from_values`, `weighted_mean`.
+`exponentials` alone converts values to float64 (an `ObjectiveFunction`'s
+pass after a type test) and alpha to a float, so every entry point takes
+lists, other dtypes and plain functions; the weights' three (..., N)
+temporaries are one array, written in place.
 """
 
 from __future__ import annotations
@@ -43,15 +45,11 @@ class ConsensusPoint:
 
 
 def exponentials(fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
-    """exp(-alpha (f_i - min f)) over the last axis of `fvals`, and the
-    minima min f of shape (..., 1): the weights up to their normalization,
-    and the shift of the exponent."""
-    return _exponentials(np.asarray(fvals, dtype=float), float(alpha))
-
-
-def _exponentials(fvals, alpha):
-    """`exponentials` of float64 values, in one new array; alpha is any
-    real number, checked here with one comparison."""
+    """exp(-alpha (f_i - min f)) over the last axis of `fvals`, in one new
+    array, and the minima min f of shape (..., 1): the weights up to their
+    normalization, and the shift of the exponent. alpha is any real number,
+    checked here with one comparison."""
+    fvals, alpha = _floats(fvals), float(alpha)
     if fvals.ndim < 1 or fvals.size < 1:
         raise ValueError("fvals must be nonempty along the particle axis")
     fmin = np.minimum.reduce(fvals, axis=-1, keepdims=True)
@@ -64,14 +62,10 @@ def _exponentials(fvals, alpha):
     if alpha == 0.0:  # 0 * inf is NaN where f spans more than the float range
         return np.ones_like(fvals), fmin
     if math.isfinite(alpha * (top - low)):
-        return _shifted_exp(fvals, fmin, alpha), fmin
+        t = np.subtract(fvals, fmin)
+        return np.exp(np.multiply(-alpha, t, out=t), out=t), fmin
     with np.errstate(over="ignore"):  # an exponent past the float range: its exponential is 0
-        return _shifted_exp(fvals, fmin, alpha), fmin
-
-
-def _shifted_exp(fvals, fmin, alpha):
-    t = np.subtract(fvals, fmin)
-    return np.exp(np.multiply(-alpha, t, out=t), out=t)
+        return np.exp(-alpha * (fvals - fmin)), fmin
 
 
 def weights(fvals, alpha) -> np.ndarray:
@@ -85,13 +79,7 @@ def consensus_mean(positions, fvals, alpha, scratch=None) -> np.ndarray:
     ensemble in a (..., N, d) stack with (..., N) values; v has shape (..., d).
     `scratch`, an array of the positions' shape, holds the weighted product
     if given."""
-    return _mean(positions, np.asarray(fvals, dtype=float), float(alpha), scratch)
-
-
-def _mean(positions, fvals, alpha, scratch):
-    """`consensus_mean` of float64 values; its weights are normalized in place."""
-    shifted, _ = _exponentials(fvals, alpha)
-    w = np.divide(shifted, np.add.reduce(shifted, axis=-1, keepdims=True), out=shifted)
+    w = weights(fvals, alpha)
     return np.add.reduce(np.multiply(w[..., None], positions, out=scratch), axis=-2)
 
 
@@ -112,14 +100,13 @@ def consensus_from_values(
 ) -> ConsensusPoint:
     """Build the consensus point, or a stacked one, from precomputed objective
     values (`scratch` as in `consensus_mean`)."""
-    v = _mean(positions, np.asarray(fvals, dtype=float), alpha, scratch)
+    v = consensus_mean(positions, fvals, alpha, scratch)
     return ConsensusPoint(v, _floats(f(v)).tolist() if v.ndim > 1 else float(f(v)))
 
 
 def weighted_mean(e: Ensemble, f: ObjectiveFunction, alpha: float, scratch=None) -> ConsensusPoint:
     """Consensus point of the full ensemble (`scratch` as in `consensus_mean`)."""
-    v = _mean(e.positions, _floats(f(e.positions)), alpha, scratch)
-    return ConsensusPoint(v, float(f(v)))
+    return consensus_from_values(e.positions, f(e.positions), alpha, f, scratch)
 
 
 def laplace_estimate(fvals, alpha) -> Tuple[float, float]:

@@ -22,8 +22,8 @@ the plan a draw ahead draws from and the blocks of a batched run's draws;
 the release of a chunked call's input; and the exact solvers' gamma guard
 and overflow value, and a run's integrator dispatch; and the guards of the
 lean small step: the alpha and non-finite checks of the weights, the one
-conversion of an objective's values and that of a plain function's, the
-pending draw, the square root of a stack's step sizes and personal_best's
+conversion of an objective's values and the weights' conversion of any
+other values (a plain function's int array among them), the pending draw, the square root of a stack's step sizes and personal_best's
 exact gates. The script is a measure, not a gate: a survivor that is not
 equivalent asks for a test that fails on it.
 """
@@ -139,9 +139,9 @@ MUTANTS = (
     Mutant("harness", "_step: integrator == \"split\" to !=",
            'if integrator == "split":', 'if integrator != "split":'),
     # the guards of the lean small step: checks, conversions and exact gates
-    Mutant("consensus", "_exponentials: alpha < inf to <= inf",
+    Mutant("consensus", "exponentials: alpha < inf to <= inf",
            "if not 0.0 <= alpha < math.inf:", "if not 0.0 <= alpha <= math.inf:"),
-    Mutant("consensus", "_exponentials: a stack's least minimum from its first ensemble",
+    Mutant("consensus", "exponentials: a stack's least minimum from its first ensemble",
            "fmin.item(0) if fmin.size == 1 else", "fmin.item(0) if True else"),
     Mutant("objectives", "_floats: an ndarray of any dtype passes unconverted",
            "and values.dtype is _FLOAT:", "and True:"),
@@ -154,7 +154,10 @@ MUTANTS = (
     Mutant("dynamics", "_exact_gates: fx >= fp to >",
            "toward_p = fx >= fp", "toward_p = fx > fp"),
     Mutant("consensus", "weighted_mean: a plain function's values are not converted",
-           "_mean(e.positions, _floats(f(e.positions)),", "_mean(e.positions, f(e.positions),"),
+           "fvals, alpha = _floats(fvals), float(alpha)",
+           "fvals, alpha = (fvals if type(fvals) is np.ndarray else _floats(fvals)), float(alpha)"),
+    Mutant("consensus", "exponentials: no _floats conversion",
+           "fvals, alpha = _floats(fvals), float(alpha)", "fvals, alpha = fvals, float(alpha)"),
     Mutant("dynamics", "_exact_gates: gap <= 0 to <",
            "toward_p &= gap <= 0.0", "toward_p &= gap < 0.0"),
     Mutant("dynamics", "personal_best: exact mode takes the regularized gates",

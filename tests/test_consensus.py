@@ -232,6 +232,28 @@ class TestReductionProperties:
             assert stacked[r].tobytes() == log_normalizer(fvals[r], alpha).tobytes()
 
     @settings(max_examples=80, deadline=None)
+    @given(ensemble=ensembles(stacked=True), alpha=st.floats(0.0, 100.0) | st.just(1e308))
+    @example(ensemble=(np.zeros((2, 3, 1)), np.array([[3.0, 3.0, 5.0], [-2.0, 7.0, 7.0]])),
+             alpha=1e308)  # alpha (max f - min f) passes the float range
+    def test_stack_matches_the_plain_formulas_bitwise(self, ensemble, alpha):
+        # each entry point on (R, N) values against the formulas written out
+        positions, fvals = ensemble
+        f = quadratic(positions.shape[-1])
+        fmin = np.minimum.reduce(fvals, axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):
+            shifted = np.exp(-alpha * (fvals - fmin))
+            got_log, want_log = log_normalizer(fvals, alpha), eager_log_normalizer(fvals, alpha)
+        w = shifted / shifted.sum(-1, keepdims=True)
+        v = np.add.reduce(w[..., None] * positions, axis=-2)
+        got_shifted, got_fmin = exponentials(fvals, alpha)
+        assert got_shifted.tobytes() == shifted.tobytes() and got_fmin.tobytes() == fmin.tobytes()
+        assert weights(fvals, alpha).tobytes() == w.tobytes()
+        assert consensus_mean(positions, fvals, alpha).tobytes() == v.tobytes()
+        assert got_log.tobytes() == want_log.tobytes()
+        cps = consensus_from_values(positions, fvals, alpha, f)
+        assert cps.v.tobytes() == v.tobytes() and cps.f_at_v == f(v).tolist()
+
+    @settings(max_examples=80, deadline=None)
     @given(
         ensemble=ensembles(),
         alpha=st.floats(0.0, 10.0),
@@ -373,6 +395,9 @@ class TestOneConversion:
         e = Ensemble(np.array(self.POSITIONS, dtype=float))
         got, want = weighted_mean(e, f, 1.5), weighted_mean(e, as_floats, 1.5)
         assert got.v.tobytes() == want.v.tobytes() and got.f_at_v == want.f_at_v
+        same = consensus_from_values(e.positions, f(e.positions), 1.5, f)
+        assert same.v.tobytes() == got.v.tobytes() and type(same.f_at_v) is float
+        assert float_bytes(same.f_at_v) == float_bytes(got.f_at_v)
         stacked = np.array([self.POSITIONS[:2], self.POSITIONS[2:]], dtype=float)
         got = consensus_from_values(stacked, counts(stacked), 1.5, f)
         want = consensus_from_values(stacked, as_floats(stacked), 1.5, as_floats)
