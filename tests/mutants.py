@@ -23,8 +23,8 @@ the release of a chunked call's input; and the exact solvers' gamma guard
 and overflow value, and a run's integrator dispatch; and the guards of the
 lean small step: the alpha and non-finite checks of the weights, the one
 conversion of an objective's values and the weights' conversion of any
-other values (a plain function's int array among them), the pending draw, the square root of a stack's step sizes and personal_best's
-exact gates. The script is a measure, not a gate: a survivor that is not
+other values (a plain function's int array among them), the pending draw,
+the square root of a stack's step sizes and personal_best's exact gates. The script is a measure, not a gate: a survivor that is not
 equivalent asks for a test that fails on it.
 """
 

@@ -5,15 +5,7 @@ at those frozen seeds for comparison.
 
     python tests/oracle_margins.py [--campaigns] [seed ...]
 
-With seeds, the given seeds replace 1 to 10. `--campaigns` runs the two
-campaign criteria, 5 and 10, in place of 1 to 4, and prints one line per
-seed in each criterion's own units: criterion 5's success rate minus 0.5
-(100 ackley runs, d = 20; above 0 passes), and criterion 10's gap, the
-personal_best success rate minus the anisotropic one (200 paired rastrigin
-runs each, N = 10, d = 5; 0 or above passes), with its unpaired standard
-error sqrt(p1 (1 - p1) / 200 + p2 (1 - p2) / 200) and the gap in those
-errors. The time bound of criterion 5 is left out, as criterion 1's is.
-A seed of either takes 30 to 70 s (2 vCPU). A criterion's margin at a
+With seeds, the given seeds replace 1 to 10. A criterion's margin at a
 seed is the share of its tolerance left, 1 - error / tolerance: 1 is an
 exact fit, 0 lies on the bound, and below 0 fails. Criterion 2 takes the
 worse of its two dimensions, criterion 4 the worst of its three alphas,
@@ -21,9 +13,21 @@ and criterion 3 the decay fit, whose growth half must also grow to pass.
 The timing bound of criterion 1 is left out: it measures the machine, not
 the seed. Each line shows a criterion's pass fraction over the seeds, the
 median and minimum margin with the seed of the minimum, and the margin at
-its frozen seeds. The script is a measure, not a gate: it changes no test,
-seed, tolerance or bound, and a failing seed is a finding to report, not a
-reason to move a frozen seed. It took 628 s on 2 vCPU beside a tier-1 run.
+its frozen seeds. It took 628 s on 2 vCPU beside a tier-1 run.
+
+`--campaigns` runs the two campaign criteria, 5 and 10, in place of 1 to
+4, at the same seeds and then at each one's frozen seed, and prints one
+line per seed in the criterion's own units: criterion 5's success rate
+minus 0.5 (100 ackley runs, d = 20; above 0 passes), and criterion 10's
+gap, the personal_best success rate minus the anisotropic one (200 runs
+each at the same run seeds, rastrigin, N = 10, d = 5; 0 or above passes),
+with its unpaired standard error sqrt(p1 (1 - p1) / 200 + p2 (1 - p2) / 200)
+and the gap in those errors. The time bound of criterion 5 is left out, as
+criterion 1's is.
+
+The script is a measure, not a gate: it changes no test, seed, tolerance
+or bound, and a failing seed is a finding to report, not a reason to move
+a frozen seed.
 """
 
 import math

@@ -219,7 +219,9 @@ def ensembles(draw, stacked=False):
 
 class TestReductionProperties:
     @settings(max_examples=80, deadline=None)
-    @given(ensemble=ensembles(stacked=True), alpha=st.floats(0.0, 100.0))
+    @given(ensemble=ensembles(stacked=True), alpha=st.floats(0.0, 100.0) | st.just(1e308))
+    @example(ensemble=(np.zeros((2, 3, 1)), np.array([[3.0, 3.0, 5.0], [-2.0, 7.0, 7.0]])),
+             alpha=1e308)  # alpha (max f - min f) passes the float range
     def test_stack_matches_separate_weighted_means_bitwise(self, ensemble, alpha):
         positions, fvals = ensemble
         v, stacked = consensus_mean(positions, fvals, alpha), log_normalizer(fvals, alpha)
@@ -230,28 +232,20 @@ class TestReductionProperties:
             cp = weighted_mean(Ensemble(rows), drawn, alpha)
             assert v[r].tobytes() == cp.v.tobytes()
             assert stacked[r].tobytes() == log_normalizer(fvals[r], alpha).tobytes()
-
-    @settings(max_examples=80, deadline=None)
-    @given(ensemble=ensembles(stacked=True), alpha=st.floats(0.0, 100.0) | st.just(1e308))
-    @example(ensemble=(np.zeros((2, 3, 1)), np.array([[3.0, 3.0, 5.0], [-2.0, 7.0, 7.0]])),
-             alpha=1e308)  # alpha (max f - min f) passes the float range
-    def test_stack_matches_the_plain_formulas_bitwise(self, ensemble, alpha):
-        # each entry point on (R, N) values against the formulas written out
-        positions, fvals = ensemble
-        f = quadratic(positions.shape[-1])
+        # and every entry point on the stack, against the formulas written out
         fmin = np.minimum.reduce(fvals, axis=-1, keepdims=True)
         with np.errstate(over="ignore"):
             shifted = np.exp(-alpha * (fvals - fmin))
-            got_log, want_log = log_normalizer(fvals, alpha), eager_log_normalizer(fvals, alpha)
+            assert stacked.tobytes() == eager_log_normalizer(fvals, alpha).tobytes()
         w = shifted / shifted.sum(-1, keepdims=True)
-        v = np.add.reduce(w[..., None] * positions, axis=-2)
+        plain = np.add.reduce(w[..., None] * positions, axis=-2)
         got_shifted, got_fmin = exponentials(fvals, alpha)
         assert got_shifted.tobytes() == shifted.tobytes() and got_fmin.tobytes() == fmin.tobytes()
         assert weights(fvals, alpha).tobytes() == w.tobytes()
-        assert consensus_mean(positions, fvals, alpha).tobytes() == v.tobytes()
-        assert got_log.tobytes() == want_log.tobytes()
+        assert v.tobytes() == plain.tobytes()
+        f = quadratic(positions.shape[-1])
         cps = consensus_from_values(positions, fvals, alpha, f)
-        assert cps.v.tobytes() == v.tobytes() and cps.f_at_v == f(v).tolist()
+        assert cps.v.tobytes() == plain.tobytes() and cps.f_at_v == f(plain).tolist()
 
     @settings(max_examples=80, deadline=None)
     @given(
