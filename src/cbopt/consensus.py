@@ -54,7 +54,8 @@ def exponentials(fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError("fvals must be nonempty along the particle axis")
     fmin = np.minimum.reduce(fvals, axis=-1, keepdims=True)
     top = float(np.maximum.reduce(fvals, axis=None))
-    low = fmin.item(0) if fmin.size == 1 else float(min(fmin.flat))
+    one = fmin.size == 1  # one ensemble: its minimum is subtracted as a float
+    low = fmin.item(0) if one else float(min(fmin.flat))
     if not (math.isfinite(top) and math.isfinite(low)):  # a NaN reaches top, -inf low
         raise ValueError("non-finite objective value in weights")
     if not 0.0 <= alpha < math.inf:  # a NaN fails it too
@@ -62,7 +63,7 @@ def exponentials(fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
     if alpha == 0.0:  # 0 * inf is NaN where f spans more than the float range
         return np.ones_like(fvals), fmin
     if math.isfinite(alpha * (top - low)):
-        t = np.subtract(fvals, fmin)
+        t = np.subtract(fvals, low if one else fmin)
         return np.exp(np.multiply(-alpha, t, out=t), out=t), fmin
     with np.errstate(over="ignore"):  # an exponent past the float range: its exponential is 0
         return np.exp(-alpha * (fvals - fmin)), fmin
@@ -71,7 +72,8 @@ def exponentials(fvals, alpha) -> Tuple[np.ndarray, np.ndarray]:
 def weights(fvals, alpha) -> np.ndarray:
     """Normalized weights proportional to exp(-alpha * f_i)."""
     shifted, _ = exponentials(fvals, alpha)
-    return np.divide(shifted, np.add.reduce(shifted, axis=-1, keepdims=True), out=shifted)
+    total = np.add.reduce(shifted, axis=-1, keepdims=shifted.ndim > 1)  # one ensemble's: a scalar
+    return np.divide(shifted, total, out=shifted)
 
 
 def consensus_mean(positions, fvals, alpha, scratch=None) -> np.ndarray:

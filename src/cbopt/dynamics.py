@@ -9,7 +9,9 @@ finiteness. Its kicks, which the library reuses, are `isotropic_kick`
 (noise sigma |X - v| z and a gated drift: original) and `anisotropic_kick`
 (noise sigma (X - v)_k z_k: anisotropic, and common_noise with one draw per
 coordinate shared by all particles). personal_best gates a pull toward v
-(rate lam) against one toward a per-particle memory (rate 1); sphere takes
+(rate lam) against one toward a per-particle memory (rate 1), with f at the
+positions and at the memory from one call while both are small
+(`_values_at_pair`); sphere takes
 tangential projections with an Ito correction and renormalizes. An exact
 heaviside gate is a comparison; personal_best's exact gates take
 comparisons of the objective values and one difference (`_exact_gates`).
@@ -47,6 +49,7 @@ import numpy as np
 
 from .consensus import ConsensusPoint, weighted_mean
 from .ensemble import Ensemble, FieldError, check_choice
+from .objectives import SHARD_MIN_ELEMENTS
 
 VARIANTS = ("original", "anisotropic", "common_noise", "personal_best", "sphere")
 HEAVISIDE_MODES = ("off", "exact", "regularized")
@@ -298,6 +301,18 @@ def _exact_gates(fx, fp, fv):
     return toward_v, toward_p
 
 
+def _values_at_pair(f, x, y):
+    """f(x) and f(y) for two stacks of rows: one call on [x; y], split into
+    its halves, while the stack holds at most SHARD_MIN_ELEMENTS numbers, so a
+    small step pays a call's fixed cost once; a larger stack keeps two calls,
+    since [x; y] would add two arrays of x's shape at the step's peak. f maps
+    each row on its own, so either way the values are the same bits."""
+    if 2 * x.size > SHARD_MIN_ELEMENTS:
+        return f(x), f(y)
+    both = f(np.concatenate((x, y)))
+    return both[:len(x)], both[len(x):]
+
+
 def _update(e, f, p: VariantParams, z, mem, cp, scratch):
     """Euler-Maruyama update (X - drift) + noise of p.variant with the draw
     z, before the sphere renormalization, as a new array; its temporaries
@@ -324,7 +339,7 @@ def _update(e, f, p: VariantParams, z, mem, cp, scratch):
         # personal best (rate 1), whichever has the smaller objective value;
         # mode 'off' falls back to exact gating, since ungated dual drift
         # would pin particles in between
-        fx, fp, fv = f(x), f(mem.p), cp.f_at_v
+        (fx, fp), fv = _values_at_pair(f, x, mem.p), cp.f_at_v
         if p.heaviside_mode == "regularized":
             lam_gate = p.lam * gate_pair(fx - fv, fp - fv, "regularized", p.epsilon)
             mu_gate = gate_pair(fx - fp, fv - fp, "regularized", p.epsilon)

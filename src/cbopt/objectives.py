@@ -33,7 +33,7 @@ import numpy as np
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-_FLOAT = np.dtype(float)
+_FLOAT, _NDARRAY = np.dtype(float), np.ndarray  # the type tests of a conversion
 SHARD_MIN_ELEMENTS = 2**15  # the chunk size; a thread hand-off pays for itself from 8k-32k numbers
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -72,7 +72,8 @@ _TWO_PI, _TEN, _MINUS_HALF = _constant(2.0 * np.pi), _constant(10.0), _constant(
 
 
 def _as_points(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    if type(x) is not _NDARRAY or x.dtype is not _FLOAT:  # float64 points pass as they are
+        x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("objective input needs at least one coordinate")
     return x
@@ -145,8 +146,8 @@ class ObjectiveFunction:
     def __call__(self, x):
         """Evaluate at one point ``(d,)`` or a stack of points ``(..., d)``:
         float64 values of the leading shape, a numpy float for one point. The
-        points and the values are converted here once, and callers use the
-        values as they are.
+        points and the values are converted here once (a float64 ndarray
+        passes after a type test), and callers use the values as they are.
 
         A stack of more than SHARD_MIN_ELEMENTS numbers goes to ``fn`` in
         chunks of as many leading-axis rows as hold at most that many
@@ -156,7 +157,8 @@ class ObjectiveFunction:
         draw, say) and waits for those running, so none runs on after the
         call, and a helper's error is raised here.
         """
-        x = np.asarray(x, dtype=float)
+        if type(x) is not _NDARRAY or x.dtype is not _FLOAT:
+            x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.dimension:
             raise ValueError(
                 f"expected points of dimension {self.dimension}, got shape {x.shape}"
@@ -191,7 +193,7 @@ class ObjectiveFunction:
 def _floats(values):
     """An objective's values as float64, an ndarray or a numpy float for one
     point: float64 values pass after a type test, others are converted."""
-    if type(values) is np.float64 or type(values) is np.ndarray and values.dtype is _FLOAT:
+    if type(values) is np.float64 or type(values) is _NDARRAY and values.dtype is _FLOAT:
         return values
     return np.asarray(values, dtype=float)[()]
 

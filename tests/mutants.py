@@ -24,8 +24,12 @@ and overflow value, and a run's integrator dispatch; and the guards of the
 lean small step: the alpha and non-finite checks of the weights, the one
 conversion of an objective's values and the weights' conversion of any
 other values (a plain function's int array among them), the pending draw,
-the square root of a stack's step sizes and personal_best's exact gates. The script is a measure, not a gate: a survivor that is not
-equivalent asks for a test that fails on it.
+the square root of a stack's step sizes and personal_best's exact gates;
+and a small personal_best step's one objective call on [x; p], its split and
+size gate, with the single-ensemble trims: the scalar minimum of the
+weights and the type test of the points' conversion. The script is a
+measure, not a gate: a survivor that is not equivalent asks for a test that
+fails on it.
 """
 
 import os
@@ -41,13 +45,14 @@ from typing import NamedTuple, Optional
 ROOT = Path(__file__).resolve().parents[1]
 
 # the test files of each module; the diagnostics of `harness` are tested
-# beside the dynamics they check, `ensemble`'s draws ahead in runs, and the
-# exact solvers of `dynamics` on their own
+# beside the dynamics they check, `ensemble`'s draws ahead in runs, the
+# exact solvers of `dynamics` on their own and the objective calls of a
+# step in runs
 MODULE_TESTS = {
     "batching": ("test_batching.py",),
     "cli": ("test_cli.py",),
     "consensus": ("test_consensus.py",),
-    "dynamics": ("test_dynamics.py", "test_kernels.py", "test_integrators.py"),
+    "dynamics": ("test_dynamics.py", "test_kernels.py", "test_integrators.py", "test_harness.py"),
     "ensemble": ("test_ensemble.py", "test_harness.py"),
     "harness": ("test_harness.py", "test_dynamics.py"),
     "objectives": ("test_objectives.py",),
@@ -142,7 +147,7 @@ MUTANTS = (
     Mutant("consensus", "exponentials: alpha < inf to <= inf",
            "if not 0.0 <= alpha < math.inf:", "if not 0.0 <= alpha <= math.inf:"),
     Mutant("consensus", "exponentials: a stack's least minimum from its first ensemble",
-           "fmin.item(0) if fmin.size == 1 else", "fmin.item(0) if True else"),
+           "low = fmin.item(0) if one else", "low = fmin.item(0) if True else"),
     Mutant("objectives", "_floats: an ndarray of any dtype passes unconverted",
            "and values.dtype is _FLOAT:", "and True:"),
     Mutant("ensemble", "DrawAhead.block: the pending block is never taken",
@@ -162,6 +167,19 @@ MUTANTS = (
            "toward_p &= gap <= 0.0", "toward_p &= gap < 0.0"),
     Mutant("dynamics", "personal_best: exact mode takes the regularized gates",
            'if p.heaviside_mode == "regularized":', 'if p.heaviside_mode != "off":'),
+    # a small personal_best step's one call on [x; p], and the single-ensemble trims
+    Mutant("dynamics", "_values_at_pair: the halves of the stacked values swapped",
+           "return both[:len(x)], both[len(x):]", "return both[len(x):], both[:len(x)]"),
+    Mutant("dynamics", "_values_at_pair: > SHARD_MIN_ELEMENTS to >=",
+           "if 2 * x.size > SHARD_MIN_ELEMENTS:", "if 2 * x.size >= SHARD_MIN_ELEMENTS:"),
+    Mutant("consensus", "exponentials: one ensemble's minimum low to top",
+           "np.subtract(fvals, low if one else fmin)", "np.subtract(fvals, top if one else fmin)"),
+    Mutant("objectives", "ObjectiveFunction: an int array of points passes unconverted",
+           "        if type(x) is not _NDARRAY or x.dtype is not _FLOAT:",
+           "        if type(x) is not _NDARRAY:"),
+    Mutant("objectives", "_as_points: an int array passes unconverted",
+           "    if type(x) is not _NDARRAY or x.dtype is not _FLOAT:  # float64 points",
+           "    if type(x) is not _NDARRAY:  # float64 points"),
 )
 
 

@@ -1,24 +1,25 @@
 """Time the small runs of this checkout against a parent revision in one
-process, alternating the two versions run by run.
+process, with an A-against-A control, the three taking turns run by run.
 
     python tests/step_ab.py --parent REV [--pairs K]
 
 The committed files of REV are unpacked into a temporary directory
 (``git archive`` piped to ``tar``, as ``tests/bench_record.py`` does;
-``TMPDIR`` picks where), and both trees' ``cbopt`` are imported side by
-side, REV's as ``cbopt_parent`` and the checkout's as ``cbopt_change``
-(the package uses only relative imports). Each variant of acceptance test
-10's configuration (rastrigin, N = 10, d = 5, 1500 steps; anisotropic and
-personal_best) runs K pairs at test 10's own run seeds, parent first in odd
-pairs and change first in even ones, after one untimed run of each. Both
-runs of a pair must end at the same bytes of the final consensus point v,
-or the script stops. Per variant it prints each side's median run time
-with its quartiles, the change/parent ratio of the medians and the pairs
-the change ran faster.
-
-``--parent HEAD`` on a clean checkout times the same code on both sides:
-the A-against-A control that shows how far the order and the machine move
-a ratio. The script is a measure, not a gate.
+``TMPDIR`` picks where), and the trees' ``cbopt`` are imported side by
+side: REV's as ``cbopt_parent``, and the checkout's twice, as
+``cbopt_change`` and ``cbopt_control`` (the package uses only relative
+imports). Each variant of acceptance test 10's configuration (rastrigin,
+N = 10, d = 5, 1500 steps; anisotropic and personal_best) runs K rounds at
+test 10's own run seeds, one run of each side a round, after one untimed
+run of each; the order of the three rotates from round to round, so each
+side runs first, second and third equally often. The runs of a round must
+end at the same bytes of the final consensus point v, or the script stops.
+Per variant it prints each side's median run time with its quartiles, the
+change/parent ratio of the medians with the rounds the change ran faster,
+and beside it the control/change ratio with the rounds the control ran
+faster: the same code on both sides, so its distance from 1 is how far the
+order, the import and the machine move a ratio in this run. The script is
+a measure, not a gate.
 """
 
 import argparse
@@ -66,32 +67,38 @@ def timed(cbopt, variant: str, seed: int):
     return time.perf_counter() - start, result.final_consensus.v.tobytes()
 
 
+def ratio(times: dict, a: str, b: str) -> str:
+    """The a/b ratio of the median run times, and the rounds a ran faster."""
+    won = sum(x < y for x, y in zip(times[a], times[b]))
+    value = spread(times[a])["median"] / spread(times[b])["median"]
+    return f"{a}/{b} {value:.3f} ({a} faster in {won} of {len(times[a])})"
+
+
 def compare(sides: dict, variant: str, pairs: int) -> None:
     seeds = [sides["change"].RngPlan(7).run_seed(r) for r in range(pairs)]
     for cbopt in sides.values():
         timed(cbopt, variant, seeds[0])
+    names = list(sides)
     times = {side: [] for side in sides}
-    for i, seed in enumerate(seeds, 1):
-        order = ("parent", "change") if i % 2 else ("change", "parent")
-        ends = {}
-        for side in order:
-            seconds, ends[side] = timed(sides[side], variant, seed)
+    for i, seed in enumerate(seeds):
+        ends = set()
+        for side in names[i % 3:] + names[:i % 3]:
+            seconds, end = timed(sides[side], variant, seed)
             times[side].append(seconds)
-        if ends["parent"] != ends["change"]:
-            raise SystemExit(f"{variant} pair {i} (seed {seed}): final v differs")
+            ends.add(end)
+        if len(ends) > 1:
+            raise SystemExit(f"{variant} round {i + 1} (seed {seed}): final v differs")
     for side, values in times.items():
         s = spread([1e3 * t for t in values])
         print(f"{variant:14s} {side:7s} {s['median']:7.2f} ms  [{s['q1']:.2f}, {s['q3']:.2f}]")
-    ratio = spread(times["change"])["median"] / spread(times["parent"])["median"]
-    won = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    print(f"{variant:14s} change/parent {ratio:.3f}, change faster in {won} of {pairs} pairs, "
+    print(f"{variant:14s} {ratio(times, 'change', 'parent')}, {ratio(times, 'control', 'change')}, "
           f"final v equal in all {pairs}", flush=True)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision to compare with")
-    parser.add_argument("--pairs", type=int, default=20)
+    parser.add_argument("--pairs", type=int, default=20, help="rounds per variant")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -99,7 +106,8 @@ def main(argv=None) -> int:
         tree = Path(tmp) / "tree"
         unpack(args.parent, tree)
         sides = {"parent": load(tree / "src", "cbopt_parent"),
-                 "change": load(ROOT / "src", "cbopt_change")}
+                 "change": load(ROOT / "src", "cbopt_change"),
+                 "control": load(ROOT / "src", "cbopt_control")}
         for variant in VARIANTS:
             compare(sides, variant, args.pairs)
     return 0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbopt import harness, objectives
+from cbopt import dynamics, harness, objectives
 from cbopt.batching import (
     BatchParams, BatchState, ConstantSchedule, GeometricSchedule, batch_consensus, batch_update,
     make_batches, stop_check,
@@ -198,6 +198,29 @@ class TestRun:
         assert (result.steps, result.terminated_by) == (54, "divergence")
         assert len(calls) == 2 * 54 + 1
         assert_same_run(result, expected)
+
+    @pytest.mark.parametrize("n, d, stacked", [(10, 5, True), (64, 256, True), (64, 257, False)],
+                             ids=["small", "at_the_gate", "past_the_gate"])
+    def test_personal_best_evaluates_x_and_p_in_one_small_call(self, n, d, stacked, monkeypatch):
+        # the ensemble and v, then f at [x; p] in one call while the stack
+        # holds at most SHARD_MIN_ELEMENTS numbers (2 N d), else f(x) and
+        # f(p); the final state's ensemble and v close the run
+        assert 2 * 64 * 256 == objectives.SHARD_MIN_ELEMENTS
+        config = small_config(objective="rastrigin", dimension=d, n_particles=n, max_steps=3,
+                              params=VariantParams(sigma=0.5, variant="personal_best"))
+        calls, call = [], ObjectiveFunction.__call__
+
+        def counted(f, x):
+            calls.append(np.shape(x))
+            return call(f, x)
+
+        monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
+        result = run(config)
+        update = [(2 * n, d)] if stacked else [(n, d), (n, d)]
+        assert result.steps == 3
+        assert calls == ([(n, d), (d,)] + update) * 3 + [(n, d), (d,)]
+        monkeypatch.setattr(dynamics, "SHARD_MIN_ELEMENTS", 0)  # f(x) and f(p) at every size
+        assert_same_run(run(config), result)
 
     @pytest.mark.parametrize("batching", [None, BatchParams(batch_size=3)], ids=["plain", "batched"])
     def test_unevaluable_initial_state_raises_divergence_at_step_zero(self, batching):

@@ -217,6 +217,52 @@ class TestUfuncReductions:
             assert got.tobytes() == want.tobytes()
 
 
+# zakharov's lin**4 of one point is numpy's scalar power (C's pow), and of
+# a stack the power ufunc's loop, which differs in the last bit for about one
+# point in thirty: a stack's rows agree with each other, not with one point
+ONE_POINT_AS_ONE_ROW = [name for name in benchmark_names() if name != "zakharov"]
+
+
+def assert_stacked_rows(f, a, b):
+    """f on the stack [a; b] gives f(a) and f(b) side by side, and, for the
+    benchmarks of ONE_POINT_AS_ONE_ROW, f at a's first point the first value
+    of f(a[:1]), byte for byte."""
+    both = f(np.concatenate((a, b)))
+    assert both.dtype == np.float64 and both.shape == (len(a) + len(b),)
+    assert both.tobytes() == np.concatenate((f(a), f(b))).tobytes()
+    one = f(a[0])
+    assert type(one) is np.float64
+    if f.name in ONE_POINT_AS_ONE_ROW:
+        assert one.tobytes() == f(a[:1])[0].tobytes()
+
+
+class TestStackedRows:
+    """A personal_best step evaluates the positions and the memory in one
+    call on their stack; every benchmark maps stacked rows bit for bit, on
+    the chunked path too."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(benchmark_names()),
+        d=st.integers(1, 12),
+        rows=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        scale=st.sampled_from([0.01, 1.0, 40.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_maps_rows_as_its_parts(self, name, d, rows, scale, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.uniform(-scale, scale, (k, d)) for k in rows)
+        assert_stacked_rows(make_objective(name, d), a, b)
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_chunked_stack_maps_rows_as_its_parts(self, name):
+        # 4801 rows of 7: past SHARD_MIN_ELEMENTS, with a chunk edge inside b
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(-3.0, 3.0, (2400, 7)), rng.uniform(-3.0, 3.0, (2401, 7))
+        assert a.size < objectives.SHARD_MIN_ELEMENTS < a.size + b.size
+        assert_stacked_rows(make_objective(name, 7), a, b)
+
+
 class TestShardedEvaluation:
     """A stack of more than SHARD_MIN_ELEMENTS numbers is evaluated in row
     chunks, on threads too; the values must be the whole call's, bit for bit."""
@@ -538,7 +584,26 @@ class TestOneConversion:
             assert type(got) is type(want)
             assert np.asarray(got).dtype == np.float64
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            # the benchmark called directly converts them too
+            direct = np.asarray(getattr(objectives, name)(x))
+            assert direct.dtype == np.float64 and direct.tobytes() == np.asarray(want).tobytes()
         assert type(f(self.POINTS[0])) is np.float64
+
+    def test_fn_takes_float64_arrays(self):
+        # a float64 ndarray passes as it is; any other points, a big-endian
+        # float64 array among them, reach fn converted
+        seen = []
+
+        def fn(x):
+            seen.append((type(x), x.dtype))
+            return np.zeros(x.shape[:-1])
+
+        f = ObjectiveFunction("seen", fn, 3)
+        floats = np.array(self.POINTS, dtype=float)
+        for x in (self.POINTS, np.array(self.POINTS), floats.astype(np.float32),
+                  floats.astype(">f8"), floats):
+            f(x)
+        assert seen == [(np.ndarray, np.dtype(np.float64))] * 5
 
     @pytest.mark.parametrize("values", [
         lambda x: np.sum(x > 0.0, axis=-1),
