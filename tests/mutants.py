@@ -27,7 +27,7 @@ other values (a plain function's int array among them), the pending draw,
 the square root of a stack's step sizes and personal_best's exact gates;
 and a small personal_best step's one objective call on [x; p], its split and
 size gate, with the single-ensemble trims: the scalar minimum of the
-weights and the type test of the points' conversion. The script is a
+weights and the type tests of the points' conversions. The script is a
 measure, not a gate: a survivor that is not equivalent asks for a test that
 fails on it.
 """

@@ -82,7 +82,7 @@ def compare(sides: dict, variant: str, pairs: int) -> None:
     times = {side: [] for side in sides}
     for i, seed in enumerate(seeds):
         ends = set()
-        for side in names[i % 3:] + names[:i % 3]:
+        for side in names[i % len(names):] + names[:i % len(names)]:
             seconds, end = timed(sides[side], variant, seed)
             times[side].append(seconds)
             ends.add(end)
