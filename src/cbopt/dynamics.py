@@ -9,12 +9,16 @@ finiteness. Its kicks, which the library reuses, are `isotropic_kick`
 (noise sigma |X - v| z and a gated drift: original) and `anisotropic_kick`
 (noise sigma (X - v)_k z_k: anisotropic, and common_noise with one draw per
 coordinate shared by all particles). personal_best gates a pull toward v
-(rate lam) against one toward a per-particle memory (rate 1), with f at the
-positions and at the memory from one call while both are small
-(`_values_at_pair`); sphere takes
+(rate lam) against one toward a per-particle memory (rate 1); sphere takes
 tangential projections with an Ito correction and renormalizes. An exact
 heaviside gate is a comparison; personal_best's exact gates take
 comparisons of the objective values and one difference (`_exact_gates`).
+
+The gates read f at the positions, at personal_best's memory and at v.
+While their stack is small, `_with_f_at_v` evaluates them in one objective
+call: [x; p] for personal_best, and [x; v] or [x; p; v] for a consensus
+point of `harness.run` whose value is still owed (an `OwedPoint`), which
+holds that value from then on.
 
 The exact solvers hold the consensus point fixed over one interval of
 length gamma: the splitting scheme solves the drift ODE exactly
@@ -301,16 +305,51 @@ def _exact_gates(fx, fp, fv):
     return toward_v, toward_p
 
 
-def _values_at_pair(f, x, y):
-    """f(x) and f(y) for two stacks of rows: one call on [x; y], split into
-    its halves, while the stack holds at most SHARD_MIN_ELEMENTS numbers, so a
-    small step pays a call's fixed cost once; a larger stack keeps two calls,
-    since [x; y] would add two arrays of x's shape at the step's peak. f maps
-    each row on its own, so either way the values are the same bits."""
-    if 2 * x.size > SHARD_MIN_ELEMENTS:
-        return f(x), f(y)
-    both = f(np.concatenate((x, y)))
-    return both[:len(x)], both[len(x):]
+def _one_call(size: int) -> bool:
+    """Whether stacks of `size` numbers in all are evaluated in one call: at
+    most SHARD_MIN_ELEMENTS, where a step pays mostly a call's fixed cost. A
+    larger stack would add arrays of its size at the step's peak."""
+    return size <= SHARD_MIN_ELEMENTS
+
+
+def _owes(p: VariantParams, n: int, d: int) -> bool:
+    """Whether a plain run of n particles in d dimensions owes each f(v) to
+    its next objective call: the gates' on [x; p; v] for personal_best, else
+    one on [x; v], while `_one_call` holds for it."""
+    return _one_call((2 * n + 1 if p.variant == "personal_best" else n + 1) * d)
+
+
+class OwedPoint:
+    """A consensus point of `harness.run` whose value f(v) is owed: the run's
+    next objective call evaluates v as its last row, and f_at_v is None until
+    then. Only the run and the step it calls hold one."""
+
+    __slots__ = ("v", "f_at_v")
+
+    def __init__(self, v):
+        self.v, self.f_at_v = v, None
+
+
+def _with_f_at_v(f, cp, *stacks):
+    """f at the rows of `stacks`, in order, in one array, and f(v) at cp,
+    whose v is one more row, the last, where it is an OwedPoint; the point
+    holds its value from then on. The rows take one call on their
+    concatenation while `_one_call` holds, else one call per stack (v alone).
+    f maps each row on its own, so either way the values are the same bits."""
+    owed = cp.f_at_v is None
+    if owed:
+        stacks += (cp.v[None],)
+    if len(stacks) == 1:
+        values = f(stacks[0])
+    else:
+        size = 0
+        for s in stacks:
+            size += s.size
+        values = (f(np.concatenate(stacks)) if _one_call(size)
+                  else np.concatenate([f(s) for s in stacks]))
+    if owed:
+        cp.f_at_v, values = values.item(-1), values[:-1]
+    return values, cp.f_at_v
 
 
 def _update(e, f, p: VariantParams, z, mem, cp, scratch):
@@ -330,7 +369,8 @@ def _update(e, f, p: VariantParams, z, mem, cp, scratch):
     if p.variant == "original":
         gate = 1.0
         if p.heaviside_mode != "off":  # f(x) first: the kick's temporaries add no peak memory
-            gate = heaviside(f(x) - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
+            fx, fv = _with_f_at_v(f, cp, x)
+            gate = heaviside(fx - fv, p.heaviside_mode, p.epsilon)[:, None]
         return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, scratch, gate)
     diff = np.subtract(x, cp.v, out=scratch)
     sqrt_dt = math.sqrt(p.dt)
@@ -339,7 +379,8 @@ def _update(e, f, p: VariantParams, z, mem, cp, scratch):
         # personal best (rate 1), whichever has the smaller objective value;
         # mode 'off' falls back to exact gating, since ungated dual drift
         # would pin particles in between
-        (fx, fp), fv = _values_at_pair(f, x, mem.p), cp.f_at_v
+        values, fv = _with_f_at_v(f, cp, x, mem.p)
+        fx, fp = values[:len(x)], values[len(x):]
         if p.heaviside_mode == "regularized":
             lam_gate = p.lam * gate_pair(fx - fv, fp - fv, "regularized", p.epsilon)
             mu_gate = gate_pair(fx - fp, fv - fp, "regularized", p.epsilon)
@@ -392,7 +433,10 @@ def step(
     particle. A `cp` the caller gives skips that check, and the step then
     assumes f(x) is not -inf at any particle: personal_best's exact gates
     compare f(x) with f(v) and f(p), which is what the heaviside of their
-    differences gives everywhere else. `mem` is required by the personal_best
+    differences gives everywhere else. `harness.run` may give an
+    `OwedPoint`, whose f(v) the gates of original and personal_best then
+    evaluate as the last row of their call and write into it; the other
+    variants do not read f(v). `mem` is required by the personal_best
     variant: the run's one memory set, `PersonalBestMemory.initial(e)` at
     the start, which each step updates in place by one left-endpoint
     rectangle of its weighted time integrals; the other variants ignore it.

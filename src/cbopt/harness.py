@@ -9,6 +9,7 @@ aggregation is order-independent.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
@@ -28,9 +29,9 @@ from .consensus import (
     ConsensusPoint, consensus_mean, laplace_estimate, weighted_mean,
 )
 from .dynamics import (
-    VARIANTS, DivergenceError, PersonalBestMemory, VariantParams, advance,
-    anisotropic_kick, frozen_gbm, isotropic_kick, noise_shape, split_diffusion,
-    split_drift, step,
+    VARIANTS, DivergenceError, OwedPoint, PersonalBestMemory, VariantParams, _owes,
+    _with_f_at_v, advance, anisotropic_kick, frozen_gbm, isotropic_kick, noise_shape,
+    split_diffusion, split_drift, step,
 )
 from .ensemble import (
     DrawAhead,
@@ -170,16 +171,45 @@ class RunResult:
     final_positions: np.ndarray = None
 
 
-def _point(e: Ensemble, cp: ConsensusPoint, scratch) -> TrajectoryPoint:
+def _point(e: Ensemble, cp, scratch) -> TrajectoryPoint:
+    """The record of e; an OwedPoint stands for its value until `_finish`."""
     mean, variance = moments(e, scratch)
     return TrajectoryPoint(
         step=e.step_count,
         time=e.time,
         v=cp.v,
-        f_at_v=cp.f_at_v,
+        f_at_v=cp if type(cp) is OwedPoint else cp.f_at_v,
         mean=mean,
         variance=variance,
     )
+
+
+class _Owing:
+    """f as `weighted_mean` sees it in a plain run that owes each consensus
+    point's value to its next objective call: a call on the positions takes
+    the owed point as its last row, unless a gate has, and a call on one
+    point, the new consensus point, makes that the owed point and returns
+    nan, which the run never reads."""
+
+    __slots__ = ("f", "owed")
+
+    def __init__(self, f):
+        self.f, self.owed = f, None
+
+    def __call__(self, x):
+        if x.ndim == 1:
+            self.owed = OwedPoint(x)
+            return math.nan
+        return self.f(x) if self.owed is None else _with_f_at_v(self.f, self.owed, x)[0]
+
+
+def _paid(cp, f) -> ConsensusPoint:
+    """cp with its value; an OwedPoint that no call took in evaluates v alone."""
+    if type(cp) is not OwedPoint:
+        return cp
+    if cp.f_at_v is None:
+        cp.f_at_v = float(f(cp.v))
+    return ConsensusPoint(cp.v, cp.f_at_v)
 
 
 def _step(e, f, p, z, integrator, mem, cp, scratch) -> Ensemble:
@@ -199,7 +229,10 @@ def _step(e, f, p, z, integrator, mem, cp, scratch) -> Ensemble:
 
 def _finish(trajectory, e, final_cp, status, t0, config, fallback_cp, scratch):
     """The run's result; `final_cp` is the consensus point of e's positions,
-    or None where the objective is not finite on them (`scratch` as in `moments`)."""
+    or None where the objective is not finite on them (`scratch` as in `moments`).
+    The records' owed points hold their values by now."""
+    trajectory = [replace(pt, f_at_v=pt.f_at_v.f_at_v) if type(pt.f_at_v) is OwedPoint else pt
+                  for pt in trajectory]
     if final_cp is None:
         # objective overflowed on the final positions: the run diverged,
         # whatever its budget; report its last finite consensus point
@@ -258,6 +291,16 @@ def run(config: RunConfig) -> RunResult:
     `_groups` steps at once, or one batch at a time if it fails, with the
     outputs and errors of one batch at a time.
 
+    A plain run evaluates each consensus point's value f(v) as one more row,
+    the last, of the first objective call made after v exists: the gates'
+    call of the same step for original with a gate and for personal_best,
+    else the next state's consensus call, the final state's included. It
+    does so while that call holds at most SHARD_MIN_ELEMENTS numbers with
+    the v row, and evaluates f(v) alone above that size and where no call
+    follows: when the stop rule fires, a kick diverges or the run ends. The
+    point whose value is still owed, an `OwedPoint`, stays inside the run;
+    every point of the result holds its float value.
+
     The run owns one (N, d) scratch array, which every step (a batch's kick
     in its head) and `moments` at recorded steps and at the final point
     write into, and, for personal_best, one `PersonalBestMemory` that every
@@ -285,6 +328,8 @@ def run(config: RunConfig) -> RunResult:
             full_scope = range(config.n_particles) if bp.update_mode == "full" else None
         scratch = np.empty(e.positions.shape)
         mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
+        owe = bp is None and _owes(p, config.n_particles, d)
+        g = _Owing(f) if owe else f
         trajectory: List[TrajectoryPoint] = []
         v_prev, cp, status = None, None, "max_steps"
         while (group := next(groups, None)) is not None:
@@ -293,7 +338,8 @@ def run(config: RunConfig) -> RunResult:
             q, cps = 1 if batch is None or batch.ndim == 1 else len(batch), None
             try:
                 if batch is None:
-                    cps = weighted_mean(e, f, p.alpha, scratch)
+                    cps = weighted_mean(e, g, p.alpha, scratch)
+                    cps = g.owed if owe else cps
                 else:  # a stack of q > 1 batches gives a stacked point: cps[j] is batch j's
                     cps = batch_consensus(e, f, p.alpha, batch)
                 first = cps if q == 1 else cps[0]
@@ -339,9 +385,14 @@ def run(config: RunConfig) -> RunResult:
         # cps is the final point where it is the full point of a state that did not move
         if cps is not None and (batch is not None or e.step_count != at):
             try:
-                cps = weighted_mean(e, f, p.alpha, scratch)
+                cps = weighted_mean(e, g, p.alpha, scratch)
+                cps = g.owed if owe else cps
             except ValueError:  # the objective is not finite on the final positions
                 cps = None
+        if cps is not None:
+            cps = _paid(cps, f)
+        else:  # the fallback: the run's last point
+            cp = _paid(cp, f)
         return _finish(trajectory, e, cps, status, t0, config, cp, scratch)
 
 

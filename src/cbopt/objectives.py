@@ -113,7 +113,8 @@ def zakharov(x):
     idx = np.arange(1, x.shape[-1] + 1, dtype=float)
     t = 0.5 * idx * x
     lin = np.add.reduce(t, axis=-1)
-    return np.add.reduce(np.multiply(x, x, out=t), axis=-1) + lin**2 + lin**4
+    # the power ufunc, as for a stack: `**` of one point's numpy float is C's pow
+    return np.add.reduce(np.multiply(x, x, out=t), axis=-1) + lin**2 + np.power(lin, 4.0)
 
 
 def wavy(x):

@@ -27,7 +27,11 @@ other values (a plain function's int array among them), the pending draw,
 the square root of a stack's step sizes and personal_best's exact gates;
 and a small personal_best step's one objective call on [x; p], its split and
 size gate, with the single-ensemble trims: the scalar minimum of the
-weights and the type tests of the points' conversions. The script is a
+weights and the type tests of the points' conversions; and f(v) as the
+last row of a plain run's next objective call: the index of the v row, an
+owed value evaluated twice, the size that decides personal_best's owing,
+and zakharov's fourth power, which makes one point the bits of its row in
+a stack. The script is a
 measure, not a gate: a survivor that is not equivalent asks for a test that
 fails on it.
 """
@@ -168,10 +172,11 @@ MUTANTS = (
     Mutant("dynamics", "personal_best: exact mode takes the regularized gates",
            'if p.heaviside_mode == "regularized":', 'if p.heaviside_mode != "off":'),
     # a small personal_best step's one call on [x; p], and the single-ensemble trims
-    Mutant("dynamics", "_values_at_pair: the halves of the stacked values swapped",
-           "return both[:len(x)], both[len(x):]", "return both[len(x):], both[:len(x)]"),
-    Mutant("dynamics", "_values_at_pair: > SHARD_MIN_ELEMENTS to >=",
-           "if 2 * x.size > SHARD_MIN_ELEMENTS:", "if 2 * x.size >= SHARD_MIN_ELEMENTS:"),
+    Mutant("dynamics", "personal_best: the halves of the stacked values swapped",
+           "fx, fp = values[:len(x)], values[len(x):]",
+           "fx, fp = values[len(x):], values[:len(x)]"),
+    Mutant("dynamics", "_one_call: <= SHARD_MIN_ELEMENTS to <",
+           "return size <= SHARD_MIN_ELEMENTS", "return size < SHARD_MIN_ELEMENTS"),
     Mutant("consensus", "exponentials: one ensemble's minimum low to top",
            "np.subtract(fvals, low if one else fmin)", "np.subtract(fvals, top if one else fmin)"),
     Mutant("objectives", "ObjectiveFunction: an int array of points passes unconverted",
@@ -180,6 +185,17 @@ MUTANTS = (
     Mutant("objectives", "_as_points: an int array passes unconverted",
            "    if type(x) is not _NDARRAY or x.dtype is not _FLOAT:  # float64 points",
            "    if type(x) is not _NDARRAY:  # float64 points"),
+    # f(v) as the last row of a plain run's next objective call
+    Mutant("dynamics", "_with_f_at_v: the v row's index off by one",
+           "cp.f_at_v, values = values.item(-1), values[:-1]",
+           "cp.f_at_v, values = values.item(-2), values[:-1]"),
+    Mutant("harness", "_paid: an owed value a call took in is evaluated again",
+           "    if cp.f_at_v is None:\n        cp.f_at_v = float(f(cp.v))",
+           "    if True:\n        cp.f_at_v = float(f(cp.v))"),
+    Mutant("dynamics", "_owes: personal_best by the size of [x; v], not [x; p; v]",
+           '(2 * n + 1 if p.variant == "personal_best" else n + 1) * d', "(n + 1) * d"),
+    Mutant("objectives", "zakharov: one point's fourth power by C's pow again",
+           "np.power(lin, 4.0)", "lin**4"),
 )
 
 

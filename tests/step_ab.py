@@ -13,7 +13,9 @@ N = 10, d = 5, 1500 steps; anisotropic and personal_best) runs K rounds at
 test 10's own run seeds, one run of each side a round, after one untimed
 run of each; the order of the three rotates from round to round, so each
 side runs first, second and third equally often. The runs of a round must
-end at the same bytes of the final consensus point v, or the script stops.
+give the same result byte for byte, or the script stops: the steps and the
+ending, every trajectory point (its v, f(v), mean and variance), the final
+consensus point with its f(v), and the final positions.
 Per variant it prints each side's median run time with its quartiles, the
 change/parent ratio of the medians with the rounds the change ran faster,
 and beside it the control/change ratio with the rounds the control ran
@@ -24,6 +26,7 @@ a measure, not a gate.
 
 import argparse
 import importlib.util
+import struct
 import sys
 import tempfile
 import time
@@ -59,12 +62,23 @@ def config(cbopt, variant: str, seed: int):
     )
 
 
+def result_bytes(result) -> bytes:
+    """Everything a run's result holds but its wall time, as bytes."""
+    final = result.final_consensus
+    parts = [f"{result.steps} {result.terminated_by} {result.seed}".encode(),
+             final.v.tobytes(), struct.pack("<d", final.f_at_v), result.final_positions.tobytes()]
+    for point in result.trajectory:
+        parts += [struct.pack("<qddd", point.step, point.time, point.f_at_v, point.variance),
+                  point.v.tobytes(), point.mean.tobytes()]
+    return b"".join(parts)
+
+
 def timed(cbopt, variant: str, seed: int):
-    """One run's time in seconds and the bytes of its final consensus point."""
+    """One run's time in seconds and the bytes of its result."""
     cfg = config(cbopt, variant, seed)
     start = time.perf_counter()
     result = cbopt.run(cfg)
-    return time.perf_counter() - start, result.final_consensus.v.tobytes()
+    return time.perf_counter() - start, result_bytes(result)
 
 
 def ratio(times: dict, a: str, b: str) -> str:
@@ -87,12 +101,12 @@ def compare(sides: dict, variant: str, pairs: int) -> None:
             times[side].append(seconds)
             ends.add(end)
         if len(ends) > 1:
-            raise SystemExit(f"{variant} round {i + 1} (seed {seed}): final v differs")
+            raise SystemExit(f"{variant} round {i + 1} (seed {seed}): the results differ")
     for side, values in times.items():
         s = spread([1e3 * t for t in values])
         print(f"{variant:14s} {side:7s} {s['median']:7.2f} ms  [{s['q1']:.2f}, {s['q3']:.2f}]")
     print(f"{variant:14s} {ratio(times, 'change', 'parent')}, {ratio(times, 'control', 'change')}, "
-          f"final v equal in all {pairs}", flush=True)
+          f"results equal in all {pairs}", flush=True)
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,7 @@ import threading
 import time
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from cbopt.batching import (
     make_batches, stop_check,
 )
 from cbopt.cli import main
-from cbopt.dynamics import VARIANTS, DivergenceError, VariantParams, step
+from cbopt.dynamics import HEAVISIDE_MODES, VARIANTS, DivergenceError, VariantParams, step
 from cbopt.ensemble import (
     STREAM_DIFFUSION, STREAM_PERMUTATION, DrawAhead, Ensemble, FieldError, InitSpec, RngPlan,
     init_ensemble,
 )
 from cbopt.harness import (
+    INTEGRATORS,
     RunConfig,
     SuccessCriterion,
     diagnostic_frozen_moment,
@@ -36,7 +38,7 @@ from cbopt.harness import (
     success_rate,
 )
 from cbopt.consensus import weighted_mean
-from cbopt.objectives import ObjectiveFunction, make_objective
+from cbopt.objectives import ObjectiveFunction, benchmark_names, make_objective
 
 
 def small_config(**overrides):
@@ -182,8 +184,9 @@ class TestRun:
         assert summary["final_v_f"] == free.final_consensus.v.tolist()
 
     def test_unevaluable_final_state_is_evaluated_once(self, monkeypatch):
-        # two calls a step (the ensemble and v) for 54 steps, then the one
-        # failed call on the step-54 state, which the result reuses
+        # one call a step: the ensemble, with the last step's v as one more
+        # row from step 1 on, for 54 steps; then the one failed call on the
+        # step-54 state, which also evaluates v of step 53, the result's point
         config = small_config(objective="rastrigin", n_particles=5, master_seed=3,
                               params=VariantParams(sigma=1e3, dt=1.0), max_steps=10_000)
         expected, calls = run(config), []
@@ -196,15 +199,55 @@ class TestRun:
         monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
         result = run(config)
         assert (result.steps, result.terminated_by) == (54, "divergence")
-        assert len(calls) == 2 * 54 + 1
+        assert calls == [(5, 2)] + [(6, 2)] * 54
         assert_same_run(result, expected)
 
-    @pytest.mark.parametrize("n, d, stacked", [(10, 5, True), (64, 256, True), (64, 257, False)],
-                             ids=["small", "at_the_gate", "past_the_gate"])
-    def test_personal_best_evaluates_x_and_p_in_one_small_call(self, n, d, stacked, monkeypatch):
-        # the ensemble and v, then f at [x; p] in one call while the stack
-        # holds at most SHARD_MIN_ELEMENTS numbers (2 N d), else f(x) and
-        # f(p); the final state's ensemble and v close the run
+    @pytest.mark.parametrize("variant, n, d, expected", [
+        ("anisotropic", 10, 5, lambda n, d: [(n, d)] + [(n + 1, d)] * 3 + [(d,)]),
+        ("anisotropic", 127, 256, lambda n, d: [(n, d)] + [(n + 1, d)] * 3 + [(d,)]),
+        ("anisotropic", 127, 257, lambda n, d: [(n, d), (d,)] * 4),
+        ("original", 10, 5, lambda n, d: [(n, d), (n + 1, d)] * 3 + [(n, d), (d,)]),
+        ("original", 127, 257, lambda n, d: [(n, d), (d,), (n, d)] * 3 + [(n, d), (d,)]),
+    ], ids=["anisotropic", "anisotropic_at_the_gate", "anisotropic_past_the_gate", "original",
+            "original_past_the_gate"])
+    def test_a_small_step_evaluates_v_as_a_row_of_its_next_call(self, variant, n, d, expected,
+                                                                 monkeypatch):
+        # while [x; v] holds at most SHARD_MIN_ELEMENTS numbers, (N + 1) d,
+        # v is the last row of the next call: the gate's in the same step for
+        # original with a gate, else the next state's consensus call; step 0
+        # evaluates the ensemble alone and the final state's v goes alone
+        assert 128 * 256 == objectives.SHARD_MIN_ELEMENTS
+        config = small_config(objective="rastrigin", dimension=d, n_particles=n, max_steps=3,
+                              params=VariantParams(sigma=0.5, variant=variant,
+                                                   heaviside_mode="exact"))
+        calls, call = [], ObjectiveFunction.__call__
+
+        def counted(f, x):
+            calls.append(np.shape(x))
+            return call(f, x)
+
+        monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
+        result = run(config)
+        assert result.steps == 3
+        assert calls == expected(n, d)
+        monkeypatch.setattr(dynamics, "SHARD_MIN_ELEMENTS", 0)  # f(v) in a call of its own
+        assert_same_run(run(config), result)
+
+    @pytest.mark.parametrize("n, d, update", [
+        (10, 5, lambda n, d: [(n, d), (2 * n + 1, d)]),
+        (64, 254, lambda n, d: [(n, d), (2 * n + 1, d)]),
+        (64, 255, lambda n, d: [(n, d), (d,), (2 * n, d)]),
+        (64, 256, lambda n, d: [(n, d), (d,), (2 * n, d)]),
+        (64, 257, lambda n, d: [(n, d), (d,), (n, d), (n, d)]),
+    ], ids=["small", "at_the_gate", "past_the_gate", "x_and_p_at_their_gate",
+            "past_both_gates"])
+    def test_personal_best_evaluates_x_and_p_in_one_small_call(self, n, d, update,
+                                                               monkeypatch):
+        # the ensemble, then f at [x; p; v] in one call while that stack
+        # holds at most SHARD_MIN_ELEMENTS numbers, (2 N + 1) d; past it v
+        # goes alone, and f at [x; p] in one call while 2 N d fits, else f(x)
+        # and f(p); the final state's ensemble and v close the run
+        assert 129 * 254 <= objectives.SHARD_MIN_ELEMENTS < 129 * 255
         assert 2 * 64 * 256 == objectives.SHARD_MIN_ELEMENTS
         config = small_config(objective="rastrigin", dimension=d, n_particles=n, max_steps=3,
                               params=VariantParams(sigma=0.5, variant="personal_best"))
@@ -216,10 +259,9 @@ class TestRun:
 
         monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
         result = run(config)
-        update = [(2 * n, d)] if stacked else [(n, d), (n, d)]
         assert result.steps == 3
-        assert calls == ([(n, d), (d,)] + update) * 3 + [(n, d), (d,)]
-        monkeypatch.setattr(dynamics, "SHARD_MIN_ELEMENTS", 0)  # f(x) and f(p) at every size
+        assert calls == update(n, d) * 3 + [(n, d), (d,)]
+        monkeypatch.setattr(dynamics, "SHARD_MIN_ELEMENTS", 0)  # f(x), f(v) and f(p) apart
         assert_same_run(run(config), result)
 
     @pytest.mark.parametrize("batching", [None, BatchParams(batch_size=3)], ids=["plain", "batched"])
@@ -237,8 +279,9 @@ class TestRun:
         (dict(master_seed=3, params=VariantParams(sigma=1e300, dt=1.0)), "divergence"),
     ], ids=["stop_rule", "kick_diverges"])
     def test_unmoved_final_state_reuses_the_loops_point(self, overrides, ending, monkeypatch):
-        # two calls (the ensemble and v) for step 0 and two for step 1, whose
-        # update does not happen; the final state is the step-1 state
+        # the ensemble for step 0, the ensemble with v of step 0 as one more
+        # row for step 1, whose update does not happen, and v of step 1
+        # alone: the final state is the step-1 state
         config = small_config(n_particles=12, max_steps=60, **overrides)
         calls, call = [], ObjectiveFunction.__call__
 
@@ -249,7 +292,8 @@ class TestRun:
         monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
         result = run(config)
         assert (result.terminated_by, result.steps) == (ending, 1)
-        assert len(calls) == 4
+        d = config.dimension
+        assert calls == [(12, d), (13, d), (d,)]
         f = make_objective("ackley", config.dimension)
         with np.errstate(over="ignore"):  # as the run evaluates: x * x overflows at 1e300
             again = weighted_mean(Ensemble(result.final_positions, step_count=1), f, 30.0)
@@ -301,6 +345,68 @@ class TestRun:
         result = run(config)
         assert counts == {**dict.fromkeys(counts, 0), **called}
         assert result.final_positions.tobytes() == expected.tobytes()
+
+
+def outcome(config):
+    """The run's result, or the type and message of the error it raised (a
+    sphere step squares sigma as a Python float, which raises OverflowError
+    past 1e154)."""
+    try:
+        return run(config)
+    except (DivergenceError, dynamics.SingularityError, OverflowError) as err:
+        return type(err), str(err)
+
+
+class TestOwedValues:
+    """A plain run evaluates each consensus point's value f(v) as one more
+    row of its next objective call while that call is small: it must end as
+    the run that evaluates every f(v) in a call of its own, byte for byte."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        heaviside=st.sampled_from(HEAVISIDE_MODES),
+        integrator=st.sampled_from(INTEGRATORS),
+        objective=st.sampled_from(benchmark_names()),
+        n=st.integers(1, 14),
+        d=st.integers(1, 6),
+        record_every=st.integers(1, 12),
+        stop_eps=st.sampled_from([None, 1e-300, 1e-8, 1e-2]),
+        sigma=st.sampled_from([0.3, 0.8, 1e3, 1e300]),
+        dt=st.sampled_from([0.01, 0.1, 1.0]),
+        max_steps=st.integers(1, 30),
+        seed=st.integers(0, 2**32),
+    )
+    # the kick's positions overflow at step 1; rastrigin overflows at step 54
+    @example(variant="anisotropic", heaviside="off", integrator="euler", objective="ackley",
+             n=12, d=2, record_every=1, stop_eps=None, sigma=1e300, dt=1.0, max_steps=60,
+             seed=3)
+    @example(variant="anisotropic", heaviside="off", integrator="euler", objective="rastrigin",
+             n=5, d=2, record_every=7, stop_eps=None, sigma=1e3, dt=1.0, max_steps=100,
+             seed=3)
+    def test_matches_the_run_with_f_at_v_apart(self, variant, heaviside, integrator, objective,
+                                               n, d, record_every, stop_eps, sigma, dt,
+                                               max_steps, seed):
+        variant = variant if integrator == "euler" else "anisotropic"
+        config = RunConfig(
+            objective=objective, dimension=d,
+            params=VariantParams(lam=1.0, sigma=sigma, alpha=30.0, dt=dt, variant=variant,
+                                 heaviside_mode=heaviside),
+            integrator=integrator, n_particles=n,
+            init=InitSpec("sphere") if variant == "sphere" else InitSpec("box", low=-2.0,
+                                                                           high=2.0),
+            max_steps=max_steps, master_seed=seed, record_every=record_every, stop_eps=stop_eps,
+        )
+        fused = outcome(config)
+        with mock.patch.object(dynamics, "SHARD_MIN_ELEMENTS", 0):
+            apart = outcome(config)
+        if isinstance(apart, tuple):
+            assert fused == apart
+            return
+        assert_same_run(fused, apart)
+        assert [np.float64(pt.f_at_v).tobytes() for pt in fused.trajectory] == \
+            [np.float64(pt.f_at_v).tobytes() for pt in apart.trajectory]
+        assert all(type(pt.f_at_v) is float for pt in fused.trajectory)
 
 
 def large_config(**overrides):
@@ -613,7 +719,7 @@ class TestGroupedBatches:
         stop_eps=st.sampled_from([1e-300, 1e-6, 1e-2]),
         gamma=st.sampled_from(sorted(SCHEDULES)),
         sigma=st.sampled_from(["dynamics", *sorted(SCHEDULES)]),
-        objective=st.sampled_from(["rastrigin", "ackley"]),
+        objective=st.sampled_from(["rastrigin", "ackley", "zakharov"]),
         alpha=st.sampled_from([1.0, 30.0]),
         seed=st.integers(0, 2**32),
     )
@@ -707,6 +813,15 @@ class TestGroupedBatches:
         result = run(early)
         assert (result.steps, result.terminated_by) == (2, "stop_criterion")
         assert_same_run(result, per_batch_run(early))
+
+    def test_zakharov_records_as_one_batch_at_a_time(self):
+        # the head of a group records f(v) from a call on the stacked points,
+        # one batch at a time from a call on one point: at step 10 here the
+        # two gave 189224.49012821718 and 189224.4901282172 while zakharov
+        # took one point's fourth power with C's pow
+        config = batched_config(12, 3, objective="zakharov", dimension=3, master_seed=13,
+                                record_every=2, max_steps=30, batching=dict(max_epochs=4))
+        assert_same_run(run(config), per_batch_run(config))
 
     def test_remainder_overlaps_are_cut_from_groups(self):
         # 13 = 3 x 4 + 1: batch 0 of every later epoch carries a leftover row,

@@ -217,29 +217,22 @@ class TestUfuncReductions:
             assert got.tobytes() == want.tobytes()
 
 
-# zakharov's lin**4 of one point is numpy's scalar power (C's pow), and of
-# a stack the power ufunc's loop, which differs in the last bit for about one
-# point in thirty: a stack's rows agree with each other, not with one point
-ONE_POINT_AS_ONE_ROW = [name for name in benchmark_names() if name != "zakharov"]
-
-
 def assert_stacked_rows(f, a, b):
-    """f on the stack [a; b] gives f(a) and f(b) side by side, and, for the
-    benchmarks of ONE_POINT_AS_ONE_ROW, f at a's first point the first value
-    of f(a[:1]), byte for byte."""
+    """f on the stack [a; b] gives f(a) and f(b) side by side, and f at a's
+    first point the first value of f(a[:1]), byte for byte."""
     both = f(np.concatenate((a, b)))
     assert both.dtype == np.float64 and both.shape == (len(a) + len(b),)
     assert both.tobytes() == np.concatenate((f(a), f(b))).tobytes()
     one = f(a[0])
     assert type(one) is np.float64
-    if f.name in ONE_POINT_AS_ONE_ROW:
-        assert one.tobytes() == f(a[:1])[0].tobytes()
+    assert one.tobytes() == f(a[:1])[0].tobytes()
 
 
 class TestStackedRows:
     """A personal_best step evaluates the positions and the memory in one
-    call on their stack; every benchmark maps stacked rows bit for bit, on
-    the chunked path too."""
+    call on their stack, and a run evaluates a consensus point as one more
+    row of its next call; every benchmark maps stacked rows, and one point as
+    a row, bit for bit, on the chunked path too."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
