@@ -200,7 +200,9 @@ class _Owing:
         if x.ndim == 1:
             self.owed = OwedPoint(x)
             return math.nan
-        return self.f(x) if self.owed is None else _with_f_at_v(self.f, self.owed, x)[0]
+        if self.owed is None or self.owed.f_at_v is not None:  # a gate took it in
+            return self.f(x)
+        return _with_f_at_v(self.f, self.owed, x)[0]
 
 
 def _paid(cp, f) -> ConsensusPoint:
@@ -230,9 +232,11 @@ def _step(e, f, p, z, integrator, mem, cp, scratch) -> Ensemble:
 def _finish(trajectory, e, final_cp, status, t0, config, fallback_cp, scratch):
     """The run's result; `final_cp` is the consensus point of e's positions,
     or None where the objective is not finite on them (`scratch` as in `moments`).
-    The records' owed points hold their values by now."""
-    trajectory = [replace(pt, f_at_v=pt.f_at_v.f_at_v) if type(pt.f_at_v) is OwedPoint else pt
-                  for pt in trajectory]
+    The records' owed points hold their values by now, and each record,
+    which no caller has seen yet, takes its point's value in place."""
+    for pt in trajectory:
+        if type(pt.f_at_v) is OwedPoint:
+            object.__setattr__(pt, "f_at_v", pt.f_at_v.f_at_v)
     if final_cp is None:
         # objective overflowed on the final positions: the run diverged,
         # whatever its budget; report its last finite consensus point

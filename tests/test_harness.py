@@ -526,8 +526,10 @@ class TestDrawAhead:
 
         monkeypatch.setattr(harness, "make_objective",
                             lambda name, d: ObjectiveFunction(name, failing, d))
+        config = large_config()  # [x; v] is past SHARD_MIN_ELEMENTS: f(v) has a call of its own
+        assert (config.n_particles + 1) * config.dimension > objectives.SHARD_MIN_ELEMENTS
         with pytest.raises(RuntimeError, match="objective failed"):
-            run(large_config())
+            run(config)
         _, tasks = traced
         assert any(name == "standard_normal" for name, _ in tasks)
         assert all(task.done() for _, task in tasks)
