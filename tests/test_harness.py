@@ -56,6 +56,20 @@ def small_config(**overrides):
     return RunConfig(**defaults)
 
 
+def counted_run(config, monkeypatch):
+    """The run, and the shape of the points of each objective call it made."""
+    calls, call = [], ObjectiveFunction.__call__
+
+    def counted(f, x):
+        calls.append(np.shape(x))
+        return call(f, x)
+
+    monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
+    result = run(config)
+    monkeypatch.setattr(ObjectiveFunction, "__call__", call)
+    return result, calls
+
+
 class TestRunConfig:
     def test_frozen_requires_anisotropic(self):
         with pytest.raises(ValueError):
@@ -189,15 +203,8 @@ class TestRun:
         # step-54 state, which also evaluates v of step 53, the result's point
         config = small_config(objective="rastrigin", n_particles=5, master_seed=3,
                               params=VariantParams(sigma=1e3, dt=1.0), max_steps=10_000)
-        expected, calls = run(config), []
-        call = ObjectiveFunction.__call__
-
-        def counted(f, x):
-            calls.append(np.shape(x))
-            return call(f, x)
-
-        monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
-        result = run(config)
+        expected = run(config)
+        result, calls = counted_run(config, monkeypatch)
         assert (result.steps, result.terminated_by) == (54, "divergence")
         assert calls == [(5, 2)] + [(6, 2)] * 54
         assert_same_run(result, expected)
@@ -220,14 +227,7 @@ class TestRun:
         config = small_config(objective="rastrigin", dimension=d, n_particles=n, max_steps=3,
                               params=VariantParams(sigma=0.5, variant=variant,
                                                    heaviside_mode="exact"))
-        calls, call = [], ObjectiveFunction.__call__
-
-        def counted(f, x):
-            calls.append(np.shape(x))
-            return call(f, x)
-
-        monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
-        result = run(config)
+        result, calls = counted_run(config, monkeypatch)
         assert result.steps == 3
         assert calls == expected(n, d)
         monkeypatch.setattr(dynamics, "SHARD_MIN_ELEMENTS", 0)  # f(v) in a call of its own
@@ -251,14 +251,7 @@ class TestRun:
         assert 2 * 64 * 256 == objectives.SHARD_MIN_ELEMENTS
         config = small_config(objective="rastrigin", dimension=d, n_particles=n, max_steps=3,
                               params=VariantParams(sigma=0.5, variant="personal_best"))
-        calls, call = [], ObjectiveFunction.__call__
-
-        def counted(f, x):
-            calls.append(np.shape(x))
-            return call(f, x)
-
-        monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
-        result = run(config)
+        result, calls = counted_run(config, monkeypatch)
         assert result.steps == 3
         assert calls == update(n, d) * 3 + [(n, d), (d,)]
         monkeypatch.setattr(dynamics, "SHARD_MIN_ELEMENTS", 0)  # f(x), f(v) and f(p) apart
@@ -283,14 +276,7 @@ class TestRun:
         # row for step 1, whose update does not happen, and v of step 1
         # alone: the final state is the step-1 state
         config = small_config(n_particles=12, max_steps=60, **overrides)
-        calls, call = [], ObjectiveFunction.__call__
-
-        def counted(f, x):
-            calls.append(np.shape(x))
-            return call(f, x)
-
-        monkeypatch.setattr(ObjectiveFunction, "__call__", counted)
-        result = run(config)
+        result, calls = counted_run(config, monkeypatch)
         assert (result.terminated_by, result.steps) == (ending, 1)
         d = config.dimension
         assert calls == [(12, d), (13, d), (d,)]

@@ -150,7 +150,7 @@ def ref_griewank(x):
 def ref_zakharov(x):
     idx = np.arange(1, x.shape[-1] + 1, dtype=float)
     lin = np.add.reduce(0.5 * idx * x, axis=-1)
-    return np.add.reduce(x * x, axis=-1) + lin**2 + lin**4
+    return np.add.reduce(x * x, axis=-1) + lin**2 + np.power(lin, 4.0)  # as for a stack
 
 
 def ref_wavy(x):

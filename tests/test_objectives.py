@@ -186,7 +186,7 @@ def methods_griewank(x):
 
 def methods_zakharov(x):
     lin = (0.5 * np.arange(1, x.shape[-1] + 1, dtype=float) * x).sum(axis=-1)
-    return (x * x).sum(axis=-1) + lin**2 + lin**4
+    return (x * x).sum(axis=-1) + lin**2 + np.power(lin, 4.0)  # as for a stack
 
 
 # each benchmark written with the ndarray methods .sum, .mean and .prod
