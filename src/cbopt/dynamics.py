@@ -15,10 +15,10 @@ heaviside gate is a comparison; personal_best's exact gates take
 comparisons of the objective values and one difference (`_exact_gates`).
 
 The gates read f at the positions, at personal_best's memory and at v.
-While their stack is small, `_with_f_at_v` evaluates them in one objective
-call: [x; p] for personal_best, and [x; v] or [x; p; v] for a consensus
-point of `harness.run` whose value is still owed (an `OwedPoint`), which
-holds that value from then on.
+A consensus point whose f_at_v is None is owed its value: `_pay` then
+evaluates the gates' stacks with v as the last row in one objective call,
+[x; v] or [x; p; v], and writes f(v) into the point. Any other point takes
+f(x), and f(p), each in a call of its own.
 
 The exact solvers hold the consensus point fixed over one interval of
 length gamma: the splitting scheme solves the drift ODE exactly
@@ -53,7 +53,6 @@ import numpy as np
 
 from .consensus import ConsensusPoint, weighted_mean
 from .ensemble import Ensemble, FieldError, check_choice
-from .objectives import SHARD_MIN_ELEMENTS
 
 VARIANTS = ("original", "anisotropic", "common_noise", "personal_best", "sphere")
 HEAVISIDE_MODES = ("off", "exact", "regularized")
@@ -176,12 +175,21 @@ def noise_shape(p: VariantParams, shape) -> tuple:
     return tuple(shape[-1:] if p.variant == "common_noise" else shape)
 
 
+def _square(x) -> float:
+    """x**2 of a float, C's pow, bit for bit; past the float range the IEEE
+    value inf, where a Python float's `**` raises OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def consensus_condition(p: VariantParams, d: int) -> bool:
     """Concentration check: 2 lam > sigma^2 d for the isotropic original
     dynamic; dimension-independent 2 lam > sigma^2 for the component-wise ones."""
     if p.variant == "original":
-        return 2.0 * p.lam > p.sigma**2 * d
-    return 2.0 * p.lam > p.sigma**2
+        return 2.0 * p.lam > _square(p.sigma) * d
+    return 2.0 * p.lam > _square(p.sigma)
 
 
 def _row_norms(x, out) -> np.ndarray:
@@ -255,13 +263,9 @@ def frozen_gbm(positions, v, lam, sigma, gamma, z, scratch=None) -> np.ndarray:
     """
     _check_gamma(gamma)
     scratch = np.empty(np.shape(positions)) if scratch is None else scratch
-    try:
-        half_var = 0.5 * sigma**2
-    except OverflowError:  # the IEEE value, as a float64 square gives past the float range
-        half_var = np.inf
     # exponent = (-lam - sigma^2/2) gamma + sigma sqrt(gamma) z
     exponent = np.multiply(sigma * np.sqrt(gamma), z, out=scratch)
-    np.exp(np.add((-lam - half_var) * gamma, exponent, out=exponent), out=exponent)
+    np.exp(np.add((-lam - 0.5 * _square(sigma)) * gamma, exponent, out=exponent), out=exponent)
     t = np.subtract(positions, v)
     return np.add(v, np.multiply(t, exponent, out=t), out=t)
 
@@ -305,51 +309,14 @@ def _exact_gates(fx, fp, fv):
     return toward_v, toward_p
 
 
-def _one_call(size: int) -> bool:
-    """Whether stacks of `size` numbers in all are evaluated in one call: at
-    most SHARD_MIN_ELEMENTS, where a step pays mostly a call's fixed cost. A
-    larger stack would add arrays of its size at the step's peak."""
-    return size <= SHARD_MIN_ELEMENTS
-
-
-def _owes(p: VariantParams, n: int, d: int) -> bool:
-    """Whether a plain run of n particles in d dimensions owes each f(v) to
-    its next objective call: the gates' on [x; p; v] for personal_best, else
-    one on [x; v], while `_one_call` holds for it."""
-    return _one_call((2 * n + 1 if p.variant == "personal_best" else n + 1) * d)
-
-
-class OwedPoint:
-    """A consensus point of `harness.run` whose value f(v) is owed: the run's
-    next objective call evaluates v as its last row, and f_at_v is None until
-    then. Only the run and the step it calls hold one."""
-
-    __slots__ = ("v", "f_at_v")
-
-    def __init__(self, v):
-        self.v, self.f_at_v = v, None
-
-
-def _with_f_at_v(f, cp, *stacks):
-    """f at the rows of `stacks`, in order, in one array, and f(v) at cp,
-    whose v is one more row, the last, where it is an OwedPoint; the point
-    holds its value from then on. The rows take one call on their
-    concatenation while `_one_call` holds, else one call per stack (v alone).
-    f maps each row on its own, so either way the values are the same bits."""
-    owed = cp.f_at_v is None
-    if owed:
-        stacks += (cp.v[None],)
-    if len(stacks) == 1:
-        values = f(stacks[0])
-    else:
-        size = 0
-        for s in stacks:
-            size += s.size
-        values = (f(np.concatenate(stacks)) if _one_call(size)
-                  else np.concatenate([f(s) for s in stacks]))
-    if owed:
-        cp.f_at_v, values = values.item(-1), values[:-1]
-    return values, cp.f_at_v
+def _pay(f, owed, *stacks):
+    """f at the rows of `stacks`, in order, in one array, from one call on
+    their concatenation with the owed point's v as one more row, the last;
+    f(v) goes into `owed`, which holds it from then on. f maps each row on
+    its own, so the values are the bits of separate calls."""
+    values = f(np.concatenate((*stacks, owed.v[None])))
+    owed.f_at_v = values.item(-1)
+    return values[:-1]
 
 
 def _update(e, f, p: VariantParams, z, mem, cp, scratch):
@@ -369,8 +336,8 @@ def _update(e, f, p: VariantParams, z, mem, cp, scratch):
     if p.variant == "original":
         gate = 1.0
         if p.heaviside_mode != "off":  # f(x) first: the kick's temporaries add no peak memory
-            fx, fv = _with_f_at_v(f, cp, x)
-            gate = heaviside(fx - fv, p.heaviside_mode, p.epsilon)[:, None]
+            fx = _pay(f, cp, x) if cp.f_at_v is None else f(x)
+            gate = heaviside(fx - cp.f_at_v, p.heaviside_mode, p.epsilon)[:, None]
         return isotropic_kick(x, cp.v, p.lam, math.sqrt(2.0) * p.sigma, p.dt, z, scratch, gate)
     diff = np.subtract(x, cp.v, out=scratch)
     sqrt_dt = math.sqrt(p.dt)
@@ -379,8 +346,12 @@ def _update(e, f, p: VariantParams, z, mem, cp, scratch):
         # personal best (rate 1), whichever has the smaller objective value;
         # mode 'off' falls back to exact gating, since ungated dual drift
         # would pin particles in between
-        values, fv = _with_f_at_v(f, cp, x, mem.p)
-        fx, fp = values[:len(x)], values[len(x):]
+        if cp.f_at_v is None:
+            values = _pay(f, cp, x, mem.p)
+            fx, fp = values[:len(x)], values[len(x):]
+        else:
+            fx, fp = f(x), f(mem.p)
+        fv = cp.f_at_v
         if p.heaviside_mode == "regularized":
             lam_gate = p.lam * gate_pair(fx - fv, fp - fv, "regularized", p.epsilon)
             mu_gate = gate_pair(fx - fp, fv - fp, "regularized", p.epsilon)
@@ -411,7 +382,7 @@ def _update(e, f, p: VariantParams, z, mem, cp, scratch):
     # Ito correction along the outward normal: grad|x|=x/|x|, lap|x|=(d-1)/|x|;
     # it goes into the noise's buffer, which is read by now
     curvature = dist_sq * (e.dimension - 1.0) / norms_sq
-    correction = np.multiply(0.5 * p.sigma**2 * p.dt * curvature[:, None], x, out=noise)
+    correction = np.multiply(0.5 * _square(p.sigma) * p.dt * curvature[:, None], x, out=noise)
     return np.subtract(new, correction, out=new)
 
 
@@ -433,10 +404,10 @@ def step(
     particle. A `cp` the caller gives skips that check, and the step then
     assumes f(x) is not -inf at any particle: personal_best's exact gates
     compare f(x) with f(v) and f(p), which is what the heaviside of their
-    differences gives everywhere else. `harness.run` may give an
-    `OwedPoint`, whose f(v) the gates of original and personal_best then
-    evaluate as the last row of their call and write into it; the other
-    variants do not read f(v). `mem` is required by the personal_best
+    differences gives everywhere else. `harness.run` may give a point whose
+    f_at_v is None: the gates of original and personal_best then evaluate
+    f(v) as the last row of their one call and write it into the point; the
+    other variants do not read f(v). `mem` is required by the personal_best
     variant: the run's one memory set, `PersonalBestMemory.initial(e)` at
     the start, which each step updates in place by one left-endpoint
     rectangle of its weighted time integrals; the other variants ignore it.

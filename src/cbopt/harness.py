@@ -29,9 +29,9 @@ from .consensus import (
     ConsensusPoint, consensus_mean, laplace_estimate, weighted_mean,
 )
 from .dynamics import (
-    VARIANTS, DivergenceError, OwedPoint, PersonalBestMemory, VariantParams, _owes,
-    _with_f_at_v, advance, anisotropic_kick, frozen_gbm, isotropic_kick, noise_shape,
-    split_diffusion, split_drift, step,
+    VARIANTS, DivergenceError, PersonalBestMemory, VariantParams, _pay, advance,
+    anisotropic_kick, frozen_gbm, isotropic_kick, noise_shape, split_diffusion, split_drift,
+    step,
 )
 from .ensemble import (
     DrawAhead,
@@ -46,7 +46,7 @@ from .ensemble import (
     mean_pairwise_sq_dist,
     moments,
 )
-from .objectives import ObjectiveFunction, benchmark_names, make_objective
+from .objectives import SHARD_MIN_ELEMENTS, ObjectiveFunction, benchmark_names, make_objective
 
 INTEGRATORS = ("euler", "split", "frozen")
 NORMS = ("infinity", "euclidean")
@@ -171,6 +171,17 @@ class RunResult:
     final_positions: np.ndarray = None
 
 
+class OwedPoint:
+    """A consensus point of `run` whose value f(v) is owed: the run's next
+    objective call evaluates v as its last row, and f_at_v is None until
+    then. Only the run and the step it calls hold one."""
+
+    __slots__ = ("v", "f_at_v")
+
+    def __init__(self, v):
+        self.v, self.f_at_v = v, None
+
+
 def _point(e: Ensemble, cp, scratch) -> TrajectoryPoint:
     """The record of e; an OwedPoint stands for its value until `_finish`."""
     mean, variance = moments(e, scratch)
@@ -202,16 +213,7 @@ class _Owing:
             return math.nan
         if self.owed is None or self.owed.f_at_v is not None:  # a gate took it in
             return self.f(x)
-        return _with_f_at_v(self.f, self.owed, x)[0]
-
-
-def _paid(cp, f) -> ConsensusPoint:
-    """cp with its value; an OwedPoint that no call took in evaluates v alone."""
-    if type(cp) is not OwedPoint:
-        return cp
-    if cp.f_at_v is None:
-        cp.f_at_v = float(f(cp.v))
-    return ConsensusPoint(cp.v, cp.f_at_v)
+        return _pay(self.f, self.owed, x)
 
 
 def _step(e, f, p, z, integrator, mem, cp, scratch) -> Ensemble:
@@ -229,20 +231,24 @@ def _step(e, f, p, z, integrator, mem, cp, scratch) -> Ensemble:
     return advance(e, new, p.dt)
 
 
-def _finish(trajectory, e, final_cp, status, t0, config, fallback_cp, scratch):
+def _finish(trajectory, e, final_cp, status, t0, config, fallback_cp, scratch, f):
     """The run's result; `final_cp` is the consensus point of e's positions,
     or None where the objective is not finite on them (`scratch` as in `moments`).
-    The records' owed points hold their values by now, and each record,
-    which no caller has seen yet, takes its point's value in place."""
-    for pt in trajectory:
-        if type(pt.f_at_v) is OwedPoint:
-            object.__setattr__(pt, "f_at_v", pt.f_at_v.f_at_v)
+    An owed point that no call took in evaluates v alone by f; then each
+    record, which no caller has seen yet, takes its point's value in place."""
     if final_cp is None:
         # objective overflowed on the final positions: the run diverged,
         # whatever its budget; report its last finite consensus point
         final_cp, status = fallback_cp, "divergence"
     elif not trajectory or trajectory[-1].step != e.step_count:
         trajectory.append(_point(e, final_cp, scratch))
+    if type(final_cp) is OwedPoint:
+        if final_cp.f_at_v is None:
+            final_cp.f_at_v = float(f(final_cp.v))
+        final_cp = ConsensusPoint(final_cp.v, final_cp.f_at_v)
+    for pt in trajectory:
+        if type(pt.f_at_v) is OwedPoint:
+            object.__setattr__(pt, "f_at_v", pt.f_at_v.f_at_v)
     return RunResult(
         trajectory=trajectory,
         final_consensus=final_cp,
@@ -295,15 +301,16 @@ def run(config: RunConfig) -> RunResult:
     `_groups` steps at once, or one batch at a time if it fails, with the
     outputs and errors of one batch at a time.
 
-    A plain run evaluates each consensus point's value f(v) as one more row,
-    the last, of the first objective call made after v exists: the gates'
-    call of the same step for original with a gate and for personal_best,
-    else the next state's consensus call, the final state's included. It
-    does so while that call holds at most SHARD_MIN_ELEMENTS numbers with
-    the v row, and evaluates f(v) alone above that size and where no call
-    follows: when the stop rule fires, a kick diverges or the run ends. The
-    point whose value is still owed, an `OwedPoint`, stays inside the run;
-    every point of the result holds its float value.
+    A plain run of N particles in d dimensions with (N + 1) d <=
+    SHARD_MIN_ELEMENTS, whatever its variant, evaluates each consensus
+    point's value f(v) as one more row, the last, of the first objective
+    call made after v exists: the gates' call of the same step for original
+    with a gate and for personal_best (on [x; p; v]), else the next state's
+    consensus call, the final state's included. It evaluates f(v) alone
+    where no call follows: when the stop rule fires, a kick diverges or the
+    run ends; a larger run evaluates every f(v) alone. The point whose value
+    is still owed, an `OwedPoint`, stays inside the run; every point of the
+    result holds its float value.
 
     The run owns one (N, d) scratch array, which every step (a batch's kick
     in its head) and `moments` at recorded steps and at the final point
@@ -332,7 +339,7 @@ def run(config: RunConfig) -> RunResult:
             full_scope = range(config.n_particles) if bp.update_mode == "full" else None
         scratch = np.empty(e.positions.shape)
         mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
-        owe = bp is None and _owes(p, config.n_particles, d)
+        owe = bp is None and (config.n_particles + 1) * d <= SHARD_MIN_ELEMENTS
         g = _Owing(f) if owe else f
         trajectory: List[TrajectoryPoint] = []
         v_prev, cp, status = None, None, "max_steps"
@@ -393,11 +400,7 @@ def run(config: RunConfig) -> RunResult:
                 cps = g.owed if owe else cps
             except ValueError:  # the objective is not finite on the final positions
                 cps = None
-        if cps is not None:
-            cps = _paid(cps, f)
-        else:  # the fallback: the run's last point
-            cp = _paid(cp, f)
-        return _finish(trajectory, e, cps, status, t0, config, cp, scratch)
+        return _finish(trajectory, e, cps, status, t0, config, cp, scratch, f)
 
 
 def run_campaign(config: RunConfig, runs: int, workers: int = 1) -> List[RunResult]:

@@ -113,8 +113,8 @@ def zakharov(x):
     idx = np.arange(1, x.shape[-1] + 1, dtype=float)
     t = 0.5 * idx * x
     lin = np.add.reduce(t, axis=-1)
-    # the power ufunc, as for a stack: `**` of one point's numpy float is C's pow
-    return np.add.reduce(np.multiply(x, x, out=t), axis=-1) + lin**2 + np.power(lin, 4.0)
+    # the ufuncs, as for a stack: `**` of one point's numpy float is C's pow
+    return np.add.reduce(np.multiply(x, x, out=t), axis=-1) + np.square(lin) + np.power(lin, 4.0)
 
 
 def wavy(x):

@@ -19,19 +19,19 @@ chunked objective calls, four guards of the batch remainder, the worker
 rule of the helper threads and the CLI's output and null keys; the two
 buffer reuses of the sphere step's tail, which the goldens pin as well;
 the plan a draw ahead draws from and the blocks of a batched run's draws;
-the release of a chunked call's input; and the exact solvers' gamma guard
-and overflow value, and a run's integrator dispatch; and the guards of the
+the release of a chunked call's input; and the exact solvers' gamma guard,
+sigma's square past the float range, and a run's integrator dispatch; and the guards of the
 lean small step: the alpha and non-finite checks of the weights, the one
 conversion of an objective's values and the weights' conversion of any
 other values (a plain function's int array among them), the pending draw,
 the square root of a stack's step sizes and personal_best's exact gates;
-and a small personal_best step's one objective call on [x; p], its split and
-size gate, with the single-ensemble trims: the scalar minimum of the
-weights and the type tests of the points' conversions; and f(v) as the
-last row of a plain run's next objective call: the index of the v row, an
-owed value evaluated twice, the size that decides personal_best's owing,
-and zakharov's fourth power, which makes one point the bits of its row in
-a stack. The script is a
+and a small personal_best step's one objective call, its split, with the
+single-ensemble trims: the scalar minimum of the weights and the type tests
+of the points' conversions; and f(v) as the last row of a plain run's next
+objective call: the one size rule that decides a run's owing, the index of
+the v row, an owed value evaluated twice, the gates' test for an owed
+point, and zakharov's square and fourth power, which make one point the
+bits of its row in a stack. The script is a
 measure, not a gate: a survivor that is not equivalent asks for a test that
 fails on it.
 """
@@ -76,7 +76,8 @@ MUTANTS = (
     Mutant("harness", "SuccessCriterion.met: <= to <",
            "return bool(dist <= self.tolerance)", "return bool(dist < self.tolerance)"),
     Mutant("dynamics", "consensus_condition: > to >=",
-           "return 2.0 * p.lam > p.sigma**2 * d", "return 2.0 * p.lam >= p.sigma**2 * d"),
+           "return 2.0 * p.lam > _square(p.sigma) * d",
+           "return 2.0 * p.lam >= _square(p.sigma) * d"),
     Mutant("batching", "_sorted_rows, stacked branch: >= n to > n",
            "batch.max() >= n if batch.ndim > 1", "batch.max() > n if batch.ndim > 1"),
     Mutant("harness", "diagnostic_frozen_moment: n < 1000 to n < 100",
@@ -143,8 +144,8 @@ MUTANTS = (
     # the exact solvers and their dispatch
     Mutant("dynamics", "_check_gamma: not gamma > 0.0 to gamma < 0.0",
            "if not gamma > 0.0:", "if gamma < 0.0:"),
-    Mutant("dynamics", "frozen_gbm: half_var = np.inf to half_var = 0.0",
-           "half_var = np.inf", "half_var = 0.0"),
+    Mutant("dynamics", "_square: inf past the float range to 0.0",
+           "        return math.inf", "        return 0.0"),
     Mutant("harness", "_step: integrator == \"split\" to !=",
            'if integrator == "split":', 'if integrator != "split":'),
     # the guards of the lean small step: checks, conversions and exact gates
@@ -171,12 +172,13 @@ MUTANTS = (
            "toward_p &= gap <= 0.0", "toward_p &= gap < 0.0"),
     Mutant("dynamics", "personal_best: exact mode takes the regularized gates",
            'if p.heaviside_mode == "regularized":', 'if p.heaviside_mode != "off":'),
-    # a small personal_best step's one call on [x; p], and the single-ensemble trims
+    # a small personal_best step's one call on [x; p; v], and the single-ensemble trims
     Mutant("dynamics", "personal_best: the halves of the stacked values swapped",
            "fx, fp = values[:len(x)], values[len(x):]",
            "fx, fp = values[len(x):], values[:len(x)]"),
-    Mutant("dynamics", "_one_call: <= SHARD_MIN_ELEMENTS to <",
-           "return size <= SHARD_MIN_ELEMENTS", "return size < SHARD_MIN_ELEMENTS"),
+    Mutant("harness", "run: owing while (N + 1) d <= SHARD_MIN_ELEMENTS to <",
+           "(config.n_particles + 1) * d <= SHARD_MIN_ELEMENTS",
+           "(config.n_particles + 1) * d < SHARD_MIN_ELEMENTS"),
     Mutant("consensus", "exponentials: one ensemble's minimum low to top",
            "np.subtract(fvals, low if one else fmin)", "np.subtract(fvals, top if one else fmin)"),
     Mutant("objectives", "ObjectiveFunction: an int array of points passes unconverted",
@@ -186,16 +188,22 @@ MUTANTS = (
            "    if type(x) is not _NDARRAY or x.dtype is not _FLOAT:  # float64 points",
            "    if type(x) is not _NDARRAY:  # float64 points"),
     # f(v) as the last row of a plain run's next objective call
-    Mutant("dynamics", "_with_f_at_v: the v row's index off by one",
-           "cp.f_at_v, values = values.item(-1), values[:-1]",
-           "cp.f_at_v, values = values.item(-2), values[:-1]"),
-    Mutant("harness", "_paid: an owed value a call took in is evaluated again",
-           "    if cp.f_at_v is None:\n        cp.f_at_v = float(f(cp.v))",
-           "    if True:\n        cp.f_at_v = float(f(cp.v))"),
-    Mutant("dynamics", "_owes: personal_best by the size of [x; v], not [x; p; v]",
-           '(2 * n + 1 if p.variant == "personal_best" else n + 1) * d', "(n + 1) * d"),
+    Mutant("dynamics", "_pay: the v row's index off by one",
+           "owed.f_at_v = values.item(-1)", "owed.f_at_v = values.item(-2)"),
+    Mutant("harness", "_finish: an owed value a call took in is evaluated again",
+           "        if final_cp.f_at_v is None:\n", "        if True:\n"),
+    # the mutant that owed personal_best's f(v) by the size of [x; v], not
+    # [x; p; v], is gone: that size is now every variant's rule
+    Mutant("dynamics", "original's gate: an owed point taken for a paid one",
+           "_pay(f, cp, x) if cp.f_at_v is None else f(x)",
+           "_pay(f, cp, x) if cp.f_at_v is not None else f(x)"),
+    Mutant("dynamics", "personal_best's gates: an owed point taken for a paid one",
+           "        if cp.f_at_v is None:\n            values = _pay(",
+           "        if cp.f_at_v is not None:\n            values = _pay("),
     Mutant("objectives", "zakharov: one point's fourth power by C's pow again",
            "np.power(lin, 4.0)", "lin**4"),
+    Mutant("objectives", "zakharov: one point's square by C's pow again",
+           "np.square(lin)", "lin**2"),
 )
 
 

@@ -152,6 +152,11 @@ class TestConsensusCondition:
         p = VariantParams(lam=1.5, sigma=1.0, variant="original")
         assert consensus_condition(p, 3) is False
 
+    def test_sigma_squared_past_the_float_range_is_inf(self):
+        # a Python float's sigma**2 raises OverflowError past about 1.3e154
+        for variant in ("original", "sphere"):
+            assert consensus_condition(VariantParams(sigma=1e200, variant=variant), 3) is False
+
 
 class TestOriginalStep:
     def test_particle_at_consensus_unchanged_without_noise_scale(self):

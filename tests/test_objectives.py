@@ -186,7 +186,7 @@ def methods_griewank(x):
 
 def methods_zakharov(x):
     lin = (0.5 * np.arange(1, x.shape[-1] + 1, dtype=float) * x).sum(axis=-1)
-    return (x * x).sum(axis=-1) + lin**2 + np.power(lin, 4.0)  # as for a stack
+    return (x * x).sum(axis=-1) + np.square(lin) + np.power(lin, 4.0)  # as for a stack
 
 
 # each benchmark written with the ndarray methods .sum, .mean and .prod
@@ -246,6 +246,13 @@ class TestStackedRows:
         rng = np.random.default_rng(seed)
         a, b = (rng.uniform(-scale, scale, (k, d)) for k in rows)
         assert_stacked_rows(make_objective(name, d), a, b)
+
+    def test_zakharov_squares_one_point_as_its_row(self):
+        # C's pow gave 4151.748031868719 for `lin**2` of this point's numpy
+        # float, where np.square on the stack gives 4151.7480318687185
+        a = np.array([[-0.6301398920414707, -2.668231905849949, -3.33575696849828]])
+        assert_stacked_rows(make_objective("zakharov", 3), a, -a)
+        assert make_objective("zakharov", 3)(a[0]) == 4151.7480318687185
 
     @pytest.mark.parametrize("name", benchmark_names())
     def test_chunked_stack_maps_rows_as_its_parts(self, name):
