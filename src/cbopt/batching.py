@@ -173,12 +173,12 @@ def batch_update(
     is q calls in a row, bit for bit: member j takes theta + j and z[j]."""
     full = isinstance(scope, range) and scope == range(e.n_particles)
     rows = None if full else _sorted_rows(scope, e.n_particles)
-    q = len(rows) if not full and rows.ndim > 1 else 1
-    gammas, sigmas = zip(*[_coefficients(bp, sigma, k, theta + j) for j in range(q)])
-    if q == 1:  # one batch: scalar coefficients cost least
-        (gamma,), (sigma,), v = gammas, sigmas, v.v
+    if full or rows.ndim == 1:  # one batch: scalar coefficients cost least
+        gamma, sigma = _coefficients(bp, sigma, k, theta)
+        gammas, v = (gamma,), v.v
     else:
-        gamma, sigma = np.reshape(gammas, (q, 1, 1)), np.reshape(sigmas, (q, 1, 1))
+        gammas, sigmas = zip(*[_coefficients(bp, sigma, k, theta + j) for j in range(len(rows))])
+        gamma, sigma = np.reshape(gammas, (-1, 1, 1)), np.reshape(sigmas, (-1, 1, 1))
         v = v.v[:, None]
     if full:
         return advance(e, anisotropic_kick(e.positions, v, lam, sigma, gamma, z, scratch), gamma)
@@ -208,3 +208,19 @@ def stop_check(v_prev, v_curr, d: int, eps: float) -> bool:
         raise ValueError("eps must be positive")
     delta = np.asarray(v_curr, dtype=float) - np.asarray(v_prev, dtype=float)
     return bool(np.add.reduce(delta * delta, axis=None) / d <= eps)
+
+
+def first_stop(v_prev, v, d: int, eps: float) -> Tuple[int, bool]:
+    """`stop_check` over the consensus points v of a run's next steps, one
+    (d,) point or a (q, d) stack in step order, with v_prev the point before
+    them (NaN at a run's first step: a point that made no move never stops
+    the run): how many of the steps the run takes, and whether it then
+    stops, at the first point whose move from the point before it passes
+    the test. Each row's sum is the pairwise sum of `stop_check`, so every
+    test gives its bits."""
+    moves = v - (v_prev if v.ndim == 1 else np.concatenate((v_prev[None], v[:-1])))
+    hits = np.add.reduce(moves * moves, axis=-1) / d <= eps
+    if v.ndim == 1:
+        return 1, hits
+    hits = hits.tolist()
+    return (hits.index(True) + 1, True) if True in hits else (len(hits), False)

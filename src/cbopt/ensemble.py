@@ -146,6 +146,18 @@ class DrawAhead:
             self.pending = (step + 1, draw)
         return z
 
+    def blocks(self, step: int, n: int) -> np.ndarray:
+        """Blocks step to step + n - 1, bit for bit, as the rows of one new
+        (n, *shape) array: each is drawn into its row, or, drawn ahead,
+        copied from the buffer `block` hands out."""
+        z = np.empty((n, *self.shape))
+        for at, row in zip(range(step, step + n), z):
+            if self.ahead:
+                row[...] = self.block(at)
+            else:
+                self.plan.normal_block(self.stream, at, self.shape, out=row)
+        return z
+
     def close(self, step=None):
         """Wait for the pending block, if any; return it if it is `step`'s."""
         if self.pending is None:

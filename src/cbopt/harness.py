@@ -22,8 +22,8 @@ from .batching import (
     BatchState,
     batch_consensus,
     batch_update,
+    first_stop,
     make_batches,
-    stop_check,
 )
 from .consensus import (
     ConsensusPoint, consensus_mean, laplace_estimate, weighted_mean,
@@ -172,9 +172,10 @@ class RunResult:
 
 
 class OwedPoint:
-    """A consensus point of `run` whose value f(v) is owed: the run's next
-    objective call evaluates v as its last row, and f_at_v is None until
-    then. Only the run and the step it calls hold one."""
+    """A consensus point of `run` whose value f(v) is owed, f_at_v None
+    until it is paid: by the plain run's next objective call, which
+    evaluates v as its last row, or by `_finish`, which evaluates v alone.
+    Only the run and the step it calls hold one."""
 
     __slots__ = ("v", "f_at_v")
 
@@ -216,6 +217,26 @@ class _Owing:
         return _pay(self.f, self.owed, x)
 
 
+class _Unread:
+    """f as `batch_consensus` sees it in a batched run, which reads a
+    batch's f(v) only for a record or the fallback point, and evaluates it
+    then alone (`_finish`). The run arms it before each `batch_consensus`
+    call: the first call after that, on the batch's positions, is f's; the
+    next, on the consensus point or a stack's points (at most N), evaluates
+    nothing and returns nan, which nothing reads."""
+
+    __slots__ = ("f", "armed", "nans")
+
+    def __init__(self, f, n):
+        self.f, self.armed, self.nans = f, False, np.full(n, math.nan)
+
+    def __call__(self, x):
+        if self.armed:
+            self.armed = False
+            return self.f(x)
+        return math.nan if x.ndim == 1 else self.nans[: len(x)]
+
+
 def _step(e, f, p, z, integrator, mem, cp, scratch) -> Ensemble:
     """Move every particle one step with the configured integrator and the
     step's normal draw z, its first temporary in `scratch`, an array of the
@@ -231,11 +252,18 @@ def _step(e, f, p, z, integrator, mem, cp, scratch) -> Ensemble:
     return advance(e, new, p.dt)
 
 
+def _paid(f, owed: OwedPoint) -> float:
+    """The owed point's value, evaluated alone by f where no call took v in."""
+    if owed.f_at_v is None:
+        owed.f_at_v = float(f(owed.v))
+    return owed.f_at_v
+
+
 def _finish(trajectory, e, final_cp, status, t0, config, fallback_cp, scratch, f):
     """The run's result; `final_cp` is the consensus point of e's positions,
     or None where the objective is not finite on them (`scratch` as in `moments`).
-    An owed point that no call took in evaluates v alone by f; then each
-    record, which no caller has seen yet, takes its point's value in place."""
+    The final point and each record, which no caller has seen yet, take
+    their owed values (`_paid`), a record's in place."""
     if final_cp is None:
         # objective overflowed on the final positions: the run diverged,
         # whatever its budget; report its last finite consensus point
@@ -243,12 +271,10 @@ def _finish(trajectory, e, final_cp, status, t0, config, fallback_cp, scratch, f
     elif not trajectory or trajectory[-1].step != e.step_count:
         trajectory.append(_point(e, final_cp, scratch))
     if type(final_cp) is OwedPoint:
-        if final_cp.f_at_v is None:
-            final_cp.f_at_v = float(f(final_cp.v))
-        final_cp = ConsensusPoint(final_cp.v, final_cp.f_at_v)
+        final_cp = ConsensusPoint(final_cp.v, _paid(f, final_cp))
     for pt in trajectory:
         if type(pt.f_at_v) is OwedPoint:
-            object.__setattr__(pt, "f_at_v", pt.f_at_v.f_at_v)
+            object.__setattr__(pt, "f_at_v", _paid(f, pt.f_at_v))
     return RunResult(
         trajectory=trajectory,
         final_consensus=final_cp,
@@ -310,7 +336,12 @@ def run(config: RunConfig) -> RunResult:
     where no call follows: when the stop rule fires, a kick diverges or the
     run ends; a larger run evaluates every f(v) alone. The point whose value
     is still owed, an `OwedPoint`, stays inside the run; every point of the
-    result holds its float value.
+    result holds its float value. A batched run evaluates f on a batch's or
+    group's positions only: a batch's f(v) is read only by a record, at a
+    group's head, and by the fallback point a diverged run reports, and is
+    evaluated there alone, when the run ends. The stop rule takes a
+    group's points in one `first_stop` call, and its draws in one
+    `DrawAhead.blocks` call.
 
     The run owns one (N, d) scratch array, which every step (a batch's kick
     in its head) and `moments` at recorded steps and at the final point
@@ -341,8 +372,9 @@ def run(config: RunConfig) -> RunResult:
         mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
         owe = bp is None and (config.n_particles + 1) * d <= SHARD_MIN_ELEMENTS
         g = _Owing(f) if owe else f
+        unread = _Unread(f, config.n_particles) if bp is not None else None
         trajectory: List[TrajectoryPoint] = []
-        v_prev, cp, status = None, None, "max_steps"
+        v_prev, cp, status = np.full(d, math.nan), None, "max_steps"  # step 0 made no move
         while (group := next(groups, None)) is not None:
             k, theta, batch = group
             at = e.step_count  # cps will be the point of this state, or of a batch of it
@@ -352,22 +384,15 @@ def run(config: RunConfig) -> RunResult:
                     cps = weighted_mean(e, g, p.alpha, scratch)
                     cps = g.owed if owe else cps
                 else:  # a stack of q > 1 batches gives a stacked point: cps[j] is batch j's
-                    cps = batch_consensus(e, f, p.alpha, batch)
-                first = cps if q == 1 else cps[0]
-                recorded = e.step_count % every == 0
-                record = _point(e, first, scratch) if recorded else None
-                n, stop, prev = q, False, v_prev
-                if eps is not None:  # the stop rule, batch by batch
-                    for n, v in enumerate((cps.v,) if q == 1 else cps.v, 1):
-                        stop = prev is not None and stop_check(prev, v, d, eps)
-                        if stop:
-                            break
-                        prev = v
+                    unread.armed = True
+                    cps = batch_consensus(e, unread, p.alpha, batch)
+                # a batch's point owes its f(v) to `_finish`; a record sits at a group's head
+                first = cps if batch is None else OwedPoint(cps.v if q == 1 else cps.v[0])
+                record = _point(e, first, scratch) if e.step_count % every == 0 else None
+                n, stop = (q, False) if eps is None else first_stop(v_prev, cps.v, d, eps)
                 if batch is not None:  # member j of a stack takes block e.step_count + j
                     scope = (batch if n == q else batch[:n]) if full_scope is None else full_scope
-                    z = noise.block(e.step_count) if q == 1 else np.empty((n, *noise.shape))
-                    for j in range(n if q > 1 else 0):  # copied: a block's buffer is reused
-                        z[j] = noise.block(e.step_count + j)
+                    z = noise.block(e.step_count) if q == 1 else noise.blocks(e.step_count, n)
                     head = scratch[: z.size // d].reshape(z.shape)  # a stack has at most N rows
                     e = batch_update(e, cps if n == q else cps[:n], bp, scope, z, head, lam=p.lam,
                                      sigma=p.sigma, k=k, theta=theta)
@@ -388,7 +413,8 @@ def run(config: RunConfig) -> RunResult:
                     break
             if record is not None:  # also when the kick diverged, as one batch at a time
                 trajectory.append(record)
-            cp, v_prev = cps if q == 1 else cps[n - 1], prev
+            cp = first if n == 1 else OwedPoint(cps.v[n - 1])
+            v_prev = cp.v
             if stop and status == "max_steps":
                 status = "stop_criterion"
             if status != "max_steps" or e.step_count >= budget:

@@ -10,8 +10,8 @@ directory (``tempfile``, so ``TMPDIR`` picks where); the checkout itself is
 never changed. A mutant is killed when pytest (``-x``, hypothesis seed 0)
 fails on its module's test files, and survives when they pass. A mutant
 marked equivalent changes nothing a caller can see, for the reason given;
-it runs too, and a kill shows the reason wrong. A mutant takes 1 to 25 s
-and the whole list about two minutes (2 vCPU).
+it runs too, and a kill shows the reason wrong. A mutant takes 1 to 35 s
+and the whole list about seven minutes (2 vCPU).
 
 The list holds the guards and boundaries the goldens cannot pin, since
 they pin arithmetic: the 14 mutants of a first probe, the guards of the
@@ -31,7 +31,10 @@ of the points' conversions; and f(v) as the last row of a plain run's next
 objective call: the one size rule that decides a run's owing, the index of
 the v row, an owed value evaluated twice, the gates' test for an owed
 point, and zakharov's square and fourth power, which make one point the
-bits of its row in a stack. The script is a
+bits of its row in a stack; and a batched run's f(v) only where it is read:
+the group stop rule's first hit and its test, a record's and a fallback
+point's value, evaluated alone, the member each is taken from, and the
+group call that evaluates no consensus point. The script is a
 measure, not a gate: a survivor that is not equivalent asks for a test that
 fails on it.
 """
@@ -136,8 +139,8 @@ MUTANTS = (
     # the one plan of a run, and the blocks of a batched run's draws
     Mutant("ensemble", "DrawAhead draws ahead from its caller's plan",
            "copy.copy(plan) if self.ahead else plan", "plan"),
-    Mutant("harness", "run: every member of a stack takes the block of its first step",
-           "z[j] = noise.block(e.step_count + j)", "z[j] = noise.block(e.step_count)"),
+    Mutant("ensemble", "DrawAhead.blocks: each member takes the block of the stack's first step",
+           "zip(range(step, step + n), z)", "zip([step] * n, z)"),
     # a chunked call's input, which a cancelled helper's queued task would hold
     Mutant("objectives", "ObjectiveFunction: the input is not released",
            "x = None  # a cancelled helper", "pass  # a cancelled helper"),
@@ -190,8 +193,8 @@ MUTANTS = (
     # f(v) as the last row of a plain run's next objective call
     Mutant("dynamics", "_pay: the v row's index off by one",
            "owed.f_at_v = values.item(-1)", "owed.f_at_v = values.item(-2)"),
-    Mutant("harness", "_finish: an owed value a call took in is evaluated again",
-           "        if final_cp.f_at_v is None:\n", "        if True:\n"),
+    Mutant("harness", "_paid: an owed value a call took in is evaluated again",
+           "    if owed.f_at_v is None:\n", "    if True:\n"),
     # the mutant that owed personal_best's f(v) by the size of [x; v], not
     # [x; p; v], is gone: that size is now every variant's rule
     Mutant("dynamics", "original's gate: an owed point taken for a paid one",
@@ -204,6 +207,23 @@ MUTANTS = (
            "np.power(lin, 4.0)", "lin**4"),
     Mutant("objectives", "zakharov: one point's square by C's pow again",
            "np.square(lin)", "lin**2"),
+    # a batched run's f(v) only where it is read, and a group's stop rule as one array
+    Mutant("batching", "first_stop: <= to <",
+           "axis=-1) / d <= eps", "axis=-1) / d < eps"),
+    Mutant("batching", "first_stop: the first hit off by one",
+           "(hits.index(True) + 1, True)", "(hits.index(True), True)"),
+    Mutant("harness", "_finish: a record skips its f(v)",
+           'object.__setattr__(pt, "f_at_v", _paid(f, pt.f_at_v))',
+           'object.__setattr__(pt, "f_at_v", pt.f_at_v.f_at_v)'),
+    Mutant("harness", "_finish: a fallback point skips its f(v)",
+           "final_cp = ConsensusPoint(final_cp.v, _paid(f, final_cp))",
+           "final_cp = ConsensusPoint(final_cp.v, final_cp.f_at_v)"),
+    Mutant("harness", "run: a record holds the point of its group's last member",
+           "OwedPoint(cps.v if q == 1 else cps.v[0])", "OwedPoint(cps.v if q == 1 else cps.v[-1])"),
+    Mutant("harness", "run: the fallback point is its group's first member's",
+           "else OwedPoint(cps.v[n - 1])", "else OwedPoint(cps.v[0])"),
+    Mutant("harness", "_Unread: a group's consensus points are evaluated too",
+           "            self.armed = False\n", "            pass\n"),
 )
 
 

@@ -17,6 +17,7 @@ from cbopt.batching import (
     GeometricSchedule,
     batch_consensus,
     batch_update,
+    first_stop,
     make_batches,
     stop_check,
 )
@@ -324,6 +325,45 @@ class TestStopCheck:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             stop_check(np.zeros(1), np.zeros(1), 1, 0.0)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 40),
+        q=st.integers(2, 40),
+        first=st.booleans(),
+        scales=st.lists(st.sampled_from([0.0, 1e-150, 1e-8, 1e-4, 1.0, 1e8]), min_size=41,
+                        max_size=41),
+        at=st.integers(0, 39),
+        near=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_group_stops_at_the_member_stop_check_stops_at(self, d, q, first, scales, at, near,
+                                                             seed):
+        # a group's q consensus points in step order, each moved from the one
+        # before by its own scale (0.0: the same point); eps is one member's
+        # mean squared move (as stop_check computes it), or the next float
+        # below or above it, so the test is decided at its boundary
+        rng = np.random.default_rng(seed)
+        path = np.cumsum(rng.standard_normal((q + 1, d)) * np.array(scales[: q + 1])[:, None],
+                         axis=0)
+        v_prev, v = path[0], path[1:]
+        delta = v[at % q] - path[at % q]
+        eps = float(np.add.reduce(delta * delta, axis=None) / d)
+        eps = max(np.nextafter(eps, (-math.inf, eps, math.inf)[near + 1]), 5e-324)
+        prev, expected = (None if first else v_prev), (q, False)
+        for n, point in enumerate(v, 1):  # batch by batch
+            if prev is not None and stop_check(prev, point, d, eps):
+                expected = (n, True)
+                break
+            prev = point
+        # a run's first group passes a NaN point before it: no move
+        before = np.full(d, math.nan) if first else v_prev
+        assert first_stop(before, v, d, eps) == expected
+        prev = before
+        for point in v:  # a single point takes the rule of a one-point group
+            assert first_stop(prev, point, d, eps) == (
+                1, not math.isnan(prev[0]) and stop_check(prev, point, d, eps))
+            prev = point
 
 
 def test_direct_calls_reach_the_argument_guards():

@@ -757,9 +757,50 @@ class TestGroupedBatches:
         grouped = run(config)
         grouped_calls, calls[:] = calls[:], []
         assert_same_run(grouped, per_batch_run(config))
-        # M + 1 points a batch and N + 1 for the final state, in fewer calls
-        assert sum(grouped_calls) == sum(calls) == 24 * 4 + 12 + 1
-        assert len(grouped_calls) < len(calls)
+        # one batch at a time evaluates M + 1 points a batch; a group reads
+        # no f(v) but its record's: M points a batch, 1 for the record at
+        # step 0, evaluated alone, and N + 1 for the final state
+        assert sum(calls) == 24 * 4 + 12 + 1
+        assert sum(grouped_calls) == 24 * 3 + 1 + 12 + 1
+        # one call a group, one for the record and two for the final state
+        groups, steps = 0, 0
+        for _, _, batch in harness._groups(config, RngPlan(config.master_seed)):
+            if steps == config.max_steps:
+                break
+            groups, steps = groups + 1, steps + (len(batch) if batch.ndim > 1 else 1)
+        assert len(grouped_calls) == groups + 1 + 2 < len(calls)
+
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    @pytest.mark.parametrize("record_every", [1, 2, 3])
+    def test_records_at_group_heads_evaluate_f_at_v_alone(self, record_every, mode,
+                                                          monkeypatch):
+        # a group reads no f(v) but its record's: each record's value comes
+        # from a call on its one point, as one batch at a time computes it
+        config = batched_config(12, 3, mode, record_every=record_every, max_steps=24)
+        result, calls = counted_run(config, monkeypatch)
+        assert_same_run(result, per_batch_run(config))
+        steps = [pt.step for pt in result.trajectory]
+        assert steps == [*range(0, 24, record_every), 24]  # the final state's record last
+        assert all(type(pt.f_at_v) is float for pt in result.trajectory)
+        # one point alone per record of the loop, and f(v) of the final state
+        assert calls.count((2,)) == len(range(0, 24, record_every)) + 1
+
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    def test_overflowing_final_positions_report_the_fallback_value(self, mode):
+        # sigma = 1e200 at the last step (epoch 1, batch 3) throws its rows
+        # past 1e150, where rastrigin overflows: the final state has no
+        # consensus point, and the run reports the last batch's, whose f(v)
+        # no step read
+        config = batched_config(12, 3, mode, max_steps=8, record_every=3, batching=dict(
+            sigma_schedule=sigma_at((1, 3), 1e200)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            result, expected = run(config), per_batch_run(config)
+            with pytest.raises(ValueError):
+                weighted_mean(Ensemble(result.final_positions), make_objective("rastrigin", 2),
+                              1.0)
+        assert (result.steps, result.terminated_by) == (8, "divergence")
+        assert type(result.final_consensus.f_at_v) is float
+        assert_same_run(result, expected)
 
     def test_non_finite_kick_inside_a_group(self):
         # 13 = 3 x 4 + 1; sigma = inf at the third batch of the second epoch

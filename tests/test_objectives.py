@@ -418,34 +418,49 @@ class TestChunkScheduling:
     @pytest.fixture
     def tasks(self, monkeypatch):
         """Two usable CPUs and a pool of their own, with one thread; records
-        every task, and holds each draw until the returned event is set (or
-        10 s pass), so that the draw is pending for as long as a test needs."""
+        every task, and holds each draw until the returned event `release`
+        is set (or 10 s pass), so that the draw is pending for as long as a
+        test needs. Every other task sets the returned event `started` when
+        it starts to run, so a test can wait for a helper without a race."""
         monkeypatch.setattr(objectives, "_THREADS", 2)
         monkeypatch.setattr(objectives, "_pool", (None, None))
-        executor, tasks, release = objectives.executor, [], threading.Event()
+        executor, tasks = objectives.executor, []
+        release, started = threading.Event(), threading.Event()
 
         def held(fn, *args, **kwargs):
             release.wait(10)
             return fn(*args, **kwargs)
 
+        def begun(fn, *args, **kwargs):
+            started.set()
+            return fn(*args, **kwargs)
+
         class Pool:
             def submit(self, fn, *args, **kwargs):
-                if getattr(fn, "__name__", "") == "standard_normal":
-                    args, fn = (fn, *args), held
+                draw = getattr(fn, "__name__", "") == "standard_normal"
+                args, fn = (fn, *args), held if draw else begun
                 tasks.append(executor().submit(fn, *args, **kwargs))
                 return tasks[-1]
 
         monkeypatch.setattr(objectives, "executor", Pool)
-        yield tasks, release
+        yield tasks, release, started
         release.set()
         executor().shutdown()
+
+    @staticmethod
+    def hold_for_a_helper(started, helped):
+        """Hold the caller's chunk until a helper has taken one: the helper
+        task starts (a cap of 60 s fails the test, naming the cause), and
+        then takes the next chunk, since the caller holds this one."""
+        assert started.wait(60), "the helper task never started"
+        assert helped.wait(60), "the helper task started but took no chunk"
 
     @staticmethod
     def points():
         return np.random.default_rng(3).uniform(-3.0, 3.0, (2000, 50))
 
     def test_a_call_does_not_wait_for_a_helper_queued_behind_a_draw(self, tasks):
-        tasks, release = tasks
+        tasks, release, _ = tasks
         x, f = self.points(), make_objective("ackley", 50)
         noise = DrawAhead(RngPlan(5), STREAM_DIFFUSION, (1024, 32), end=2)
         try:
@@ -462,16 +477,18 @@ class TestChunkScheduling:
 
     @pytest.mark.parametrize("shape", [(2000, 50), (3, 700, 50)])
     def test_helpers_take_chunks_and_none_runs_on(self, tasks, shape):
-        tasks, _ = tasks
+        tasks, _, started = tasks
         x, calls = np.random.default_rng(4).uniform(-3.0, 3.0, shape), []
-        caller, helped = threading.get_ident(), threading.Event()
+        caller, helped, called = threading.get_ident(), threading.Event(), threading.Event()
 
         def recorded(points):
             calls.append((threading.get_ident(), points.shape))
             if threading.get_ident() == caller:
-                helped.wait(5)  # holds the caller's first chunk until a helper has one
-            else:
+                called.set()
+                self.hold_for_a_helper(started, helped)
+            else:  # and the helper holds its first chunk until the caller has one
                 helped.set()
+                assert called.wait(60), "the calling thread took no chunk"
             return ackley(points)
 
         values = ObjectiveFunction("ackley", recorded, 50)(x)
@@ -484,14 +501,14 @@ class TestChunkScheduling:
                    for _, shape in calls)
 
     def test_a_helper_chunk_error_is_raised_by_the_call(self, tasks):
-        tasks, _ = tasks
+        tasks, _, started = tasks
         caller, helped = threading.get_ident(), threading.Event()
 
         def failing(points):
             if threading.get_ident() != caller:
                 helped.set()
                 raise RuntimeError("helper chunk failed")
-            helped.wait(5)  # leaves a chunk to the helper
+            self.hold_for_a_helper(started, helped)  # leaves a chunk to the helper
             return ackley(points)
 
         with pytest.raises(RuntimeError, match="helper chunk failed"):
@@ -499,14 +516,14 @@ class TestChunkScheduling:
         assert tasks and all(task.done() for task in tasks)
 
     def test_a_stack_of_one_chunk_goes_to_fn_whole(self, tasks):
-        tasks, _ = tasks
+        tasks, _, _ = tasks
         x, calls = np.ones((1024, 32)), []  # SHARD_MIN_ELEMENTS numbers
         ObjectiveFunction("ackley", lambda points: calls.append(points) or ackley(points), 32)(x)
         assert len(calls) == 1 and calls[0] is x and not tasks
 
     def test_a_call_keeps_no_reference_to_its_input(self, tasks):
         # a helper cancelled behind a busy thread stays queued until that thread is free
-        _, release = tasks
+        _, release, _ = tasks
         objectives.executor().submit(release.wait, 10)
         x = self.points()
         kept = weakref.ref(x)
