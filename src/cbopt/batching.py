@@ -48,6 +48,10 @@ class GeometricSchedule:
             return self.initial * np.inf if self.initial else self.initial
 
 
+# the schedules that give every batch of an epoch one value: they ignore theta
+_BY_EPOCH = {ConstantSchedule, GeometricSchedule, type(None)}
+
+
 @dataclass(frozen=True)
 class BatchParams:
     """Batch size, update scope, schedules, and the stopping tolerance.
@@ -114,7 +118,7 @@ def make_batches(
     perm = rng.generator(STREAM_PERMUTATION, state.epoch).permutation(n)
     pool = np.concatenate([state.remainder, perm])
     q = pool.size // m
-    batches = [pool[i * m : (i + 1) * m] for i in range(q)]
+    batches = list(pool[: q * m].reshape(q, m))  # views of the pool
     return batches, BatchState(remainder=pool[q * m :], epoch=state.epoch + 1)
 
 
@@ -170,20 +174,24 @@ def batch_update(
     last write. `range(N)` is the full scope: it kicks the whole array with
     an (N, d) z, bit for bit, with no sort, gather, copy or scatter.
     A (q, M) stack of disjoint scopes with a stacked `v` and a (q, M, d) z
-    is q calls in a row, bit for bit: member j takes theta + j and z[j]."""
+    is q calls in a row, bit for bit: member j takes theta + j and z[j].
+    The built-in schedules ignore theta, so a stack under them computes its
+    coefficients once, as scalars."""
     full = isinstance(scope, range) and scope == range(e.n_particles)
     rows = None if full else _sorted_rows(scope, e.n_particles)
-    if full or rows.ndim == 1:  # one batch: scalar coefficients cost least
-        gamma, sigma = _coefficients(bp, sigma, k, theta)
-        gammas, v = (gamma,), v.v
-    else:
-        gammas, sigmas = zip(*[_coefficients(bp, sigma, k, theta + j) for j in range(len(rows))])
+    q = 1 if full or rows.ndim == 1 else len(rows)
+    # a user's callable may read theta: each member of a stack calls it
+    if q > 1 and not {type(bp.gamma_schedule), type(bp.sigma_schedule)} <= _BY_EPOCH:
+        gammas, sigmas = zip(*[_coefficients(bp, sigma, k, theta + j) for j in range(q)])
         gamma, sigma = np.reshape(gammas, (-1, 1, 1)), np.reshape(sigmas, (-1, 1, 1))
-        v = v.v[:, None]
+    else:  # every member's coefficients as scalars, which cost least
+        gamma, sigma = _coefficients(bp, sigma, k, theta)
+        gammas = (gamma,) * q
     if full:
-        return advance(e, anisotropic_kick(e.positions, v, lam, sigma, gamma, z, scratch), gamma)
+        return advance(e, anisotropic_kick(e.positions, v.v, lam, sigma, gamma, z, scratch), gamma)
     new = e.positions.copy()
-    new[rows] = anisotropic_kick(e.positions[rows], v, lam, sigma, gamma, z, scratch)
+    new[rows] = anisotropic_kick(e.positions[rows], v.v if q == 1 else v.v[:, None], lam, sigma,
+                                 gamma, z, scratch)
     out = advance(e, new, gammas[0])
     for gamma in gammas[1:]:  # the clock advances member by member
         out.time, out.step_count = out.time + gamma, out.step_count + 1

@@ -9,8 +9,11 @@ the identical sequence no matter how many workers evaluate it or in which
 order.
 
 A plan builds one Philox generator on first use and repositions it at each
-``generator(stream, step)`` call by writing the counter block into its
-state, which gives the bits a freshly seeded generator would. The returned
+``generator(stream, step)`` call: it writes the two counter words of the
+block into a state it keeps, a dict of plain Python ints that holds a
+fresh generator's empty buffer, and sets that state through numpy's public
+``state`` setter, which gives the bits a freshly seeded generator would
+(a state dict of numpy arrays costs about twice as much to set). The returned
 generator is the plan's own and stays valid only until the plan's next
 ``generator`` or ``normal_block`` call, so draw from it before that call.
 Only one thread calls a plan; a `DrawAhead` that draws blocks ahead on a
@@ -73,7 +76,10 @@ class RngPlan:
         ``Generator(Philox(key=master_seed, counter=[0, 0, step, stream]))``
         draws, with the counter as four uint64 words.
 
-        It is the plan's own generator, repositioned on every call: it stays
+        It is the plan's own generator, repositioned on every call through
+        the public state setter, from a cached state of plain ints whose
+        two counter words are written in place; the cached state keeps a
+        fresh generator's empty buffer, whatever the last draw left. It stays
         valid until the next `generator` or `normal_block` call on this plan,
         so draw from it before that call. One thread calls the plan; it may
         hand the generator to another thread to draw from, and then makes
@@ -82,12 +88,15 @@ class RngPlan:
         # the cache is not a dataclass field, so ==, hash and repr ignore it
         if "_philox" not in self.__dict__:
             bitgen = np.random.Philox(key=int(self.master_seed))
-            # a state with an empty 64-bit buffer (buffer_pos 4) and no
-            # buffered 32-bit half (has_uint32 0), as a fresh generator has
-            cache = (bitgen, np.random.Generator(bitgen), bitgen.state)
+            key = [int(word) for word in bitgen.state["state"]["key"]]
+            # a fresh generator's state in plain ints: an empty 64-bit buffer
+            # (buffer_pos 4) and no buffered 32-bit half (has_uint32 0)
+            state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+                     "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            cache = (bitgen, np.random.Generator(bitgen), state, state["state"]["counter"])
             object.__setattr__(self, "_philox", cache)
-        bitgen, gen, state = self._philox
-        state["state"]["counter"] = [0, 0, int(step), int(stream)]
+        bitgen, gen, state, counter = self._philox
+        counter[2], counter[3] = int(step), int(stream)
         bitgen.state = state
         return gen
 

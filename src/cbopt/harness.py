@@ -292,27 +292,45 @@ def _groups(config, plan):
     epoch with disjoint rows, ended before a batch that touches its rows,
     before a recorded step and at the step budget. A batch that shares a row
     with the one before it goes alone, since its point may repeat and stop
-    the run, and so does one that deals a row twice: a stack has at most N rows."""
-    bp = config.batching
+    the run, and so does one that deals a row twice: a stack has at most N rows.
+
+    The cuts of an epoch come from one plan. An epoch deals the carried rows
+    (fewer than M, none twice), then a permutation of all N, so a carried
+    row sits in batch 0 and is dealt at most once more, and no other row
+    repeats: only batch 0 can deal a row twice, or share one with a later
+    batch of its epoch or with the previous epoch's last batch. So the
+    stack at batch 0 ends before the first later batch that deals a carried
+    row again, and goes alone if batch 0 deals one twice or meets the last
+    batch; a stack at batch 1 goes alone if batch 1 deals a carried row
+    again. A stack is a view of the epoch's (q, M) deal. These are the cuts
+    of the per-batch rule in `tests/test_harness.py::reference_groups`."""
+    bp, n, m = config.batching, config.n_particles, config.batching.batch_size
+    every, budget = config.record_every, config.max_steps
     state, step, last = BatchState.fresh(), 0, set()
     for k in range(bp.max_epochs):
-        batches, state = make_batches(state, config.n_particles, bp.batch_size, plan)
+        carried = state.remainder
+        batches, state = make_batches(state, n, m, plan)
         if bp.update_mode == "full":
             yield from ((k, theta, batch) for theta, batch in enumerate(batches))
             continue
-        cuts = [0]
-        for theta, batch in enumerate(batches):
-            rows = set(batch.tolist())
-            if theta and (alone or not held.isdisjoint(rows) or step % config.record_every == 0
-                          or step == config.max_steps):
-                cuts.append(theta)
-            if cuts[-1] == theta:  # a stack starts here
-                alone, held = not rows.isdisjoint(last) or len(rows) < bp.batch_size, set()
-            held |= rows
-            last, step = rows, step + 1
-        cuts.append(len(batches))
+        q, r = len(batches), carried.size
+        pool = np.concatenate((*batches, state.remainder))  # the carried rows, the permutation
+        again, twice = q, False  # the first batch past 0 that deals a carried row again
+        if r:  # the batch that deals each carried row again (argsort inverts the permutation)
+            dealt = (r + np.argsort(pool[r:])[carried]) // m
+            again, twice = int(dealt[dealt > 0].min(initial=q)), dealt.min() == 0
+        alone = twice or not last.isdisjoint(batches[0].tolist())  # batch 0 goes alone
+        stops = set(range(-step % every or every, q, every))  # the batches at recorded steps
+        if 0 < budget - step < q:
+            stops.add(budget - step)
+        cuts = {0, min(again, 1 if alone else q, *stops), *stops, q}
+        if again == 1 < q:  # batch 1 shares a row with batch 0, and goes alone
+            cuts.add(2)
+        cuts = sorted(cuts)
+        deal = pool[: q * m].reshape(q, m)
         for a, b in zip(cuts, cuts[1:]):
-            yield k, a, batches[a] if b == a + 1 else np.stack(batches[a:b])
+            yield k, a, deal[a] if b == a + 1 else deal[a:b]
+        step, last = step + q, set(deal[-1].tolist())
 
 
 def run(config: RunConfig) -> RunResult:
@@ -369,6 +387,7 @@ def run(config: RunConfig) -> RunResult:
             groups, eps = _groups(config, plan), bp.stop_eps
             full_scope = range(config.n_particles) if bp.update_mode == "full" else None
         scratch = np.empty(e.positions.shape)
+        single = scratch[:rows]  # the head of scratch that one batch's kick writes into
         mem = PersonalBestMemory.initial(e) if p.variant == "personal_best" else None
         owe = bp is None and (config.n_particles + 1) * d <= SHARD_MIN_ELEMENTS
         g = _Owing(f) if owe else f
@@ -393,7 +412,8 @@ def run(config: RunConfig) -> RunResult:
                 if batch is not None:  # member j of a stack takes block e.step_count + j
                     scope = (batch if n == q else batch[:n]) if full_scope is None else full_scope
                     z = noise.block(e.step_count) if q == 1 else noise.blocks(e.step_count, n)
-                    head = scratch[: z.size // d].reshape(z.shape)  # a stack has at most N rows
+                    # a stack has at most N rows, so its kick fits in scratch too
+                    head = single if q == 1 else scratch[: z.size // d].reshape(z.shape)
                     e = batch_update(e, cps if n == q else cps[:n], bp, scope, z, head, lam=p.lam,
                                      sigma=p.sigma, k=k, theta=theta)
                 elif not stop:  # a plain run stops before its update

@@ -10,8 +10,8 @@ directory (``tempfile``, so ``TMPDIR`` picks where); the checkout itself is
 never changed. A mutant is killed when pytest (``-x``, hypothesis seed 0)
 fails on its module's test files, and survives when they pass. A mutant
 marked equivalent changes nothing a caller can see, for the reason given;
-it runs too, and a kill shows the reason wrong. A mutant takes 1 to 35 s
-and the whole list about seven minutes (2 vCPU).
+it runs too, and a kill shows the reason wrong. A mutant takes 1 to 45 s
+and the whole list about ten minutes (2 vCPU).
 
 The list holds the guards and boundaries the goldens cannot pin, since
 they pin arithmetic: the 14 mutants of a first probe, the guards of the
@@ -34,7 +34,12 @@ point, and zakharov's square and fourth power, which make one point the
 bits of its row in a stack; and a batched run's f(v) only where it is read:
 the group stop rule's first hit and its test, a record's and a fallback
 point's value, evaluated alone, the member each is taken from, and the
-group call that evaluates no consensus point. The script is a
+group call that evaluates no consensus point; and the epoch plan of a
+partial-mode run: a carried row's second batch, batch 0's tests against
+the previous epoch's last batch and for a repeated row, batch 1 alone
+after batch 0 and the record cuts, with the reposition's cached state,
+which keeps a fresh generator's empty buffer, and a stack's coefficients
+under a callable schedule. The script is a
 measure, not a gate: a survivor that is not equivalent asks for a test that
 fails on it.
 """
@@ -106,7 +111,7 @@ MUTANTS = (
            "return self.initial * np.inf if self.initial else self.initial",
            "return self.initial * np.inf"),
     Mutant("harness", "_groups: no cut at the step budget",
-           "or step == config.max_steps):", "):"),
+           "            stops.add(budget - step)", "            pass"),
     Mutant("harness", "run_campaign: no worker cap",
            "workers = min(workers, runs, objectives._THREADS)", "workers = workers"),
     # the guards of the chunked objective calls
@@ -224,6 +229,25 @@ MUTANTS = (
            "else OwedPoint(cps.v[n - 1])", "else OwedPoint(cps.v[0])"),
     Mutant("harness", "_Unread: a group's consensus points are evaluated too",
            "            self.armed = False\n", "            pass\n"),
+    # the epoch plan of a partial-mode run, the plain-int reposition, and a
+    # stack's coefficients
+    Mutant("harness", "_groups: a carried row's second batch off by one",
+           "dealt = (r + np.argsort(pool[r:])[carried]) // m",
+           "dealt = (r + np.argsort(pool[r:])[carried]) // m + 1"),
+    Mutant("harness", "_groups: batch 0 not tested against the previous epoch's last batch",
+           "alone = twice or not last.isdisjoint(batches[0].tolist())", "alone = twice"),
+    Mutant("harness", "_groups: batch 0 not tested for a repeated row",
+           "dealt.min() == 0", "False"),
+    Mutant("harness", "_groups: batch 1 that meets batch 0 does not go alone",
+           "            cuts.add(2)", "            pass"),
+    Mutant("harness", "_groups: a record cut one step early",
+           "range(-step % every or every, q, every)",
+           "range((-step - 1) % every or every, q, every)"),
+    Mutant("ensemble", "generator: the cached state keeps the buffer a draw leaves",
+           "bitgen.state = state", 'bitgen.state = {**bitgen.state, "state": state["state"]}'),
+    Mutant("batching", "batch_update: a callable's stack takes its first member's coefficients",
+           "if q > 1 and not {type(bp.gamma_schedule), type(bp.sigma_schedule)} <= _BY_EPOCH:",
+           "if False:"),
 )
 
 

@@ -67,6 +67,21 @@ class TestMakeBatches:
                 expected = np.sort(np.concatenate([r_before, np.arange(n)]))
                 assert np.array_equal(np.sort(combined), expected)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), m_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1),
+           epochs=st.integers(1, 6))
+    def test_carried_rows_sit_in_batch_0_and_are_dealt_at_most_twice(self, n, m_frac, seed,
+                                                                    epochs):
+        # the facts the epoch plan of a partial-mode run rests on
+        m, state, plan = 1 + min(n - 1, int(m_frac * n)), BatchState.fresh(), RngPlan(seed)
+        for _ in range(epochs):
+            carried = state.remainder
+            batches, state = make_batches(state, n, m, plan)
+            assert np.array_equal(batches[0][: carried.size], carried)
+            counts = np.bincount(np.concatenate(batches + [state.remainder]), minlength=n)
+            assert np.array_equal(np.flatnonzero(counts == 2), np.sort(carried))
+            assert counts.max() <= 2 and counts.min() >= 1
+
     def test_every_index_within_two_epochs(self):
         state = BatchState.fresh()
         plan = RngPlan(3)
@@ -295,6 +310,30 @@ class TestBatchUpdate:
                            theta=0)
         expected = gathered_update(e, cp.v, np.array(scope), plan, 1.0, 0.9, 0.01)
         assert out.positions.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("schedule", ["constant", "geometric", "theta"])
+    def test_a_stack_is_its_members_in_a_row_bitwise(self, schedule):
+        # the built-in schedules give a stack one pair of scalar coefficients,
+        # a callable gives each member its own
+        gamma, sigma = {
+            "constant": (ConstantSchedule(0.05), None),
+            "geometric": (GeometricSchedule(0.2, 0.5), ConstantSchedule(0.4)),
+            "theta": (lambda k, theta: 0.01 * (theta + 1), lambda k, theta: 0.3 * theta),
+        }[schedule]
+        bp = BatchParams(batch_size=2, gamma_schedule=gamma, sigma_schedule=sigma)
+        plan, f = RngPlan(14), make_objective("ackley", 3)
+        e = init_ensemble(InitSpec("box", low=-2, high=2), 7, 3, plan)
+        stack = np.array([[5, 1], [0, 3], [6, 2]])
+        cps = batch_consensus(e, f, 5.0, stack)
+        z = np.stack([plan.normal_block(STREAM_DIFFUSION, j, (2, 3)) for j in range(3)])
+        out = batch_update(e, cps, bp, stack, z, np.empty(z.shape), lam=1.0, sigma=0.7, k=2,
+                           theta=1)
+        one = e
+        for j, rows in enumerate(stack):
+            one = batch_update(one, cps[j], bp, rows, z[j], np.empty((2, 3)), lam=1.0,
+                               sigma=0.7, k=2, theta=1 + j)
+        assert out.positions.tobytes() == one.positions.tobytes()
+        assert (out.time, out.step_count) == (one.time, one.step_count) and out.step_count == 3
 
     def test_clock_advances_by_gamma(self):
         f = make_objective("ackley", 2)

@@ -650,6 +650,34 @@ def per_batch_run(config):
     return harness._finish(trajectory, e, final_cp, status, 0.0, config, cp, None, f)
 
 
+def reference_groups(config, plan):
+    """What `harness._groups` yields, from one loop over each epoch's
+    batches with a set of rows per batch: a stack ends before a batch that
+    shares a row with it, before a recorded step and at the step budget,
+    and a head that shares a row with the batch before it or deals a row
+    twice goes alone."""
+    bp = config.batching
+    state, step, last = BatchState.fresh(), 0, set()
+    for k in range(bp.max_epochs):
+        batches, state = make_batches(state, config.n_particles, bp.batch_size, plan)
+        if bp.update_mode == "full":
+            yield from ((k, theta, batch) for theta, batch in enumerate(batches))
+            continue
+        cuts = [0]
+        for theta, batch in enumerate(batches):
+            rows = set(batch.tolist())
+            if theta and (alone or not held.isdisjoint(rows) or step % config.record_every == 0
+                          or step == config.max_steps):
+                cuts.append(theta)
+            if cuts[-1] == theta:  # a stack starts here
+                alone, held = not rows.isdisjoint(last) or len(rows) < bp.batch_size, set()
+            held |= rows
+            last, step = rows, step + 1
+        cuts.append(len(batches))
+        for a, b in zip(cuts, cuts[1:]):
+            yield k, a, batches[a] if b == a + 1 else np.stack(batches[a:b])
+
+
 def assert_same_run(result, expected):
     """Steps, ending, every trajectory field, the final consensus point and
     the final positions, bytewise."""
@@ -740,6 +768,35 @@ class TestGroupedBatches:
             master_seed=seed, record_every=record_every,
         )
         assert_same_run(run(config), per_batch_run(config))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 40),
+        m_frac=st.floats(0.0, 1.0),
+        mode=st.sampled_from(["partial", "full"]),
+        record_every=st.one_of(st.integers(1, 7), st.just(100_000)),
+        max_steps=st.integers(1, 200),
+        max_epochs=st.integers(1, 6),
+        seed=st.integers(0, 2**32),
+    )
+    # 5 = 2 x 2 + 1: epoch 1 deals its carried row again in batch 0 at seed
+    # 4 ([2, 2] goes alone), and in batch 1 at seed 0 ([4, 2] and [4, 3] go
+    # alone, then [1, 0])
+    @example(n=5, m_frac=0.3, mode="partial", record_every=100_000, max_steps=200, max_epochs=3,
+             seed=4)
+    @example(n=5, m_frac=0.3, mode="partial", record_every=100_000, max_steps=200, max_epochs=3,
+             seed=0)
+    def test_epoch_plan_yields_what_the_set_loop_yields(
+        self, n, m_frac, mode, record_every, max_steps, max_epochs, seed,
+    ):
+        m = 1 + min(n - 1, int(m_frac * n))
+        config = batched_config(n, m, mode, record_every=record_every, max_steps=max_steps,
+                                master_seed=seed, batching=dict(max_epochs=max_epochs))
+        got, want = (
+            [(k, theta, rows.tolist()) for k, theta, rows in groups(config, RngPlan(seed))]
+            for groups in (harness._groups, reference_groups))
+        assert got == want
+        assert all(type(theta) is int for _, theta, _ in got)
 
     def test_groups_make_fewer_objective_calls_on_the_same_points(self, monkeypatch):
         config = batched_config(12, 3, max_steps=24)  # 4 disjoint batches an epoch
